@@ -22,7 +22,8 @@ for J_m''.
 
 Convention: zeros are the strictly positive roots.  In particular the
 first zero of J_0' is 3.8317... (the stationary point at x = 0 is not
-counted).
+counted).  Since J_0' = -J_1, the zeros of J_0' are those of J_1, taken
+from the same table so the two agree to the last bit.
 """
 
 from __future__ import annotations
@@ -272,6 +273,10 @@ def _zero_block(m: int, kind: str, block: int) -> tuple:
 
 
 def _zeros(m: int, kind: str, count: int) -> tuple:
+    if m == 0 and kind == _KIND_JPRIME:
+        # J_0' = -J_1: one root finder for both keeps TE(0, mu) and
+        # TM(+-1, mu) exactly degenerate
+        m, kind = 1, _KIND_J
     block = 8 * ((count + 7) // 8)      # round cache key up; reuse across calls
     return _zero_block(m, kind, block)[:count]
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from .modefield import CylPoint, curl_u_grid, u_grid
 from .spectrum import CavityGeometry, ModeData
-from .verify import QuadratureRule, integrate_cavity
+from .verify import QuadratureRule, _mode_planes, integrate_cavity
 
 _REALITY_TOL = 1e-12
 
@@ -175,26 +175,33 @@ def zero_point_energy(state: FieldState) -> float:
 
 
 def project(e_sampler, b_sampler, modes, rule: QuadratureRule) -> np.ndarray:
-    """Recover amplitudes of `modes` from sampled E and B fields."""
+    """Recover amplitudes of `modes` from sampled E and B fields.
+
+    Raises ValueError when two modes' m differ by a nonzero multiple of
+    nphi: the phi rule cannot tell them apart."""
     modes = tuple(modes)
+    first = {}
+    for md in modes:
+        other = first.setdefault(md.index.m % rule.nphi, md).index
+        if other.m != md.index.m:
+            raise ValueError(f"phi rule aliases modes {other} (m={other.m}) and {md.index} "
+                             f"(m={md.index.m}): m differs by a multiple of nphi={rule.nphi}")
     r, phi, z = rule.grid()
     shape = (rule.nr, rule.nphi, rule.nz)
-    w3 = rule.wr[:, None, None] * rule.wphi[None, :, None] * rule.wz[None, None, :]
-    e = [np.broadcast_to(np.asarray(c), shape) * w3 for c in e_sampler(r, phi, z)]
-    b = [np.broadcast_to(np.asarray(c), shape) * w3 for c in b_sampler(r, phi, z)]
-    out = np.zeros(len(modes), dtype=complex)
-    for i, md in enumerate(modes):
+    m_vals, row_of = np.unique([md.index.m for md in modes], return_inverse=True)
+    dft = rule.wphi * np.exp(-1j * np.outer(m_vals, rule.phi))
+    w = np.outer(rule.wr, rule.wz)
+
+    def fold(sampler):          # (component, m, r, z), weights included
+        return np.array([np.einsum("mp,rpz->mrz", dft, np.broadcast_to(np.asarray(c), shape)) * w
+                         for c in sampler(r, phi, z)])
+
+    e_hat, b_hat = fold(e_sampler), fold(b_sampler)
+    out = np.empty(len(modes), dtype=complex)
+    for i, (md, k) in enumerate(zip(modes, row_of)):
         geom = md.geom
-        u = u_grid(md, r, phi, z)
-        v = curl_u_grid(md, r, phi, z)
-        ue = sum(
-            complex(np.einsum("ijk,ijk->", np.conj(np.broadcast_to(uc, shape)), ec))
-            for uc, ec in zip(u, e)
-        )
-        vb = sum(
-            complex(np.einsum("ijk,ijk->", np.conj(np.broadcast_to(vc, shape)), bc))
-            for vc, bc in zip(v, b)
-        )
+        ue = np.vdot(_mode_planes((md,), rule, u_grid), e_hat[:, k])
+        vb = np.vdot(_mode_planes((md,), rule, curl_u_grid), b_hat[:, k])
         term_e = -1j * math.sqrt(2.0 * geom.eps0 / (geom.hbar * md.omega)) * ue
         term_b = math.sqrt(2.0 * geom.eps0 * md.omega / geom.hbar) / md.k**2 * vb
         out[i] = 0.5 * (term_e + term_b)

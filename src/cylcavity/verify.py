@@ -15,6 +15,13 @@ Checks provided:
 * conductor boundary conditions on the walls (vanishing tangential u,
   vanishing normal component of curl u).
 
+Pair sums are sum-factorized: every component of psi, u and curl u is
+F(r, z) e^{i m phi} on a tensor-product rule, so the sum over all nodes
+is an (r, z) GEMM times Phi(m_j - m_i), Phi(q) = sum_phi w_phi e^{i q phi}.
+Phi is still summed numerically over the rule's own phi nodes, so an
+under-resolved rule shows as it would in the full 3-D sum.  The dense
+per-pair sum is the reference in tests/oracles.py.
+
 All reports are deterministic: fixed node sets and a fixed summation
 order, so identical inputs give identical bytes.
 """
@@ -118,18 +125,33 @@ def integrate_cavity(f, rule: QuadratureRule) -> complex:
     return complex(np.einsum("i,j,k,ijk->", rule.wr, rule.wphi, rule.wz, vals))
 
 
-def _weighted(rule: QuadratureRule, comps) -> list[np.ndarray]:
-    """Broadcast field components to the full grid and fold the weights in."""
-    shape = (rule.nr, rule.nphi, rule.nz)
-    w3 = rule.wr[:, None, None] * rule.wphi[None, :, None] * rule.wz[None, None, :]
-    return [np.broadcast_to(c, shape) * w3 for c in comps]
+def _mode_planes(modes, rule: QuadratureRule, evaluator) -> np.ndarray:
+    """F(r, z) of each component F(r, z) e^{i m phi} that evaluator returns,
+    read off at phi = 0; shaped (component, mode, nr * nz)."""
+    r, z = rule.r[:, None, None], rule.z[None, None, :]
+    shape = (rule.nr, 1, rule.nz)
+    planes = None
+    for i, md in enumerate(modes):
+        comps = evaluator(md, r, np.zeros((1, 1, 1)), z)
+        if planes is None:
+            planes = np.empty((len(comps), len(modes), rule.nr * rule.nz), dtype=complex)
+        for c, f in enumerate(comps):
+            planes[c, i] = np.broadcast_to(f, shape).reshape(-1)
+    return planes
 
 
-def _pair_sum(weighted_i, plain_j) -> complex:
-    total = 0.0 + 0.0j
-    for wc, pc in zip(weighted_i, plain_j):
-        total += complex(np.einsum("ijk,ijk->", np.conj(pc), wc))
-    return total
+def _gram(modes, rule: QuadratureRule, evaluator) -> np.ndarray:
+    """sum_nodes w conj(F_i) . F_j: a weighted (r, z) GEMM per component,
+    times Phi(m_j - m_i) summed once per distinct difference."""
+    if not modes:
+        return np.zeros((0, 0), dtype=complex)
+    w = np.outer(rule.wr, rule.wz).reshape(-1)
+    gram = sum(np.conj(p) @ (p * w).T for p in _mode_planes(modes, rule, evaluator))
+    m = np.array([md.index.m for md in modes])
+    q = m[None, :] - m[:, None]
+    qs = np.arange(q.min(), q.max() + 1)
+    phi_sum = np.exp(1j * np.outer(qs, rule.phi)) @ rule.wphi
+    return gram * phi_sum[q - qs[0]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,42 +197,15 @@ def check_scalar_orthonormality(modes, rule: QuadratureRule) -> GramReport:
     if len(sigmas) > 1:
         raise ValueError("scalar orthogonality holds within one polarization; "
                          "pass modes of a single sigma")
-    r, phi, z = rule.grid()
-    fields = [psi_grid(md, r, phi, z) for md in modes]
-    shape = (rule.nr, rule.nphi, rule.nz)
-    w3 = rule.wr[:, None, None] * rule.wphi[None, :, None] * rule.wz[None, None, :]
-    weighted = [np.broadcast_to(f, shape) * w3 for f in fields]
-    n = len(modes)
-    gram = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            gram[i, j] = complex(np.einsum("ijk,ijk->", np.conj(np.broadcast_to(fields[i], shape)), weighted[j]))
-    expected = np.array(
-        [0.5 * md.c_norm**2 * md.geom.volume * md.alpha for md in modes]
-    )
-    if n:
-        gram = gram / np.sqrt(np.outer(expected, expected))
-    return GramReport(modes=modes, matrix=gram)
-
-
-def _vector_gram(modes, rule: QuadratureRule, evaluator) -> np.ndarray:
-    r, phi, z = rule.grid()
-    fields = [evaluator(md, r, phi, z) for md in modes]
-    weighted = [_weighted(rule, comps) for comps in fields]
-    shape = (rule.nr, rule.nphi, rule.nz)
-    plain = [[np.broadcast_to(c, shape) for c in comps] for comps in fields]
-    n = len(modes)
-    gram = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            gram[i, j] = _pair_sum(weighted[j], plain[i])
-    return gram
+    gram = _gram(modes, rule, lambda md, r, phi, z: (psi_grid(md, r, phi, z),))
+    expected = np.array([0.5 * md.c_norm**2 * md.geom.volume * md.alpha for md in modes])
+    return GramReport(modes=modes, matrix=gram / np.sqrt(np.outer(expected, expected)))
 
 
 def check_vector_orthonormality(modes, rule: QuadratureRule) -> GramReport:
     """Full Gram matrix <u_i, u_j>, all polarizations and signs of m."""
     modes = tuple(modes)
-    return GramReport(modes=modes, matrix=_vector_gram(modes, rule, u_grid))
+    return GramReport(modes=modes, matrix=_gram(modes, rule, u_grid))
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,10 +259,8 @@ def check_curl_identity(
     abs_tol: float = 1e-12,
 ) -> CurlIdentityReport:
     modes = tuple(modes)
-    lhs = _vector_gram(modes, rule, curl_u_grid)
-    gram = _vector_gram(modes, rule, u_grid)
-    ksq = np.array([md.k**2 for md in modes])
-    rhs = gram * ksq[None, :]
+    lhs = _gram(modes, rule, curl_u_grid)
+    rhs = _gram(modes, rule, u_grid) * np.array([md.k**2 for md in modes])
     return CurlIdentityReport(modes=modes, lhs=lhs, rhs=rhs, rel_tol=rel_tol, abs_tol=abs_tol)
 
 

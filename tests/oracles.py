@@ -2,14 +2,18 @@
 
 Deliberately avoids the production root finder and field formulas:
 zeros come from sign scanning plus pure bisection, derivatives from
-central differences.  Slow and simple on purpose.
+central differences, and cavity inner products from a dense sum over
+every node of the 3-D rule, pair by pair.  Slow and simple on purpose.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from cylcavity.bessel import bessel_j, bessel_j_prime
+from cylcavity.modefield import curl_u_grid, u_grid
 
 
 def bisect_zeros(f, count: int, x_start: float, x_stop: float, scan_step: float = 0.5):
@@ -76,3 +80,54 @@ def fd_curl_cyl(field, r, phi, z, h: float, hphi: float):
     c_z = ((r + h) * f_rp[1] - (r - h) * f_rm[1]) / (2.0 * h * r) \
         - (f_pp[0] - f_pm[0]) / (2.0 * hphi * r)
     return c_r, c_phi, c_z
+
+
+# ------------------------------------------------ dense quadrature sums
+
+def _weighted(rule, comps):
+    """Broadcast field components to the full grid and fold the weights in."""
+    shape = (rule.nr, rule.nphi, rule.nz)
+    w3 = rule.wr[:, None, None] * rule.wphi[None, :, None] * rule.wz[None, None, :]
+    return [np.broadcast_to(c, shape) * w3 for c in comps]
+
+
+def _pair_sum(weighted_i, plain_j) -> complex:
+    total = 0.0 + 0.0j
+    for wc, pc in zip(weighted_i, plain_j):
+        total += complex(np.einsum("ijk,ijk->", np.conj(pc), wc))
+    return total
+
+
+def dense_gram(modes, rule, evaluator):
+    """G_ij = sum over all nr*nphi*nz nodes of w conj(F_i) . F_j.
+
+    evaluator(md, r, phi, z) returns a tuple of components.
+    """
+    r, phi, z = rule.grid()
+    fields = [evaluator(md, r, phi, z) for md in modes]
+    weighted = [_weighted(rule, comps) for comps in fields]
+    shape = (rule.nr, rule.nphi, rule.nz)
+    plain = [[np.broadcast_to(c, shape) for c in comps] for comps in fields]
+    n = len(modes)
+    gram = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            gram[i, j] = _pair_sum(weighted[j], plain[i])
+    return gram
+
+
+def dense_project(e_sampler, b_sampler, modes, rule):
+    """Mode amplitudes from sampled E and B, one dense 3-D sum per mode."""
+    r, phi, z = rule.grid()
+    e = _weighted(rule, [np.asarray(c) for c in e_sampler(r, phi, z)])
+    b = _weighted(rule, [np.asarray(c) for c in b_sampler(r, phi, z)])
+    shape = (rule.nr, rule.nphi, rule.nz)
+    out = np.zeros(len(modes), dtype=complex)
+    for i, md in enumerate(modes):
+        geom = md.geom
+        u = [np.broadcast_to(c, shape) for c in u_grid(md, r, phi, z)]
+        v = [np.broadcast_to(c, shape) for c in curl_u_grid(md, r, phi, z)]
+        term_e = -1j * math.sqrt(2.0 * geom.eps0 / (geom.hbar * md.omega)) * _pair_sum(e, u)
+        term_b = math.sqrt(2.0 * geom.eps0 * md.omega / geom.hbar) / md.k**2 * _pair_sum(b, v)
+        out[i] = 0.5 * (term_e + term_b)
+    return out

@@ -113,6 +113,18 @@ def test_vector_orthonormality():
     assert ok, line
 
 
+def test_large_vector_gram():
+    t0 = time.perf_counter()
+    modes = enumerate_modes(GEOM, 20.0)
+    assert len(modes) == 878
+    rep = check_vector_orthonormality(modes, default_rule(GEOM, modes))
+    dt = time.perf_counter() - t0
+    ok = rep.max_deviation < 1e-8 and dt < 120.0
+    line = _report(ok, "vector Gram all 878 modes omega<=20",
+                   f"max |G - I| = {rep.max_deviation:.2e}, {dt:.1f} s")
+    assert ok, line
+
+
 def test_boundary_conditions():
     modes = enumerate_modes(GEOM, OMEGA_MAX)
     r_w, phi_w, z_w = wall_samples(GEOM)

@@ -38,6 +38,12 @@ def test_frozen_zero_values():
     assert bessel_prime_zero(0, 1) == pytest.approx(JP0_ZERO_1, rel=1e-14)
 
 
+def test_j0_prime_zeros_are_j1_zeros_bitwise():
+    # J_0' = -J_1: TE(0, mu) and TM(+-1, mu) must share chi to the last bit
+    for mu in range(1, 31):
+        assert bessel_prime_zero(0, mu) == bessel_zero(1, mu)
+
+
 def test_value_at_first_zero_of_j0():
     assert bessel_j(1, J0_ZEROS[0]) == pytest.approx(J1_AT_J0_ZERO_1, rel=1e-13)
 

@@ -132,6 +132,27 @@ def test_lowest_te_pair_not_dropped_at_tight_cutoff(unit_geom):
     assert got == [(0, 1, 0, TM), (-1, 1, 1, TE), (1, 1, 1, TE), (0, 1, 1, TM)]
 
 
+def test_degenerate_triplet_order(unit_geom):
+    # TE(0, mu, n) and TM(+-1, mu, n) are exactly degenerate (J_0' = -J_1);
+    # the tie breaks on sigma, then sign(m), and a cutoff at the shared
+    # omega keeps all three
+    modes = enumerate_modes(unit_geom, 12.0)
+    pos = {md.index: i for i, md in enumerate(modes)}
+    triplets = 0
+    for md in modes:
+        idx = md.index
+        if idx.sigma != TE or idx.m != 0:
+            continue
+        trio = [ModeIndex(-1, idx.mu, idx.n, TM), ModeIndex(1, idx.mu, idx.n, TM), idx]
+        i = pos[trio[0]]
+        assert [m.index for m in modes[i:i + 3]] == trio
+        assert modes[i].chi == modes[i + 1].chi == md.chi
+        assert modes[i].omega == modes[i + 1].omega == md.omega
+        assert [m.index for m in enumerate_modes(unit_geom, md.omega)[-3:]] == trio
+        triplets += 1
+    assert triplets >= 5
+
+
 def test_enumeration_prefix_property(unit_geom):
     cuts = [2.0, 3.2, 4.0, 5.0, 6.5]
     lists = [[md.index for md in enumerate_modes(unit_geom, w)] for w in cuts]

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from cylcavity import (
     CylPoint,
     FieldState,
     ModeIndex,
+    default_rule,
     electric_field,
     electric_field_grid,
     enumerate_modes,
@@ -141,6 +143,25 @@ def test_projection_on_absent_modes_is_zero(unit_geom, rng):
     e_sampler, b_sampler = field_samplers(state)
     got = project(e_sampler, b_sampler, others, rule)
     assert np.max(np.abs(got)) < 1e-10
+
+
+def test_projection_rejects_aliasing_phi_rule(unit_geom, rng):
+    # 105 modes reach |m| = 7; on nphi = 8 the pair m = 4, m = -4 takes the
+    # same value at every phi node and amplitudes come back O(1) wrong
+    modes = enumerate_modes(unit_geom, 10.0)
+    assert len(modes) == 105
+    amps = rng.normal(size=105) + 1j * rng.normal(size=105)
+    state = FieldState(geom=unit_geom, entries=tuple(zip(modes, amps)))
+    e_sampler, b_sampler = field_samplers(state)
+    coarse = quadrature_rule(unit_geom, nr=48, nphi=8, nz=48)
+    with pytest.raises(ValueError, match="nphi=8") as err:
+        project(e_sampler, b_sampler, modes, coarse)
+    named = re.findall(r"ModeIndex\(m=(-?\d+),[^)]*\) \(m=(-?\d+)\)", str(err.value))
+    assert len(named) == 2 and all(a == b for a, b in named)
+    m1, m2 = (int(a) for a, _ in named)
+    assert m1 != m2 and (m1 - m2) % 8 == 0
+    got = project(e_sampler, b_sampler, modes, default_rule(unit_geom, modes))
+    assert np.max(np.abs(got - amps)) < 1e-10
 
 
 def test_maxwell_residuals_second_order(unit_geom, rng):

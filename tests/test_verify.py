@@ -8,18 +8,26 @@ import pytest
 from cylcavity import (
     TE,
     TM,
+    FieldState,
     ModeIndex,
     check_boundary,
     check_curl_identity,
     check_scalar_orthonormality,
     check_vector_orthonormality,
+    curl_u_grid,
+    default_rule,
     enumerate_modes,
+    field_samplers,
     integrate_cavity,
     mode_data,
+    project,
+    psi_grid,
     quadrature_rule,
+    u_grid,
     wall_samples,
 )
 from cylcavity.verify import CurlIdentityReport, default_nphi
+from oracles import dense_gram, dense_project
 
 
 def test_weights_sum_to_volume(unit_geom):
@@ -149,3 +157,69 @@ def test_quadrature_rule_validation(unit_geom):
         quadrature_rule(unit_geom, nr=0, nphi=4, nz=4)
     with pytest.raises(ValueError):
         quadrature_rule(unit_geom, nr=4, nphi=-1, nz=4)
+
+
+# ------------------------------------- sum-factorized kernel vs dense oracle
+
+def _assert_matches_dense(got, ref):
+    scale = float(np.max(np.abs(ref)))
+    assert scale > 0.0
+    assert float(np.max(np.abs(got - ref))) <= 1e-13 * scale
+
+
+def _oracle_rules(geom, modes):
+    # the default rule, and one with nr != nz and an odd nphi that still
+    # resolves every azimuthal difference of the set (max |m| = 4)
+    return (default_rule(geom, modes), quadrature_rule(geom, nr=20, nphi=13, nz=14))
+
+
+@pytest.fixture
+def oracle_modes(unit_geom):
+    # 30 lowest modes: +-m pairs up to |m| = 4, TM with n = 0 and n > 0, TE
+    modes = enumerate_modes(unit_geom, 6.5)
+    kinds = {(md.index.sigma, md.index.n == 0, md.index.m < 0) for md in modes}
+    assert {(TM, True, True), (TM, False, False), (TE, False, True)} <= kinds
+    return modes
+
+
+def test_vector_gram_matches_dense_oracle(unit_geom, oracle_modes):
+    for rule in _oracle_rules(unit_geom, oracle_modes):
+        got = check_vector_orthonormality(oracle_modes, rule).matrix
+        _assert_matches_dense(got, dense_gram(oracle_modes, rule, u_grid))
+
+
+def test_curl_identity_matrices_match_dense_oracle(unit_geom, oracle_modes):
+    ksq = np.array([md.k**2 for md in oracle_modes])
+    for rule in _oracle_rules(unit_geom, oracle_modes):
+        rep = check_curl_identity(oracle_modes, rule)
+        _assert_matches_dense(rep.lhs, dense_gram(oracle_modes, rule, curl_u_grid))
+        _assert_matches_dense(rep.rhs, dense_gram(oracle_modes, rule, u_grid) * ksq)
+
+
+def test_scalar_gram_matches_dense_oracle(unit_geom, oracle_modes):
+    psi = lambda md, r, phi, z: (psi_grid(md, r, phi, z),)
+    for sigma in (TM, TE):
+        modes = [md for md in oracle_modes if md.index.sigma == sigma]
+        diag = np.array([0.5 * md.c_norm**2 * md.geom.volume * md.alpha for md in modes])
+        for rule in _oracle_rules(unit_geom, modes):
+            got = check_scalar_orthonormality(modes, rule).matrix
+            ref = dense_gram(modes, rule, psi) / np.sqrt(np.outer(diag, diag))
+            _assert_matches_dense(got, ref)
+
+
+def test_projection_matches_dense_oracle(unit_geom, oracle_modes, rng):
+    amps = rng.normal(size=len(oracle_modes)) + 1j * rng.normal(size=len(oracle_modes))
+    state = FieldState(geom=unit_geom, entries=tuple(zip(oracle_modes, amps)))
+    e_sampler, b_sampler = field_samplers(state)
+    for rule in _oracle_rules(unit_geom, oracle_modes):
+        got = project(e_sampler, b_sampler, oracle_modes, rule)
+        _assert_matches_dense(got, dense_project(e_sampler, b_sampler, oracle_modes, rule))
+
+
+def test_under_resolved_phi_rule_aliases_like_dense_sum(unit_geom, oracle_modes):
+    # nphi = 7 cannot resolve m differences of 7 or 8: the factorized phi
+    # sum must show the same aliased entries as the full 3-D sum
+    rule = quadrature_rule(unit_geom, nr=20, nphi=7, nz=14)
+    got = check_vector_orthonormality(oracle_modes, rule)
+    assert got.max_offdiag > 1e-3
+    _assert_matches_dense(got.matrix, dense_gram(oracle_modes, rule, u_grid))
