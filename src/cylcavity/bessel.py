@@ -169,24 +169,30 @@ def _eval_orders(orders: tuple, x: np.ndarray) -> dict:
     return out
 
 
-def bessel_j(m: int, x):
-    """J_m(x) for integer m (any sign) and x >= 0, scalar or ndarray."""
-    m = int(m)
+def _j_orders(orders: tuple, x) -> list:
+    """J_m(x) for each integer order in `orders` (any sign), shaped like x.
+
+    One branch-partitioned evaluation serves all orders, so neighbouring
+    orders share a single Miller sweep; J_{-m} = (-1)^m J_m.
+    """
     xa = np.asarray(x, dtype=float)
     _validate_x(xa)
-    scalar = xa.ndim == 0
-    flat = np.atleast_1d(xa).ravel()
-    sign = -1.0 if (m < 0 and m % 2 != 0) else 1.0
-    out = sign * _eval_orders((abs(m),), flat)[abs(m)]
-    if scalar:
-        return float(out[0])
-    return out.reshape(xa.shape)
+    got = _eval_orders(tuple(sorted({abs(m) for m in orders})), np.atleast_1d(xa).ravel())
+    return [(-got[-m] if m < 0 and m % 2 else got[abs(m)]).reshape(xa.shape) for m in orders]
+
+
+def bessel_j(m: int, x):
+    """J_m(x) for integer m (any sign) and x >= 0, scalar or ndarray."""
+    out = _j_orders((int(m),), x)[0]
+    return float(out) if out.ndim == 0 else out
 
 
 def bessel_j_prime(m: int, x):
     """dJ_m/dx via the recurrence (J_{m-1} - J_{m+1})/2."""
     m = int(m)
-    return 0.5 * (bessel_j(m - 1, x) - bessel_j(m + 1, x))
+    jm1, jp1 = _j_orders((m - 1, m + 1), x)
+    out = 0.5 * (jm1 - jp1)
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------- zeros
@@ -197,13 +203,7 @@ def _root_funcs(m: int, kind: str, x: np.ndarray, with_derivative: bool):
     kind "j":       f = J_m,   f' = (J_{m-1} - J_{m+1})/2
     kind "jprime":  f = J_m',  f' = J_m'' = -J_m'/x + (m^2/x^2 - 1) J_m
     """
-    if m == 0:
-        vals = _eval_orders((0, 1), x)
-        jm, jp1 = vals[0], vals[1]
-        jm1 = -jp1                      # J_{-1} = -J_1
-    else:
-        vals = _eval_orders((m - 1, m, m + 1), x)
-        jm1, jm, jp1 = vals[m - 1], vals[m], vals[m + 1]
+    jm1, jm, jp1 = _j_orders((m - 1, m, m + 1), x)
     if kind == _KIND_J:
         f = jm
         fp = 0.5 * (jm1 - jp1)

@@ -51,17 +51,13 @@ from .verify import (
     quadrature_rule,
     wall_samples,
 )
-from .stateio import load_state
+from .stateio import _fmt, _read_pairs, load_state
 
 _REQUIRED = object()
 
 
 class UsageError(Exception):
     """Malformed invocation detected after option merging (exit status 2)."""
-
-
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
 
 
 def _parse_int(raw: str) -> int:
@@ -149,23 +145,13 @@ def _read_config(sub: argparse.ArgumentParser, path: str, known: set) -> dict:
     try:
         with open(path, "r", encoding="ascii") as fh:
             text = fh.read()
-    except OSError as exc:
-        sub.error(f"cannot read config file: {exc}")
-    cfg = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            sub.error(f"config line {lineno}: expected 'key = value', got {raw!r}")
-        key = key.strip().replace("_", "-")
-        if key not in known:
-            sub.error(f"config line {lineno}: unknown key {key!r}")
-        if key in cfg:
-            sub.error(f"config line {lineno}: duplicate key {key!r}")
-        cfg[key] = value.strip()
-    return cfg
+    except (OSError, UnicodeDecodeError) as exc:
+        sub.error(f"cannot read config file {path}: {exc}")
+    try:
+        pairs = _read_pairs(text, known, canon=lambda key: key.replace("_", "-"))
+    except ValueError as exc:
+        sub.error(f"config file {path}: {exc}")
+    return {key: value for key, [(value, _)] in pairs.items()}
 
 
 def _resolve(sub: argparse.ArgumentParser, args: argparse.Namespace, opts: tuple) -> dict:
@@ -234,22 +220,21 @@ def _display_grid(geom: CavityGeometry, sizes: tuple):
     return r, phi, z
 
 
+def _emit_grid(header: str, r, phi, z, columns) -> None:
+    """CSV rows r, phi, z, then each column's value, over the display grid."""
+    shape = (len(r), len(phi), len(z))
+    coords = np.meshgrid(r, phi, z, indexing="ij")
+    cols = [np.broadcast_to(c, shape).ravel().tolist() for c in (*coords, *columns)]
+    _emit([header] + [",".join(map(_fmt, row)) for row in zip(*cols)])
+
+
 def _cmd_eval(values: dict) -> int:
     geom = _geometry(values)
     md = mode_data(geom, ModeIndex(*values["mode"]))
     r, phi, z = _display_grid(geom, values["grid"])
-    u_r, u_phi, u_z = (
-        np.broadcast_to(c, (len(r), len(phi), len(z)))
-        for c in u_grid(md, r[:, None, None], phi[None, :, None], z[None, None, :])
-    )
-    lines = ["r,phi,z,re_u_r,im_u_r,re_u_phi,im_u_phi,re_u_z,im_u_z"]
-    for i in range(len(r)):
-        for j in range(len(phi)):
-            for k in range(len(z)):
-                comps = (u_r[i, j, k], u_phi[i, j, k], u_z[i, j, k])
-                nums = ",".join(f"{_fmt(c.real)},{_fmt(c.imag)}" for c in comps)
-                lines.append(f"{_fmt(r[i])},{_fmt(phi[j])},{_fmt(z[k])},{nums}")
-    _emit(lines)
+    u = u_grid(md, r[:, None, None], phi[None, :, None], z[None, None, :])
+    _emit_grid("r,phi,z,re_u_r,im_u_r,re_u_phi,im_u_phi,re_u_z,im_u_z", r, phi, z,
+               [part for c in u for part in (c.real, c.imag)])
     return 0
 
 
@@ -258,17 +243,9 @@ def _cmd_synth(values: dict) -> int:
     if values["time"] is not None:
         state = evolve(state, values["time"] - state.t)
     r, phi, z = _display_grid(state.geom, values["grid"])
-    shape = (len(r), len(phi), len(z))
     r3, p3, z3 = r[:, None, None], phi[None, :, None], z[None, None, :]
-    e = [np.broadcast_to(c, shape) for c in electric_field_grid(state, r3, p3, z3)]
-    b = [np.broadcast_to(c, shape) for c in magnetic_field_grid(state, r3, p3, z3)]
-    lines = ["r,phi,z,e_r,e_phi,e_z,b_r,b_phi,b_z"]
-    for i in range(len(r)):
-        for j in range(len(phi)):
-            for k in range(len(z)):
-                nums = ",".join(_fmt(c[i, j, k]) for c in (*e, *b))
-                lines.append(f"{_fmt(r[i])},{_fmt(phi[j])},{_fmt(z[k])},{nums}")
-    _emit(lines)
+    _emit_grid("r,phi,z,e_r,e_phi,e_z,b_r,b_phi,b_z", r, phi, z,
+               [*electric_field_grid(state, r3, p3, z3), *magnetic_field_grid(state, r3, p3, z3)])
     return 0
 
 

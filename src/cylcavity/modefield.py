@@ -5,15 +5,22 @@ The scalar potential of mode s = (m, mu, n, sigma) is
     psi_TM = c_norm J_m(g r) e^{i m phi} cos(h z)   (cos -> 1/sqrt(2) for n = 0)
     psi_TE = c_norm J_m(g r) e^{i m phi} sin(h z)
 
-and the vector mode functions are built from it:
+and every vector mode function and curl is one of two vectors built from it,
 
-    u_TM = k^2 e_z psi + grad(d_z psi)          curl u_TM = k^2 curl(e_z psi)
-    u_TE = i omega curl(e_z psi)                curl u_TE = i omega (k^2 e_z psi + grad(d_z psi))
+    a = k^2 e_z psi + grad(d_z psi),    b = curl(e_z psi),
+
+with curl a = k^2 b and curl b = a (psi solves the Helmholtz equation):
+
+    u_TM = a            curl u_TM = k^2 b
+    u_TE = i omega b    curl u_TE = i omega a
 
 All mode functions are time independent; the harmonic time dependence
 lives entirely in the expansion amplitudes (see synthesis).
 
-Components are evaluated from closed forms.  The only removable
+Components are evaluated from closed forms: one prologue computes the
+factors of psi (J_{m-1}, J_m, J_{m+1} from one Bessel sweep) and two
+builders assemble a and b, folding the scalar 1, k^2 or i omega in before
+the one full-size product per component.  The only removable
 singularity is (m/r) J_m(g r) on the axis, which tends to g/2 for
 |m| = 1 (both signs, since J_{-1} = -J_1) and to 0 otherwise; radii
 below 1e-8 a are evaluated with that limit.
@@ -32,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import bessel_j, bessel_j_prime
+from .bessel import _j_orders
 from .spectrum import TE, TM, ModeData
 
 _AXIS_FRACTION = 1e-8       # r/a below which the on-axis limits are used
@@ -88,23 +95,14 @@ def _check_domain(mode: ModeData, r, z) -> None:
         raise ValueError(f"z outside closed cavity domain [0, {geom.L}]")
 
 
-def _axial_factor(mode: ModeData, z):
-    """cos(h z) for TM (1/sqrt(2) when n = 0), sin(h z) for TE."""
-    idx = mode.index
-    if idx.sigma == TM:
-        if idx.n == 0:
-            return np.full_like(np.asarray(z, dtype=float), _INV_SQRT2)
-        return np.cos(mode.h * np.asarray(z, dtype=float))
-    return np.sin(mode.h * np.asarray(z, dtype=float))
-
-
-def _radial_parts(mode: ModeData, r):
-    """J_m(g r), J_m'(g r), and (m/r) J_m(g r) with its axis limit."""
-    m = mode.index.m
-    g = mode.g
+def _potential(mode: ModeData, r, phi, z):
+    """Factors of psi = c J_m(g r) e^{i m phi} Z(z): J_m(g r), J_m'(g r),
+    (m/r) J_m(g r) with its axis limit, c e^{i m phi}, Z(z) and Z'(z)."""
+    _check_domain(mode, r, z)
+    m, g, h = mode.index.m, mode.g, mode.h
     ra = np.asarray(r, dtype=float)
-    jm = bessel_j(m, g * ra)
-    jp = bessel_j_prime(m, g * ra)
+    za = np.asarray(z, dtype=float)
+    jm1, jm, jp1 = _j_orders((m - 1, m, m + 1), g * ra)
     near_axis = ra < _AXIS_FRACTION * mode.geom.a
     if np.any(near_axis):
         limit = 0.5 * g if abs(m) == 1 else 0.0
@@ -112,65 +110,52 @@ def _radial_parts(mode: ModeData, r):
         m_over_r_jm = np.where(near_axis, limit, m * jm / safe_r)
     else:
         m_over_r_jm = m * jm / ra if m != 0 else np.zeros_like(jm)
-    return jm, jp, m_over_r_jm
+    ce = mode.c_norm * np.exp(1j * m * np.asarray(phi, dtype=float))
+    if mode.index.sigma == TE:
+        zf, dzf = np.sin(h * za), h * np.cos(h * za)
+    elif mode.index.n == 0:
+        zf, dzf = np.full_like(za, _INV_SQRT2), np.zeros_like(za)
+    else:
+        zf, dzf = np.cos(h * za), -h * np.sin(h * za)
+    return jm, 0.5 * (jm1 - jp1), m_over_r_jm, ce, zf, dzf
+
+
+def _a(mode: ModeData, parts, s):
+    """s (k^2 e_z psi + grad d_z psi) = s (g c J_m' e Z', i c (m/r) J_m e Z', g^2 c J_m e Z)."""
+    jm, jp, mjr, ce, zf, dzf = parts
+    g = mode.g
+    ce_dz = ce * dzf
+    return (s * g * jp) * ce_dz, (1j * s * mjr) * ce_dz, (s * g * g * jm) * (ce * zf)
+
+
+def _b(mode: ModeData, parts, s):
+    """s curl(e_z psi) = s (i c (m/r) J_m e Z, -g c J_m' e Z, 0)."""
+    _, jp, mjr, ce, zf, _ = parts
+    ce_z = ce * zf
+    b_r = (1j * s * mjr) * ce_z
+    return b_r, (-s * mode.g * jp) * ce_z, np.zeros_like(b_r)
 
 
 def psi_grid(mode: ModeData, r, phi, z) -> np.ndarray:
     """Scalar potential on broadcastable coordinate arrays."""
-    _check_domain(mode, r, z)
-    jm, _, _ = _radial_parts(mode, r)
-    expi = np.exp(1j * mode.index.m * np.asarray(phi, dtype=float))
-    return mode.c_norm * jm * expi * _axial_factor(mode, z)
+    jm, _, _, ce, zf, _ = _potential(mode, r, phi, z)
+    return jm * (ce * zf)
 
 
 def u_grid(mode: ModeData, r, phi, z):
     """Vector mode function components (u_r, u_phi, u_z), broadcast."""
-    _check_domain(mode, r, z)
-    idx = mode.index
-    c = mode.c_norm
-    g, h, k = mode.g, mode.h, mode.k
-    jm, jp, mjr = _radial_parts(mode, r)
-    expi = np.exp(1j * idx.m * np.asarray(phi, dtype=float))
-    za = np.asarray(z, dtype=float)
-    if idx.sigma == TM:
-        ax = _axial_factor(mode, z)                 # cos(hz) or 1/sqrt2
-        sz = np.sin(h * za) if idx.n > 0 else np.zeros_like(za)
-        u_r = -h * g * c * jp * expi * sz
-        u_phi = -1j * h * c * mjr * expi * sz
-        u_z = g * g * c * jm * expi * ax
-    else:
-        omega = mode.omega
-        sz = np.sin(h * za)
-        u_r = -omega * c * mjr * expi * sz
-        u_phi = -1j * omega * g * c * jp * expi * sz
-        u_z = np.zeros(np.broadcast_shapes(np.shape(jm), np.shape(expi), np.shape(sz)),
-                       dtype=complex)
-    return u_r, u_phi, u_z
+    parts = _potential(mode, r, phi, z)
+    if mode.index.sigma == TM:
+        return _a(mode, parts, 1.0)
+    return _b(mode, parts, 1j * mode.omega)
 
 
 def curl_u_grid(mode: ModeData, r, phi, z):
     """Curl of the vector mode function, components broadcast."""
-    _check_domain(mode, r, z)
-    idx = mode.index
-    c = mode.c_norm
-    g, h, k = mode.g, mode.h, mode.k
-    jm, jp, mjr = _radial_parts(mode, r)
-    expi = np.exp(1j * idx.m * np.asarray(phi, dtype=float))
-    za = np.asarray(z, dtype=float)
-    if idx.sigma == TM:
-        ax = _axial_factor(mode, z)
-        v_r = 1j * k * k * c * mjr * expi * ax
-        v_phi = -(k * k) * g * c * jp * expi * ax
-        v_z = np.zeros(np.broadcast_shapes(np.shape(jm), np.shape(expi), np.shape(ax)),
-                       dtype=complex)
-    else:
-        omega = mode.omega
-        cz = np.cos(h * za)
-        sz = np.sin(h * za)
-        v_r = 1j * omega * h * g * c * jp * expi * cz
-        v_phi = -omega * h * c * mjr * expi * cz
-        v_z = 1j * omega * g * g * c * jm * expi * sz
-    return v_r, v_phi, v_z
+    parts = _potential(mode, r, phi, z)
+    if mode.index.sigma == TM:
+        return _b(mode, parts, mode.k * mode.k)
+    return _a(mode, parts, 1j * mode.omega)
 
 
 def psi(mode: ModeData, p: CylPoint) -> complex:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bessel import bessel_j, bessel_prime_zero, bessel_zero
+from .bessel import _j_orders, bessel_prime_zero, bessel_zero
 
 # CODATA 2018 SI values
 SPEED_OF_LIGHT = 299792458.0            # m/s (exact)
@@ -106,12 +106,9 @@ class ModeData:
 def mode_data(geom: CavityGeometry, idx: ModeIndex) -> ModeData:
     """Evaluate dispersion and normalization data for one mode."""
     ma = abs(idx.m)
-    if idx.sigma == TM:
-        chi = bessel_zero(ma, idx.mu)
-        alpha = bessel_j(ma + 1, chi) ** 2
-    else:
-        chi = bessel_prime_zero(ma, idx.mu)
-        alpha = bessel_j(ma, chi) ** 2 - bessel_j(ma + 1, chi) ** 2
+    chi = (bessel_zero if idx.sigma == TM else bessel_prime_zero)(ma, idx.mu)
+    jm, jp1 = (float(v) for v in _j_orders((ma, ma + 1), chi))
+    alpha = jp1**2 if idx.sigma == TM else jm**2 - jp1**2
     g = chi / geom.a
     h = idx.n * math.pi / geom.L
     k = math.hypot(g, h)

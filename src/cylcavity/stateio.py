@@ -39,6 +39,30 @@ def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
 
 
+def _read_pairs(text: str, known, repeatable=(), canon=lambda key: key) -> dict:
+    """Parse `key = value` lines into {key: [(value, lineno), ...]}.
+
+    `#` starts a comment and blank lines are skipped.  Keys pass through
+    `canon` and must be in `known`; only keys in `repeatable` may appear
+    more than once.  Errors raise ValueError naming the line.
+    """
+    pairs: dict = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
+        key = canon(key.strip())
+        if key not in known:
+            raise ValueError(f"line {lineno}: unknown key {key!r}")
+        if key in pairs and key not in repeatable:
+            raise ValueError(f"line {lineno}: duplicate key {key!r}")
+        pairs.setdefault(key, []).append((value.strip(), lineno))
+    return pairs
+
+
 def dumps_state(state: FieldState) -> str:
     geom = state.geom
     lines = [
@@ -78,32 +102,15 @@ def _parse_mode(value: str, lineno: int):
 
 
 def loads_state(text: str) -> FieldState:
-    scalars: dict = {}
-    raw_modes = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key = key.strip()
-        value = value.strip()
-        if key == "mode":
-            raw_modes.append(_parse_mode(value, lineno))
-        elif key in _SCALAR_KEYS:
-            if key in scalars:
-                raise ValueError(f"line {lineno}: duplicate key {key!r}")
-            scalars[key] = (value, lineno)
-        else:
-            raise ValueError(f"line {lineno}: unknown key {key!r}")
+    pairs = _read_pairs(text, _SCALAR_KEYS | {"mode"}, repeatable={"mode"})
+    raw_modes = [_parse_mode(value, lineno) for value, lineno in pairs.pop("mode", ())]
 
-    missing = _SCALAR_KEYS - scalars.keys()
+    missing = _SCALAR_KEYS - pairs.keys()
     if missing:
         raise ValueError(f"missing keys: {', '.join(sorted(missing))}")
 
     def scalar(key: str) -> float:
-        value, lineno = scalars[key]
+        [(value, lineno)] = pairs[key]
         try:
             return float(value)
         except ValueError as exc:

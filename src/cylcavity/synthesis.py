@@ -102,32 +102,33 @@ def _assert_real(parts, scale: float):
     return out
 
 
-def electric_field_grid(state: FieldState, r, phi, z):
-    """Real (E_r, E_phi, E_z) on broadcastable coordinate arrays."""
-    geom = state.geom
+def _synthesize(state: FieldState, r, phi, z, evaluator, prefactor, combine):
+    """combine(sum_s prefactor(omega_s) a_s evaluator(mode_s)), checked real."""
     shape = np.broadcast_shapes(np.shape(r), np.shape(phi), np.shape(z))
     acc = [np.zeros(shape, dtype=complex) for _ in range(3)]
     for md, a in state.entries:
-        pref = math.sqrt(geom.hbar * md.omega / (2.0 * geom.eps0)) * a
-        for comp, u in zip(acc, u_grid(md, r, phi, z)):
-            comp += pref * u
-    parts = [1j * (c - np.conj(c)) for c in acc]
+        pref = prefactor(md.omega) * a
+        for comp, f in zip(acc, evaluator(md, r, phi, z)):
+            comp += pref * f
+    parts = [combine(c) for c in acc]
     scale = max((float(np.max(np.abs(p))) for p in parts), default=0.0)
     return tuple(_assert_real(parts, scale))
+
+
+def electric_field_grid(state: FieldState, r, phi, z):
+    """Real (E_r, E_phi, E_z) on broadcastable coordinate arrays."""
+    geom = state.geom
+    return _synthesize(state, r, phi, z, u_grid,
+                       lambda omega: math.sqrt(geom.hbar * omega / (2.0 * geom.eps0)),
+                       lambda c: 1j * (c - np.conj(c)))
 
 
 def magnetic_field_grid(state: FieldState, r, phi, z):
     """Real (B_r, B_phi, B_z) on broadcastable coordinate arrays."""
     geom = state.geom
-    shape = np.broadcast_shapes(np.shape(r), np.shape(phi), np.shape(z))
-    acc = [np.zeros(shape, dtype=complex) for _ in range(3)]
-    for md, a in state.entries:
-        pref = math.sqrt(geom.hbar / (2.0 * geom.eps0 * md.omega)) * a
-        for comp, v in zip(acc, curl_u_grid(md, r, phi, z)):
-            comp += pref * v
-    parts = [c + np.conj(c) for c in acc]
-    scale = max((float(np.max(np.abs(p))) for p in parts), default=0.0)
-    return tuple(_assert_real(parts, scale))
+    return _synthesize(state, r, phi, z, curl_u_grid,
+                       lambda omega: math.sqrt(geom.hbar / (2.0 * geom.eps0 * omega)),
+                       lambda c: c + np.conj(c))
 
 
 def electric_field(state: FieldState, p: CylPoint) -> np.ndarray:
@@ -227,28 +228,24 @@ class MaxwellResidualReport:
     b_scale: float
 
 
-def _fd_div(field, r, phi, z, hr, hphi, hz):
-    rp = field(r + hr, phi, z)[0] * (r + hr)
-    rm = field(r - hr, phi, z)[0] * (r - hr)
-    pp = field(r, phi + hphi, z)[1]
-    pm = field(r, phi - hphi, z)[1]
-    zp = field(r, phi, z + hz)[2]
-    zm = field(r, phi, z - hz)[2]
-    return (rp - rm) / (2.0 * hr * r) + (pp - pm) / (2.0 * hphi * r) + (zp - zm) / (2.0 * hz)
-
-
-def _fd_curl(field, r, phi, z, hr, hphi, hz):
-    frp, fpp_, fzp = field(r + hr, phi, z)
-    frm, fpm_, fzm = field(r - hr, phi, z)
-    frP, fpP, fzP = field(r, phi + hphi, z)
-    frM, fpM, fzM = field(r, phi - hphi, z)
-    frZ, fpZ, fzZ = field(r, phi, z + hz)
-    frz, fpz, fzz = field(r, phi, z - hz)
-    f_r, f_phi, f_z = field(r, phi, z)
-    c_r = (fzP - fzM) / (2.0 * hphi * r) - (fpZ - fpz) / (2.0 * hz)
-    c_phi = (frZ - frz) / (2.0 * hz) - (fzp - fzm) / (2.0 * hr)
-    c_z = ((r + hr) * fpp_ - (r - hr) * fpm_) / (2.0 * hr * r) - (frP - frM) / (2.0 * hphi * r)
-    return c_r, c_phi, c_z
+def _fd_stencil(field_grid, state: FieldState, r, phi, z, h, hphi):
+    """(div, curl, centre value) of one field by second-order central
+    differences; the centre and its six neighbours are sampled in one call."""
+    r, phi, z = np.broadcast_arrays(r, phi, z)
+    # rows: centre, r + h, r - h, phi + hphi, phi - hphi, z + h, z - h
+    rs = np.stack([r, r + h, r - h, r, r, r, r])
+    ps = np.stack([phi, phi, phi, phi + hphi, phi - hphi, phi, phi])
+    zs = np.stack([z, z, z, z, z, z + h, z - h])
+    f_r, f_phi, f_z = field_grid(state, rs, ps, zs)
+    dif = lambda f, row, width: (f[row] - f[row + 1]) / width
+    div = (dif(rs * f_r, 1, 2.0 * h * r) + dif(f_phi, 3, 2.0 * hphi * r)
+           + dif(f_z, 5, 2.0 * h))
+    curl = (
+        dif(f_z, 3, 2.0 * hphi * r) - dif(f_phi, 5, 2.0 * h),
+        dif(f_r, 5, 2.0 * h) - dif(f_z, 1, 2.0 * h),
+        dif(rs * f_phi, 1, 2.0 * h * r) - dif(f_r, 3, 2.0 * hphi * r),
+    )
+    return div, curl, (f_r[0], f_phi[0], f_z[0])
 
 
 def maxwell_residual(state: FieldState, points, step: float) -> MaxwellResidualReport:
@@ -268,29 +265,22 @@ def maxwell_residual(state: FieldState, points, step: float) -> MaxwellResidualR
         raise ValueError("points must keep z within (step, L - step)")
 
     hphi = step / geom.a
-    e_field = lambda rr, pp, zz: electric_field_grid(state, rr, pp, zz)
-    b_field = lambda rr, pp, zz: magnetic_field_grid(state, rr, pp, zz)
     dstate = _derivative_state(state)
     de_dt = electric_field_grid(dstate, r, phi, z)
     db_dt = magnetic_field_grid(dstate, r, phi, z)
-
-    div_e = _fd_div(e_field, r, phi, z, step, hphi, step)
-    div_b = _fd_div(b_field, r, phi, z, step, hphi, step)
-    curl_e = _fd_curl(e_field, r, phi, z, step, hphi, step)
-    curl_b = _fd_curl(b_field, r, phi, z, step, hphi, step)
+    div_e, curl_e, e_here = _fd_stencil(electric_field_grid, state, r, phi, z, step, hphi)
+    div_b, curl_b, b_here = _fd_stencil(magnetic_field_grid, state, r, phi, z, step, hphi)
     inv_c2 = 1.0 / (geom.c * geom.c)
     faraday = [ce + db for ce, db in zip(curl_e, db_dt)]
     ampere = [cb - inv_c2 * de for cb, de in zip(curl_b, de_dt)]
 
     vec_max = lambda comps: float(np.max(np.sqrt(sum(c * c for c in comps)))) if r.size else 0.0
-    e_here = e_field(r, phi, z)
-    b_here = b_field(r, phi, z)
     return MaxwellResidualReport(
         step=step,
         div_e=float(np.max(np.abs(div_e))) if r.size else 0.0,
         div_b=float(np.max(np.abs(div_b))) if r.size else 0.0,
         faraday=vec_max(faraday),
         ampere=vec_max(ampere),
-        e_scale=vec_max([e_here[0], e_here[1], e_here[2]]),
-        b_scale=vec_max([b_here[0], b_here[1], b_here[2]]),
+        e_scale=vec_max(e_here),
+        b_scale=vec_max(b_here),
     )

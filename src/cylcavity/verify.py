@@ -331,7 +331,8 @@ def check_boundary(mode: ModeData, samples=None) -> BoundaryReport:
 
     # interior reference grid, strictly inside the walls
     ri = geom.a * (np.arange(24) + 0.5) / 24.0
-    pi_ = 2.0 * math.pi * np.arange(4 * abs(mode.index.m) + 8) / (4 * abs(mode.index.m) + 8)
+    nphi = default_nphi((mode,))
+    pi_ = 2.0 * math.pi * np.arange(nphi) / nphi
     zi = geom.L * (np.arange(24) + 0.5) / 24.0
     ui = u_grid(mode, ri[:, None, None], pi_[None, :, None], zi[None, None, :])
     ci = curl_u_grid(mode, ri[:, None, None], pi_[None, :, None], zi[None, None, :])

@@ -88,6 +88,45 @@ def test_derivative_matches_finite_difference(rng):
         assert np.allclose(bessel_j_prime(m, x), fd, rtol=0.0, atol=5e-9)
 
 
+def _envelope(ref, x):
+    return np.maximum(np.abs(ref), np.sqrt(2.0 / (math.pi * (x + 1.0))))
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 5, 13, 40, 100, -1, -2, -13, -100])
+def test_derivative_against_mpmath_at_branch_thresholds(m):
+    # J_{m-1} and J_{m+1} share one sweep, so each may sit on either side
+    # of a series / Miller / Hankel threshold of the other order
+    ma = abs(m)
+    centres = (5.0, 2.0 * math.sqrt(ma + 1.0), max(30.0, 0.5 * ma * ma))
+    x = np.array([c + d for c in centres for d in (-0.3, 0.0, 0.3)])
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.besselj(m, mpmath.mpf(v), derivative=1)) for v in x])
+    err = np.abs(bessel_j_prime(m, x) - ref) / _envelope(ref, x)
+    assert np.max(err) <= 1e-12
+
+
+def test_zero_tables_against_scipy():
+    special = pytest.importorskip("scipy.special")
+    worst = 0.0
+    for m in (*range(21), 30, 45, 60, 75, 90, 100):
+        for kind, ref in (("j", special.jn_zeros(m, 20)), ("jprime", special.jnp_zeros(m, 20))):
+            got = np.asarray(zero_table(m, kind, 20).zeros)
+            worst = max(worst, float(np.max(np.abs(got - ref) / ref)))
+    assert worst <= 1e-13
+
+
+def test_values_against_scipy():
+    # x stays <= 200: far out (x ~ 4000) scipy itself is the less accurate side
+    special = pytest.importorskip("scipy.special")
+    x = np.concatenate([np.linspace(0.0, 40.0, 801), np.linspace(40.0, 200.0, 321)])
+    worst = 0.0
+    for m in (*range(-5, 31), 40, 60, 100):
+        for got, ref in ((bessel_j(m, x), special.jv(m, x)),
+                         (bessel_j_prime(m, x), special.jvp(m, x))):
+            worst = max(worst, float(np.max(np.abs(got - ref) / _envelope(ref, x))))
+    assert worst <= 1e-12
+
+
 @settings(max_examples=150, deadline=None)
 @given(m=st.integers(min_value=1, max_value=30),
        x=st.floats(min_value=0.5, max_value=200.0))

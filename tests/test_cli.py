@@ -192,10 +192,17 @@ def test_project_explicit_mode_list(capsys, state_file):
         state.amplitudes[0], abs=1e-10)
 
 
-def test_output_is_deterministic(capsys):
-    args = ["spectrum", *GEOM_ARGS, "--omega-max", "6.5"]
-    _, first, _ = run_cli(args, capsys)
+@pytest.mark.parametrize("argv", [
+    ["spectrum", *GEOM_ARGS, "--omega-max", "6.5"],
+    ["eval", *GEOM_ARGS, "--mode=-1,1,1,tm", "--grid", "3,4,3"],
+    ["synth", "--state", "{state}", "--time", "0.5", "--grid", "3,4,3"],
+    ["project", "--state", "{state}", "--omega-max", "5", "--nr", "24", "--nz", "24"],
+], ids=lambda argv: argv[0])
+def test_output_is_deterministic(capsys, state_file, argv):
+    args = [a.format(state=state_file[0]) for a in argv]
+    code, first, _ = run_cli(args, capsys)
     _, second, _ = run_cli(args, capsys)
+    assert code == 0
     assert first == second
 
 
@@ -246,6 +253,16 @@ def test_unknown_config_key_exits_2(capsys, tmp_path):
     cfg.write_text("m = 1\nbogus = 7\n")
     code, _, err = run_cli(["bessel-zeros", "--config", str(cfg)], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("payload", ["m = 1\n# \u00b5 = 3\n".encode("utf-8"), b"m = 1\xff\n"],
+                         ids=["utf8-micro-sign", "byte-0xff"])
+def test_non_ascii_config_exits_2(capsys, tmp_path, payload):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(payload)
+    code, _, err = run_cli(["bessel-zeros", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert str(cfg) in err
 
 
 def test_missing_config_file_exits_2(capsys):

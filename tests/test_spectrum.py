@@ -124,6 +124,16 @@ def test_enumeration_complete_against_brute_force(unit_geom, omega_max):
     assert got == expect
 
 
+@pytest.mark.parametrize("k", [5.0, 10.0, 15.0, 20.0])
+def test_weyl_law_has_no_surface_term(unit_geom, k):
+    # a perfectly conducting cavity has N(k) = V k^3 / (3 pi^2) + O(k)
+    # (Balian & Duplantier 1977); a surface term S k^2 / (16 pi) would
+    # reach ~99 at k = 20, far outside 1.5 k
+    count = len(enumerate_modes(unit_geom, k))
+    weyl = unit_geom.volume * k**3 / (3.0 * math.pi**2)
+    assert abs(count - weyl) <= 1.5 * k
+
+
 def test_lowest_te_pair_not_dropped_at_tight_cutoff(unit_geom):
     # regression: the scan over m must not stop at m = 0 when only the
     # m = 0 prime zero exceeds chi_max; TE(+-1, 1, 1) lies below this cutoff
