@@ -17,13 +17,13 @@ with curl a = k^2 b and curl b = a (psi solves the Helmholtz equation):
 All mode functions are time independent; the harmonic time dependence
 lives entirely in the expansion amplitudes (see synthesis).
 
-Components are evaluated from closed forms: one prologue computes the
-factors of psi (J_{m-1}, J_m, J_{m+1} from one Bessel sweep) and two
-builders assemble a and b, folding the scalar 1, k^2 or i omega in before
-the one full-size product per component.  The only removable
-singularity is (m/r) J_m(g r) on the axis, which tends to g/2 for
-|m| = 1 (both signs, since J_{-1} = -J_1) and to 0 otherwise; radii
-below 1e-8 a are evaluated with that limit.
+Each component is F(r, z) e^{i m phi}: one prologue gives the (r, z)
+factors of psi (J_{m-1}, J_m, J_{m+1} from one Bessel sweep), two builders
+assemble those of a and b with the scalar 1, k^2 or i omega folded in, and
+_phase alone forms e^{i m phi}, here and in verify and synthesis.  The
+only removable singularity is (m/r) J_m(g r) on the axis, which tends to
+g/2 for |m| = 1 (both signs, since J_{-1} = -J_1) and to 0 otherwise;
+radii below 1e-8 a are evaluated with that limit.
 
 Grid evaluation: the *_grid functions accept numpy arrays for r, phi, z
 and broadcast them, so a tensor grid can be passed as r[:,None,None],
@@ -95,11 +95,11 @@ def _check_domain(mode: ModeData, r, z) -> None:
         raise ValueError(f"z outside closed cavity domain [0, {geom.L}]")
 
 
-def _potential(mode: ModeData, r, phi, z):
-    """Factors of psi = c J_m(g r) e^{i m phi} Z(z): J_m(g r), J_m'(g r),
-    (m/r) J_m(g r) with its axis limit, c e^{i m phi}, Z(z) and Z'(z)."""
+def _potential(mode: ModeData, r, z):
+    """Factors of psi = c J_m(g r) e^{i m phi} Z(z) other than the phase:
+    J_m(g r), J_m'(g r), (m/r) J_m(g r) with its axis limit, c Z(z), c Z'(z)."""
     _check_domain(mode, r, z)
-    m, g, h = mode.index.m, mode.g, mode.h
+    m, g, h, c = mode.index.m, mode.g, mode.h, mode.c_norm
     ra = np.asarray(r, dtype=float)
     za = np.asarray(z, dtype=float)
     jm1, jm, jp1 = _j_orders((m - 1, m, m + 1), g * ra)
@@ -110,52 +110,72 @@ def _potential(mode: ModeData, r, phi, z):
         m_over_r_jm = np.where(near_axis, limit, m * jm / safe_r)
     else:
         m_over_r_jm = m * jm / ra if m != 0 else np.zeros_like(jm)
-    ce = mode.c_norm * np.exp(1j * m * np.asarray(phi, dtype=float))
     if mode.index.sigma == TE:
         zf, dzf = np.sin(h * za), h * np.cos(h * za)
     elif mode.index.n == 0:
         zf, dzf = np.full_like(za, _INV_SQRT2), np.zeros_like(za)
     else:
         zf, dzf = np.cos(h * za), -h * np.sin(h * za)
-    return jm, 0.5 * (jm1 - jp1), m_over_r_jm, ce, zf, dzf
+    return jm, 0.5 * (jm1 - jp1), m_over_r_jm, c * zf, c * dzf
+
+
+def _phase(m, phi):
+    """e^{i m phi}, the only place the azimuthal factor is formed; an array
+    of m gives one row per m."""
+    return np.exp(1j * np.multiply.outer(m, np.asarray(phi, dtype=float)))
 
 
 def _a(mode: ModeData, parts, s):
-    """s (k^2 e_z psi + grad d_z psi) = s (g c J_m' e Z', i c (m/r) J_m e Z', g^2 c J_m e Z)."""
-    jm, jp, mjr, ce, zf, dzf = parts
+    """s (k^2 e_z psi + grad d_z psi) e^{-i m phi} = s (g J_m' cZ', i (m/r) J_m cZ', g^2 J_m cZ)."""
+    jm, jp, mjr, cz, dcz = parts
     g = mode.g
-    ce_dz = ce * dzf
-    return (s * g * jp) * ce_dz, (1j * s * mjr) * ce_dz, (s * g * g * jm) * (ce * zf)
+    return (s * g * jp) * dcz, (1j * s * mjr) * dcz, (s * g * g * jm) * cz
 
 
 def _b(mode: ModeData, parts, s):
-    """s curl(e_z psi) = s (i c (m/r) J_m e Z, -g c J_m' e Z, 0)."""
-    _, jp, mjr, ce, zf, _ = parts
-    ce_z = ce * zf
-    b_r = (1j * s * mjr) * ce_z
-    return b_r, (-s * mode.g * jp) * ce_z, np.zeros_like(b_r)
+    """s curl(e_z psi) e^{-i m phi} = s (i (m/r) J_m cZ, -g J_m' cZ, 0)."""
+    _, jp, mjr, cz, _ = parts
+    b_r = (1j * s * mjr) * cz
+    return b_r, (-s * mode.g * jp) * cz, np.zeros_like(b_r)
 
 
-def psi_grid(mode: ModeData, r, phi, z) -> np.ndarray:
-    """Scalar potential on broadcastable coordinate arrays."""
-    jm, _, _, ce, zf, _ = _potential(mode, r, phi, z)
-    return jm * (ce * zf)
+def _psi(mode: ModeData, r, z):
+    """(r, z) factor of psi: psi = _psi e^{i m phi}."""
+    jm, _, _, cz, _ = _potential(mode, r, z)
+    return jm * cz
 
 
-def u_grid(mode: ModeData, r, phi, z):
-    """Vector mode function components (u_r, u_phi, u_z), broadcast."""
-    parts = _potential(mode, r, phi, z)
+def _u(mode: ModeData, r, z):
+    """(r, z) factors of (u_r, u_phi, u_z): u = _u e^{i m phi}."""
+    parts = _potential(mode, r, z)
     if mode.index.sigma == TM:
         return _a(mode, parts, 1.0)
     return _b(mode, parts, 1j * mode.omega)
 
 
-def curl_u_grid(mode: ModeData, r, phi, z):
-    """Curl of the vector mode function, components broadcast."""
-    parts = _potential(mode, r, phi, z)
+def _curl_u(mode: ModeData, r, z):
+    """(r, z) factors of curl u: curl u = _curl_u e^{i m phi}."""
+    parts = _potential(mode, r, z)
     if mode.index.sigma == TM:
         return _b(mode, parts, mode.k * mode.k)
     return _a(mode, parts, 1j * mode.omega)
+
+
+def psi_grid(mode: ModeData, r, phi, z) -> np.ndarray:
+    """Scalar potential on broadcastable coordinate arrays."""
+    return _psi(mode, r, z) * _phase(mode.index.m, phi)
+
+
+def u_grid(mode: ModeData, r, phi, z):
+    """Vector mode function components (u_r, u_phi, u_z), broadcast."""
+    phase = _phase(mode.index.m, phi)
+    return tuple(f * phase for f in _u(mode, r, z))
+
+
+def curl_u_grid(mode: ModeData, r, phi, z):
+    """Curl of the vector mode function, components broadcast."""
+    phase = _phase(mode.index.m, phi)
+    return tuple(f * phase for f in _curl_u(mode, r, z))
 
 
 def psi(mode: ModeData, p: CylPoint) -> complex:

@@ -144,16 +144,11 @@ def enumerate_modes(geom: CavityGeometry, omega_max: float) -> list[ModeData]:
     modes: list[ModeData] = []
     for sigma in (TM, TE):
         m = 0
-        while True:
-            if zero_of[sigma](m, 1) > chi_max:
-                # first zeros increase with m, with one exception: x = 0 is
-                # not counted as a zero of J_0', so the m = 0 entry of the
-                # prime-zero sequence (3.83..) sits above the m = 1 entry
-                # (1.84..) and may only be skipped, not used to stop the scan
-                if sigma == TE and m == 0:
-                    m = 1
-                    continue
-                break
+        # first zeros increase with m, with one exception: x = 0 is not
+        # counted as a zero of J_0', so the m = 0 entry of the prime-zero
+        # sequence (3.83..) sits above the m = 1 entry (1.84..); m = 0 is
+        # therefore always scanned and never used to stop the scan
+        while m == 0 or zero_of[sigma](m, 1) <= chi_max:
             mu = 1
             while True:
                 chi = zero_of[sigma](m, mu)

@@ -6,7 +6,10 @@ common time t.  The physical fields are
     E = i sum_s sqrt(hbar omega_s / 2 eps0) [a_s u_s - a_s* u_s*]
     B =   sum_s sqrt(hbar / 2 eps0 omega_s) [a_s curl u_s + a_s* curl u_s*]
 
-which are exactly real by construction.  Time evolution multiplies each
+which are exactly real by construction: each component of u_s and curl u_s
+is F_s(r, z) e^{i m_s phi}, the modes are summed on (r, z) per m and each
+m-sum takes its phase once, giving one complex sum c with E = -2 Im c and
+B = 2 Re c.  Time evolution multiplies each
 amplitude by e^{-i omega_s dt}; with that rule the pair (E, B) satisfies
 the free-space Maxwell equations, and the classical field energy
 
@@ -35,11 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modefield import CylPoint, curl_u_grid, u_grid
+from .modefield import CylPoint, _curl_u, _phase, _u
 from .spectrum import CavityGeometry, ModeData
-from .verify import QuadratureRule, _mode_planes, integrate_cavity
-
-_REALITY_TOL = 1e-12
+from .verify import QuadratureRule, integrate_cavity
 
 
 @dataclass(frozen=True)
@@ -92,43 +93,35 @@ def _derivative_state(state: FieldState) -> FieldState:
     return FieldState(geom=state.geom, entries=entries, t=state.t)
 
 
-def _assert_real(parts, scale: float):
-    out = []
-    for p in parts:
-        imag_max = float(np.max(np.abs(p.imag))) if p.size else 0.0
-        if imag_max > _REALITY_TOL * max(scale, 1e-300):
-            raise AssertionError(f"synthesized field has imaginary residue {imag_max:.3e}")
-        out.append(p.real + 0.0)        # plain float64 array, shape preserved
-    return out
-
-
-def _synthesize(state: FieldState, r, phi, z, evaluator, prefactor, combine):
-    """combine(sum_s prefactor(omega_s) a_s evaluator(mode_s)), checked real."""
+def _synthesize(state: FieldState, r, phi, z, profile, prefactor) -> np.ndarray:
+    """c = sum_s prefactor(omega_s) a_s F_s(r, z) e^{i m_s phi}, shaped
+    (component, ...), with profile(mode, r, z) giving F_s: the modes are
+    summed on (r, z) per m, and each m-sum takes its phase once."""
     shape = np.broadcast_shapes(np.shape(r), np.shape(phi), np.shape(z))
-    acc = [np.zeros(shape, dtype=complex) for _ in range(3)]
-    for md, a in state.entries:
-        pref = prefactor(md.omega) * a
-        for comp, f in zip(acc, evaluator(md, r, phi, z)):
-            comp += pref * f
-    parts = [combine(c) for c in acc]
-    scale = max((float(np.max(np.abs(p))) for p in parts), default=0.0)
-    return tuple(_assert_real(parts, scale))
+    out = np.zeros((3, *shape), dtype=complex)
+    for m in dict.fromkeys(md.index.m for md in state.modes):     # one m-sum live at a time
+        acc = sum(prefactor(md.omega) * a * np.array(profile(md, r, z))
+                  for md, a in state.entries if md.index.m == m)
+        phase = _phase(m, phi)
+        for comp in range(3):
+            out[comp] += acc[comp] * phase
+    return out
 
 
 def electric_field_grid(state: FieldState, r, phi, z):
     """Real (E_r, E_phi, E_z) on broadcastable coordinate arrays."""
     geom = state.geom
-    return _synthesize(state, r, phi, z, u_grid,
-                       lambda omega: math.sqrt(geom.hbar * omega / (2.0 * geom.eps0)),
-                       lambda c: 1j * (c - np.conj(c)))
+    c = _synthesize(state, r, phi, z, _u,
+                    lambda omega: math.sqrt(geom.hbar * omega / (2.0 * geom.eps0)))
+    return tuple(-2.0 * c.imag + 0.0)       # i (c - c*); + 0.0 turns -0.0 into 0.0
 
 
 def magnetic_field_grid(state: FieldState, r, phi, z):
     """Real (B_r, B_phi, B_z) on broadcastable coordinate arrays."""
     geom = state.geom
-    return _synthesize(state, r, phi, z, curl_u_grid,
-                       lambda omega: math.sqrt(geom.hbar / (2.0 * geom.eps0 * omega)),
-                       lambda c: c + np.conj(c))
+    c = _synthesize(state, r, phi, z, _curl_u,
+                    lambda omega: math.sqrt(geom.hbar / (2.0 * geom.eps0 * omega)))
+    return tuple(2.0 * c.real + 0.0)        # c + c*
 
 
 def electric_field(state: FieldState, p: CylPoint) -> np.ndarray:
@@ -190,8 +183,9 @@ def project(e_sampler, b_sampler, modes, rule: QuadratureRule) -> np.ndarray:
     r, phi, z = rule.grid()
     shape = (rule.nr, rule.nphi, rule.nz)
     m_vals, row_of = np.unique([md.index.m for md in modes], return_inverse=True)
-    dft = rule.wphi * np.exp(-1j * np.outer(m_vals, rule.phi))
+    dft = rule.wphi * np.conj(_phase(m_vals, rule.phi))
     w = np.outer(rule.wr, rule.wz)
+    rz = rule.r[:, None], rule.z[None, :]
 
     def fold(sampler):          # (component, m, r, z), weights included
         return np.array([np.einsum("mp,rpz->mrz", dft, np.broadcast_to(np.asarray(c), shape)) * w
@@ -201,8 +195,8 @@ def project(e_sampler, b_sampler, modes, rule: QuadratureRule) -> np.ndarray:
     out = np.empty(len(modes), dtype=complex)
     for i, (md, k) in enumerate(zip(modes, row_of)):
         geom = md.geom
-        ue = np.vdot(_mode_planes((md,), rule, u_grid), e_hat[:, k])
-        vb = np.vdot(_mode_planes((md,), rule, curl_u_grid), b_hat[:, k])
+        ue = np.vdot(np.array(_u(md, *rz)), e_hat[:, k])
+        vb = np.vdot(np.array(_curl_u(md, *rz)), b_hat[:, k])
         term_e = -1j * math.sqrt(2.0 * geom.eps0 / (geom.hbar * md.omega)) * ue
         term_b = math.sqrt(2.0 * geom.eps0 * md.omega / geom.hbar) / md.k**2 * vb
         out[i] = 0.5 * (term_e + term_b)

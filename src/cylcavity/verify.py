@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .modefield import curl_u_grid, psi_grid, u_grid
+from .modefield import _curl_u, _phase, _psi, _u, curl_u_grid, u_grid
 from .spectrum import CavityGeometry, ModeData
 
 DEFAULT_NR = 64
@@ -125,33 +125,25 @@ def integrate_cavity(f, rule: QuadratureRule) -> complex:
     return complex(np.einsum("i,j,k,ijk->", rule.wr, rule.wphi, rule.wz, vals))
 
 
-def _mode_planes(modes, rule: QuadratureRule, evaluator) -> np.ndarray:
-    """F(r, z) of each component F(r, z) e^{i m phi} that evaluator returns,
-    read off at phi = 0; shaped (component, mode, nr * nz)."""
-    r, z = rule.r[:, None, None], rule.z[None, None, :]
-    shape = (rule.nr, 1, rule.nz)
-    planes = None
-    for i, md in enumerate(modes):
-        comps = evaluator(md, r, np.zeros((1, 1, 1)), z)
-        if planes is None:
-            planes = np.empty((len(comps), len(modes), rule.nr * rule.nz), dtype=complex)
-        for c, f in enumerate(comps):
-            planes[c, i] = np.broadcast_to(f, shape).reshape(-1)
-    return planes
-
-
-def _gram(modes, rule: QuadratureRule, evaluator) -> np.ndarray:
-    """sum_nodes w conj(F_i) . F_j: a weighted (r, z) GEMM per component,
+def _gram(modes, rule: QuadratureRule, profile) -> np.ndarray:
+    """sum_nodes w conj(F_i) . F_j for components F(r, z) e^{i m phi}, with
+    profile(mode, r, z) giving the F: a weighted (r, z) GEMM per component,
     times Phi(m_j - m_i) summed once per distinct difference."""
     if not modes:
         return np.zeros((0, 0), dtype=complex)
+    r, z = rule.r[:, None], rule.z[None, :]
+    planes = None
+    for i, md in enumerate(modes):       # one mode at a time keeps peak memory flat
+        comps = np.reshape(profile(md, r, z), (-1, rule.nr * rule.nz))
+        if planes is None:
+            planes = np.empty((len(comps), len(modes), rule.nr * rule.nz), dtype=complex)
+        planes[:, i] = comps
     w = np.outer(rule.wr, rule.wz).reshape(-1)
-    gram = sum(np.conj(p) @ (p * w).T for p in _mode_planes(modes, rule, evaluator))
+    gram = sum(np.conj(p) @ (p * w).T for p in planes)
     m = np.array([md.index.m for md in modes])
     q = m[None, :] - m[:, None]
     qs = np.arange(q.min(), q.max() + 1)
-    phi_sum = np.exp(1j * np.outer(qs, rule.phi)) @ rule.wphi
-    return gram * phi_sum[q - qs[0]]
+    return gram * (_phase(qs, rule.phi) @ rule.wphi)[q - qs[0]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,7 +189,7 @@ def check_scalar_orthonormality(modes, rule: QuadratureRule) -> GramReport:
     if len(sigmas) > 1:
         raise ValueError("scalar orthogonality holds within one polarization; "
                          "pass modes of a single sigma")
-    gram = _gram(modes, rule, lambda md, r, phi, z: (psi_grid(md, r, phi, z),))
+    gram = _gram(modes, rule, lambda md, r, z: (_psi(md, r, z),))
     expected = np.array([0.5 * md.c_norm**2 * md.geom.volume * md.alpha for md in modes])
     return GramReport(modes=modes, matrix=gram / np.sqrt(np.outer(expected, expected)))
 
@@ -205,7 +197,7 @@ def check_scalar_orthonormality(modes, rule: QuadratureRule) -> GramReport:
 def check_vector_orthonormality(modes, rule: QuadratureRule) -> GramReport:
     """Full Gram matrix <u_i, u_j>, all polarizations and signs of m."""
     modes = tuple(modes)
-    return GramReport(modes=modes, matrix=_gram(modes, rule, u_grid))
+    return GramReport(modes=modes, matrix=_gram(modes, rule, _u))
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,8 +221,6 @@ class CurlIdentityReport:
     @property
     def max_relative_mismatch(self) -> float:
         """Worst mismatch/scale over entries with scale above abs_tol."""
-        if not self.modes:
-            return 0.0
         sig = self.scale > self.abs_tol
         if not np.any(sig):
             return 0.0
@@ -239,8 +229,6 @@ class CurlIdentityReport:
     @property
     def max_absolute_mismatch(self) -> float:
         """Worst mismatch over entries where both sides are negligible."""
-        if not self.modes:
-            return 0.0
         sig = self.scale > self.abs_tol
         if np.all(sig):
             return 0.0
@@ -259,8 +247,8 @@ def check_curl_identity(
     abs_tol: float = 1e-12,
 ) -> CurlIdentityReport:
     modes = tuple(modes)
-    lhs = _gram(modes, rule, curl_u_grid)
-    rhs = _gram(modes, rule, u_grid) * np.array([md.k**2 for md in modes])
+    lhs = _gram(modes, rule, _curl_u)
+    rhs = _gram(modes, rule, _u) * np.array([md.k**2 for md in modes])
     return CurlIdentityReport(modes=modes, lhs=lhs, rhs=rhs, rel_tol=rel_tol, abs_tol=abs_tol)
 
 
@@ -329,15 +317,12 @@ def check_boundary(mode: ModeData, samples=None) -> BoundaryReport:
     )
     normal_curl = np.where(on_side, np.abs(v_r), np.abs(v_z))
 
-    # interior reference grid, strictly inside the walls
-    ri = geom.a * (np.arange(24) + 0.5) / 24.0
-    nphi = default_nphi((mode,))
-    pi_ = 2.0 * math.pi * np.arange(nphi) / nphi
-    zi = geom.L * (np.arange(24) + 0.5) / 24.0
-    ui = u_grid(mode, ri[:, None, None], pi_[None, :, None], zi[None, None, :])
-    ci = curl_u_grid(mode, ri[:, None, None], pi_[None, :, None], zi[None, None, :])
-    interior_u = float(max(np.max(np.abs(c)) for c in ui))
-    interior_c = float(max(np.max(np.abs(c)) for c in ci))
+    # interior maxima on a (r, z) grid strictly inside the walls; the
+    # azimuthal factor has modulus 1, so phi does not enter
+    ri = geom.a * (np.arange(24)[:, None] + 0.5) / 24.0
+    zi = geom.L * (np.arange(24)[None, :] + 0.5) / 24.0
+    interior_u = float(max(np.max(np.abs(c)) for c in _u(mode, ri, zi)))
+    interior_c = float(max(np.max(np.abs(c)) for c in _curl_u(mode, ri, zi)))
     return BoundaryReport(
         mode=mode,
         max_tangential_u=float(np.max(tangential)),

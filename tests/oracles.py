@@ -3,7 +3,8 @@
 Deliberately avoids the production root finder and field formulas:
 zeros come from sign scanning plus pure bisection, derivatives from
 central differences, and cavity inner products from a dense sum over
-every node of the 3-D rule, pair by pair.  Slow and simple on purpose.
+every node of the 3-D rule, pair by pair, and fields from a per-mode sum
+over every point.  Slow and simple on purpose.
 """
 
 from __future__ import annotations
@@ -131,3 +132,22 @@ def dense_project(e_sampler, b_sampler, modes, rule):
         term_b = math.sqrt(2.0 * geom.eps0 * md.omega / geom.hbar) / md.k**2 * _pair_sum(b, v)
         out[i] = 0.5 * (term_e + term_b)
     return out
+
+
+def dense_fields(state, r, phi, z):
+    """Real (E, B) components from a per-mode sum of the full u and curl u,
+    made real by i (c - c*) and c + c*."""
+    geom = state.geom
+    shape = np.broadcast_shapes(np.shape(r), np.shape(phi), np.shape(z))
+    ce = np.zeros((3, *shape), dtype=complex)
+    cb = np.zeros((3, *shape), dtype=complex)
+    for md, a in state.entries:
+        pe = math.sqrt(geom.hbar * md.omega / (2.0 * geom.eps0)) * a
+        pb = math.sqrt(geom.hbar / (2.0 * geom.eps0 * md.omega)) * a
+        for i, (u, v) in enumerate(zip(u_grid(md, r, phi, z), curl_u_grid(md, r, phi, z))):
+            ce[i] += pe * np.broadcast_to(u, shape)
+            cb[i] += pb * np.broadcast_to(v, shape)
+    e = 1j * (ce - np.conj(ce))
+    b = cb + np.conj(cb)
+    assert not np.any(e.imag) and not np.any(b.imag)
+    return e.real, b.real

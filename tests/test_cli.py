@@ -121,6 +121,13 @@ def test_verify_empty_spectrum_passes(capsys):
     rep = json.loads(out)
     assert rep["mode_count"] == 0
     assert rep["passed"] is True
+    # one JSON schema per suite, whether or not the spectrum is empty
+    _, out, _ = run_cli(["verify", *GEOM_ARGS, "--omega-max", "4", "--nr", "16", "--nz", "16",
+                         "--suite", "gram,curl,boundary"], capsys)
+    full = json.loads(out)
+    assert full["mode_count"] > 0
+    for name in ("gram", "curl", "boundary"):
+        assert set(rep["suites"][name]) == set(full["suites"][name])
 
 
 def test_verify_suite_selection(capsys):

@@ -1,0 +1,27 @@
+"""Smoke tests: the scripts under scripts/ run against the current library."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _main(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.main
+
+
+def test_mode_table(capsys):
+    _main("mode_table")([])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "cavity a=0.9 L=1.3: 30 modes with omega <= 6.5"
+    assert len(lines) == 2 + 30
+
+
+def test_quadrature_convergence(capsys):
+    _main("quadrature_convergence")()
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
+    assert [int(row[0]) for row in rows] == [4, 8, 12, 16, 24, 32, 48]
+    assert float(rows[-1][1]) < 1e-12

@@ -31,6 +31,7 @@ from cylcavity import (
     zero_point_energy,
 )
 from cylcavity.verify import default_nphi
+from oracles import dense_fields
 
 
 def _random_state(geom, rng, count, omega_max=6.5, t=0.0):
@@ -219,3 +220,32 @@ def test_empty_state(unit_geom):
     assert zero_point_energy(state) == 0.0
     e = electric_field(state, CylPoint(r=0.2, phi=0.0, z=0.5))
     assert np.array_equal(e, np.zeros(3))
+
+
+def test_fields_match_dense_oracle(unit_geom, rng):
+    # 30 lowest modes: +-m pairs up to |m| = 4, TM with n = 0 and n > 0, TE
+    modes = enumerate_modes(unit_geom, 6.5)
+    assert len(modes) == 30
+    amps = rng.normal(size=len(modes)) + 1j * rng.normal(size=len(modes))
+    state = FieldState(geom=unit_geom, entries=tuple(zip(modes, amps)), t=0.4)
+    scattered = (rng.uniform(0.0, unit_geom.a, 300), rng.uniform(0.0, 2.0 * math.pi, 300),
+                 rng.uniform(0.0, unit_geom.L, 300))
+    for r, phi, z in (default_rule(unit_geom, modes).grid(), scattered):
+        ref_e, ref_b = dense_fields(state, r, phi, z)
+        for got, ref in ((electric_field_grid(state, r, phi, z), ref_e),
+                         (magnetic_field_grid(state, r, phi, z), ref_b)):
+            scale = float(np.max(np.abs(ref)))
+            assert scale > 0.0
+            assert float(np.max(np.abs(np.array(got) - ref))) <= 1e-13 * scale
+
+
+def test_empty_point_set(unit_geom, rng):
+    state = _random_state(unit_geom, rng, 6)
+    empty = np.zeros(0)
+    for comps in (electric_field_grid(state, empty, empty, empty),
+                  magnetic_field_grid(state, empty, empty, empty)):
+        assert len(comps) == 3
+        for c in comps:
+            assert c.dtype == np.float64 and c.shape == (0,)
+    rep = maxwell_residual(state, (empty, empty, empty), 1e-3)
+    assert (rep.div_e, rep.div_b, rep.faraday, rep.ampere, rep.e_scale, rep.b_scale) == (0.0,) * 6
