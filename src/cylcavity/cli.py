@@ -40,7 +40,7 @@ from .spectrum import (
     mode_data,
 )
 from .modefield import u_grid
-from .synthesis import electric_field_grid, evolve, field_samplers, magnetic_field_grid, project
+from .synthesis import _synthesize, evolve, field_samplers, project
 from .verify import (
     DEFAULT_NR,
     DEFAULT_NZ,
@@ -243,9 +243,8 @@ def _cmd_synth(values: dict) -> int:
     if values["time"] is not None:
         state = evolve(state, values["time"] - state.t)
     r, phi, z = _display_grid(state.geom, values["grid"])
-    r3, p3, z3 = r[:, None, None], phi[None, :, None], z[None, None, :]
-    _emit_grid("r,phi,z,e_r,e_phi,e_z,b_r,b_phi,b_z", r, phi, z,
-               [*electric_field_grid(state, r3, p3, z3), *magnetic_field_grid(state, r3, p3, z3)])
+    e, b = _synthesize(state, r[:, None, None], phi[None, :, None], z[None, None, :], "EB")
+    _emit_grid("r,phi,z,e_r,e_phi,e_z,b_r,b_phi,b_z", r, phi, z, [*e, *b])
     return 0
 
 

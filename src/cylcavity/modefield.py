@@ -19,8 +19,9 @@ lives entirely in the expansion amplitudes (see synthesis).
 
 Each component is F(r, z) e^{i m phi}: one prologue gives the (r, z)
 factors of psi (J_{m-1}, J_m, J_{m+1} from one Bessel sweep), two builders
-assemble those of a and b with the scalar 1, k^2 or i omega folded in, and
-_phase alone forms e^{i m phi}, here and in verify and synthesis.  The
+assemble those of a and b with the scalar 1, k^2 or i omega folded in, so
+one call of _u_curl gives the factors of both u and curl u, and _phase
+alone forms e^{i m phi}, here and in verify and synthesis.  The
 only removable singularity is (m/r) J_m(g r) on the axis, which tends to
 g/2 for |m| = 1 (both signs, since J_{-1} = -J_1) and to 0 otherwise;
 radii below 1e-8 a are evaluated with that limit.
@@ -145,20 +146,14 @@ def _psi(mode: ModeData, r, z):
     return jm * cz
 
 
-def _u(mode: ModeData, r, z):
-    """(r, z) factors of (u_r, u_phi, u_z): u = _u e^{i m phi}."""
+def _u_curl(mode: ModeData, r, z):
+    """(r, z) factors (F, G) of u and curl u from one prologue:
+    u = F e^{i m phi}, curl u = G e^{i m phi}."""
     parts = _potential(mode, r, z)
     if mode.index.sigma == TM:
-        return _a(mode, parts, 1.0)
-    return _b(mode, parts, 1j * mode.omega)
-
-
-def _curl_u(mode: ModeData, r, z):
-    """(r, z) factors of curl u: curl u = _curl_u e^{i m phi}."""
-    parts = _potential(mode, r, z)
-    if mode.index.sigma == TM:
-        return _b(mode, parts, mode.k * mode.k)
-    return _a(mode, parts, 1j * mode.omega)
+        return _a(mode, parts, 1.0), _b(mode, parts, mode.k * mode.k)
+    s = 1j * mode.omega
+    return _b(mode, parts, s), _a(mode, parts, s)
 
 
 def psi_grid(mode: ModeData, r, phi, z) -> np.ndarray:
@@ -169,13 +164,13 @@ def psi_grid(mode: ModeData, r, phi, z) -> np.ndarray:
 def u_grid(mode: ModeData, r, phi, z):
     """Vector mode function components (u_r, u_phi, u_z), broadcast."""
     phase = _phase(mode.index.m, phi)
-    return tuple(f * phase for f in _u(mode, r, z))
+    return tuple(f * phase for f in _u_curl(mode, r, z)[0])
 
 
 def curl_u_grid(mode: ModeData, r, phi, z):
     """Curl of the vector mode function, components broadcast."""
     phase = _phase(mode.index.m, phi)
-    return tuple(f * phase for f in _curl_u(mode, r, z))
+    return tuple(f * phase for f in _u_curl(mode, r, z)[1])
 
 
 def psi(mode: ModeData, p: CylPoint) -> complex:

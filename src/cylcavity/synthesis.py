@@ -7,11 +7,11 @@ common time t.  The physical fields are
     B =   sum_s sqrt(hbar / 2 eps0 omega_s) [a_s curl u_s + a_s* curl u_s*]
 
 which are exactly real by construction: each component of u_s and curl u_s
-is F_s(r, z) e^{i m_s phi}, the modes are summed on (r, z) per m and each
-m-sum takes its phase once, giving one complex sum c with E = -2 Im c and
-B = 2 Re c.  Time evolution multiplies each
-amplitude by e^{-i omega_s dt}; with that rule the pair (E, B) satisfies
-the free-space Maxwell equations, and the classical field energy
+is F_s(r, z) e^{i m_s phi}, both from one evaluation of mode s; the modes
+are summed on (r, z) per m and each m-sum takes its phase once, giving
+E = i (c - c*) and B = c + c* of one complex sum c each.  Time evolution
+multiplies each amplitude by e^{-i omega_s dt}; with that rule (E, B)
+satisfies the free-space Maxwell equations, and the classical field energy
 
     int [ eps0/2 |E|^2 + 1/(2 mu0) |B|^2 ] dV  =  sum_s hbar omega_s |a_s|^2
 
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modefield import CylPoint, _curl_u, _phase, _u
+from .modefield import CylPoint, _phase, _u_curl
 from .spectrum import CavityGeometry, ModeData
 from .verify import QuadratureRule, integrate_cavity
 
@@ -93,47 +93,50 @@ def _derivative_state(state: FieldState) -> FieldState:
     return FieldState(geom=state.geom, entries=entries, t=state.t)
 
 
-def _synthesize(state: FieldState, r, phi, z, profile, prefactor) -> np.ndarray:
-    """c = sum_s prefactor(omega_s) a_s F_s(r, z) e^{i m_s phi}, shaped
-    (component, ...), with profile(mode, r, z) giving F_s: the modes are
-    summed on (r, z) per m, and each m-sum takes its phase once."""
+def _synthesize(state: FieldState, r, phi, z, fields) -> np.ndarray:
+    """Real fields named in `fields` ("E", "B" or "EB"), shaped (field,
+    component, ...), from c = sum_s p_s a_s F_s(r, z) e^{i m_s phi}: E = -2 Im c
+    of u with p = sqrt(hbar omega / 2 eps0), B = 2 Re c of curl u with
+    p = sqrt(hbar / 2 eps0 omega).  One _u_curl call per mode gives both;
+    modes are summed on (r, z) per m and each m-sum takes its phase once."""
+    geom = state.geom
+    halves = ["EB".index(f) for f in fields]
     shape = np.broadcast_shapes(np.shape(r), np.shape(phi), np.shape(z))
-    out = np.zeros((3, *shape), dtype=complex)
+    out = np.zeros((len(halves), 3, *shape))
     for m in dict.fromkeys(md.index.m for md in state.modes):     # one m-sum live at a time
-        acc = sum(prefactor(md.omega) * a * np.array(profile(md, r, z))
-                  for md, a in state.entries if md.index.m == m)
+        acc = 0.0
+        for md, a in state.entries:
+            if md.index.m == m:
+                pre = (math.sqrt(geom.hbar * md.omega / (2.0 * geom.eps0)),
+                       math.sqrt(geom.hbar / (2.0 * geom.eps0 * md.omega)))
+                both = _u_curl(md, r, z)
+                acc = acc + np.array([pre[h] * a * np.array(both[h]) for h in halves])
         phase = _phase(m, phi)
-        for comp in range(3):
-            out[comp] += acc[comp] * phase
+        for i, h in enumerate(halves):
+            for comp in range(3):
+                c = acc[i, comp] * phase        # E = i (c - c*), B = c + c*
+                out[i, comp] += 2.0 * c.real if h else -2.0 * c.imag
     return out
 
 
 def electric_field_grid(state: FieldState, r, phi, z):
     """Real (E_r, E_phi, E_z) on broadcastable coordinate arrays."""
-    geom = state.geom
-    c = _synthesize(state, r, phi, z, _u,
-                    lambda omega: math.sqrt(geom.hbar * omega / (2.0 * geom.eps0)))
-    return tuple(-2.0 * c.imag + 0.0)       # i (c - c*); + 0.0 turns -0.0 into 0.0
+    return tuple(_synthesize(state, r, phi, z, "E")[0])
 
 
 def magnetic_field_grid(state: FieldState, r, phi, z):
     """Real (B_r, B_phi, B_z) on broadcastable coordinate arrays."""
-    geom = state.geom
-    c = _synthesize(state, r, phi, z, _curl_u,
-                    lambda omega: math.sqrt(geom.hbar / (2.0 * geom.eps0 * omega)))
-    return tuple(2.0 * c.real + 0.0)        # c + c*
+    return tuple(_synthesize(state, r, phi, z, "B")[0])
 
 
 def electric_field(state: FieldState, p: CylPoint) -> np.ndarray:
     """Real cylindrical E components at one point."""
-    comps = electric_field_grid(state, p.r, p.phi, p.z)
-    return np.array([np.asarray(c).item() for c in comps])
+    return _synthesize(state, p.r, p.phi, p.z, "E")[0]
 
 
 def magnetic_field(state: FieldState, p: CylPoint) -> np.ndarray:
     """Real cylindrical B components at one point."""
-    comps = magnetic_field_grid(state, p.r, p.phi, p.z)
-    return np.array([np.asarray(c).item() for c in comps])
+    return _synthesize(state, p.r, p.phi, p.z, "B")[0]
 
 
 def field_samplers(state: FieldState):
@@ -150,9 +153,7 @@ def field_samplers(state: FieldState):
 def total_energy(state: FieldState, rule: QuadratureRule) -> float:
     """Classical field energy by quadrature; equals sum hbar omega |a|^2."""
     geom = state.geom
-    r, phi, z = rule.grid()
-    e = electric_field_grid(state, r, phi, z)
-    b = magnetic_field_grid(state, r, phi, z)
+    e, b = _synthesize(state, *rule.grid(), "EB")
     dens = 0.5 * geom.eps0 * sum(c * c for c in e) + 0.5 / geom.mu0 * sum(c * c for c in b)
     return float(integrate_cavity(lambda *_: dens, rule).real)
 
@@ -195,8 +196,9 @@ def project(e_sampler, b_sampler, modes, rule: QuadratureRule) -> np.ndarray:
     out = np.empty(len(modes), dtype=complex)
     for i, (md, k) in enumerate(zip(modes, row_of)):
         geom = md.geom
-        ue = np.vdot(np.array(_u(md, *rz)), e_hat[:, k])
-        vb = np.vdot(np.array(_curl_u(md, *rz)), b_hat[:, k])
+        u, v = _u_curl(md, *rz)
+        ue = np.vdot(np.array(u), e_hat[:, k])
+        vb = np.vdot(np.array(v), b_hat[:, k])
         term_e = -1j * math.sqrt(2.0 * geom.eps0 / (geom.hbar * md.omega)) * ue
         term_b = math.sqrt(2.0 * geom.eps0 * md.omega / geom.hbar) / md.k**2 * vb
         out[i] = 0.5 * (term_e + term_b)
@@ -222,24 +224,27 @@ class MaxwellResidualReport:
     b_scale: float
 
 
-def _fd_stencil(field_grid, state: FieldState, r, phi, z, h, hphi):
-    """(div, curl, centre value) of one field by second-order central
+def _fd_stencil(state: FieldState, r, phi, z, h, hphi):
+    """(div, curl, centre value) of E and of B by second-order central
     differences; the centre and its six neighbours are sampled in one call."""
     r, phi, z = np.broadcast_arrays(r, phi, z)
     # rows: centre, r + h, r - h, phi + hphi, phi - hphi, z + h, z - h
     rs = np.stack([r, r + h, r - h, r, r, r, r])
     ps = np.stack([phi, phi, phi, phi + hphi, phi - hphi, phi, phi])
     zs = np.stack([z, z, z, z, z, z + h, z - h])
-    f_r, f_phi, f_z = field_grid(state, rs, ps, zs)
     dif = lambda f, row, width: (f[row] - f[row + 1]) / width
-    div = (dif(rs * f_r, 1, 2.0 * h * r) + dif(f_phi, 3, 2.0 * hphi * r)
-           + dif(f_z, 5, 2.0 * h))
-    curl = (
-        dif(f_z, 3, 2.0 * hphi * r) - dif(f_phi, 5, 2.0 * h),
-        dif(f_r, 5, 2.0 * h) - dif(f_z, 1, 2.0 * h),
-        dif(rs * f_phi, 1, 2.0 * h * r) - dif(f_r, 3, 2.0 * hphi * r),
-    )
-    return div, curl, (f_r[0], f_phi[0], f_z[0])
+
+    def ops(f_r, f_phi, f_z):
+        div = (dif(rs * f_r, 1, 2.0 * h * r) + dif(f_phi, 3, 2.0 * hphi * r)
+               + dif(f_z, 5, 2.0 * h))
+        curl = (
+            dif(f_z, 3, 2.0 * hphi * r) - dif(f_phi, 5, 2.0 * h),
+            dif(f_r, 5, 2.0 * h) - dif(f_z, 1, 2.0 * h),
+            dif(rs * f_phi, 1, 2.0 * h * r) - dif(f_r, 3, 2.0 * hphi * r),
+        )
+        return div, curl, (f_r[0], f_phi[0], f_z[0])
+
+    return [ops(*f) for f in _synthesize(state, rs, ps, zs, "EB")]
 
 
 def maxwell_residual(state: FieldState, points, step: float) -> MaxwellResidualReport:
@@ -259,20 +264,17 @@ def maxwell_residual(state: FieldState, points, step: float) -> MaxwellResidualR
         raise ValueError("points must keep z within (step, L - step)")
 
     hphi = step / geom.a
-    dstate = _derivative_state(state)
-    de_dt = electric_field_grid(dstate, r, phi, z)
-    db_dt = magnetic_field_grid(dstate, r, phi, z)
-    div_e, curl_e, e_here = _fd_stencil(electric_field_grid, state, r, phi, z, step, hphi)
-    div_b, curl_b, b_here = _fd_stencil(magnetic_field_grid, state, r, phi, z, step, hphi)
+    de_dt, db_dt = _synthesize(_derivative_state(state), r, phi, z, "EB")
+    (div_e, curl_e, e_here), (div_b, curl_b, b_here) = _fd_stencil(state, r, phi, z, step, hphi)
     inv_c2 = 1.0 / (geom.c * geom.c)
     faraday = [ce + db for ce, db in zip(curl_e, db_dt)]
     ampere = [cb - inv_c2 * de for cb, de in zip(curl_b, de_dt)]
 
-    vec_max = lambda comps: float(np.max(np.sqrt(sum(c * c for c in comps)))) if r.size else 0.0
+    vec_max = lambda comps: float(np.max(np.sqrt(sum(c * c for c in comps)), initial=0.0))
     return MaxwellResidualReport(
         step=step,
-        div_e=float(np.max(np.abs(div_e))) if r.size else 0.0,
-        div_b=float(np.max(np.abs(div_b))) if r.size else 0.0,
+        div_e=float(np.max(np.abs(div_e), initial=0.0)),
+        div_b=float(np.max(np.abs(div_b), initial=0.0)),
         faraday=vec_max(faraday),
         ampere=vec_max(ampere),
         e_scale=vec_max(e_here),

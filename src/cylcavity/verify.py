@@ -11,9 +11,11 @@ Checks provided:
 * scalar products of the potentials against the closed form
   (1/2) |c_norm|^2 V alpha delta_{ss'}  (one polarization at a time),
 * the full vector Gram matrix <u_s, u_s'> against the identity,
-* the curl identity <curl u_s, curl u_s'> = k'^2 <u_s, u_s'>,
+* the curl identity <curl u_s, curl u_s'> = k'^2 <u_s, u_s'>, both sides
+  from one six-component Gram (one modefield._u_curl call per mode),
 * conductor boundary conditions on the walls (vanishing tangential u,
-  vanishing normal component of curl u).
+  vanishing normal component of curl u), from the moduli of one evaluation
+  on the walls and an interior grid, since |e^{i m phi}| = 1.
 
 Pair sums are sum-factorized: every component of psi, u and curl u is
 F(r, z) e^{i m phi} on a tensor-product rule, so the sum over all nodes
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .modefield import _curl_u, _phase, _psi, _u, curl_u_grid, u_grid
+from .modefield import _phase, _psi, _u_curl
 from .spectrum import CavityGeometry, ModeData
 
 DEFAULT_NR = 64
@@ -80,7 +82,7 @@ def quadrature_rule(
 ) -> QuadratureRule:
     """Build the tensor rule; nphi must exceed every azimuthal difference used."""
     for name, v in (("nr", nr), ("nphi", nphi), ("nz", nz)):
-        if not isinstance(v, int) or v < 1:
+        if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 1:
             raise ValueError(f"{name} must be a positive integer, got {v!r}")
     tr, twr = np.polynomial.legendre.leggauss(nr)
     r = 0.5 * geom.a * (tr + 1.0)
@@ -126,20 +128,21 @@ def integrate_cavity(f, rule: QuadratureRule) -> complex:
 
 
 def _gram(modes, rule: QuadratureRule, profile) -> np.ndarray:
-    """sum_nodes w conj(F_i) . F_j for components F(r, z) e^{i m phi}, with
-    profile(mode, r, z) giving the F: a weighted (r, z) GEMM per component,
-    times Phi(m_j - m_i) summed once per distinct difference."""
+    """(component, i, j) stack of sum_nodes w conj(F_i) F_j, F(r, z) e^{i m phi}
+    given by profile(mode, r, z): per component one (r, z) GEMM of sqrt(w) F
+    (the weights are positive), times Phi(m_j - m_i) summed once per distinct
+    difference."""
     if not modes:
-        return np.zeros((0, 0), dtype=complex)
+        return np.zeros((0, 0, 0), dtype=complex)
     r, z = rule.r[:, None], rule.z[None, :]
+    sqrt_w = np.sqrt(np.outer(rule.wr, rule.wz).reshape(-1))
     planes = None
     for i, md in enumerate(modes):       # one mode at a time keeps peak memory flat
         comps = np.reshape(profile(md, r, z), (-1, rule.nr * rule.nz))
         if planes is None:
             planes = np.empty((len(comps), len(modes), rule.nr * rule.nz), dtype=complex)
-        planes[:, i] = comps
-    w = np.outer(rule.wr, rule.wz).reshape(-1)
-    gram = sum(np.conj(p) @ (p * w).T for p in planes)
+        planes[:, i] = comps * sqrt_w
+    gram = np.stack([np.conj(p) @ p.T for p in planes])
     m = np.array([md.index.m for md in modes])
     q = m[None, :] - m[:, None]
     qs = np.arange(q.min(), q.max() + 1)
@@ -189,7 +192,7 @@ def check_scalar_orthonormality(modes, rule: QuadratureRule) -> GramReport:
     if len(sigmas) > 1:
         raise ValueError("scalar orthogonality holds within one polarization; "
                          "pass modes of a single sigma")
-    gram = _gram(modes, rule, lambda md, r, z: (_psi(md, r, z),))
+    gram = _gram(modes, rule, lambda md, r, z: (_psi(md, r, z),)).sum(axis=0)
     expected = np.array([0.5 * md.c_norm**2 * md.geom.volume * md.alpha for md in modes])
     return GramReport(modes=modes, matrix=gram / np.sqrt(np.outer(expected, expected)))
 
@@ -197,7 +200,8 @@ def check_scalar_orthonormality(modes, rule: QuadratureRule) -> GramReport:
 def check_vector_orthonormality(modes, rule: QuadratureRule) -> GramReport:
     """Full Gram matrix <u_i, u_j>, all polarizations and signs of m."""
     modes = tuple(modes)
-    return GramReport(modes=modes, matrix=_gram(modes, rule, _u))
+    gram = _gram(modes, rule, lambda md, r, z: _u_curl(md, r, z)[0])
+    return GramReport(modes=modes, matrix=gram.sum(axis=0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,9 +250,11 @@ def check_curl_identity(
     rel_tol: float = 1e-8,
     abs_tol: float = 1e-12,
 ) -> CurlIdentityReport:
+    """Both matrices from one Gram over the six components of u and curl u."""
     modes = tuple(modes)
-    lhs = _gram(modes, rule, _curl_u)
-    rhs = _gram(modes, rule, _u) * np.array([md.k**2 for md in modes])
+    gram = _gram(modes, rule, lambda md, r, z: sum(_u_curl(md, r, z), ()))
+    lhs = gram[3:].sum(axis=0)
+    rhs = gram[:3].sum(axis=0) * np.array([md.k**2 for md in modes])
     return CurlIdentityReport(modes=modes, lhs=lhs, rhs=rhs, rel_tol=rel_tol, abs_tol=abs_tol)
 
 
@@ -300,7 +306,9 @@ def check_boundary(mode: ModeData, samples=None) -> BoundaryReport:
     geom = mode.geom
     if samples is None:
         samples = wall_samples(geom)
-    r, phi, z = (np.asarray(v, dtype=float) for v in samples)
+    r, phi, z = (np.asarray(v, dtype=float).ravel() for v in np.broadcast_arrays(*samples))
+    if not r.size:
+        raise ValueError("no wall samples given")
     on_side = np.abs(r - geom.a) <= 1e-12 * geom.a
     on_cap = np.minimum(np.abs(z), np.abs(geom.L - z)) <= 1e-12 * geom.L
     off_wall = ~(on_side | on_cap)
@@ -308,25 +316,19 @@ def check_boundary(mode: ModeData, samples=None) -> BoundaryReport:
         i = int(np.nonzero(off_wall)[0][0])
         raise ValueError(f"sample {i} (r={r[i]}, phi={phi[i]}, z={z[i]}) is not on a wall")
 
-    u_r, u_phi, u_z = u_grid(mode, r, phi, z)
-    v_r, v_phi, v_z = curl_u_grid(mode, r, phi, z)
-    tangential = np.where(
-        on_side,
-        np.hypot(np.abs(u_phi), np.abs(u_z)),
-        np.hypot(np.abs(u_r), np.abs(u_phi)),
-    )
-    normal_curl = np.where(on_side, np.abs(v_r), np.abs(v_z))
-
-    # interior maxima on a (r, z) grid strictly inside the walls; the
-    # azimuthal factor has modulus 1, so phi does not enter
-    ri = geom.a * (np.arange(24)[:, None] + 0.5) / 24.0
-    zi = geom.L * (np.arange(24)[None, :] + 0.5) / 24.0
-    interior_u = float(max(np.max(np.abs(c)) for c in _u(mode, ri, zi)))
-    interior_c = float(max(np.max(np.abs(c)) for c in _curl_u(mode, ri, zi)))
+    # the wall samples, then a (r, z) grid strictly inside the walls, in one
+    # evaluation; |e^{i m phi}| = 1, so moduli need no phase
+    ri, zi = np.meshgrid(geom.a * (np.arange(24) + 0.5) / 24.0,
+                         geom.L * (np.arange(24) + 0.5) / 24.0, indexing="ij")
+    u, v = (np.abs(np.array(f)) for f in _u_curl(
+        mode, np.concatenate([r, ri.ravel()]), np.concatenate([z, zi.ravel()])))
+    n = r.size
+    tangential = np.where(on_side, np.hypot(u[1, :n], u[2, :n]), np.hypot(u[0, :n], u[1, :n]))
+    normal_curl = np.where(on_side, v[0, :n], v[2, :n])
     return BoundaryReport(
         mode=mode,
         max_tangential_u=float(np.max(tangential)),
         max_normal_curl=float(np.max(normal_curl)),
-        interior_max_u=interior_u,
-        interior_max_curl=interior_c,
+        interior_max_u=float(np.max(u[:, n:])),
+        interior_max_curl=float(np.max(v[:, n:])),
     )

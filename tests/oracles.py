@@ -3,8 +3,9 @@
 Deliberately avoids the production root finder and field formulas:
 zeros come from sign scanning plus pure bisection, derivatives from
 central differences, and cavity inner products from a dense sum over
-every node of the 3-D rule, pair by pair, and fields from a per-mode sum
-over every point.  Slow and simple on purpose.
+every node of the 3-D rule, pair by pair, fields from a per-mode sum over
+every point, and wall checks from the full phased mode functions.  Slow
+and simple on purpose.
 """
 
 from __future__ import annotations
@@ -151,3 +152,27 @@ def dense_fields(state, r, phi, z):
     b = cb + np.conj(cb)
     assert not np.any(e.imag) and not np.any(b.imag)
     return e.real, b.real
+
+
+def dense_boundary(mode, samples):
+    """The four BoundaryReport fields from the phased u_grid and curl_u_grid:
+    tangential u and normal curl u at the wall samples (broadcast), and the
+    interior maxima of |u| and |curl u| over the 24 x 24 (r, z) grid of cell
+    centres, at three phi."""
+    geom = mode.geom
+    r, phi, z = (np.asarray(v, dtype=float) for v in samples)
+    u_r, u_phi, u_z = u_grid(mode, r, phi, z)
+    v_r, v_phi, v_z = curl_u_grid(mode, r, phi, z)
+    on_side = np.abs(r - geom.a) <= 1e-12 * geom.a
+    tangential = np.where(on_side, np.hypot(np.abs(u_phi), np.abs(u_z)),
+                          np.hypot(np.abs(u_r), np.abs(u_phi)))
+    normal_curl = np.where(on_side, np.abs(v_r), np.abs(v_z))
+    cells = (np.arange(24) + 0.5) / 24.0
+    grid = (geom.a * cells[:, None, None], np.array([0.0, 1.0, 2.5])[None, :, None],
+            geom.L * cells[None, None, :])
+    return {
+        "max_tangential_u": float(np.max(tangential)),
+        "max_normal_curl": float(np.max(normal_curl)),
+        "interior_max_u": max(float(np.max(np.abs(c))) for c in u_grid(mode, *grid)),
+        "interior_max_curl": max(float(np.max(np.abs(c))) for c in curl_u_grid(mode, *grid)),
+    }

@@ -27,7 +27,7 @@ from cylcavity import (
     wall_samples,
 )
 from cylcavity.verify import CurlIdentityReport, default_nphi
-from oracles import dense_gram, dense_project
+from oracles import dense_boundary, dense_gram, dense_project
 
 
 def test_weights_sum_to_volume(unit_geom):
@@ -152,11 +152,38 @@ def test_boundary_rejects_interior_samples(unit_geom):
         check_boundary(md, bad)
 
 
+def test_boundary_rejects_empty_sample_set(unit_geom):
+    md = mode_data(unit_geom, ModeIndex(m=0, mu=1, n=0, sigma=TM))
+    empty = np.zeros(0)
+    with pytest.raises(ValueError, match="no wall samples"):
+        check_boundary(md, (empty, empty, empty))
+
+
 def test_quadrature_rule_validation(unit_geom):
     with pytest.raises(ValueError):
         quadrature_rule(unit_geom, nr=0, nphi=4, nz=4)
     with pytest.raises(ValueError):
         quadrature_rule(unit_geom, nr=4, nphi=-1, nz=4)
+
+
+@pytest.mark.parametrize("name", ["nr", "nphi", "nz"])
+def test_quadrature_rule_counts_are_integers_not_bools(unit_geom, name):
+    sizes = {"nr": 4, "nphi": 4, "nz": 4}
+    plain = quadrature_rule(unit_geom, **sizes)
+    numpy_int = quadrature_rule(unit_geom, **{**sizes, name: np.int64(4)})
+    for attr in ("r", "wr", "phi", "wphi", "z", "wz"):
+        assert np.array_equal(getattr(numpy_int, attr), getattr(plain, attr))
+    for bad in (True, False, 4.0):
+        with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+            quadrature_rule(unit_geom, **{**sizes, name: bad})
+
+
+def test_default_rule_accepts_numpy_integers(unit_geom):
+    modes = enumerate_modes(unit_geom, 3.0)
+    rule = default_rule(unit_geom, modes, nr=np.int64(16), nz=np.int32(12))
+    assert (rule.nr, rule.nz) == (16, 12)
+    with pytest.raises(ValueError, match="nr must be a positive integer"):
+        default_rule(unit_geom, modes, nr=True)
 
 
 # ------------------------------------- sum-factorized kernel vs dense oracle
@@ -223,3 +250,32 @@ def test_under_resolved_phi_rule_aliases_like_dense_sum(unit_geom, oracle_modes)
     got = check_vector_orthonormality(oracle_modes, rule)
     assert got.max_offdiag > 1e-3
     _assert_matches_dense(got.matrix, dense_gram(oracle_modes, rule, u_grid))
+
+
+# -------------------------------------------- wall check vs phased oracle
+
+def _assert_boundary_matches(md, samples):
+    # wall values are rounding noise; hold them to the interior scale
+    rep = check_boundary(md, samples)
+    ref = dense_boundary(md, samples)
+    for name, scale in (("max_tangential_u", "interior_max_u"), ("interior_max_u", "interior_max_u"),
+                        ("max_normal_curl", "interior_max_curl"),
+                        ("interior_max_curl", "interior_max_curl")):
+        assert ref[scale] > 0.0
+        assert abs(getattr(rep, name) - ref[name]) <= 1e-13 * ref[scale], (md.index, name)
+
+
+def test_boundary_matches_phased_oracle(unit_geom, oracle_modes):
+    for md in oracle_modes:
+        _assert_boundary_matches(md, wall_samples(unit_geom))
+
+
+def test_boundary_broadcasts_samples_before_flattening(unit_geom, oracle_modes):
+    # a scalar r = a with arrays of phi and z covers the side wall
+    phi, z = np.meshgrid(np.linspace(0.0, 6.0, 7), np.linspace(0.0, unit_geom.L, 5),
+                         indexing="ij")
+    for md in oracle_modes:
+        _assert_boundary_matches(md, (unit_geom.a, phi, z))
+        side = check_boundary(md, (unit_geom.a, phi, z))
+        full = check_boundary(md, (np.full(phi.shape, unit_geom.a), phi, z))
+        assert side == full
