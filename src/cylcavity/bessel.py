@@ -1,24 +1,29 @@
 """Bessel functions of the first kind and their positive zeros.
 
 Self-contained double-precision evaluation of J_m(x) for integer order,
-with no dependency on scipy.special.  Three regimes are used:
+with no dependency on scipy.special.  Two regimes are used:
 
-* ascending power series where it is free of destructive cancellation
-  (small x, or x**2 <= 4(m+1) where the terms decrease monotonically),
 * Miller's backward recurrence, normalized by the Neumann sum
-  J_0 + 2*J_2 + 2*J_4 + ... = 1, for moderate arguments,
-* the Hankel asymptotic expansion for large x when the order is small
+  J_0 + 2*J_2 + 2*J_4 + ... = 1, for every x below max(30, m**2/2),
+* the Hankel asymptotic expansion above that, where the order is small
   enough for the expansion to reach machine precision.  The phase
   x - (2m+1)pi/4 is never formed explicitly: cos and sin of the offset
   are exactly +-sqrt(2)/2, so the oscillatory factors are recombined
   from cos(x) and sin(x) without cancellation in the argument.
 
+Tiny x, where (x/2)**2/(m+1) < 2**-56 and the recurrence's growth 2k/x
+would overflow, takes the series' leading term (x/2)**m / m!: x = 0 gives
+exactly 1 for m = 0 and 0 otherwise.  Each point's regime, Miller start
+index (set by its x and the highest order of the call) and Hankel length
+depend on nothing else in the array, so J_m(x) has the same bits alone as
+inside any batch; J_{m-1}, J_m and J_{m+1} share one recurrence sweep.
+
 Zeros are bracketed by scanning with a step safely below the minimal
 spacing of consecutive zeros (> 3.11 for any order), starting just below
 the first-zero location m + 1.86*m**(1/3), and refined with a
-bracket-guarded Newton iteration.  The derivative zeros use the
-recurrence form J_m' = (J_{m-1} - J_{m+1})/2 and the Bessel equation
-for J_m''.
+bracket-guarded Newton iteration that stops once its step no longer
+moves x.  The derivative zeros use the recurrence form
+J_m' = (J_{m-1} - J_{m+1})/2 and the Bessel equation for J_m''.
 
 Convention: zeros are the strictly positive roots.  In particular the
 first zero of J_0' is 3.8317... (the stationary point at x = 0 is not
@@ -34,49 +39,22 @@ from functools import lru_cache
 
 import numpy as np
 
-# Branch thresholds.  The series bound keeps the largest partial-sum term
-# below ~1e1 so cancellation costs at most a few ulps; the asymptotic
-# bound keeps the smallest Hankel term below round-off.
-_SERIES_X_MAX = 5.0
-_ASYM_X_MIN = 30.0
+_ASYM_X_MIN = 30.0        # Hankel above this and m^2/2: smallest term below round-off
+_LEADING_MAX = 2.0 ** -56  # (x/2)^2/(m+1) below this: the series' leading term suffices
 _MILLER_EXTRA = 16        # start margin above the recurrence turning point
-_RESCALE_LIMIT = 1e150    # overflow guard, tested every _RESCALE_EVERY steps
-_RESCALE_EVERY = 12
+_MILLER_STRIDE = 8        # starts are multiples of it; overflow is checked as often
+_RESCALE_LIMIT = 1e150    # overflow guard
 _SCAN_STEP = 1.0          # zero bracketing; minimal zero spacing is > 3.11
 _KIND_J = "j"
 _KIND_JPRIME = "jprime"
-_SQRT_HALF = math.sqrt(0.5)
 
 
-def _validate_x(x: np.ndarray) -> None:
-    if not np.all(np.isfinite(x)):
-        raise ValueError("bessel_j requires finite x")
-    if np.any(x < 0.0):
-        raise ValueError("bessel_j requires x >= 0")
-
-
-def _series(m: int, x: np.ndarray) -> np.ndarray:
-    """Ascending series sum_k (-1)^k (x/2)^(m+2k) / (k! (m+k)!).
-
-    Only called where the terms decay fast enough that the compensated
-    sum is accurate to a few ulps.
-    """
-    q = 0.25 * x * x
-    # leading term (x/2)^m / m! via logs; exact 1.0 at x = 0 for m = 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logt0 = m * np.log(0.5 * x) - math.lgamma(m + 1)
-    term = np.where(x > 0.0, np.exp(logt0), 1.0 if m == 0 else 0.0)
-    total = term.copy()
-    comp = np.zeros_like(term)          # Kahan compensation
-    for k in range(1, 80):
-        term = -term * q / (k * (m + k))
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if np.all(np.abs(term) <= 1e-18 * (np.abs(total) + 1e-300)):
-            break
-    return total
+def _leading(orders: tuple, x: np.ndarray) -> dict:
+    """(x/2)^m / m!, one factor at a time: a normal result never underflows."""
+    terms = [np.ones_like(x)]
+    for k in range(1, orders[-1] + 1):
+        terms.append(terms[-1] * (0.5 * x) / k)
+    return {m: terms[m] for m in orders}
 
 
 def _asymptotic(m: int, x: np.ndarray) -> np.ndarray:
@@ -90,19 +68,19 @@ def _asymptotic(m: int, x: np.ndarray) -> np.ndarray:
     p = np.ones_like(x)
     q = np.zeros_like(x)
     term = np.ones_like(x)
-    prev = math.inf
+    prev = np.full_like(x, math.inf)
     for j in range(1, 60):
         term = term * ((mu4 - (2 * j - 1) ** 2) / j) * inv8x
-        mag = float(np.max(np.abs(term)))
-        if mag > prev:      # divergent tail reached; truncate at best term
-            break
+        mag = np.abs(term)
+        term[mag > prev] = 0.0      # divergent tail reached; truncate at best term
         prev = mag
         sign = -1.0 if (j // 2) % 2 else 1.0
         if j % 2:
             q = q + sign * term
         else:
             p = p + sign * term
-        if mag < 1e-18:
+        term[mag < 1e-18] = 0.0     # a stopped point carries a zero term
+        if not term.any():
             break
     c1, c2 = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))[m % 4]
     cx = np.cos(x)
@@ -112,72 +90,69 @@ def _asymptotic(m: int, x: np.ndarray) -> np.ndarray:
 
 
 def _miller_multi(orders: tuple, x: np.ndarray) -> dict:
-    """One backward recurrence sweep returning J_m(x) for several orders."""
-    top = max(max(orders), int(math.ceil(float(np.max(x)))))
-    nstart = top + int(9.0 * top ** (1.0 / 3.0)) + _MILLER_EXTRA
-    if nstart % 2:
-        nstart += 1
+    """One backward recurrence sweep returning J_m(x) for several orders.
+    Each point starts at its own index above its turning point max(m, x);
+    until then it carries f_k = f_{k+1} = 0, which the recurrence keeps."""
+    top = np.maximum(orders[-1], np.ceil(x))
+    start = top + np.floor(9.0 * top ** (1.0 / 3.0)) + _MILLER_EXTRA
+    start += -start % _MILLER_STRIDE
     inv_x = 1.0 / x
-    fk = np.full_like(x, 1e-150)        # arbitrary seed; scale divides out
+    fk = np.zeros_like(x)
     fkp1 = np.zeros_like(x)
-    targets = {m: np.zeros_like(x) for m in orders}
+    targets = {}
     even_sum = np.zeros_like(x)
-    for k in range(nstart, 0, -1):
+    for k in range(int(np.max(start)), 0, -1):
+        if k % _MILLER_STRIDE == 0:
+            if float(np.max(np.abs(fk))) > _RESCALE_LIMIT:
+                # rescale point by point: growth rates differ wildly across
+                # the pooled x values and a shared factor would underflow
+                # the slow-growing ones
+                scale = np.where(np.abs(fk) > _RESCALE_LIMIT, 1.0 / _RESCALE_LIMIT, 1.0)
+                fk = fk * scale
+                fkp1 = fkp1 * scale
+                even_sum = even_sum * scale
+                for o in targets:
+                    targets[o] = targets[o] * scale
+            fk[start == k] = 1e-150     # arbitrary seed; the Neumann sum divides it out
         fkm1 = (2.0 * k) * inv_x * fk - fkp1
         fkp1 = fk
         fk = fkm1
         order = k - 1
-        if order in targets:
+        if order in orders:
             targets[order] = fk.copy()
         if order > 0 and not order & 1:
             even_sum += fk
-        if k % _RESCALE_EVERY == 0 and float(np.max(np.abs(fk))) > _RESCALE_LIMIT:
-            # rescale point by point: growth rates differ wildly across
-            # the pooled x values and a shared factor would underflow
-            # the slow-growing ones
-            scale = np.where(np.abs(fk) > _RESCALE_LIMIT, 1.0 / _RESCALE_LIMIT, 1.0)
-            fk = fk * scale
-            fkp1 = fkp1 * scale
-            even_sum = even_sum * scale
-            for o in targets:
-                targets[o] = targets[o] * scale
     norm = fk + 2.0 * even_sum          # Neumann sum, f_0 + 2 sum f_{2k}
     return {m: targets[m] / norm for m in orders}
-
-
-def _eval_orders(orders: tuple, x: np.ndarray) -> dict:
-    """J_m(x) for each non-negative order in `orders`, branch-partitioned."""
-    out = {m: np.empty_like(x) for m in orders}
-    miller_need = {}
-    miller_union = np.zeros(x.shape, dtype=bool)
-    for m in orders:
-        series = (x <= _SERIES_X_MAX) | (x * x <= 4.0 * (m + 1.0))
-        asym = ~series & (x >= max(_ASYM_X_MIN, 0.5 * m * m))
-        rest = ~series & ~asym
-        if np.any(series):
-            out[m][series] = _series(m, x[series])
-        if np.any(asym):
-            out[m][asym] = _asymptotic(m, x[asym])
-        miller_need[m] = rest
-        miller_union |= rest
-    if np.any(miller_union):
-        got = _miller_multi(orders, x[miller_union])
-        for m in orders:
-            need = miller_need[m]
-            if np.any(need):
-                out[m][need] = got[m][need[miller_union]]
-    return out
 
 
 def _j_orders(orders: tuple, x) -> list:
     """J_m(x) for each integer order in `orders` (any sign), shaped like x.
 
-    One branch-partitioned evaluation serves all orders, so neighbouring
-    orders share a single Miller sweep; J_{-m} = (-1)^m J_m.
+    Each point takes the leading term, Miller or Hankel; one Miller sweep
+    serves all orders, and J_{-m} = (-1)^m J_m.  Values below the normal
+    range underflow quietly towards 0, as the true values do.
     """
     xa = np.asarray(x, dtype=float)
-    _validate_x(xa)
-    got = _eval_orders(tuple(sorted({abs(m) for m in orders})), np.atleast_1d(xa).ravel())
+    if not np.all(np.isfinite(xa)):
+        raise ValueError("bessel_j requires finite x")
+    if np.any(xa < 0.0):
+        raise ValueError("bessel_j requires x >= 0")
+    x = np.atleast_1d(xa).ravel()
+    absm = tuple(sorted({abs(m) for m in orders}))
+    asym_min = {m: max(_ASYM_X_MIN, 0.5 * m * m) for m in absm}
+    got = {m: np.empty_like(x) for m in absm}
+    with np.errstate(under="ignore"):
+        leading = 0.25 * x * x <= _LEADING_MAX * (absm[0] + 1.0)
+        miller = ~leading & (x < asym_min[absm[-1]])
+        parts = [(where, kernel(absm, x[where])) for where, kernel in
+                 ((leading, _leading), (miller, _miller_multi)) if np.any(where)]
+    for m in absm:
+        for where, part in parts:
+            got[m][where] = part[m]
+        asym = x >= asym_min[m]
+        if np.any(asym):
+            got[m][asym] = _asymptotic(m, x[asym])
     return [(-got[-m] if m < 0 and m % 2 else got[abs(m)]).reshape(xa.shape) for m in orders]
 
 
@@ -257,10 +232,10 @@ def _refine(m: int, kind: str, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.where(fp != 0.0, f / fp, 0.0)
         xn = x - step
+        # converged once Newton stops moving x, even onto a bracket end
+        done = (fp != 0.0) & (np.abs(step) <= 1e-15 * x)
         inside = (xn > lo) & (xn < hi)
-        xn = np.where(inside, xn, 0.5 * (lo + hi))
-        done = np.abs(xn - x) <= 1e-15 * xn
-        x = xn
+        x = np.where(inside | done, xn, 0.5 * (lo + hi))
         if np.all(done):
             break
     return x
@@ -337,7 +312,7 @@ class BesselZeroTable:
 
 def zero_table(m: int, kind: str, count: int) -> BesselZeroTable:
     """Build the table of the first `count` zeros for one order."""
-    if not isinstance(count, (int, np.integer)) or count < 1:
+    if not isinstance(count, (int, np.integer)) or isinstance(count, bool) or count < 1:
         raise ValueError(f"count must be a positive integer, got {count!r}")
     _validate_order_index(m, 1)
     if kind not in (_KIND_J, _KIND_JPRIME):

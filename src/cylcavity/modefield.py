@@ -18,10 +18,10 @@ All mode functions are time independent; the harmonic time dependence
 lives entirely in the expansion amplitudes (see synthesis).
 
 Each component is F(r, z) e^{i m phi}: one prologue gives the (r, z)
-factors of psi (J_{m-1}, J_m, J_{m+1} from one Bessel sweep), two builders
-assemble those of a and b with the scalar 1, k^2 or i omega folded in, so
-one call of _u_curl gives the factors of both u and curl u, and _phase
-alone forms e^{i m phi}, here and in verify and synthesis.  The
+factors of psi for all modes that share |m| from one Bessel sweep, two
+builders assemble those of a and b with the scalar 1, k^2 or i omega folded
+in, so one call of _u_curl gives the factors of u and curl u for the group,
+and _phase alone forms e^{i m phi}, here and in verify and synthesis.  The
 only removable singularity is (m/r) J_m(g r) on the axis, which tends to
 g/2 for |m| = 1 (both signs, since J_{-1} = -J_1) and to 0 otherwise;
 radii below 1e-8 a are evaluated with that limit.
@@ -84,8 +84,7 @@ class CylVector:
         return np.array([self.v_r, self.v_phi, self.v_z], dtype=complex)
 
 
-def _check_domain(mode: ModeData, r, z) -> None:
-    geom = mode.geom
+def _check_domain(geom, r, z) -> None:
     ra = np.asarray(r, dtype=float)
     za = np.asarray(z, dtype=float)
     if not (np.all(np.isfinite(ra)) and np.all(np.isfinite(za))):
@@ -96,28 +95,47 @@ def _check_domain(mode: ModeData, r, z) -> None:
         raise ValueError(f"z outside closed cavity domain [0, {geom.L}]")
 
 
-def _potential(mode: ModeData, r, z):
-    """Factors of psi = c J_m(g r) e^{i m phi} Z(z) other than the phase:
-    J_m(g r), J_m'(g r), (m/r) J_m(g r) with its axis limit, c Z(z), c Z'(z)."""
-    _check_domain(mode, r, z)
-    m, g, h, c = mode.index.m, mode.g, mode.h, mode.c_norm
-    ra = np.asarray(r, dtype=float)
+def _by_abs_m(modes) -> list:
+    """Positions of `modes` grouped by |m|, the unit of one Bessel sweep."""
+    ms = [abs(md.index.m) for md in modes]
+    return [[i for i, v in enumerate(ms) if v == a] for a in dict.fromkeys(ms)]
+
+
+def _axial(mode: ModeData, z):
+    """c Z(z) and c Z'(z) of one mode."""
+    h, c = mode.h, mode.c_norm
+    if mode.index.sigma == TE:
+        zf, dzf = np.sin(h * z), h * np.cos(h * z)
+    elif mode.index.n == 0:
+        zf, dzf = np.full_like(z, _INV_SQRT2), np.zeros_like(z)
+    else:
+        zf, dzf = np.cos(h * z), -h * np.sin(h * z)
+    return c * zf, c * dzf
+
+
+def _potential(modes, r, z):
+    """For modes sharing |m|, on a trailing mode axis: g and the (r, z) factors
+    of psi = c J_m(g r) e^{i m phi} Z(z), i.e. J_m(g r), J_m'(g r), (m/r) J_m(g r)
+    with its axis limit, c Z(z), c Z'(z); one Bessel sweep serves them all."""
+    for geom in {md.geom for md in modes}:
+        _check_domain(geom, r, z)
+    ra = np.asarray(r, dtype=float)[..., None]
     za = np.asarray(z, dtype=float)
-    jm1, jm, jp1 = _j_orders((m - 1, m, m + 1), g * ra)
-    near_axis = ra < _AXIS_FRACTION * mode.geom.a
+    ma = abs(modes[0].index.m)
+    g = np.array([md.g for md in modes])
+    m = np.array([md.index.m for md in modes])
+    sign = np.where(m < 0, (-1.0) ** ma, 1.0)      # J_{-n} = (-1)^n J_n
+    jm1, jm, jp1 = _j_orders((ma - 1, ma, ma + 1), g * ra)
+    jm, jp = sign * jm, sign * (0.5 * (jm1 - jp1))
+    near_axis = ra < _AXIS_FRACTION * np.array([md.geom.a for md in modes])
     if np.any(near_axis):
-        limit = 0.5 * g if abs(m) == 1 else 0.0
+        limit = 0.5 * g if ma == 1 else 0.0
         safe_r = np.where(near_axis, 1.0, ra)
         m_over_r_jm = np.where(near_axis, limit, m * jm / safe_r)
     else:
-        m_over_r_jm = m * jm / ra if m != 0 else np.zeros_like(jm)
-    if mode.index.sigma == TE:
-        zf, dzf = np.sin(h * za), h * np.cos(h * za)
-    elif mode.index.n == 0:
-        zf, dzf = np.full_like(za, _INV_SQRT2), np.zeros_like(za)
-    else:
-        zf, dzf = np.cos(h * za), -h * np.sin(h * za)
-    return jm, 0.5 * (jm1 - jp1), m_over_r_jm, c * zf, c * dzf
+        m_over_r_jm = m * jm / ra if ma != 0 else np.zeros_like(jm)
+    cz, dcz = (np.stack(f, axis=-1) for f in zip(*(_axial(md, za) for md in modes)))
+    return g, jm, jp, m_over_r_jm, cz, dcz
 
 
 def _phase(m, phi):
@@ -126,51 +144,55 @@ def _phase(m, phi):
     return np.exp(1j * np.multiply.outer(m, np.asarray(phi, dtype=float)))
 
 
-def _a(mode: ModeData, parts, s):
+def _a(parts, s):
     """s (k^2 e_z psi + grad d_z psi) e^{-i m phi} = s (g J_m' cZ', i (m/r) J_m cZ', g^2 J_m cZ)."""
-    jm, jp, mjr, cz, dcz = parts
-    g = mode.g
+    g, jm, jp, mjr, cz, dcz = parts
     return (s * g * jp) * dcz, (1j * s * mjr) * dcz, (s * g * g * jm) * cz
 
 
-def _b(mode: ModeData, parts, s):
+def _b(parts, s):
     """s curl(e_z psi) e^{-i m phi} = s (i (m/r) J_m cZ, -g J_m' cZ, 0)."""
-    _, jp, mjr, cz, _ = parts
+    g, _, jp, mjr, cz, _ = parts
     b_r = (1j * s * mjr) * cz
-    return b_r, (-s * mode.g * jp) * cz, np.zeros_like(b_r)
+    return b_r, (-s * g * jp) * cz, np.zeros_like(b_r)
 
 
-def _psi(mode: ModeData, r, z):
-    """(r, z) factor of psi: psi = _psi e^{i m phi}."""
-    jm, _, _, cz, _ = _potential(mode, r, z)
-    return jm * cz
+def _psi(modes, r, z):
+    """(r, z) factor of psi = _psi e^{i m phi} for each of modes sharing |m|."""
+    _, jm, _, _, cz, _ = _potential(modes, r, z)
+    for i in range(len(modes)):
+        yield jm[..., i] * cz[..., i]
 
 
-def _u_curl(mode: ModeData, r, z):
-    """(r, z) factors (F, G) of u and curl u from one prologue:
-    u = F e^{i m phi}, curl u = G e^{i m phi}."""
-    parts = _potential(mode, r, z)
-    if mode.index.sigma == TM:
-        return _a(mode, parts, 1.0), _b(mode, parts, mode.k * mode.k)
-    s = 1j * mode.omega
-    return _b(mode, parts, s), _a(mode, parts, s)
+def _u_curl(modes, r, z):
+    """(r, z) factors (F, G) of u = F e^{i m phi} and curl u = G e^{i m phi} for
+    each of modes sharing |m|: one prologue serves them all, and only one
+    mode's full-size factors exist at a time."""
+    parts = _potential(modes, r, z)
+    for i, md in enumerate(modes):
+        own = tuple(p[..., i] for p in parts)
+        if md.index.sigma == TM:
+            yield _a(own, 1.0), _b(own, md.k * md.k)
+        else:
+            s = 1j * md.omega
+            yield _b(own, s), _a(own, s)
 
 
 def psi_grid(mode: ModeData, r, phi, z) -> np.ndarray:
     """Scalar potential on broadcastable coordinate arrays."""
-    return _psi(mode, r, z) * _phase(mode.index.m, phi)
+    return next(_psi((mode,), r, z)) * _phase(mode.index.m, phi)
 
 
 def u_grid(mode: ModeData, r, phi, z):
     """Vector mode function components (u_r, u_phi, u_z), broadcast."""
     phase = _phase(mode.index.m, phi)
-    return tuple(f * phase for f in _u_curl(mode, r, z)[0])
+    return tuple(f * phase for f in next(_u_curl((mode,), r, z))[0])
 
 
 def curl_u_grid(mode: ModeData, r, phi, z):
     """Curl of the vector mode function, components broadcast."""
     phase = _phase(mode.index.m, phi)
-    return tuple(f * phase for f in _u_curl(mode, r, z)[1])
+    return tuple(f * phase for f in next(_u_curl((mode,), r, z))[1])
 
 
 def psi(mode: ModeData, p: CylPoint) -> complex:

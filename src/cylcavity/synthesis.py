@@ -7,7 +7,7 @@ common time t.  The physical fields are
     B =   sum_s sqrt(hbar / 2 eps0 omega_s) [a_s curl u_s + a_s* curl u_s*]
 
 which are exactly real by construction: each component of u_s and curl u_s
-is F_s(r, z) e^{i m_s phi}, both from one evaluation of mode s; the modes
+is F_s(r, z) e^{i m_s phi}, both from one evaluation per |m_s|; the modes
 are summed on (r, z) per m and each m-sum takes its phase once, giving
 E = i (c - c*) and B = c + c* of one complex sum c each.  Time evolution
 multiplies each amplitude by e^{-i omega_s dt}; with that rule (E, B)
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modefield import CylPoint, _phase, _u_curl
+from .modefield import CylPoint, _by_abs_m, _phase, _u_curl
 from .spectrum import CavityGeometry, ModeData
 from .verify import QuadratureRule, integrate_cavity
 
@@ -97,25 +97,26 @@ def _synthesize(state: FieldState, r, phi, z, fields) -> np.ndarray:
     """Real fields named in `fields` ("E", "B" or "EB"), shaped (field,
     component, ...), from c = sum_s p_s a_s F_s(r, z) e^{i m_s phi}: E = -2 Im c
     of u with p = sqrt(hbar omega / 2 eps0), B = 2 Re c of curl u with
-    p = sqrt(hbar / 2 eps0 omega).  One _u_curl call per mode gives both;
+    p = sqrt(hbar / 2 eps0 omega).  One _u_curl call per |m| group gives both;
     modes are summed on (r, z) per m and each m-sum takes its phase once."""
     geom = state.geom
     halves = ["EB".index(f) for f in fields]
     shape = np.broadcast_shapes(np.shape(r), np.shape(phi), np.shape(z))
     out = np.zeros((len(halves), 3, *shape))
-    for m in dict.fromkeys(md.index.m for md in state.modes):     # one m-sum live at a time
-        acc = 0.0
-        for md, a in state.entries:
-            if md.index.m == m:
-                pre = (math.sqrt(geom.hbar * md.omega / (2.0 * geom.eps0)),
-                       math.sqrt(geom.hbar / (2.0 * geom.eps0 * md.omega)))
-                both = _u_curl(md, r, z)
-                acc = acc + np.array([pre[h] * a * np.array(both[h]) for h in halves])
-        phase = _phase(m, phi)
-        for i, h in enumerate(halves):
-            for comp in range(3):
-                c = acc[i, comp] * phase        # E = i (c - c*), B = c + c*
-                out[i, comp] += 2.0 * c.real if h else -2.0 * c.imag
+    for idx in _by_abs_m(state.modes):      # one group's m-sums live at a time
+        group = [state.entries[i] for i in idx]
+        acc = {}
+        for (md, a), both in zip(group, _u_curl(tuple(md for md, _ in group), r, z)):
+            pre = (math.sqrt(geom.hbar * md.omega / (2.0 * geom.eps0)),
+                   math.sqrt(geom.hbar / (2.0 * geom.eps0 * md.omega)))
+            term = np.array([pre[h] * a * np.array(both[h]) for h in halves])
+            acc[md.index.m] = acc.get(md.index.m, 0.0) + term
+        for m, sums in acc.items():
+            phase = _phase(m, phi)
+            for i, h in enumerate(halves):
+                for comp in range(3):
+                    c = sums[i, comp] * phase       # E = i (c - c*), B = c + c*
+                    out[i, comp] += 2.0 * c.real if h else -2.0 * c.imag
     return out
 
 
@@ -194,14 +195,14 @@ def project(e_sampler, b_sampler, modes, rule: QuadratureRule) -> np.ndarray:
 
     e_hat, b_hat = fold(e_sampler), fold(b_sampler)
     out = np.empty(len(modes), dtype=complex)
-    for i, (md, k) in enumerate(zip(modes, row_of)):
-        geom = md.geom
-        u, v = _u_curl(md, *rz)
-        ue = np.vdot(np.array(u), e_hat[:, k])
-        vb = np.vdot(np.array(v), b_hat[:, k])
-        term_e = -1j * math.sqrt(2.0 * geom.eps0 / (geom.hbar * md.omega)) * ue
-        term_b = math.sqrt(2.0 * geom.eps0 * md.omega / geom.hbar) / md.k**2 * vb
-        out[i] = 0.5 * (term_e + term_b)
+    for idx in _by_abs_m(modes):
+        for i, (u, v) in zip(idx, _u_curl(tuple(modes[i] for i in idx), *rz)):
+            md, geom = modes[i], modes[i].geom
+            ue = np.vdot(np.array(u), e_hat[:, row_of[i]])
+            vb = np.vdot(np.array(v), b_hat[:, row_of[i]])
+            term_e = -1j * math.sqrt(2.0 * geom.eps0 / (geom.hbar * md.omega)) * ue
+            term_b = math.sqrt(2.0 * geom.eps0 * md.omega / geom.hbar) / md.k**2 * vb
+            out[i] = 0.5 * (term_e + term_b)
     return out
 
 

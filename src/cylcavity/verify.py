@@ -12,7 +12,7 @@ Checks provided:
   (1/2) |c_norm|^2 V alpha delta_{ss'}  (one polarization at a time),
 * the full vector Gram matrix <u_s, u_s'> against the identity,
 * the curl identity <curl u_s, curl u_s'> = k'^2 <u_s, u_s'>, both sides
-  from one six-component Gram (one modefield._u_curl call per mode),
+  from one six-component Gram (one Bessel sweep per |m|),
 * conductor boundary conditions on the walls (vanishing tangential u,
   vanishing normal component of curl u), from the moduli of one evaluation
   on the walls and an interior grid, since |e^{i m phi}| = 1.
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .modefield import _phase, _psi, _u_curl
+from .modefield import _by_abs_m, _phase, _psi, _u_curl
 from .spectrum import CavityGeometry, ModeData
 
 DEFAULT_NR = 64
@@ -129,19 +129,20 @@ def integrate_cavity(f, rule: QuadratureRule) -> complex:
 
 def _gram(modes, rule: QuadratureRule, profile) -> np.ndarray:
     """(component, i, j) stack of sum_nodes w conj(F_i) F_j, F(r, z) e^{i m phi}
-    given by profile(mode, r, z): per component one (r, z) GEMM of sqrt(w) F
-    (the weights are positive), times Phi(m_j - m_i) summed once per distinct
-    difference."""
+    given mode by mode by profile(group, r, z) for each |m| group: per
+    component one (r, z) GEMM of sqrt(w) F (the weights are positive), times
+    Phi(m_j - m_i) summed once per distinct difference."""
     if not modes:
         return np.zeros((0, 0, 0), dtype=complex)
     r, z = rule.r[:, None], rule.z[None, :]
     sqrt_w = np.sqrt(np.outer(rule.wr, rule.wz).reshape(-1))
     planes = None
-    for i, md in enumerate(modes):       # one mode at a time keeps peak memory flat
-        comps = np.reshape(profile(md, r, z), (-1, rule.nr * rule.nz))
-        if planes is None:
-            planes = np.empty((len(comps), len(modes), rule.nr * rule.nz), dtype=complex)
-        planes[:, i] = comps * sqrt_w
+    for idx in _by_abs_m(modes):         # one mode at a time keeps peak memory flat
+        for i, comps in zip(idx, profile(tuple(modes[i] for i in idx), r, z)):
+            comps = np.reshape(comps, (-1, rule.nr * rule.nz))
+            if planes is None:
+                planes = np.empty((len(comps), len(modes), rule.nr * rule.nz), dtype=complex)
+            planes[:, i] = comps * sqrt_w
     gram = np.stack([np.conj(p) @ p.T for p in planes])
     m = np.array([md.index.m for md in modes])
     q = m[None, :] - m[:, None]
@@ -192,7 +193,7 @@ def check_scalar_orthonormality(modes, rule: QuadratureRule) -> GramReport:
     if len(sigmas) > 1:
         raise ValueError("scalar orthogonality holds within one polarization; "
                          "pass modes of a single sigma")
-    gram = _gram(modes, rule, lambda md, r, z: (_psi(md, r, z),)).sum(axis=0)
+    gram = _gram(modes, rule, lambda group, r, z: ((f,) for f in _psi(group, r, z))).sum(axis=0)
     expected = np.array([0.5 * md.c_norm**2 * md.geom.volume * md.alpha for md in modes])
     return GramReport(modes=modes, matrix=gram / np.sqrt(np.outer(expected, expected)))
 
@@ -200,7 +201,7 @@ def check_scalar_orthonormality(modes, rule: QuadratureRule) -> GramReport:
 def check_vector_orthonormality(modes, rule: QuadratureRule) -> GramReport:
     """Full Gram matrix <u_i, u_j>, all polarizations and signs of m."""
     modes = tuple(modes)
-    gram = _gram(modes, rule, lambda md, r, z: _u_curl(md, r, z)[0])
+    gram = _gram(modes, rule, lambda group, r, z: (u for u, _ in _u_curl(group, r, z)))
     return GramReport(modes=modes, matrix=gram.sum(axis=0))
 
 
@@ -252,7 +253,7 @@ def check_curl_identity(
 ) -> CurlIdentityReport:
     """Both matrices from one Gram over the six components of u and curl u."""
     modes = tuple(modes)
-    gram = _gram(modes, rule, lambda md, r, z: sum(_u_curl(md, r, z), ()))
+    gram = _gram(modes, rule, lambda group, r, z: (u + v for u, v in _u_curl(group, r, z)))
     lhs = gram[3:].sum(axis=0)
     rhs = gram[:3].sum(axis=0) * np.array([md.k**2 for md in modes])
     return CurlIdentityReport(modes=modes, lhs=lhs, rhs=rhs, rel_tol=rel_tol, abs_tol=abs_tol)
@@ -320,8 +321,8 @@ def check_boundary(mode: ModeData, samples=None) -> BoundaryReport:
     # evaluation; |e^{i m phi}| = 1, so moduli need no phase
     ri, zi = np.meshgrid(geom.a * (np.arange(24) + 0.5) / 24.0,
                          geom.L * (np.arange(24) + 0.5) / 24.0, indexing="ij")
-    u, v = (np.abs(np.array(f)) for f in _u_curl(
-        mode, np.concatenate([r, ri.ravel()]), np.concatenate([z, zi.ravel()])))
+    u, v = (np.abs(np.array(f)) for f in next(_u_curl(
+        (mode,), np.concatenate([r, ri.ravel()]), np.concatenate([z, zi.ravel()]))))
     n = r.size
     tangential = np.where(on_side, np.hypot(u[1, :n], u[2, :n]), np.hypot(u[0, :n], u[1, :n]))
     normal_curl = np.where(on_side, v[0, :n], v[2, :n])

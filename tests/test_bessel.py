@@ -95,7 +95,8 @@ def _envelope(ref, x):
 @pytest.mark.parametrize("m", [0, 1, 2, 5, 13, 40, 100, -1, -2, -13, -100])
 def test_derivative_against_mpmath_at_branch_thresholds(m):
     # J_{m-1} and J_{m+1} share one sweep, so each may sit on either side
-    # of a series / Miller / Hankel threshold of the other order
+    # of the Miller / Hankel threshold of the other order; x = 5 and
+    # x^2 = 4(m+1) probe the small-argument side of the recurrence
     ma = abs(m)
     centres = (5.0, 2.0 * math.sqrt(ma + 1.0), max(30.0, 0.5 * ma * ma))
     x = np.array([c + d for c in centres for d in (-0.3, 0.0, 0.3)])
@@ -103,6 +104,72 @@ def test_derivative_against_mpmath_at_branch_thresholds(m):
         ref = np.array([float(mpmath.besselj(m, mpmath.mpf(v), derivative=1)) for v in x])
     err = np.abs(bessel_j_prime(m, x) - ref) / _envelope(ref, x)
     assert np.max(err) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [0, 1, -1, 2, 5, 13, 40, 100])
+def test_tiny_and_zero_arguments_against_mpmath(m):
+    # the leading-term rule: no overflow, NaN or stray floating-point
+    # exception down to the smallest subnormal, and x = 0 exact
+    xs = (0.0, 5e-324, 1e-300, 1e-200, 1e-50, 1e-20, 1e-8, 1e-4)
+    with np.errstate(all="raise"):
+        got = bessel_j(m, np.array(xs))
+        alone = [bessel_j(m, x) for x in xs]
+    assert np.array_equal(got, alone)
+    with mpmath.workdps(40):
+        refs = [float(mpmath.besselj(m, mpmath.mpf(x))) for x in xs]
+    for x, num, ref in zip(xs, got, refs):
+        if abs(ref) >= np.finfo(float).tiny:
+            assert abs(num - ref) <= 1e-14 * abs(ref), (m, x, num, ref)
+        else:
+            assert num == 0.0 or num == ref, (m, x, num, ref)
+
+
+def _threshold(m):
+    return max(30.0, 0.5 * m * m)
+
+
+@st.composite
+def _order_and_batch(draw):
+    m = draw(st.integers(min_value=-60, max_value=60))
+    top = _threshold(m)
+    near = st.floats(min_value=top - 2.0, max_value=top + 2.0)
+    x = draw(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.5 * top), near))
+    batch = draw(st.lists(st.one_of(st.floats(min_value=0.0, max_value=1.5 * top), near),
+                          min_size=1, max_size=40))
+    return m, x, [0.0, *batch[: len(batch) // 2], x, *batch[len(batch) // 2:]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_order_and_batch())
+def test_value_does_not_depend_on_the_rest_of_the_call(case):
+    m, x, batch = case
+    i = batch.index(x, 1) if x != 0.0 else 0
+    assert bessel_j(m, np.array(batch))[i] == bessel_j(m, x)
+    assert bessel_j_prime(m, np.array(batch))[i] == bessel_j_prime(m, x)
+
+
+@settings(max_examples=120, deadline=None)
+@given(m=st.integers(min_value=-100, max_value=100),
+       d=st.floats(min_value=-2.0, max_value=2.0))
+def test_against_mpmath_across_hankel_threshold(m, d):
+    x = _threshold(m) + d
+    with mpmath.workdps(40):
+        ref = float(mpmath.besselj(m, mpmath.mpf(x)))
+        dref = float(mpmath.besselj(m, mpmath.mpf(x), derivative=1))
+    assert abs(bessel_j(m, x) - ref) <= 1e-12 * _envelope(ref, x)
+    assert abs(bessel_j_prime(m, x) - dref) <= 1e-12 * _envelope(dref, x)
+
+
+@pytest.mark.parametrize("m", [4, 9, 10, 12, 20, 24])
+def test_zero_tables_within_a_few_ulp_of_mpmath(m):
+    # Newton stops once its step no longer moves x, not by bisecting away
+    # from a zero it has already found
+    with mpmath.workdps(40):
+        for kind, derivative in (("j", 0), ("jprime", 1)):
+            ref = np.array([float(mpmath.besseljzero(m, mu, derivative=derivative))
+                            for mu in range(1, 13)])
+            got = np.asarray(zero_table(m, kind, 12).zeros)
+            assert np.max(np.abs(got - ref) / np.spacing(ref)) <= 3.0, kind
 
 
 def test_zero_tables_against_scipy():
@@ -229,6 +296,7 @@ def test_zero_table_rejects_wrong_zeros():
     lambda: zero_table(0, "j", 0),
     lambda: bessel_j(0, -1.0),
     lambda: bessel_j(0, float("nan")),
+    lambda: zero_table(0, "j", True),
 ])
 def test_invalid_inputs_raise(call):
     with pytest.raises(ValueError):

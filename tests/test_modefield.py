@@ -15,12 +15,14 @@ from cylcavity import (
     CylVector,
     ModeIndex,
     curl_u_grid,
+    enumerate_modes,
     mode_data,
     psi_grid,
     to_cartesian,
     u_grid,
     u_mode,
 )
+from cylcavity.modefield import _by_abs_m, _phase, _u_curl
 from oracles import fd_curl_cyl, fd_div_cyl, fd_grad_cyl
 
 MODES = [
@@ -171,6 +173,27 @@ def test_potential_boundary_values(unit_geom):
     p2 = psi_grid(te, np.array([a - 2.0 * h]), phi, np.array([0.5]))
     dpsi = (3.0 * p0 - 4.0 * p1 + p2) / (2.0 * h)
     assert np.max(np.abs(dpsi)) < 1e-9
+
+
+def test_abs_m_group_equals_single_mode_fields(unit_geom, rng):
+    # one Bessel sweep per |m| must not change a mode's bits: each mode of
+    # the group evaluator equals that mode's own u_grid / curl_u_grid
+    # chi up to 10.8: a group's g r spans several Miller start indices
+    modes = enumerate_modes(unit_geom, 12.0)
+    groups = [tuple(modes[i] for i in idx) for idx in _by_abs_m(modes)]
+    assert any({md.index.m for md in g} == {1, -1} and len({md.index.sigma for md in g}) == 2
+               for g in groups)
+    assert any(md.index.sigma == TM and md.index.n == 0 for md in modes)
+    tensor = (np.linspace(0.0, unit_geom.a, 17)[:, None, None],
+              np.linspace(0.0, 2.0 * math.pi, 5)[None, :, None],
+              np.linspace(0.0, unit_geom.L, 13)[None, None, :])
+    for r, phi, z in (tensor, _interior_points(unit_geom, rng, 40)):
+        for group in groups:
+            for md, fields in zip(group, _u_curl(group, r, z)):
+                phase = _phase(md.index.m, phi)
+                for got, single in zip(fields, (u_grid, curl_u_grid)):
+                    for f, want in zip(got, single(md, r, phi, z)):
+                        assert np.array_equal(f * phase, want)
 
 
 def test_n0_mode_has_no_axial_dependence(unit_geom):
