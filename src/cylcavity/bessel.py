@@ -224,6 +224,7 @@ def _refine(m: int, kind: str, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Vectorized Newton iteration kept inside the brackets."""
     slo = np.sign(_root_funcs(m, kind, lo, with_derivative=False))
     x = 0.5 * (lo + hi)
+    done = np.zeros(x.shape, dtype=bool)
     for _ in range(80):
         f, fp = _root_funcs(m, kind, x, with_derivative=True)
         shrink_hi = np.sign(f) != slo
@@ -232,10 +233,12 @@ def _refine(m: int, kind: str, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.where(fp != 0.0, f / fp, 0.0)
         xn = x - step
-        # converged once Newton stops moving x, even onto a bracket end
-        done = (fp != 0.0) & (np.abs(step) <= 1e-15 * x)
+        # converged once Newton stops moving x, even onto a bracket end; a
+        # converged point stays put, so its zero does not depend on the batch
+        now = (fp != 0.0) & (np.abs(step) <= 1e-15 * x)
         inside = (xn > lo) & (xn < hi)
-        x = np.where(inside | done, xn, 0.5 * (lo + hi))
+        x = np.where(done, x, np.where(inside | now, xn, 0.5 * (lo + hi)))
+        done |= now
         if np.all(done):
             break
     return x
@@ -256,23 +259,24 @@ def _zeros(m: int, kind: str, count: int) -> tuple:
     return _zero_block(m, kind, block)[:count]
 
 
-def _validate_order_index(m: int, mu: int) -> None:
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 0:
-        raise ValueError(f"order m must be a non-negative integer, got {m!r}")
-    if not isinstance(mu, (int, np.integer)) or isinstance(mu, bool) or mu < 1:
-        raise ValueError(f"zero index mu must be a positive integer, got {mu!r}")
+def _as_int(name: str, v, low=None) -> int:
+    """v as a Python int when it is an int or numpy integer >= low; else ValueError."""
+    if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or (low is not None and v < low):
+        what = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}[low]
+        raise ValueError(f"{name} must be {what}, got {v!r}")
+    return int(v)
 
 
 def bessel_zero(m: int, mu: int) -> float:
     """mu-th positive zero of J_m (mu = 1, 2, ...)."""
-    _validate_order_index(m, mu)
-    return _zeros(int(m), _KIND_J, int(mu))[mu - 1]
+    m, mu = _as_int("order m", m, 0), _as_int("zero index mu", mu, 1)
+    return _zeros(m, _KIND_J, mu)[mu - 1]
 
 
 def bessel_prime_zero(m: int, mu: int) -> float:
     """mu-th strictly positive zero of J_m'."""
-    _validate_order_index(m, mu)
-    return _zeros(int(m), _KIND_JPRIME, int(mu))[mu - 1]
+    m, mu = _as_int("order m", m, 0), _as_int("zero index mu", mu, 1)
+    return _zeros(m, _KIND_JPRIME, mu)[mu - 1]
 
 
 @dataclass(frozen=True)
@@ -312,9 +316,7 @@ class BesselZeroTable:
 
 def zero_table(m: int, kind: str, count: int) -> BesselZeroTable:
     """Build the table of the first `count` zeros for one order."""
-    if not isinstance(count, (int, np.integer)) or isinstance(count, bool) or count < 1:
-        raise ValueError(f"count must be a positive integer, got {count!r}")
-    _validate_order_index(m, 1)
+    count, m = _as_int("count", count, 1), _as_int("order m", m, 0)
     if kind not in (_KIND_J, _KIND_JPRIME):
         raise ValueError(f"kind must be 'j' or 'jprime', got {kind!r}")
-    return BesselZeroTable(m=int(m), kind=kind, zeros=_zeros(int(m), kind, int(count)))
+    return BesselZeroTable(m=m, kind=kind, zeros=_zeros(m, kind, count))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import bessel_j, bessel_j_prime, zero_table
+from .bessel import zero_table
 from .spectrum import (
     HBAR,
     SPEED_OF_LIGHT,
@@ -41,16 +41,7 @@ from .spectrum import (
 )
 from .modefield import u_grid
 from .synthesis import _synthesize, evolve, field_samplers, project
-from .verify import (
-    DEFAULT_NR,
-    DEFAULT_NZ,
-    check_boundary,
-    check_curl_identity,
-    check_vector_orthonormality,
-    default_nphi,
-    quadrature_rule,
-    wall_samples,
-)
+from .verify import _SUITES, DEFAULT_NR, DEFAULT_NZ, _run_suites, default_nphi, quadrature_rule
 from .stateio import _fmt, _read_pairs, load_state
 
 _REQUIRED = object()
@@ -99,9 +90,6 @@ def _parse_grid(raw: str) -> tuple:
     if any(s < 1 for s in sizes):
         raise ValueError("grid sizes must be >= 1")
     return sizes
-
-
-_SUITES = ("bessel", "gram", "curl", "boundary")
 
 
 def _parse_suites(raw: str) -> tuple:
@@ -268,96 +256,10 @@ def _cmd_project(values: dict) -> int:
     return 0
 
 
-def _suite_bessel(tol: float) -> dict:
-    max_residual = 0.0
-    interlacing_ok = True
-    count = 8
-    for kind, f in (("j", bessel_j), ("jprime", bessel_j_prime)):
-        prev = None
-        for m in range(0, 9):
-            table = zero_table(m, kind, count)
-            residual = float(np.max(np.abs(f(m, np.asarray(table.zeros)))))
-            max_residual = max(max_residual, residual)
-            # zeros of consecutive orders strictly interlace; the pair
-            # (0, 1) of kind jprime is exempt because x = 0 is not
-            # counted as a zero of J_0'
-            if prev is not None and not (kind == "jprime" and m == 1):
-                interlacing_ok &= bool(np.all(prev < table.zeros))
-                interlacing_ok &= bool(np.all(table.zeros[:-1] < prev[1:]))
-            prev = np.asarray(table.zeros)
-    return {
-        "interlacing_ok": interlacing_ok,
-        "max_residual": max_residual,
-        "orders_checked": 9,
-        "passed": bool(interlacing_ok and max_residual <= tol),
-        "tolerance": tol,
-        "zeros_per_order": count,
-    }
-
-
-def _run_verify(values: dict) -> dict:
-    geom = _geometry(values)
-    modes = enumerate_modes(geom, values["omega_max"])
-    suites = {}
-    if "bessel" in values["suite"]:
-        suites["bessel"] = _suite_bessel(values["bessel_tol"])
-    rule = None
-    if any(s in values["suite"] for s in ("gram", "curl")):
-        nphi = values["nphi"] or default_nphi(modes)
-        rule = quadrature_rule(geom, nr=values["nr"], nphi=nphi, nz=values["nz"])
-    if "gram" in values["suite"]:
-        rep = check_vector_orthonormality(modes, rule)
-        suites["gram"] = {
-            "hermiticity_error": rep.hermiticity_error,
-            "max_diag_deviation": rep.max_diag_deviation,
-            "max_offdiag": rep.max_offdiag,
-            "mode_count": len(modes),
-            "passed": bool(rep.max_deviation <= values["gram_tol"]),
-            "tolerance": values["gram_tol"],
-        }
-    if "curl" in values["suite"]:
-        rep = check_curl_identity(modes, rule, rel_tol=values["curl_rel_tol"],
-                                  abs_tol=values["curl_abs_tol"])
-        suites["curl"] = {
-            "abs_tolerance": values["curl_abs_tol"],
-            "max_absolute_mismatch": rep.max_absolute_mismatch,
-            "max_relative_mismatch": rep.max_relative_mismatch,
-            "mode_count": len(modes),
-            "passed": rep.passed,
-            "rel_tolerance": values["curl_rel_tol"],
-        }
-    if "boundary" in values["suite"]:
-        samples = wall_samples(geom)
-        worst_t = 0.0
-        worst_n = 0.0
-        for md in modes:
-            rep = check_boundary(md, samples)
-            worst_t = max(worst_t, rep.tangential_ratio)
-            worst_n = max(worst_n, rep.normal_curl_ratio)
-        suites["boundary"] = {
-            "max_normal_curl_ratio": worst_n,
-            "max_tangential_ratio": worst_t,
-            "mode_count": len(modes),
-            "passed": bool(worst_t <= values["boundary_tol"] and worst_n <= values["boundary_tol"]),
-            "tolerance": values["boundary_tol"],
-        }
-    return {
-        "geometry": {
-            "hbar": geom.hbar,
-            "height": geom.L,
-            "radius": geom.a,
-            "speed_of_light": geom.c,
-            "vacuum_permittivity": geom.eps0,
-        },
-        "mode_count": len(modes),
-        "omega_max": values["omega_max"],
-        "passed": all(s["passed"] for s in suites.values()),
-        "suites": suites,
-    }
-
-
 def _cmd_verify(values: dict) -> int:
-    report = _run_verify(values)
+    tolerances = {key: v for key, v in values.items() if key.endswith("_tol")}
+    report = _run_suites(_geometry(values), values["omega_max"], values["suite"],
+                         values["nr"], values["nphi"], values["nz"], tolerances)
     sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
     return 0 if report["passed"] else 1
 

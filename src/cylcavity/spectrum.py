@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bessel import _j_orders, bessel_prime_zero, bessel_zero
+from .bessel import _as_int, _j_orders, bessel_prime_zero, bessel_zero
 
 # CODATA 2018 SI values
 SPEED_OF_LIGHT = 299792458.0            # m/s (exact)
@@ -75,9 +75,7 @@ class ModeIndex:
 
     def __post_init__(self) -> None:
         for name in ("m", "mu", "n", "sigma"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ValueError(f"ModeIndex.{name} must be an int, got {v!r}")
+            object.__setattr__(self, name, _as_int(f"ModeIndex.{name}", getattr(self, name)))
         if self.mu < 1:
             raise ValueError(f"mu must be >= 1, got {self.mu}")
         if self.sigma not in (TM, TE):

@@ -6,16 +6,20 @@ the radial weights) and in z, and the uniform rectangle rule in phi,
 which is exact for azimuthal Fourier modes e^{i q phi} with |q| < nphi.
 Weights are positive and sum to the cavity volume pi a^2 L.
 
-Checks provided:
+Checks provided, with the suite of `cylcavity verify` (_run_suites) that
+runs each:
 
 * scalar products of the potentials against the closed form
   (1/2) |c_norm|^2 V alpha delta_{ss'}  (one polarization at a time),
-* the full vector Gram matrix <u_s, u_s'> against the identity,
-* the curl identity <curl u_s, curl u_s'> = k'^2 <u_s, u_s'>, both sides
-  from one six-component Gram (one Bessel sweep per |m|),
-* conductor boundary conditions on the walls (vanishing tangential u,
-  vanishing normal component of curl u), from the moduli of one evaluation
-  on the walls and an interior grid, since |e^{i m phi}| = 1.
+* gram: the full vector Gram matrix <u_s, u_s'> against the identity,
+* curl: the curl identity <curl u_s, curl u_s'> = k'^2 <u_s, u_s'>, both
+  sides from one six-component Gram (one Bessel sweep per |m|), which a
+  verify run shares with gram,
+* boundary: conductor boundary conditions on the walls (vanishing
+  tangential u, vanishing normal component of curl u), from the moduli of
+  one evaluation per |m| group on the walls and an interior grid, since
+  |e^{i m phi}| = 1,
+* bessel: residuals and interlacing of the zero tables of orders 0 to 8.
 
 Pair sums are sum-factorized: every component of psi, u and curl u is
 F(r, z) e^{i m phi} on a tensor-product rule, so the sum over all nodes
@@ -35,8 +39,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bessel import _as_int, bessel_j, bessel_j_prime, zero_table
 from .modefield import _by_abs_m, _phase, _psi, _u_curl
-from .spectrum import CavityGeometry, ModeData
+from .spectrum import CavityGeometry, ModeData, enumerate_modes
 
 DEFAULT_NR = 64
 DEFAULT_NZ = 64
@@ -81,9 +86,7 @@ def quadrature_rule(
     nz: int = DEFAULT_NZ,
 ) -> QuadratureRule:
     """Build the tensor rule; nphi must exceed every azimuthal difference used."""
-    for name, v in (("nr", nr), ("nphi", nphi), ("nz", nz)):
-        if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 1:
-            raise ValueError(f"{name} must be a positive integer, got {v!r}")
+    nr, nphi, nz = (_as_int(name, v, 1) for name, v in (("nr", nr), ("nphi", nphi), ("nz", nz)))
     tr, twr = np.polynomial.legendre.leggauss(nr)
     r = 0.5 * geom.a * (tr + 1.0)
     wr = 0.5 * geom.a * twr * r          # Jacobian folded in
@@ -198,11 +201,16 @@ def check_scalar_orthonormality(modes, rule: QuadratureRule) -> GramReport:
     return GramReport(modes=modes, matrix=gram / np.sqrt(np.outer(expected, expected)))
 
 
+def _u_gram(modes, rule: QuadratureRule, with_curl: bool) -> np.ndarray:
+    """_gram over the three components of u, then with_curl the three of curl u."""
+    return _gram(modes, rule, lambda group, r, z: (
+        u + v if with_curl else u for u, v in _u_curl(group, r, z)))
+
+
 def check_vector_orthonormality(modes, rule: QuadratureRule) -> GramReport:
     """Full Gram matrix <u_i, u_j>, all polarizations and signs of m."""
     modes = tuple(modes)
-    gram = _gram(modes, rule, lambda group, r, z: (u for u, _ in _u_curl(group, r, z)))
-    return GramReport(modes=modes, matrix=gram.sum(axis=0))
+    return GramReport(modes=modes, matrix=_u_gram(modes, rule, with_curl=False).sum(axis=0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,7 +261,11 @@ def check_curl_identity(
 ) -> CurlIdentityReport:
     """Both matrices from one Gram over the six components of u and curl u."""
     modes = tuple(modes)
-    gram = _gram(modes, rule, lambda group, r, z: (u + v for u, v in _u_curl(group, r, z)))
+    return _curl_report(modes, _u_gram(modes, rule, with_curl=True), rel_tol, abs_tol)
+
+
+def _curl_report(modes, gram, rel_tol, abs_tol) -> CurlIdentityReport:
+    """lhs from the curl u rows of a _u_gram with_curl, rhs = k_j^2 times its u rows."""
     lhs = gram[3:].sum(axis=0)
     rhs = gram[:3].sum(axis=0) * np.array([md.k**2 for md in modes])
     return CurlIdentityReport(modes=modes, lhs=lhs, rhs=rhs, rel_tol=rel_tol, abs_tol=abs_tol)
@@ -304,9 +316,15 @@ def wall_samples(geom: CavityGeometry, n_r: int = 9, n_phi: int = 12, n_z: int =
 
 def check_boundary(mode: ModeData, samples=None) -> BoundaryReport:
     """Tangential u and normal curl u on the walls, vs interior maxima."""
-    geom = mode.geom
-    if samples is None:
-        samples = wall_samples(geom)
+    return _walls((mode,), wall_samples(mode.geom) if samples is None else samples)[0]
+
+
+def _walls(modes, samples) -> list:
+    """check_boundary of each of modes (one geometry) on the same samples, from
+    one evaluation per |m| group on the walls and an interior (r, z) grid."""
+    if not modes:
+        return []
+    geom = modes[0].geom
     r, phi, z = (np.asarray(v, dtype=float).ravel() for v in np.broadcast_arrays(*samples))
     if not r.size:
         raise ValueError("no wall samples given")
@@ -321,15 +339,95 @@ def check_boundary(mode: ModeData, samples=None) -> BoundaryReport:
     # evaluation; |e^{i m phi}| = 1, so moduli need no phase
     ri, zi = np.meshgrid(geom.a * (np.arange(24) + 0.5) / 24.0,
                          geom.L * (np.arange(24) + 0.5) / 24.0, indexing="ij")
-    u, v = (np.abs(np.array(f)) for f in next(_u_curl(
-        (mode,), np.concatenate([r, ri.ravel()]), np.concatenate([z, zi.ravel()]))))
+    r_all, z_all = np.concatenate([r, ri.ravel()]), np.concatenate([z, zi.ravel()])
     n = r.size
-    tangential = np.where(on_side, np.hypot(u[1, :n], u[2, :n]), np.hypot(u[0, :n], u[1, :n]))
-    normal_curl = np.where(on_side, v[0, :n], v[2, :n])
-    return BoundaryReport(
-        mode=mode,
-        max_tangential_u=float(np.max(tangential)),
-        max_normal_curl=float(np.max(normal_curl)),
-        interior_max_u=float(np.max(u[:, n:])),
-        interior_max_curl=float(np.max(v[:, n:])),
-    )
+    reports = [None] * len(modes)
+    for idx in _by_abs_m(modes):
+        for i, fg in zip(idx, _u_curl(tuple(modes[i] for i in idx), r_all, z_all)):
+            u, v = (np.abs(np.array(f)) for f in fg)
+            tangential = np.where(on_side, np.hypot(u[1, :n], u[2, :n]), np.hypot(u[0, :n], u[1, :n]))
+            normal_curl = np.where(on_side, v[0, :n], v[2, :n])
+            reports[i] = BoundaryReport(modes[i], *(float(np.max(a)) for a in (
+                tangential, normal_curl, u[:, n:], v[:, n:])))
+    return reports
+
+
+# --------------------------------------------------------------- suites
+
+_SUITES = ("bessel", "gram", "curl", "boundary")
+
+
+def _bessel_suite(tol: float) -> dict:
+    max_residual = 0.0
+    interlacing_ok = True
+    count = 8
+    for kind, f in (("j", bessel_j), ("jprime", bessel_j_prime)):
+        prev = None
+        for m in range(0, 9):
+            table = zero_table(m, kind, count)
+            residual = float(np.max(np.abs(f(m, np.asarray(table.zeros)))))
+            max_residual = max(max_residual, residual)
+            # zeros of consecutive orders strictly interlace; the pair
+            # (0, 1) of kind jprime is exempt because x = 0 is not
+            # counted as a zero of J_0'
+            if prev is not None and not (kind == "jprime" and m == 1):
+                interlacing_ok &= bool(np.all(prev < table.zeros))
+                interlacing_ok &= bool(np.all(table.zeros[:-1] < prev[1:]))
+            prev = np.asarray(table.zeros)
+    return {"interlacing_ok": interlacing_ok, "max_residual": max_residual, "orders_checked": 9,
+            "passed": bool(interlacing_ok and max_residual <= tol), "tolerance": tol,
+            "zeros_per_order": count}
+
+
+def _run_suites(geom: CavityGeometry, omega_max: float, suites, nr: int, nphi: int, nz: int,
+                tolerances: dict) -> dict:
+    """The `cylcavity verify` report: each requested suite of _SUITES on the modes
+    with omega <= omega_max.  nphi = 0 takes default_nphi; tolerances holds
+    gram_tol, curl_rel_tol, curl_abs_tol, boundary_tol and bessel_tol."""
+    modes = tuple(enumerate_modes(geom, omega_max))
+    out = {}
+    if "bessel" in suites:
+        out["bessel"] = _bessel_suite(tolerances["bessel_tol"])
+    if "gram" in suites or "curl" in suites:
+        rule = quadrature_rule(geom, nr=nr, nphi=nphi or default_nphi(modes), nz=nz)
+        gram = _u_gram(modes, rule, with_curl="curl" in suites)
+    if "gram" in suites:
+        rep = GramReport(modes=modes, matrix=gram[:3].sum(axis=0))
+        out["gram"] = {
+            "hermiticity_error": rep.hermiticity_error,
+            "max_diag_deviation": rep.max_diag_deviation,
+            "max_offdiag": rep.max_offdiag,
+            "mode_count": len(modes),
+            "passed": bool(rep.max_deviation <= tolerances["gram_tol"]),
+            "tolerance": tolerances["gram_tol"],
+        }
+    if "curl" in suites:
+        rep = _curl_report(modes, gram, tolerances["curl_rel_tol"], tolerances["curl_abs_tol"])
+        out["curl"] = {
+            "abs_tolerance": rep.abs_tol,
+            "max_absolute_mismatch": rep.max_absolute_mismatch,
+            "max_relative_mismatch": rep.max_relative_mismatch,
+            "mode_count": len(modes),
+            "passed": rep.passed,
+            "rel_tolerance": rep.rel_tol,
+        }
+    if "boundary" in suites:
+        reps = _walls(modes, wall_samples(geom))
+        worst_t = max((rep.tangential_ratio for rep in reps), default=0.0)
+        worst_n = max((rep.normal_curl_ratio for rep in reps), default=0.0)
+        tol = tolerances["boundary_tol"]
+        out["boundary"] = {
+            "max_normal_curl_ratio": worst_n,
+            "max_tangential_ratio": worst_t,
+            "mode_count": len(modes),
+            "passed": bool(worst_t <= tol and worst_n <= tol),
+            "tolerance": tol,
+        }
+    return {
+        "geometry": {"hbar": geom.hbar, "height": geom.L, "radius": geom.a,
+                     "speed_of_light": geom.c, "vacuum_permittivity": geom.eps0},
+        "mode_count": len(modes),
+        "omega_max": omega_max,
+        "passed": all(s["passed"] for s in out.values()),
+        "suites": out,
+    }

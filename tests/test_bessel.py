@@ -44,6 +44,16 @@ def test_j0_prime_zeros_are_j1_zeros_bitwise():
         assert bessel_prime_zero(0, mu) == bessel_zero(1, mu)
 
 
+def test_zero_does_not_depend_on_how_many_were_requested():
+    # bessel_zero refines a block of 8 ceil(mu / 8) zeros, the table one of
+    # 24: each zero must stop on its own step, not on its neighbours'
+    for m in range(41):
+        for kind, zero in (("j", bessel_zero), ("jprime", bessel_prime_zero)):
+            table = zero_table(m, kind, 24)
+            for mu in range(1, 25):
+                assert zero(m, mu) == table[mu], (m, kind, mu)
+
+
 def test_value_at_first_zero_of_j0():
     assert bessel_j(1, J0_ZEROS[0]) == pytest.approx(J1_AT_J0_ZERO_1, rel=1e-13)
 

@@ -4,7 +4,8 @@ in one Bessel sweep per |m|.
 modefield evaluates all modes that share |m| with one bessel._j_orders call
 (J_{|m|-1}, J_{|m|}, J_{|m|+1} on every mode's g r), so counting those calls,
 keyed by |m| and by how many modes each served, pins how often each check,
-synthesizer, projection and stencil sweeps.  Only the walls stay per mode.
+synthesizer, projection and stencil sweeps.  Only the public one-mode
+check_boundary sweeps per mode; a CLI verify run checks the walls per |m|.
 """
 
 from collections import Counter
@@ -28,6 +29,7 @@ from cylcavity import (
     quadrature_rule,
     total_energy,
 )
+from cylcavity.cli import main
 from cylcavity.verify import default_nphi
 
 
@@ -100,3 +102,15 @@ def test_maxwell_residual_evaluates_each_mode_twice(sweeps, state, rng):
     points = (rng.uniform(0.1, 0.8, 8), rng.uniform(0.0, 6.0, 8), rng.uniform(0.1, 1.2, 8))
     maxwell_residual(state, points, 1e-3)
     _per_abs_m(sweeps, state.modes, 2)
+
+
+@pytest.mark.parametrize("suites,per_abs_m", [
+    ("gram,curl,boundary", 2),      # one Gram for both suites, then the walls
+    ("bessel,boundary", 1),         # the zero tables sweep no mode
+])
+def test_cli_verify_sweeps_once_per_abs_m_per_point_set(sweeps, state, capsys, suites, per_abs_m):
+    argv = ["verify", "--radius", "0.9", "--height", "1.3", "--speed-of-light", "1",
+            "--vacuum-permittivity", "1", "--hbar", "1", "--omega-max", "6.5", "--suite", suites]
+    assert main(argv) == 0
+    capsys.readouterr()
+    _per_abs_m(sweeps, state.modes, per_abs_m)

@@ -15,6 +15,8 @@ from cylcavity import (
     bessel_zero,
     enumerate_modes,
     mode_data,
+    quadrature_rule,
+    zero_table,
 )
 
 
@@ -73,6 +75,27 @@ def test_te_n0_rejected(unit_geom):
 def test_bad_indices_rejected(kwargs):
     with pytest.raises(ValueError):
         ModeIndex(**kwargs)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32])
+def test_mode_index_stores_numpy_integers_as_ints(kind):
+    plain = ModeIndex(m=-2, mu=3, n=1, sigma=TE)
+    numpy_int = ModeIndex(m=kind(-2), mu=kind(3), n=kind(1), sigma=kind(TE))
+    assert numpy_int == plain
+    assert hash(numpy_int) == hash(plain)
+    assert all(type(getattr(numpy_int, f)) is int for f in ("m", "mu", "n", "sigma"))
+
+
+def test_integer_entry_points_reject_bools(unit_geom):
+    calls = [lambda f=f: ModeIndex(**{**dict(m=1, mu=1, n=1, sigma=TM), f: True})
+             for f in ("m", "mu", "n", "sigma")]
+    calls += [lambda: bessel_zero(True, 1), lambda: bessel_zero(1, True),
+              lambda: bessel_prime_zero(True, 1), lambda: bessel_prime_zero(1, True),
+              lambda: zero_table(True, "j", 3), lambda: zero_table(1, "j", True),
+              lambda: quadrature_rule(unit_geom, nr=4, nphi=True, nz=4)]
+    for call in calls:
+        with pytest.raises(ValueError, match="must be an? (positive |non-negative )?integer"):
+            call()
 
 
 def test_geometry_validation():

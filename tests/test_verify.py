@@ -26,7 +26,7 @@ from cylcavity import (
     u_grid,
     wall_samples,
 )
-from cylcavity.verify import CurlIdentityReport, default_nphi
+from cylcavity.verify import DEFAULT_NR, DEFAULT_NZ, CurlIdentityReport, _run_suites, _walls, default_nphi
 from oracles import dense_boundary, dense_gram, dense_project
 
 
@@ -279,3 +279,31 @@ def test_boundary_broadcasts_samples_before_flattening(unit_geom, oracle_modes):
         side = check_boundary(md, (unit_geom.a, phi, z))
         full = check_boundary(md, (np.full(phi.shape, unit_geom.a), phi, z))
         assert side == full
+
+
+# --------------------------------------------- a verify run shares its work
+
+def test_walls_equal_one_mode_checks_bitwise(unit_geom, oracle_modes):
+    # one evaluation per |m| group gives each mode the bits it gets alone
+    samples = wall_samples(unit_geom)
+    assert _walls(tuple(oracle_modes), samples) == [check_boundary(md, samples) for md in oracle_modes]
+    assert _walls((), samples) == []
+
+
+def test_run_suites_gram_and_curl_equal_public_checks_bitwise(unit_geom, oracle_modes):
+    tolerances = {"gram_tol": 1e-8, "curl_rel_tol": 1e-8, "curl_abs_tol": 1e-12,
+                  "boundary_tol": 1e-10, "bessel_tol": 1e-12}
+    rule = default_rule(unit_geom, oracle_modes)
+    gram = check_vector_orthonormality(oracle_modes, rule)
+    curl = check_curl_identity(oracle_modes, rule)
+    # gram alone reads a three-component Gram, with curl a six-component one
+    for suites in (("gram",), ("curl",), ("gram", "curl")):
+        got = _run_suites(unit_geom, 6.5, suites, DEFAULT_NR, 0, DEFAULT_NZ, tolerances)["suites"]
+        assert got.keys() == set(suites)
+        if "gram" in got:
+            assert got["gram"]["mode_count"] == len(oracle_modes)
+            for key in ("hermiticity_error", "max_diag_deviation", "max_offdiag"):
+                assert got["gram"][key] == getattr(gram, key), (suites, key)
+        if "curl" in got:
+            for key in ("max_absolute_mismatch", "max_relative_mismatch", "passed"):
+                assert got["curl"][key] == getattr(curl, key), (suites, key)
