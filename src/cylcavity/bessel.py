@@ -158,13 +158,13 @@ def _j_orders(orders: tuple, x) -> list:
 
 def bessel_j(m: int, x):
     """J_m(x) for integer m (any sign) and x >= 0, scalar or ndarray."""
-    out = _j_orders((int(m),), x)[0]
+    out = _j_orders((_as_int("order m", m),), x)[0]
     return float(out) if out.ndim == 0 else out
 
 
 def bessel_j_prime(m: int, x):
     """dJ_m/dx via the recurrence (J_{m-1} - J_{m+1})/2."""
-    m = int(m)
+    m = _as_int("order m", m)
     jm1, jp1 = _j_orders((m - 1, m + 1), x)
     out = 0.5 * (jm1 - jp1)
     return float(out) if out.ndim == 0 else out

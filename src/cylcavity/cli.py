@@ -36,6 +36,7 @@ from .spectrum import (
     VACUUM_PERMITTIVITY,
     CavityGeometry,
     ModeIndex,
+    _modes,
     enumerate_modes,
     mode_data,
 )
@@ -241,7 +242,7 @@ def _cmd_project(values: dict) -> int:
     if (values["modes"] is None) == (values["omega_max"] is None):
         raise UsageError("give exactly one of --modes and --omega-max")
     if values["modes"] is not None:
-        targets = [mode_data(state.geom, ModeIndex(*t)) for t in values["modes"]]
+        targets = _modes(state.geom, [ModeIndex(*t) for t in values["modes"]])
     else:
         targets = enumerate_modes(state.geom, values["omega_max"])
     nphi = values["nphi"] or default_nphi(list(state.modes) + list(targets))

@@ -10,8 +10,9 @@ polarization families, labelled sigma:
 
 Every mode has chi > 0, so there is no TEM branch.  The dispersion is
 
-    g = chi/a,  h = n pi/L,  k^2 = g^2 + h^2,  omega = c k.
+    g = chi/a,  h = n pi/L,  k^2 = g^2 + h^2,  omega = c k;
 
+enumerate_modes cuts off on this omega, the one each ModeData carries.
 alpha is the radial normalization integral 2/a^2 * int_0^a r J_m(gr)^2 dr:
 J_{m+1}(chi)^2 for TM, J_m(chi)^2 - J_{m+1}(chi)^2 for TE.  c_norm is the
 scalar-potential amplitude that makes the vector mode function u carry
@@ -26,6 +27,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .bessel import _as_int, _j_orders, bessel_prime_zero, bessel_zero
 
@@ -101,25 +104,32 @@ class ModeData:
     c_norm: float   # scalar amplitude giving int |u|^2 dV = 1
 
 
+_ZERO_OF = {TM: bessel_zero, TE: bessel_prime_zero}
+
+
+def _modes(geom: CavityGeometry, indices) -> list[ModeData]:
+    """ModeData for each index, in input order, from one Bessel sweep per |m|."""
+    chis = np.array([_ZERO_OF[idx.sigma](abs(idx.m), idx.mu) for idx in indices])
+    abs_m = np.array([abs(idx.m) for idx in indices], dtype=int)
+    js = np.empty((2, len(chis)))   # J_|m|, J_|m|+1 at chi; a point's bits ignore its batch
+    for ma in set(abs_m.tolist()):
+        js[:, abs_m == ma] = _j_orders((ma, ma + 1), chis[abs_m == ma])
+    out = []
+    for idx, chi, jm, jp1 in zip(indices, chis.tolist(), *js.tolist()):
+        # Python floats: numpy's x**2 differs from Python's by 1 ulp for a few modes
+        alpha, scale = (jp1**2, geom.c**2) if idx.sigma == TM else (jm**2 - jp1**2, 1.0)
+        g, h = chi / geom.a, idx.n * math.pi / geom.L
+        k = math.hypot(g, h)
+        omega = geom.c * k
+        c2 = 2.0 * scale * geom.a**2 / (geom.volume * alpha * chi**2 * omega**2)
+        out.append(ModeData(geom=geom, index=idx, chi=chi, g=g, h=h, k=k, omega=omega,
+                            alpha=alpha, c_norm=math.sqrt(c2)))
+    return out
+
+
 def mode_data(geom: CavityGeometry, idx: ModeIndex) -> ModeData:
     """Evaluate dispersion and normalization data for one mode."""
-    ma = abs(idx.m)
-    chi = (bessel_zero if idx.sigma == TM else bessel_prime_zero)(ma, idx.mu)
-    jm, jp1 = (float(v) for v in _j_orders((ma, ma + 1), chi))
-    alpha = jp1**2 if idx.sigma == TM else jm**2 - jp1**2
-    g = chi / geom.a
-    h = idx.n * math.pi / geom.L
-    k = math.hypot(g, h)
-    omega = geom.c * k
-    v = geom.volume
-    if idx.sigma == TM:
-        c2 = 2.0 * geom.c**2 * geom.a**2 / (v * alpha * chi**2 * omega**2)
-    else:
-        c2 = 2.0 * geom.a**2 / (v * alpha * chi**2 * omega**2)
-    return ModeData(
-        geom=geom, index=idx, chi=chi, g=g, h=h, k=k, omega=omega,
-        alpha=alpha, c_norm=math.sqrt(c2),
-    )
+    return _modes(geom, (idx,))[0]
 
 
 def _sort_key(md: ModeData):
@@ -138,31 +148,19 @@ def enumerate_modes(geom: CavityGeometry, omega_max: float) -> list[ModeData]:
     if not (math.isfinite(omega_max) and omega_max >= 0.0):
         raise ValueError(f"omega_max must be finite and >= 0, got {omega_max!r}")
     chi_max = omega_max * geom.a / geom.c
-    zero_of = {TM: bessel_zero, TE: bessel_prime_zero}
-    modes: list[ModeData] = []
+    n_top = math.floor(omega_max * geom.L / (math.pi * geom.c)) + 1   # h <= omega/c
+    candidates = []
     for sigma in (TM, TE):
         m = 0
         # first zeros increase with m, with one exception: x = 0 is not
         # counted as a zero of J_0', so the m = 0 entry of the prime-zero
         # sequence (3.83..) sits above the m = 1 entry (1.84..); m = 0 is
         # therefore always scanned and never used to stop the scan
-        while m == 0 or zero_of[sigma](m, 1) <= chi_max:
+        while m == 0 or _ZERO_OF[sigma](m, 1) <= chi_max:
             mu = 1
-            while True:
-                chi = zero_of[sigma](m, mu)
-                if chi > chi_max:
-                    break
-                g = chi / geom.a
-                n = 0 if sigma == TM else 1
-                while True:
-                    h = n * math.pi / geom.L
-                    omega = geom.c * math.hypot(g, h)
-                    if omega > omega_max:
-                        break
-                    for mm in ((m,) if m == 0 else (m, -m)):
-                        modes.append(mode_data(geom, ModeIndex(mm, mu, n, sigma)))
-                    n += 1
+            while _ZERO_OF[sigma](m, mu) <= chi_max:
+                candidates += [ModeIndex(mm, mu, n, sigma) for mm in ((m,) if m == 0 else (m, -m))
+                               for n in range(0 if sigma == TM else 1, n_top + 1)]
                 mu += 1
             m += 1
-    modes.sort(key=_sort_key)
-    return modes
+    return sorted((md for md in _modes(geom, candidates) if md.omega <= omega_max), key=_sort_key)

@@ -19,7 +19,7 @@ is exact.  Unknown keys are rejected rather than ignored.
 
 from __future__ import annotations
 
-from .spectrum import CavityGeometry, ModeIndex, mode_data
+from .spectrum import CavityGeometry, ModeIndex, _modes
 from .synthesis import FieldState
 
 FORMAT_VERSION = 1
@@ -127,7 +127,7 @@ def loads_state(text: str) -> FieldState:
         eps0=scalar("vacuum_permittivity"),
         hbar=scalar("hbar"),
     )
-    entries = tuple((mode_data(geom, idx), a) for idx, a in raw_modes)
+    entries = tuple(zip(_modes(geom, [idx for idx, _ in raw_modes]), [a for _, a in raw_modes]))
     return FieldState(geom=geom, entries=entries, t=scalar("time"))
 
 

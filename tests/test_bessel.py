@@ -307,7 +307,17 @@ def test_zero_table_rejects_wrong_zeros():
     lambda: bessel_j(0, -1.0),
     lambda: bessel_j(0, float("nan")),
     lambda: zero_table(0, "j", True),
+    lambda: bessel_j(1.5, 2.0),           # J_{3/2}(2) = 0.4913, not J_1(2)
+    lambda: bessel_j_prime(2.7, 1.0),
+    lambda: bessel_j("3", 2.0),
+    lambda: bessel_j(True, 2.0),
 ])
 def test_invalid_inputs_raise(call):
     with pytest.raises(ValueError):
         call()
+
+
+def test_order_accepts_numpy_integers_of_any_sign():
+    for m in (-3, 0, 4):
+        assert bessel_j(np.int64(m), 2.0) == bessel_j(m, 2.0)
+        assert bessel_j_prime(np.int32(m), 2.0) == bessel_j_prime(m, 2.0)

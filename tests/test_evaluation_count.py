@@ -6,6 +6,8 @@ modefield evaluates all modes that share |m| with one bessel._j_orders call
 keyed by |m| and by how many modes each served, pins how often each check,
 synthesizer, projection and stencil sweeps.  Only the public one-mode
 check_boundary sweeps per mode; a CLI verify run checks the walls per |m|.
+The spectrum builds every ModeData the same way: one spectrum._j_orders
+call (J_|m|, J_|m|+1 at every chi) per distinct |m|.
 """
 
 from collections import Counter
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 
 import cylcavity.modefield as modefield
+import cylcavity.spectrum as spectrum
 from cylcavity import (
     TM,
     FieldState,
@@ -21,10 +24,13 @@ from cylcavity import (
     check_curl_identity,
     check_scalar_orthonormality,
     check_vector_orthonormality,
+    dumps_state,
     electric_field_grid,
     enumerate_modes,
+    loads_state,
     magnetic_field_grid,
     maxwell_residual,
+    mode_data,
     project,
     quadrature_rule,
     total_energy,
@@ -43,6 +49,19 @@ def sweeps(monkeypatch):
         return original(orders, x)
 
     monkeypatch.setattr(modefield, "_j_orders", counting)
+    return seen
+
+
+@pytest.fixture
+def spectrum_sweeps(monkeypatch):
+    seen = Counter()
+    original = spectrum._j_orders
+
+    def counting(orders, x):
+        seen[orders[0]] += 1        # |m|
+        return original(orders, x)
+
+    monkeypatch.setattr(spectrum, "_j_orders", counting)
     return seen
 
 
@@ -114,3 +133,25 @@ def test_cli_verify_sweeps_once_per_abs_m_per_point_set(sweeps, state, capsys, s
     assert main(argv) == 0
     capsys.readouterr()
     _per_abs_m(sweeps, state.modes, per_abs_m)
+
+
+def test_spectrum_sweeps_once_per_abs_m(spectrum_sweeps, unit_geom):
+    modes = enumerate_modes(unit_geom, 20.0)
+    assert len(modes) == 878
+    assert spectrum_sweeps == Counter({abs(md.index.m): 1 for md in modes})
+    assert len(spectrum_sweeps) == 16
+    # a batch changes no bit: each mode equals its one-mode mode_data
+    for md in modes:
+        one = mode_data(unit_geom, md.index)
+        assert one.index == md.index
+        for name in ("chi", "g", "h", "k", "omega", "alpha", "c_norm"):
+            assert getattr(one, name).hex() == getattr(md, name).hex(), (md.index, name)
+
+
+def test_loads_state_sweeps_once_per_abs_m(spectrum_sweeps, state):
+    text = dumps_state(state)
+    spectrum_sweeps.clear()
+    back = loads_state(text)
+    assert len(back.modes) == 30
+    assert spectrum_sweeps == Counter({abs(md.index.m): 1 for md in state.modes})
+    assert len(spectrum_sweeps) == 5

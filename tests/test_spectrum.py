@@ -1,5 +1,6 @@
 """Mode indexing, dispersion data, and spectrum enumeration."""
 
+import functools
 import math
 
 import numpy as np
@@ -126,25 +127,48 @@ def test_enumeration_contains_sign_pairs(unit_geom):
         assert (-m, mu, n, sigma) in keys
 
 
-# cutoffs straddle the J' first-zero inversion: chi_max below j'_{1,1},
-# inside (j'_{1,1}, j'_{0,1}) where only m >= 1 prime zeros fit, and above
-@pytest.mark.parametrize("omega_max", [1.5, 2.5, 3.2, 4.0, 7.0])
-def test_enumeration_complete_against_brute_force(unit_geom, omega_max):
-    modes = enumerate_modes(unit_geom, omega_max)
+_UNIT = CavityGeometry(a=0.9, L=1.3, c=1.0, eps0=1.0, hbar=1.0)    # the unit_geom fixture
+_SI = CavityGeometry(a=0.012, L=0.03)                                # the si_geom fixture
+_TALL = CavityGeometry(a=0.3, L=3.0, c=1.0, eps0=1.0, hbar=1.0)
+_FLAT = CavityGeometry(a=1.0, L=0.2, c=1.0, eps0=1.0, hbar=1.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _index_box(geom):
+    """ModeData of every index with |m| <= 12, mu <= 11, n <= 11, one mode at a time."""
+    return tuple(mode_data(geom, ModeIndex(m=m, mu=mu, n=n, sigma=sigma))
+                 for sigma in (TM, TE) for m in range(-12, 13) for mu in range(1, 12)
+                 for n in range(0 if sigma == TM else 1, 12))
+
+
+# unit cavity cutoffs straddle the J' first-zero inversion: chi_max below
+# j'_{1,1}, inside (j'_{1,1}, j'_{0,1}) where only m >= 1 prime zeros fit,
+# and above; the others vary c, a and L so that n reaches its bound
+# omega L/(pi c), and a ModeIndex cutoff sits exactly on that mode's omega
+@pytest.mark.parametrize("geom,cutoff", [
+    *(pytest.param(_UNIT, w, id=str(w)) for w in (1.5, 2.5, 3.2, 4.0, 7.0)),
+    pytest.param(CavityGeometry(a=0.9, L=1.3, c=2.5, eps0=1.0, hbar=1.0), 17.5, id="c2.5"),
+    pytest.param(_FLAT, 16.0, id="flat"),
+    pytest.param(_FLAT, ModeIndex(1, 1, 1, TE), id="flat-at-TE(1,1,1)"),
+    pytest.param(_TALL, 10.0, id="tall"),
+    pytest.param(_TALL, ModeIndex(-1, 1, 9, TE), id="tall-at-TE(-1,1,9)"),
+    pytest.param(_SI, 2.5 * _SI.c / _SI.a, id="si-2.5c/a"),
+    pytest.param(_SI, 7.0 * _SI.c / _SI.a, id="si-7c/a"),
+])
+def test_enumeration_complete_against_brute_force(geom, cutoff):
+    omega_max = mode_data(geom, cutoff).omega if isinstance(cutoff, ModeIndex) else cutoff
+    modes = enumerate_modes(geom, omega_max)
     got = {(md.index.m, md.index.mu, md.index.n, md.index.sigma) for md in modes}
-    # oversized index box; anything outside certainly exceeds the cutoff
-    expect = set()
-    for sigma in (TM, TE):
-        for m in range(-12, 13):
-            for mu in range(1, 12):
-                for n in range(0 if sigma == TM else 1, 12):
-                    try:
-                        md = mode_data(unit_geom, ModeIndex(m=m, mu=mu, n=n, sigma=sigma))
-                    except ValueError:
-                        continue
-                    if md.omega <= omega_max:
-                        expect.add((m, mu, n, sigma))
+    box = _index_box(geom)
+    expect = {(md.index.m, md.index.mu, md.index.n, md.index.sigma)
+              for md in box if md.omega <= omega_max}
     assert got == expect
+    if isinstance(cutoff, ModeIndex):
+        assert (cutoff.m, cutoff.mu, cutoff.n, cutoff.sigma) in got
+    # the box is large enough: every index on its outer faces is above the cutoff
+    edge = [md.omega for md in box
+            if abs(md.index.m) == 12 or md.index.mu == 11 or md.index.n == 11]
+    assert min(edge) > omega_max
 
 
 @pytest.mark.parametrize("k", [5.0, 10.0, 15.0, 20.0])
