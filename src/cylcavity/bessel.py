@@ -34,6 +34,7 @@ from the same table so the two agree to the last bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -265,6 +266,13 @@ def _as_int(name: str, v, low=None) -> int:
         what = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}[low]
         raise ValueError(f"{name} must be {what}, got {v!r}")
     return int(v)
+
+
+def _as_real(name: str, v) -> float:
+    """v as a Python float when it is a real number other than a bool; else ValueError."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {v!r}")
+    return float(v)
 
 
 def bessel_zero(m: int, mu: int) -> float:

@@ -17,14 +17,16 @@ with curl a = k^2 b and curl b = a (psi solves the Helmholtz equation):
 All mode functions are time independent; the harmonic time dependence
 lives entirely in the expansion amplitudes (see synthesis).
 
-Each component is F(r, z) e^{i m phi}: one prologue gives the (r, z)
-factors of psi for all modes that share |m| from one Bessel sweep, two
-builders assemble those of a and b with the scalar 1, k^2 or i omega folded
-in, so one call of _u_curl gives the factors of u and curl u for the group,
-and _phase alone forms e^{i m phi}, here and in verify and synthesis.  The
-only removable singularity is (m/r) J_m(g r) on the axis, which tends to
-g/2 for |m| = 1 (both signs, since J_{-1} = -J_1) and to 0 otherwise;
-radii below 1e-8 a are evaluated with that limit.
+Every row (psi and each cylindrical component of u and of curl u) is
+separable: a constant s times a real radial factor R(r) -- J_m, g J_m',
+(m/r) J_m or g^2 J_m -- times a real axial factor Z(z), c Z or c Z', times
+e^{i m phi}.  _factors gives that (s, R, Z) triple for any set of modes,
+R on the r nodes and Z on the z nodes separately, with one Bessel sweep per
+|m|; every consumer here and in verify and synthesis contracts the
+factors, and _phase alone forms e^{i m phi}.  The only removable
+singularity is (m/r) J_m(g r) on the axis, which tends to g/2 for |m| = 1
+(both signs, since J_{-1} = -J_1) and to 0 otherwise; radii below 1e-8 a
+are evaluated with that limit.
 
 Grid evaluation: the *_grid functions accept numpy arrays for r, phi, z
 and broadcast them, so a tensor grid can be passed as r[:,None,None],
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import _j_orders
+from .bessel import _as_real, _j_orders
 from .spectrum import TE, TM, ModeData
 
 _AXIS_FRACTION = 1e-8       # r/a below which the on-axis limits are used
@@ -58,9 +60,10 @@ class CylPoint:
 
     def __post_init__(self) -> None:
         for name in ("r", "phi", "z"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
+            v = _as_real(f"CylPoint.{name}", getattr(self, name))
+            if not math.isfinite(v):
                 raise ValueError(f"CylPoint.{name} must be finite, got {v!r}")
+            object.__setattr__(self, name, v)
         if self.r < 0.0:
             raise ValueError(f"CylPoint.r must be >= 0, got {self.r}")
         object.__setattr__(self, "phi", self.phi % (2.0 * math.pi))
@@ -101,41 +104,54 @@ def _by_abs_m(modes) -> list:
     return [[i for i, v in enumerate(ms) if v == a] for a in dict.fromkeys(ms)]
 
 
-def _axial(mode: ModeData, z):
-    """c Z(z) and c Z'(z) of one mode."""
-    h, c = mode.h, mode.c_norm
-    if mode.index.sigma == TE:
-        zf, dzf = np.sin(h * z), h * np.cos(h * z)
-    elif mode.index.n == 0:
-        zf, dzf = np.full_like(z, _INV_SQRT2), np.zeros_like(z)
-    else:
-        zf, dzf = np.cos(h * z), -h * np.sin(h * z)
-    return c * zf, c * dzf
+# rows of a factor triple: psi, then the (r, phi, z) components of u and of curl u
+_PSI, _U, _CURL = slice(0, 1), slice(1, 4), slice(4, 7)
+# per row, the radial factor (J_m, g J_m', (m/r) J_m, g^2 J_m) and the axial
+# factor (c Z, c Z') it takes; a row with s = 0 takes any
+_R_ROW = {TM: (0, 1, 2, 3, 2, 1, 0), TE: (0, 2, 1, 0, 1, 2, 3)}
+_Z_ROW = {TM: (0, 1, 1, 0, 0, 0, 0), TE: (0, 0, 0, 0, 1, 1, 0)}
 
 
-def _potential(modes, r, z):
-    """For modes sharing |m|, on a trailing mode axis: g and the (r, z) factors
-    of psi = c J_m(g r) e^{i m phi} Z(z), i.e. J_m(g r), J_m'(g r), (m/r) J_m(g r)
-    with its axis limit, c Z(z), c Z'(z); one Bessel sweep serves them all."""
+def _factors(modes, r, z):
+    """(s, R, Z) of modes: row c of mode j is s[c, j] R[c, ..., j] Z[c, ..., j] e^{i m phi}
+    with s (7, n) complex, R (7, *r.shape, n) and Z (7, *z.shape, n) real; one
+    Bessel sweep per |m| serves every mode and row."""
     for geom in {md.geom for md in modes}:
         _check_domain(geom, r, z)
     ra = np.asarray(r, dtype=float)[..., None]
-    za = np.asarray(z, dtype=float)
-    ma = abs(modes[0].index.m)
-    g = np.array([md.g for md in modes])
-    m = np.array([md.index.m for md in modes])
-    sign = np.where(m < 0, (-1.0) ** ma, 1.0)      # J_{-n} = (-1)^n J_n
-    jm1, jm, jp1 = _j_orders((ma - 1, ma, ma + 1), g * ra)
-    jm, jp = sign * jm, sign * (0.5 * (jm1 - jp1))
-    near_axis = ra < _AXIS_FRACTION * np.array([md.geom.a for md in modes])
-    if np.any(near_axis):
-        limit = 0.5 * g if ma == 1 else 0.0
-        safe_r = np.where(near_axis, 1.0, ra)
-        m_over_r_jm = np.where(near_axis, limit, m * jm / safe_r)
-    else:
-        m_over_r_jm = m * jm / ra if ma != 0 else np.zeros_like(jm)
-    cz, dcz = (np.stack(f, axis=-1) for f in zip(*(_axial(md, za) for md in modes)))
-    return g, jm, jp, m_over_r_jm, cz, dcz
+    za = np.asarray(z, dtype=float)[..., None]
+    m = np.array([md.index.m for md in modes], dtype=int)
+    g, h, k, omega, c = (np.array([getattr(md, f) for md in modes], dtype=float)
+                         for f in ("g", "h", "k", "omega", "c_norm"))
+    te = np.array([md.index.sigma == TE for md in modes])
+
+    radial = np.empty((4, *ra.shape[:-1], len(modes)))
+    for ma in dict.fromkeys(np.abs(m).tolist()):
+        cols = np.abs(m) == ma
+        gc, mc = g[cols], m[cols]
+        sign = np.where(mc < 0, (-1.0) ** ma, 1.0)      # J_{-n} = (-1)^n J_n
+        jm1, jm, jp1 = _j_orders((ma - 1, ma, ma + 1), gc * ra)
+        jm, jp = sign * jm, sign * (0.5 * (jm1 - jp1))
+        near_axis = ra < _AXIS_FRACTION * np.array([md.geom.a for md in modes])[cols]
+        # (m/r) J_m vanishes for m = 0 and takes its limit near the axis
+        m_over_r_jm = np.where(near_axis | (ma == 0), 0.5 * gc if ma == 1 else 0.0,
+                               mc * jm / np.where(near_axis, 1.0, ra))
+        radial[..., cols] = (jm, gc * jp, m_over_r_jm, gc * gc * jm)
+
+    hz = h * za
+    flat = np.array([md.index.sigma == TM and md.index.n == 0 for md in modes])
+    zf = np.where(te, np.sin(hz), np.where(flat, _INV_SQRT2, np.cos(hz)))
+    dzf = np.where(te, h * np.cos(hz), np.where(flat, 0.0, -h * np.sin(hz)))
+    axial = np.stack([c * zf, c * dzf])
+
+    def pick(table, parts):             # row c of mode j is parts[table[sigma_j][c]]
+        return np.array([np.where(te, parts[i_te], parts[i_tm]) for i_tm, i_te in zip(table[TM], table[TE])])
+
+    s = np.array([np.where(te, s_te, s_tm) for s_tm, s_te in zip(
+        (1.0, 1.0, 1j, 1.0, 1j * k * k, -k * k, 0.0),        # u = a, curl u = k^2 b
+        (1.0, -omega, -1j * omega, 0.0, 1j * omega, -omega, 1j * omega))],  # i omega (b, a)
+        dtype=complex)
+    return s, pick(_R_ROW, radial), pick(_Z_ROW, axial)
 
 
 def _phase(m, phi):
@@ -144,55 +160,26 @@ def _phase(m, phi):
     return np.exp(1j * np.multiply.outer(m, np.asarray(phi, dtype=float)))
 
 
-def _a(parts, s):
-    """s (k^2 e_z psi + grad d_z psi) e^{-i m phi} = s (g J_m' cZ', i (m/r) J_m cZ', g^2 J_m cZ)."""
-    g, jm, jp, mjr, cz, dcz = parts
-    return (s * g * jp) * dcz, (1j * s * mjr) * dcz, (s * g * g * jm) * cz
-
-
-def _b(parts, s):
-    """s curl(e_z psi) e^{-i m phi} = s (i (m/r) J_m cZ, -g J_m' cZ, 0)."""
-    g, _, jp, mjr, cz, _ = parts
-    b_r = (1j * s * mjr) * cz
-    return b_r, (-s * g * jp) * cz, np.zeros_like(b_r)
-
-
-def _psi(modes, r, z):
-    """(r, z) factor of psi = _psi e^{i m phi} for each of modes sharing |m|."""
-    _, jm, _, _, cz, _ = _potential(modes, r, z)
-    for i in range(len(modes)):
-        yield jm[..., i] * cz[..., i]
-
-
-def _u_curl(modes, r, z):
-    """(r, z) factors (F, G) of u = F e^{i m phi} and curl u = G e^{i m phi} for
-    each of modes sharing |m|: one prologue serves them all, and only one
-    mode's full-size factors exist at a time."""
-    parts = _potential(modes, r, z)
-    for i, md in enumerate(modes):
-        own = tuple(p[..., i] for p in parts)
-        if md.index.sigma == TM:
-            yield _a(own, 1.0), _b(own, md.k * md.k)
-        else:
-            s = 1j * md.omega
-            yield _b(own, s), _a(own, s)
+def _rows(mode: ModeData, r, phi, z, rows):
+    """s R Z e^{i m phi} of one mode on broadcastable coordinates, for each row of rows."""
+    s, R, Z = _factors((mode,), r, z)
+    phase = _phase(mode.index.m, phi)
+    return tuple(sc * Rc * Zc * phase for sc, Rc, Zc in zip(s[rows, 0], R[rows, ..., 0], Z[rows, ..., 0]))
 
 
 def psi_grid(mode: ModeData, r, phi, z) -> np.ndarray:
     """Scalar potential on broadcastable coordinate arrays."""
-    return next(_psi((mode,), r, z)) * _phase(mode.index.m, phi)
+    return _rows(mode, r, phi, z, _PSI)[0]
 
 
 def u_grid(mode: ModeData, r, phi, z):
     """Vector mode function components (u_r, u_phi, u_z), broadcast."""
-    phase = _phase(mode.index.m, phi)
-    return tuple(f * phase for f in next(_u_curl((mode,), r, z))[0])
+    return _rows(mode, r, phi, z, _U)
 
 
 def curl_u_grid(mode: ModeData, r, phi, z):
     """Curl of the vector mode function, components broadcast."""
-    phase = _phase(mode.index.m, phi)
-    return tuple(f * phase for f in next(_u_curl((mode,), r, z))[1])
+    return _rows(mode, r, phi, z, _CURL)
 
 
 def psi(mode: ModeData, p: CylPoint) -> complex:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import _as_int, _j_orders, bessel_prime_zero, bessel_zero
+from .bessel import _as_int, _as_real, _j_orders, bessel_prime_zero, bessel_zero
 
 # CODATA 2018 SI values
 SPEED_OF_LIGHT = 299792458.0            # m/s (exact)
@@ -53,9 +53,10 @@ class CavityGeometry:
 
     def __post_init__(self) -> None:
         for name in ("a", "L", "c", "eps0", "hbar"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            v = _as_real(f"CavityGeometry.{name}", getattr(self, name))
+            if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"CavityGeometry.{name} must be positive and finite, got {v!r}")
+            object.__setattr__(self, name, v)
 
     @property
     def mu0(self) -> float:

@@ -7,8 +7,9 @@ common time t.  The physical fields are
     B =   sum_s sqrt(hbar / 2 eps0 omega_s) [a_s curl u_s + a_s* curl u_s*]
 
 which are exactly real by construction: each component of u_s and curl u_s
-is F_s(r, z) e^{i m_s phi}, both from one evaluation per |m_s|; the modes
-are summed on (r, z) per m and each m-sum takes its phase once, giving
+is s R_s(r) Z_s(z) e^{i m_s phi} (modefield._factors), all from one
+evaluation per |m_s|; per m and component the modes are contracted as
+(R Z) @ (p a s) on (r, z) and each m-sum takes its phase once, giving
 E = i (c - c*) and B = c + c* of one complex sum c each.  Time evolution
 multiplies each amplitude by e^{-i omega_s dt}; with that rule (E, B)
 satisfies the free-space Maxwell equations, and the classical field energy
@@ -28,6 +29,9 @@ Amplitudes can be recovered from sampled fields: with the inner product
 The two halves each equal a_s plus opposite-sign leakage from the
 conjugate (-m) partner mode, so their mean is exact; the averaging is
 what makes the projection safe for states containing +-m pairs.
+project samples E and B once on the rule grid, folds phi with one
+weighted DFT row per m, and contracts each inner product from the
+factors as sum_c conj(s_c) R_c^T hat_{c, m} Z_c.
 """
 
 from __future__ import annotations
@@ -38,9 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modefield import CylPoint, _by_abs_m, _phase, _u_curl
+from .modefield import _CURL, _U, CylPoint, _by_abs_m, _factors, _phase
 from .spectrum import CavityGeometry, ModeData
-from .verify import QuadratureRule, integrate_cavity
+from .verify import QuadratureRule, _same_geometry, integrate_cavity
 
 
 @dataclass(frozen=True)
@@ -95,29 +99,34 @@ def _derivative_state(state: FieldState) -> FieldState:
 
 def _synthesize(state: FieldState, r, phi, z, fields) -> np.ndarray:
     """Real fields named in `fields` ("E", "B" or "EB"), shaped (field,
-    component, ...), from c = sum_s p_s a_s F_s(r, z) e^{i m_s phi}: E = -2 Im c
-    of u with p = sqrt(hbar omega / 2 eps0), B = 2 Re c of curl u with
-    p = sqrt(hbar / 2 eps0 omega).  One _u_curl call per |m| group gives both;
-    modes are summed on (r, z) per m and each m-sum takes its phase once."""
+    component, ...), from c = sum_s p_s a_s s_s R_s(r) Z_s(z) e^{i m_s phi}:
+    E = -2 Im c of u with p = sqrt(hbar omega / 2 eps0), B = 2 Re c of curl u
+    with p = sqrt(hbar / 2 eps0 omega).  One _factors call per |m| group gives
+    both; each m-sum of a component is one (R Z) @ (p a s) contraction and
+    takes its phase once."""
     geom = state.geom
-    halves = ["EB".index(f) for f in fields]
     shape = np.broadcast_shapes(np.shape(r), np.shape(phi), np.shape(z))
-    out = np.zeros((len(halves), 3, *shape))
-    for idx in _by_abs_m(state.modes):      # one group's m-sums live at a time
-        group = [state.entries[i] for i in idx]
-        acc = {}
-        for (md, a), both in zip(group, _u_curl(tuple(md for md, _ in group), r, z)):
-            pre = (math.sqrt(geom.hbar * md.omega / (2.0 * geom.eps0)),
-                   math.sqrt(geom.hbar / (2.0 * geom.eps0 * md.omega)))
-            term = np.array([pre[h] * a * np.array(both[h]) for h in halves])
-            acc[md.index.m] = acc.get(md.index.m, 0.0) + term
-        for m, sums in acc.items():
-            phase = _phase(m, phi)
-            for i, h in enumerate(halves):
-                for comp in range(3):
-                    c = sums[i, comp] * phase       # E = i (c - c*), B = c + c*
-                    out[i, comp] += 2.0 * c.real if h else -2.0 * c.imag
-    return out
+    r, z = (np.reshape(v, (1,) * (len(shape) - np.ndim(v)) + np.shape(v)) for v in (r, z))
+    rz = np.broadcast_shapes(r.shape, z.shape)
+    is_b = np.repeat(["EB".index(f) for f in fields], 3)    # per output row: E (0) or B (1)
+    rows = 3 * is_b + np.tile([1, 2, 3], len(fields))       # its factor row: u for E, curl u for B
+    omega = np.array([md.omega for md in state.modes])
+    pre = state.amplitudes * np.array([np.sqrt(geom.hbar * omega / (2.0 * geom.eps0)),
+                                        np.sqrt(geom.hbar / (2.0 * geom.eps0 * omega))])[is_b]
+    out = np.zeros((len(rows), *shape))
+    for idx in _by_abs_m(state.modes):      # one group's factors live at a time
+        group = tuple(state.modes[i] for i in idx)
+        m, (s, R, Z) = np.array([md.index.m for md in group]), _factors(group, r, z)
+        coef = s[rows] * pre[:, idx]
+        for mv in dict.fromkeys(m.tolist()):
+            at = m == mv
+            rzf = (R[rows][..., at] * Z[rows][..., at]).reshape(len(rows), -1, np.count_nonzero(at))
+            re_im = rzf @ np.stack([coef.real[:, at], coef.imag[:, at]], axis=-1)
+            phase = _phase(mv, phi)
+            for k, sums in enumerate((re_im[..., 0] + 1j * re_im[..., 1]).reshape(len(rows), *rz)):
+                c = sums * phase        # one full-size component at a time; E = i (c - c*), B = c + c*
+                out[k] += 2.0 * c.real if is_b[k] else -2.0 * c.imag
+    return out.reshape(len(fields), 3, *shape)
 
 
 def electric_field_grid(state: FieldState, r, phi, z):
@@ -154,6 +163,7 @@ def field_samplers(state: FieldState):
 def total_energy(state: FieldState, rule: QuadratureRule) -> float:
     """Classical field energy by quadrature; equals sum hbar omega |a|^2."""
     geom = state.geom
+    _same_geometry(state.modes, rule)
     e, b = _synthesize(state, *rule.grid(), "EB")
     dens = 0.5 * geom.eps0 * sum(c * c for c in e) + 0.5 / geom.mu0 * sum(c * c for c in b)
     return float(integrate_cavity(lambda *_: dens, rule).real)
@@ -176,6 +186,7 @@ def project(e_sampler, b_sampler, modes, rule: QuadratureRule) -> np.ndarray:
     Raises ValueError when two modes' m differ by a nonzero multiple of
     nphi: the phi rule cannot tell them apart."""
     modes = tuple(modes)
+    _same_geometry(modes, rule)
     first = {}
     for md in modes:
         other = first.setdefault(md.index.m % rule.nphi, md).index
@@ -187,23 +198,22 @@ def project(e_sampler, b_sampler, modes, rule: QuadratureRule) -> np.ndarray:
     m_vals, row_of = np.unique([md.index.m for md in modes], return_inverse=True)
     dft = rule.wphi * np.conj(_phase(m_vals, rule.phi))
     w = np.outer(rule.wr, rule.wz)
-    rz = rule.r[:, None], rule.z[None, :]
 
     def fold(sampler):          # (component, m, r, z), weights included
         return np.array([np.einsum("mp,rpz->mrz", dft, np.broadcast_to(np.asarray(c), shape)) * w
                          for c in sampler(r, phi, z)])
 
-    e_hat, b_hat = fold(e_sampler), fold(b_sampler)
-    out = np.empty(len(modes), dtype=complex)
-    for idx in _by_abs_m(modes):
-        for i, (u, v) in zip(idx, _u_curl(tuple(modes[i] for i in idx), *rz)):
-            md, geom = modes[i], modes[i].geom
-            ue = np.vdot(np.array(u), e_hat[:, row_of[i]])
-            vb = np.vdot(np.array(v), b_hat[:, row_of[i]])
-            term_e = -1j * math.sqrt(2.0 * geom.eps0 / (geom.hbar * md.omega)) * ue
-            term_b = math.sqrt(2.0 * geom.eps0 * md.omega / geom.hbar) / md.k**2 * vb
-            out[i] = 0.5 * (term_e + term_b)
-    return out
+    # <u_i, E> and <curl u_i, B>: sum_c conj(s_ci) R_ci^T hat_{c, m_i} Z_ci
+    s, R, Z = _factors(modes, rule.r, rule.z)
+    inner = np.empty((2, len(modes)), dtype=complex)
+    for half, (hat, rows) in enumerate(((fold(e_sampler), _U), (fold(b_sampler), _CURL))):
+        for row in range(len(m_vals)):
+            at = row_of == row
+            rz = np.sum(R[rows][..., at] * (hat[:, row] @ Z[rows][..., at]), axis=1)
+            inner[half, at] = np.sum(np.conj(s[rows][:, at]) * rz, axis=0)
+    geom, omega, k = rule.geom, np.array([md.omega for md in modes]), np.array([md.k for md in modes])
+    return 0.5 * (-1j * np.sqrt(2.0 * geom.eps0 / (geom.hbar * omega)) * inner[0]
+                  + np.sqrt(2.0 * geom.eps0 * omega / geom.hbar) / k**2 * inner[1])
 
 
 # ------------------------------------------------- Maxwell residuals (FD)

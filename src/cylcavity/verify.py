@@ -13,20 +13,22 @@ runs each:
   (1/2) |c_norm|^2 V alpha delta_{ss'}  (one polarization at a time),
 * gram: the full vector Gram matrix <u_s, u_s'> against the identity,
 * curl: the curl identity <curl u_s, curl u_s'> = k'^2 <u_s, u_s'>, both
-  sides from one six-component Gram (one Bessel sweep per |m|), which a
-  verify run shares with gram,
+  sides from one evaluation of the factors (one Bessel sweep per |m|),
+  which a verify run shares with gram,
 * boundary: conductor boundary conditions on the walls (vanishing
-  tangential u, vanishing normal component of curl u), from the moduli of
-  one evaluation per |m| group on the walls and an interior grid, since
-  |e^{i m phi}| = 1,
+  tangential u, vanishing normal component of curl u), from the moduli
+  |s| |R| |Z| of one evaluation per |m| group on the walls and on interior
+  radii and heights, since |e^{i m phi}| = 1,
 * bessel: residuals and interlacing of the zero tables of orders 0 to 8.
 
 Pair sums are sum-factorized: every component of psi, u and curl u is
-F(r, z) e^{i m phi} on a tensor-product rule, so the sum over all nodes
-is an (r, z) GEMM times Phi(m_j - m_i), Phi(q) = sum_phi w_phi e^{i q phi}.
-Phi is still summed numerically over the rule's own phi nodes, so an
-under-resolved rule shows as it would in the full 3-D sum.  The dense
-per-pair sum is the reference in tests/oracles.py.
+s R(r) Z(z) e^{i m phi} (modefield._factors) on a tensor-product rule, so
+the sum over all nodes is, per component, conj(s_i) s_j times two real
+1-D Grams, [sum_r w_r R_i R_j] [sum_z w_z Z_i Z_j], times
+Phi(m_j - m_i), Phi(q) = sum_phi w_phi e^{i q phi}.  Every factor is
+still summed numerically over the rule's own nodes, so an under-resolved
+rule shows as it would in the full 3-D sum.  The dense per-pair sum and
+an (r, z)-plane GEMM are the references in tests/oracles.py.
 
 All reports are deterministic: fixed node sets and a fixed summation
 order, so identical inputs give identical bytes.
@@ -40,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bessel import _as_int, bessel_j, bessel_j_prime, zero_table
-from .modefield import _by_abs_m, _phase, _psi, _u_curl
+from .modefield import _CURL, _PSI, _U, _by_abs_m, _factors, _phase
 from .spectrum import CavityGeometry, ModeData, enumerate_modes
 
 DEFAULT_NR = 64
@@ -130,27 +132,28 @@ def integrate_cavity(f, rule: QuadratureRule) -> complex:
     return complex(np.einsum("i,j,k,ijk->", rule.wr, rule.wphi, rule.wz, vals))
 
 
-def _gram(modes, rule: QuadratureRule, profile) -> np.ndarray:
-    """(component, i, j) stack of sum_nodes w conj(F_i) F_j, F(r, z) e^{i m phi}
-    given mode by mode by profile(group, r, z) for each |m| group: per
-    component one (r, z) GEMM of sqrt(w) F (the weights are positive), times
-    Phi(m_j - m_i) summed once per distinct difference."""
-    if not modes:
-        return np.zeros((0, 0, 0), dtype=complex)
-    r, z = rule.r[:, None], rule.z[None, :]
-    sqrt_w = np.sqrt(np.outer(rule.wr, rule.wz).reshape(-1))
-    planes = None
-    for idx in _by_abs_m(modes):         # one mode at a time keeps peak memory flat
-        for i, comps in zip(idx, profile(tuple(modes[i] for i in idx), r, z)):
-            comps = np.reshape(comps, (-1, rule.nr * rule.nz))
-            if planes is None:
-                planes = np.empty((len(comps), len(modes), rule.nr * rule.nz), dtype=complex)
-            planes[:, i] = comps * sqrt_w
-    gram = np.stack([np.conj(p) @ p.T for p in planes])
-    m = np.array([md.index.m for md in modes])
+def _same_geometry(modes, rule: QuadratureRule) -> None:
+    """Raise ValueError naming the first of modes whose geometry is not the rule's."""
+    for md in modes:
+        if md.geom != rule.geom:
+            raise ValueError(f"mode {md.index} belongs to {md.geom}, the quadrature rule to {rule.geom}")
+
+
+def _gram(modes, rule: QuadratureRule, *row_sets) -> list:
+    """For each slice of factor rows in row_sets, the n x n matrix summed over
+    the nodes of w conj(row_i) row_j and over the rows: per row c,
+    conj(s_ci) s_cj [sum_r w_r R_ci R_cj] [sum_z w_z Z_ci Z_cj] (two real GEMMs,
+    the weights are positive), times Phi(m_j - m_i) summed once per distinct
+    difference."""
+    _same_geometry(modes, rule)
+    s, R, Z = _factors(modes, rule.r, rule.z)
+    R, Z = R * np.sqrt(rule.wr)[:, None], Z * np.sqrt(rule.wz)[:, None]
+    m = np.array([md.index.m for md in modes], dtype=int)
     q = m[None, :] - m[:, None]
-    qs = np.arange(q.min(), q.max() + 1)
-    return gram * (_phase(qs, rule.phi) @ rule.wphi)[q - qs[0]]
+    qs = np.arange(q.min(initial=0), q.max(initial=0) + 1)
+    phi_sum = (_phase(qs, rule.phi) @ rule.wphi)[q - qs[0]]
+    return [sum(np.outer(np.conj(s[c]), s[c]) * (R[c].T @ R[c]) * (Z[c].T @ Z[c])
+                for c in range(7)[rows]) * phi_sum for rows in row_sets]
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,21 +199,15 @@ def check_scalar_orthonormality(modes, rule: QuadratureRule) -> GramReport:
     if len(sigmas) > 1:
         raise ValueError("scalar orthogonality holds within one polarization; "
                          "pass modes of a single sigma")
-    gram = _gram(modes, rule, lambda group, r, z: ((f,) for f in _psi(group, r, z))).sum(axis=0)
+    (gram,) = _gram(modes, rule, _PSI)
     expected = np.array([0.5 * md.c_norm**2 * md.geom.volume * md.alpha for md in modes])
     return GramReport(modes=modes, matrix=gram / np.sqrt(np.outer(expected, expected)))
-
-
-def _u_gram(modes, rule: QuadratureRule, with_curl: bool) -> np.ndarray:
-    """_gram over the three components of u, then with_curl the three of curl u."""
-    return _gram(modes, rule, lambda group, r, z: (
-        u + v if with_curl else u for u, v in _u_curl(group, r, z)))
 
 
 def check_vector_orthonormality(modes, rule: QuadratureRule) -> GramReport:
     """Full Gram matrix <u_i, u_j>, all polarizations and signs of m."""
     modes = tuple(modes)
-    return GramReport(modes=modes, matrix=_u_gram(modes, rule, with_curl=False).sum(axis=0))
+    return GramReport(modes=modes, matrix=_gram(modes, rule, _U)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,16 +256,15 @@ def check_curl_identity(
     rel_tol: float = 1e-8,
     abs_tol: float = 1e-12,
 ) -> CurlIdentityReport:
-    """Both matrices from one Gram over the six components of u and curl u."""
+    """Both matrices from one evaluation of the factors of u and curl u."""
     modes = tuple(modes)
-    return _curl_report(modes, _u_gram(modes, rule, with_curl=True), rel_tol, abs_tol)
+    return _curl_report(modes, *_gram(modes, rule, _U, _CURL), rel_tol, abs_tol)
 
 
-def _curl_report(modes, gram, rel_tol, abs_tol) -> CurlIdentityReport:
-    """lhs from the curl u rows of a _u_gram with_curl, rhs = k_j^2 times its u rows."""
-    lhs = gram[3:].sum(axis=0)
-    rhs = gram[:3].sum(axis=0) * np.array([md.k**2 for md in modes])
-    return CurlIdentityReport(modes=modes, lhs=lhs, rhs=rhs, rel_tol=rel_tol, abs_tol=abs_tol)
+def _curl_report(modes, u_gram, curl_gram, rel_tol, abs_tol) -> CurlIdentityReport:
+    """lhs = the Gram of curl u, rhs = k_j^2 times the Gram of u."""
+    rhs = u_gram * np.array([md.k**2 for md in modes])
+    return CurlIdentityReport(modes=modes, lhs=curl_gram, rhs=rhs, rel_tol=rel_tol, abs_tol=abs_tol)
 
 
 # ------------------------------------------------------------- boundary
@@ -294,23 +290,15 @@ class BoundaryReport:
 
 def wall_samples(geom: CavityGeometry, n_r: int = 9, n_phi: int = 12, n_z: int = 9):
     """Deterministic sample points covering the three conducting walls."""
+    n_r, n_phi, n_z = (_as_int(name, v, 1) for name, v in (("n_r", n_r), ("n_phi", n_phi), ("n_z", n_z)))
     rs = np.linspace(0.0, geom.a, n_r)
     phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
     zs = np.linspace(0.0, geom.L, n_z)
     side_phi, side_z = np.meshgrid(phis, zs, indexing="ij")
     cap_r, cap_phi = np.meshgrid(rs, phis, indexing="ij")
-    r = np.concatenate([
-        np.full(side_phi.size, geom.a),
-        cap_r.ravel(), cap_r.ravel(),
-    ])
-    phi = np.concatenate([
-        side_phi.ravel(),
-        cap_phi.ravel(), cap_phi.ravel(),
-    ])
-    z = np.concatenate([
-        side_z.ravel(),
-        np.zeros(cap_r.size), np.full(cap_r.size, geom.L),
-    ])
+    r = np.concatenate([np.full(side_phi.size, geom.a), cap_r.ravel(), cap_r.ravel()])
+    phi = np.concatenate([side_phi.ravel(), cap_phi.ravel(), cap_phi.ravel()])
+    z = np.concatenate([side_z.ravel(), np.zeros(cap_r.size), np.full(cap_r.size, geom.L)])
     return r, phi, z
 
 
@@ -321,7 +309,7 @@ def check_boundary(mode: ModeData, samples=None) -> BoundaryReport:
 
 def _walls(modes, samples) -> list:
     """check_boundary of each of modes (one geometry) on the same samples, from
-    one evaluation per |m| group on the walls and an interior (r, z) grid."""
+    one evaluation per |m| group on the walls and on interior radii and heights."""
     if not modes:
         return []
     geom = modes[0].geom
@@ -335,20 +323,22 @@ def _walls(modes, samples) -> list:
         i = int(np.nonzero(off_wall)[0][0])
         raise ValueError(f"sample {i} (r={r[i]}, phi={phi[i]}, z={z[i]}) is not on a wall")
 
-    # the wall samples, then a (r, z) grid strictly inside the walls, in one
-    # evaluation; |e^{i m phi}| = 1, so moduli need no phase
-    ri, zi = np.meshgrid(geom.a * (np.arange(24) + 0.5) / 24.0,
-                         geom.L * (np.arange(24) + 0.5) / 24.0, indexing="ij")
-    r_all, z_all = np.concatenate([r, ri.ravel()]), np.concatenate([z, zi.ravel()])
+    # the wall samples, then 24 radii and 24 heights strictly inside the walls,
+    # in one evaluation; the moduli are |s| |R| |Z| since |e^{i m phi}| = 1, so
+    # the interior maxima over the 24 x 24 grid are |s| max|R| max|Z|
+    cells = (np.arange(24) + 0.5) / 24.0
+    r_all, z_all = np.concatenate([r, geom.a * cells]), np.concatenate([z, geom.L * cells])
     n = r.size
     reports = [None] * len(modes)
     for idx in _by_abs_m(modes):
-        for i, fg in zip(idx, _u_curl(tuple(modes[i] for i in idx), r_all, z_all)):
-            u, v = (np.abs(np.array(f)) for f in fg)
-            tangential = np.where(on_side, np.hypot(u[1, :n], u[2, :n]), np.hypot(u[0, :n], u[1, :n]))
-            normal_curl = np.where(on_side, v[0, :n], v[2, :n])
-            reports[i] = BoundaryReport(modes[i], *(float(np.max(a)) for a in (
-                tangential, normal_curl, u[:, n:], v[:, n:])))
+        s, R, Z = (np.abs(f) for f in _factors(tuple(modes[i] for i in idx), r_all, z_all))
+        wall = s[:, None] * R[:, :n] * Z[:, :n]
+        inner = s * np.max(R[:, n:], axis=1) * np.max(Z[:, n:], axis=1)
+        tangential = np.where(on_side[:, None], np.hypot(wall[2], wall[3]), np.hypot(wall[1], wall[2]))
+        normal_curl = np.where(on_side[:, None], wall[4], wall[6])
+        for j, i in enumerate(idx):
+            reports[i] = BoundaryReport(modes[i], *(float(np.max(v[..., j])) for v in (
+                tangential, normal_curl, inner[_U], inner[_CURL])))
     return reports
 
 
@@ -390,9 +380,9 @@ def _run_suites(geom: CavityGeometry, omega_max: float, suites, nr: int, nphi: i
         out["bessel"] = _bessel_suite(tolerances["bessel_tol"])
     if "gram" in suites or "curl" in suites:
         rule = quadrature_rule(geom, nr=nr, nphi=nphi or default_nphi(modes), nz=nz)
-        gram = _u_gram(modes, rule, with_curl="curl" in suites)
+        grams = _gram(modes, rule, _U, _CURL) if "curl" in suites else _gram(modes, rule, _U)
     if "gram" in suites:
-        rep = GramReport(modes=modes, matrix=gram[:3].sum(axis=0))
+        rep = GramReport(modes=modes, matrix=grams[0])
         out["gram"] = {
             "hermiticity_error": rep.hermiticity_error,
             "max_diag_deviation": rep.max_diag_deviation,
@@ -402,7 +392,7 @@ def _run_suites(geom: CavityGeometry, omega_max: float, suites, nr: int, nphi: i
             "tolerance": tolerances["gram_tol"],
         }
     if "curl" in suites:
-        rep = _curl_report(modes, gram, tolerances["curl_rel_tol"], tolerances["curl_abs_tol"])
+        rep = _curl_report(modes, *grams, tolerances["curl_rel_tol"], tolerances["curl_abs_tol"])
         out["curl"] = {
             "abs_tolerance": rep.abs_tol,
             "max_absolute_mismatch": rep.max_absolute_mismatch,

@@ -3,7 +3,8 @@
 Deliberately avoids the production root finder and field formulas:
 zeros come from sign scanning plus pure bisection, derivatives from
 central differences, and cavity inner products from a dense sum over
-every node of the 3-D rule, pair by pair, fields from a per-mode sum over
+every node of the 3-D rule, pair by pair (or, for sizes the 3-D sum cannot
+reach, one GEMM over the (r, z) planes), fields from a per-mode sum over
 every point, and wall checks from the full phased mode functions.  Slow
 and simple on purpose.
 """
@@ -116,6 +117,19 @@ def dense_gram(modes, rule, evaluator):
         for j in range(n):
             gram[i, j] = _pair_sum(weighted[j], plain[i])
     return gram
+
+
+def rz_gram(modes, rule, evaluator):
+    """G_ij from full (r, z) planes: evaluator(md, r, phi, z) at phi = 0 on the
+    rule's (r, z) nodes, weighted by sqrt(w_r w_z), one complex GEMM over every
+    node and component, times Phi(m_j - m_i) = sum_phi w_phi e^{i (m_j - m_i) phi}."""
+    r, z = rule.r[:, None], rule.z[None, :]
+    sqrt_w = np.sqrt(np.outer(rule.wr, rule.wz))
+    planes = np.array([np.concatenate([(np.broadcast_to(c, sqrt_w.shape) * sqrt_w).ravel()
+                                       for c in evaluator(md, r, 0.0, z)]) for md in modes])
+    m = np.array([md.index.m for md in modes])
+    phi_sum = np.exp(1j * (m[None, :, None] - m[:, None, None]) * rule.phi) @ rule.wphi
+    return (np.conj(planes) @ planes.T) * phi_sum
 
 
 def dense_project(e_sampler, b_sampler, modes, rule):

@@ -22,7 +22,7 @@ from cylcavity import (
     u_grid,
     u_mode,
 )
-from cylcavity.modefield import _by_abs_m, _phase, _u_curl
+from cylcavity.modefield import _CURL, _U, _by_abs_m, _factors, _phase
 from oracles import fd_curl_cyl, fd_div_cyl, fd_grad_cyl
 
 MODES = [
@@ -189,11 +189,13 @@ def test_abs_m_group_equals_single_mode_fields(unit_geom, rng):
               np.linspace(0.0, unit_geom.L, 13)[None, None, :])
     for r, phi, z in (tensor, _interior_points(unit_geom, rng, 40)):
         for group in groups:
-            for md, fields in zip(group, _u_curl(group, r, z)):
+            s, R, Z = _factors(group, r, z)
+            for j, md in enumerate(group):
                 phase = _phase(md.index.m, phi)
-                for got, single in zip(fields, (u_grid, curl_u_grid)):
+                for rows, single in ((_U, u_grid), (_CURL, curl_u_grid)):
+                    got = [sc * Rc * Zc * phase for sc, Rc, Zc in zip(s[rows, j], R[rows, ..., j], Z[rows, ..., j])]
                     for f, want in zip(got, single(md, r, phi, z)):
-                        assert np.array_equal(f * phase, want)
+                        assert np.array_equal(f, want)
 
 
 def test_n0_mode_has_no_axial_dependence(unit_geom):
@@ -217,6 +219,16 @@ def test_cyl_point_validation():
         CylPoint(r=-0.1, phi=0.0, z=0.0)
     p = CylPoint(r=0.2, phi=2.0 * math.pi + 0.3, z=0.1)
     assert p.phi == pytest.approx(0.3, abs=1e-12)
+
+
+def test_cyl_point_stores_numpy_reals_as_floats_and_rejects_bools():
+    p = CylPoint(r=np.float32(0.5), phi=np.float64(1.0), z=np.int64(1))
+    assert (p.r, p.phi, p.z) == (0.5, 1.0, 1.0)
+    assert all(type(v) is float for v in (p.r, p.phi, p.z))
+    for name in ("r", "phi", "z"):
+        for bad in (True, np.False_, "0.5"):
+            with pytest.raises(ValueError, match=f"CylPoint.{name} must be a real number"):
+                CylPoint(**{"r": 0.5, "phi": 0.0, "z": 0.5, name: bad})
 
 
 def test_point_api_matches_grid(unit_geom):

@@ -25,3 +25,6 @@ def test_quadrature_convergence(capsys):
     rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
     assert [int(row[0]) for row in rows] == [4, 8, 12, 16, 24, 32, 48]
     assert float(rows[-1][1]) < 1e-12
+    # nr only and nz only: at order 48 both are the full 48 x 48 rule
+    assert rows[-1][3] == rows[-1][4] == rows[-1][1]
+    assert all(len(row) == 5 for row in rows)

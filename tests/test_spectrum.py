@@ -108,6 +108,19 @@ def test_geometry_validation():
         CavityGeometry(a=1.0, L=1.0, c=float("inf"))
 
 
+def test_geometry_stores_numpy_reals_as_floats_and_rejects_bools():
+    geom = CavityGeometry(a=np.float32(0.9), L=np.float64(1.3), c=np.int64(2), eps0=1, hbar=1.0)
+    assert (geom.a, geom.L, geom.c, geom.eps0) == (float(np.float32(0.9)), 1.3, 2.0, 1.0)
+    assert all(type(getattr(geom, f)) is float for f in ("a", "L", "c", "eps0", "hbar"))
+    assert geom == CavityGeometry(a=float(np.float32(0.9)), L=1.3, c=2.0, eps0=1.0, hbar=1.0)
+    with pytest.raises(ValueError, match=r"CavityGeometry.a must be positive and finite, got -0.5"):
+        CavityGeometry(a=np.float32(-0.5), L=1.0)
+    for name in ("a", "L", "c", "eps0", "hbar"):
+        for bad in (True, np.True_, "1.0", 1j):
+            with pytest.raises(ValueError, match=f"CavityGeometry.{name} must be a real number"):
+                CavityGeometry(**{"a": 1.0, "L": 1.0, name: bad})
+
+
 def test_enumeration_cutoff_and_order(unit_geom):
     modes = enumerate_modes(unit_geom, 6.5)
     assert len(modes) == 30

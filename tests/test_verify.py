@@ -1,6 +1,7 @@
 """Quadrature rule and the certification checks built on it."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from cylcavity import (
     TE,
     TM,
+    CavityGeometry,
     FieldState,
     ModeIndex,
     check_boundary,
@@ -23,11 +25,12 @@ from cylcavity import (
     project,
     psi_grid,
     quadrature_rule,
+    total_energy,
     u_grid,
     wall_samples,
 )
 from cylcavity.verify import DEFAULT_NR, DEFAULT_NZ, CurlIdentityReport, _run_suites, _walls, default_nphi
-from oracles import dense_boundary, dense_gram, dense_project
+from oracles import dense_boundary, dense_gram, dense_project, rz_gram
 
 
 def test_weights_sum_to_volume(unit_geom):
@@ -178,6 +181,36 @@ def test_quadrature_rule_counts_are_integers_not_bools(unit_geom, name):
             quadrature_rule(unit_geom, **{**sizes, name: bad})
 
 
+@pytest.mark.parametrize("name,default", [("n_r", 9), ("n_phi", 12), ("n_z", 9)])
+def test_wall_sample_counts_are_integers_not_bools(unit_geom, name, default):
+    numpy_int = wall_samples(unit_geom, **{name: np.int32(default)})
+    for got, want in zip(numpy_int, wall_samples(unit_geom)):
+        assert np.array_equal(got, want)
+    for bad in (2.5, 12.0, True, False, 0, -3):
+        with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+            wall_samples(unit_geom, **{name: bad})
+
+
+def test_rule_of_another_geometry_is_rejected(unit_geom):
+    # at a = 1.0, L = 1.5 the unit_geom rule still lies inside the cavity, so
+    # a missing check returns plausible wrong numbers instead of failing
+    other = CavityGeometry(a=1.0, L=1.5, c=1.0, eps0=1.0, hbar=1.0)
+    modes = enumerate_modes(other, 5.0)
+    rule = default_rule(unit_geom, modes)
+    te = [md for md in modes if md.index.sigma == TE]
+    state = FieldState(geom=other, entries=tuple((md, 1.0) for md in modes))
+    for call, first in ((lambda: check_vector_orthonormality(modes, rule), modes[0]),
+                        (lambda: check_curl_identity(modes, rule), modes[0]),
+                        (lambda: check_scalar_orthonormality(te, rule), te[0]),
+                        (lambda: project(*field_samplers(state), modes[::-1], rule), modes[-1]),
+                        (lambda: total_energy(state, rule), modes[0])):
+        with pytest.raises(ValueError, match=re.escape(f"mode {first.index} belongs to {other}")):
+            call()
+    # the same numbers on an equal geometry pass
+    same = CavityGeometry(a=1.0, L=1.5, c=1.0, eps0=1.0, hbar=1.0)
+    assert check_vector_orthonormality(modes, default_rule(same, modes)).max_deviation < 1e-12
+
+
 def test_default_rule_accepts_numpy_integers(unit_geom):
     modes = enumerate_modes(unit_geom, 3.0)
     rule = default_rule(unit_geom, modes, nr=np.int64(16), nz=np.int32(12))
@@ -241,6 +274,18 @@ def test_projection_matches_dense_oracle(unit_geom, oracle_modes, rng):
     for rule in _oracle_rules(unit_geom, oracle_modes):
         got = project(e_sampler, b_sampler, oracle_modes, rule)
         _assert_matches_dense(got, dense_project(e_sampler, b_sampler, oracle_modes, rule))
+
+
+def test_gram_and_curl_match_rz_oracle_at_183_modes(unit_geom):
+    # past the reach of the 3-D oracle: |m| up to 8, the default rule
+    modes = enumerate_modes(unit_geom, 12.0)
+    assert len(modes) == 183 and max(abs(md.index.m) for md in modes) == 8
+    rule = default_rule(unit_geom, modes)
+    u = rz_gram(modes, rule, u_grid)
+    _assert_matches_dense(check_vector_orthonormality(modes, rule).matrix, u)
+    rep = check_curl_identity(modes, rule)
+    _assert_matches_dense(rep.lhs, rz_gram(modes, rule, curl_u_grid))
+    _assert_matches_dense(rep.rhs, u * np.array([md.k**2 for md in modes]))
 
 
 def test_under_resolved_phi_rule_aliases_like_dense_sum(unit_geom, oracle_modes):
