@@ -32,7 +32,7 @@ Grid evaluation: the *_grid functions accept numpy arrays for r, phi, z
 and broadcast them, so a tensor grid can be passed as r[:,None,None],
 phi[None,:,None], z[None,None,:] and the Bessel factors are evaluated
 once per distinct radius.  Points are validated against the closed
-domain 0 <= r <= a, 0 <= z <= L.
+domain 0 <= r <= a, 0 <= z <= L, and phi must be finite.
 """
 
 from __future__ import annotations
@@ -156,8 +156,11 @@ def _factors(modes, r, z):
 
 def _phase(m, phi):
     """e^{i m phi}, the only place the azimuthal factor is formed; an array
-    of m gives one row per m."""
-    return np.exp(1j * np.multiply.outer(m, np.asarray(phi, dtype=float)))
+    of m gives one row per m.  Raises ValueError on a non-finite phi."""
+    phi = np.asarray(phi, dtype=float)
+    if not np.all(np.isfinite(phi)):
+        raise ValueError("coordinates must be finite")
+    return np.exp(1j * np.multiply.outer(m, phi))
 
 
 def _rows(mode: ModeData, r, phi, z, rows):

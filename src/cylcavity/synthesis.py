@@ -6,11 +6,14 @@ common time t.  The physical fields are
     E = i sum_s sqrt(hbar omega_s / 2 eps0) [a_s u_s - a_s* u_s*]
     B =   sum_s sqrt(hbar / 2 eps0 omega_s) [a_s curl u_s + a_s* curl u_s*]
 
-which are exactly real by construction: each component of u_s and curl u_s
-is s R_s(r) Z_s(z) e^{i m_s phi} (modefield._factors), all from one
-evaluation per |m_s|; per m and component the modes are contracted as
-(R Z) @ (p a s) on (r, z) and each m-sum takes its phase once, giving
-E = i (c - c*) and B = c + c* of one complex sum c each.  Time evolution
+which are exactly real by construction: E = i (c - c*) = 2 Re (i c) and
+B = c + c* = 2 Re c of one complex sum c each.  Every component of u_s and
+curl u_s is s R_s(r) Z_s(z) e^{i m_s phi} (modefield._factors), all from one
+evaluation per |m_s|.  Synthesis is two real contractions: per m and
+component the (r, z) planes of Re c_m and Im c_m are R diag(2 p a s) Z^T,
+and one contraction of every m's planes with [cos m phi, -sin m phi] is
+the real inverse DFT over m.  _contract runs both as one matmul, a GEMM on
+a tensor grid and batched dots on scattered points.  Time evolution
 multiplies each amplitude by e^{-i omega_s dt}; with that rule (E, B)
 satisfies the free-space Maxwell equations, and the classical field energy
 
@@ -29,9 +32,10 @@ Amplitudes can be recovered from sampled fields: with the inner product
 The two halves each equal a_s plus opposite-sign leakage from the
 conjugate (-m) partner mode, so their mean is exact; the averaging is
 what makes the projection safe for states containing +-m pairs.
-project samples E and B once on the rule grid, folds phi with one
-weighted DFT row per m, and contracts each inner product from the
-factors as sum_c conj(s_c) R_c^T hat_{c, m} Z_c.
+project samples E and B once on the rule grid, rejects a non-finite
+sample, folds phi into (r, m, z) planes with the real and imaginary parts
+of the weighted DFT table as two matrix products, and contracts each inner
+product from the factors as sum_c conj(s_c) R_c^T hat_{c, m} Z_c.
 """
 
 from __future__ import annotations
@@ -97,35 +101,58 @@ def _derivative_state(state: FieldState) -> FieldState:
     return FieldState(geom=state.geom, entries=entries, t=state.t)
 
 
+def _contract(a, b) -> np.ndarray:
+    """sum_j a[..., j] b[..., j] over broadcast leading axes, as one matmul: an
+    axis where only a varies is a GEMM row, one where only b varies a column,
+    and one where both vary a batch axis."""
+    nd = max(a.ndim, b.ndim) - 1
+    sa, sb = ((1,) * (nd + 1 - v.ndim) + v.shape[:-1] for v in (a, b))
+    full = np.broadcast_shapes(sa, sb)
+    kind = [(x != 1) + 2 * (y != 1) for x, y in zip(sa, sb)]
+    batch, rows, cols, ones = ([i for i in range(nd) if kind[i] == k] for k in (3, 1, 2, 0))
+    size = lambda axes: math.prod(full[i] for i in axes)
+    lhs = a.reshape(*sa, a.shape[-1]).transpose(*batch, *rows, *cols, *ones, nd)
+    rhs = b.reshape(*sb, b.shape[-1]).transpose(*batch, *cols, *rows, *ones, nd)
+    out = np.matmul(lhs.reshape(size(batch), size(rows), a.shape[-1]),
+                    rhs.reshape(size(batch), size(cols), b.shape[-1]).swapaxes(-1, -2))
+    order = batch + rows + cols + ones
+    return out.reshape([full[i] for i in order]).transpose(np.argsort(order))
+
+
 def _synthesize(state: FieldState, r, phi, z, fields) -> np.ndarray:
     """Real fields named in `fields` ("E", "B" or "EB"), shaped (field,
     component, ...), from c = sum_s p_s a_s s_s R_s(r) Z_s(z) e^{i m_s phi}:
     E = -2 Im c of u with p = sqrt(hbar omega / 2 eps0), B = 2 Re c of curl u
-    with p = sqrt(hbar / 2 eps0 omega).  One _factors call per |m| group gives
-    both; each m-sum of a component is one (R Z) @ (p a s) contraction and
-    takes its phase once."""
-    geom = state.geom
+    with p = sqrt(hbar / 2 eps0 omega).  E rows take i p, since -2 Im c =
+    2 Re (i c), so every row is 2 Re c = 2 (Re c cos m phi - Im c sin m phi).
+    Per |m| group, one _factors call; per m in it, one _contract of the real
+    R with the real Z diag(Re, Im of 2 p a s) gives the (r, z) planes of
+    Re c_m and Im c_m.  Then one _contract of all m's planes with
+    [cos m phi, -sin m phi] is the real inverse DFT over m."""
+    geom, modes = state.geom, state.modes
     shape = np.broadcast_shapes(np.shape(r), np.shape(phi), np.shape(z))
     r, z = (np.reshape(v, (1,) * (len(shape) - np.ndim(v)) + np.shape(v)) for v in (r, z))
-    rz = np.broadcast_shapes(r.shape, z.shape)
-    is_b = np.repeat(["EB".index(f) for f in fields], 3)    # per output row: E (0) or B (1)
-    rows = 3 * is_b + np.tile([1, 2, 3], len(fields))       # its factor row: u for E, curl u for B
-    omega = np.array([md.omega for md in state.modes])
-    pre = state.amplitudes * np.array([np.sqrt(geom.hbar * omega / (2.0 * geom.eps0)),
-                                        np.sqrt(geom.hbar / (2.0 * geom.eps0 * omega))])[is_b]
-    out = np.zeros((len(rows), *shape))
-    for idx in _by_abs_m(state.modes):      # one group's factors live at a time
-        group = tuple(state.modes[i] for i in idx)
+    rows = {"E": _U, "B": _CURL, "EB": slice(_U.start, _CURL.stop)}[fields]   # u for E, curl u for B
+    slot = {mv: j for j, mv in enumerate(dict.fromkeys(md.index.m for md in modes))}
+    omega = np.array([md.omega for md in modes])
+    p = np.array([1j * np.sqrt(geom.hbar * omega / (2.0 * geom.eps0)),
+                  np.sqrt(geom.hbar / (2.0 * geom.eps0 * omega))])
+    pre = 2.0 * state.amplitudes * np.repeat(p[["EB".index(f) for f in fields]], 3, axis=0)
+    planes = np.empty((len(pre), *np.broadcast_shapes(r.shape, z.shape), len(slot), 2))
+    for idx in _by_abs_m(modes):
+        group = tuple(modes[i] for i in idx)
         m, (s, R, Z) = np.array([md.index.m for md in group]), _factors(group, r, z)
         coef = s[rows] * pre[:, idx]
         for mv in dict.fromkeys(m.tolist()):
             at = m == mv
-            rzf = (R[rows][..., at] * Z[rows][..., at]).reshape(len(rows), -1, np.count_nonzero(at))
-            re_im = rzf @ np.stack([coef.real[:, at], coef.imag[:, at]], axis=-1)
-            phase = _phase(mv, phi)
-            for k, sums in enumerate((re_im[..., 0] + 1j * re_im[..., 1]).reshape(len(rows), *rz)):
-                c = sums * phase        # one full-size component at a time; E = i (c - c*), B = c + c*
-                out[k] += 2.0 * c.real if is_b[k] else -2.0 * c.imag
+            w = np.stack([coef.real[:, at], coef.imag[:, at]], axis=1)    # (row, Re/Im, mode)
+            w = w.reshape(len(pre), *(1,) * len(shape), 2, -1)
+            planes[..., slot[mv], :] = _contract(R[rows][..., None, at], Z[rows][..., None, at] * w)
+        del R, Z                # one group's factors live at a time
+    phase = _phase(np.array(list(slot), dtype=int), phi)
+    dft = np.moveaxis(np.stack([phase.real, -phase.imag], axis=-1), 0, -2)   # Re c cos - Im c sin
+    out = _contract(dft.reshape(*phase.shape[1:], 2 * len(slot)),
+                    planes.reshape(*planes.shape[:-2], 2 * len(slot)))
     return out.reshape(len(fields), 3, *shape)
 
 
@@ -197,19 +224,26 @@ def project(e_sampler, b_sampler, modes, rule: QuadratureRule) -> np.ndarray:
     shape = (rule.nr, rule.nphi, rule.nz)
     m_vals, row_of = np.unique([md.index.m for md in modes], return_inverse=True)
     dft = rule.wphi * np.conj(_phase(m_vals, rule.phi))
-    w = np.outer(rule.wr, rule.wz)
+    w = np.outer(rule.wr, rule.wz)[:, None, :]
 
-    def fold(sampler):          # (component, m, r, z), weights included
-        return np.array([np.einsum("mp,rpz->mrz", dft, np.broadcast_to(np.asarray(c), shape)) * w
-                         for c in sampler(r, phi, z)])
+    def fold(name, sampler):    # (component, r, m, z), weights included
+        hat = []
+        for comp, c in zip(("r", "phi", "z"), sampler(r, phi, z)):
+            c = np.broadcast_to(np.asarray(c), shape)
+            if not np.all(np.isfinite(c)):
+                i, j, k = np.argwhere(~np.isfinite(c))[0]
+                raise ValueError(f"{name}_{comp} sample not finite at node r={float(rule.r[i])!r}, "
+                                 f"phi={float(rule.phi[j])!r}, z={float(rule.z[k])!r}: {c[i, j, k].item()!r}")
+            hat.append((np.matmul(dft.real, c) + 1j * np.matmul(dft.imag, c)) * w)
+        return np.array(hat)
 
     # <u_i, E> and <curl u_i, B>: sum_c conj(s_ci) R_ci^T hat_{c, m_i} Z_ci
     s, R, Z = _factors(modes, rule.r, rule.z)
     inner = np.empty((2, len(modes)), dtype=complex)
-    for half, (hat, rows) in enumerate(((fold(e_sampler), _U), (fold(b_sampler), _CURL))):
+    for half, (hat, rows) in enumerate(((fold("E", e_sampler), _U), (fold("B", b_sampler), _CURL))):
         for row in range(len(m_vals)):
             at = row_of == row
-            rz = np.sum(R[rows][..., at] * (hat[:, row] @ Z[rows][..., at]), axis=1)
+            rz = np.sum(R[rows][..., at] * (hat[:, :, row] @ Z[rows][..., at]), axis=1)
             inner[half, at] = np.sum(np.conj(s[rows][:, at]) * rz, axis=0)
     geom, omega, k = rule.geom, np.array([md.omega for md in modes]), np.array([md.k for md in modes])
     return 0.5 * (-1j * np.sqrt(2.0 * geom.eps0 / (geom.hbar * omega)) * inner[0]

@@ -14,6 +14,7 @@ from cylcavity import (
     CylPoint,
     FieldState,
     ModeIndex,
+    curl_u_grid,
     default_rule,
     electric_field,
     electric_field_grid,
@@ -26,8 +27,10 @@ from cylcavity import (
     mode_data,
     mode_sum_energy,
     project,
+    psi_grid,
     quadrature_rule,
     total_energy,
+    u_grid,
     zero_point_energy,
 )
 from cylcavity.verify import default_nphi
@@ -249,3 +252,79 @@ def test_empty_point_set(unit_geom, rng):
             assert c.dtype == np.float64 and c.shape == (0,)
     rep = maxwell_residual(state, (empty, empty, empty), 1e-3)
     assert (rep.div_e, rep.div_b, rep.faraday, rep.ampere, rep.e_scale, rep.b_scale) == (0.0,) * 6
+
+
+def _layout(name, geom, rng):
+    """Coordinate arrays of one point layout: which axes r, phi and z share."""
+    r = np.linspace(0.05, geom.a, 7)
+    phi = np.linspace(0.0, 2.0 * math.pi, 9, endpoint=False) + 0.1
+    z = np.linspace(0.0, geom.L, 8)
+    if name == "phi_z_r_grid":
+        return r[None, None, :], phi[:, None, None], z[None, :, None]
+    if name == "r_phi_shared":
+        return rng.uniform(0.0, geom.a, (40, 1)), rng.uniform(0.0, 2.0 * math.pi, (40, 1)), z[None, :]
+    if name == "scalar_phi_rz_mesh":
+        rr, zz = np.meshgrid(r, z, indexing="ij")
+        return rr, 1.3, zz
+    if name == "full_meshgrid":
+        return tuple(np.meshgrid(r, phi, z, indexing="ij"))
+    if name == "size_one_axis":
+        return r[:, None, None], phi[None, :, None], z[None, None, 3:4]
+    assert name == "axis_r0_grid"
+    return np.linspace(0.0, geom.a, 6)[:, None, None], phi[None, :, None], z[None, None, :]
+
+
+@pytest.mark.parametrize("layout", ["phi_z_r_grid", "r_phi_shared", "scalar_phi_rz_mesh",
+                                    "full_meshgrid", "size_one_axis", "axis_r0_grid"])
+def test_fields_match_dense_oracle_on_every_layout(unit_geom, rng, layout):
+    # every axis class of the contraction: GEMM rows, columns, batch axes, size-1 axes
+    modes = enumerate_modes(unit_geom, 6.5)
+    assert len(modes) == 30
+    amps = rng.normal(size=len(modes)) + 1j * rng.normal(size=len(modes))
+    state = FieldState(geom=unit_geom, entries=tuple(zip(modes, amps)), t=0.4)
+    r, phi, z = _layout(layout, unit_geom, rng)
+    shape = np.broadcast_shapes(np.shape(r), np.shape(phi), np.shape(z))
+    ref_e, ref_b = dense_fields(state, r, phi, z)
+    for got, ref in ((electric_field_grid(state, r, phi, z), ref_e),
+                     (magnetic_field_grid(state, r, phi, z), ref_b)):
+        got = np.array(got)
+        assert got.shape == (3, *shape) and got.dtype == np.float64
+        scale = float(np.max(np.abs(ref)))
+        assert scale > 0.0
+        assert float(np.max(np.abs(got - ref))) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_phi_raises(unit_geom, rng, bad):
+    state = _random_state(unit_geom, rng, 5)
+    r, phi, z = np.array([0.4, 0.5]), np.array([0.3, bad]), np.array([0.5, 0.6])
+    for synth in (electric_field_grid, magnetic_field_grid):
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            synth(state, r, phi, z)
+    for mode_grid in (psi_grid, u_grid, curl_u_grid):
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            mode_grid(state.modes[0], r, phi, z)
+    with pytest.raises(ValueError, match="coordinates must be finite"):
+        maxwell_residual(state, (r, phi, z), 1e-3)
+
+
+@pytest.mark.parametrize("field, comp, bad", [("E", 1, math.nan), ("B", 2, math.inf)])
+def test_projection_rejects_non_finite_sample(unit_geom, rng, field, comp, bad):
+    state = _random_state(unit_geom, rng, 6)
+    rule = _rule_for(state)
+    samplers = list(field_samplers(state))
+    clean = samplers["EB".index(field)]
+
+    def spoiled(r, phi, z):
+        comps = [np.array(c) for c in clean(r, phi, z)]
+        comps[comp][3, 2, 5] = bad
+        return tuple(comps)
+
+    samplers["EB".index(field)] = spoiled
+    with pytest.raises(ValueError) as err:
+        project(*samplers, state.modes, rule)
+    msg = str(err.value)
+    assert f"{field}_{('r', 'phi', 'z')[comp]}" in msg
+    for axis, i in (("r", 3), ("phi", 2), ("z", 5)):
+        assert f"{axis}={float(getattr(rule, axis)[i])!r}" in msg
+    assert msg.endswith(repr(bad))
