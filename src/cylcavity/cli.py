@@ -214,7 +214,8 @@ def _emit_grid(header: str, r, phi, z, columns) -> None:
     shape = (len(r), len(phi), len(z))
     coords = np.meshgrid(r, phi, z, indexing="ij")
     cols = [np.broadcast_to(c, shape).ravel().tolist() for c in (*coords, *columns)]
-    _emit([header] + [",".join(map(_fmt, row)) for row in zip(*cols)])
+    row = ",".join(["%.17g"] * len(cols))      # _fmt's text, one format per row
+    _emit([header] + [row % values for values in zip(*cols)])
 
 
 def _cmd_eval(values: dict) -> int:

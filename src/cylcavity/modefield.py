@@ -22,9 +22,10 @@ separable: a constant s times a real radial factor R(r) -- J_m, g J_m',
 (m/r) J_m or g^2 J_m -- times a real axial factor Z(z), c Z or c Z', times
 e^{i m phi}.  _factors gives that (s, R, Z) triple for any set of modes,
 R on the r nodes and Z on the z nodes separately, with one Bessel sweep per
-|m|; every consumer here and in verify and synthesis contracts the
-factors, and _phase alone forms e^{i m phi}.  The only removable
-singularity is (m/r) J_m(g r) on the axis, which tends to g/2 for |m| = 1
+|m|, and serves a repeat of the same modes on the same nodes read-only from
+a memo of fixed byte budget; every consumer here and in verify and
+synthesis contracts the factors, and _phase alone forms e^{i m phi}.  The
+only removable singularity is (m/r) J_m(g r) on the axis, which tends to g/2 for |m| = 1
 (both signs, since J_{-1} = -J_1) and to 0 otherwise; radii below 1e-8 a
 are evaluated with that limit.
 
@@ -38,6 +39,8 @@ domain 0 <= r <= a, 0 <= z <= L, and phi must be finite.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,14 +115,78 @@ _R_ROW = {TM: (0, 1, 2, 3, 2, 1, 0), TE: (0, 2, 1, 0, 1, 2, 3)}
 _Z_ROW = {TM: (0, 1, 1, 0, 0, 0, 0), TE: (0, 0, 0, 0, 1, 1, 0)}
 
 
+class _FactorMemo:
+    """Least-recently-used map from a key to read-only factor arrays, holding
+    at most `budget` bytes of arrays, of the key's bytes parts and of a fixed
+    per-entry overhead; an entry larger than the budget is not kept."""
+
+    # object headers of an entry: its arrays, key, tuples and map node, about
+    # 1.1 kB by tracemalloc for one mode at one point under eviction
+    entry_overhead = 1536
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.nbytes = 0
+        self._entries: OrderedDict = OrderedDict()      # key -> (factors, bytes)
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key):
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return None
+            self._entries.move_to_end(key)
+            return entry[0]
+
+    def put(self, key, factors) -> None:
+        size = self.entry_overhead + sum(f.nbytes for f in factors) + sum(
+            len(k) for k in key if isinstance(k, bytes))
+        if size > self.budget:
+            return
+        with self._lock:
+            if key in self._entries:
+                return
+            while self.nbytes + size > self.budget:
+                _, (_, old) = self._entries.popitem(last=False)
+                self.nbytes -= old
+            self._entries[key] = (factors, size)
+            self.nbytes += size
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.nbytes = 0
+
+
+_MEMO_BYTES = 1 << 20       # byte budget of the factor memo
+_memo = _FactorMemo(_MEMO_BYTES)
+
+
 def _factors(modes, r, z):
     """(s, R, Z) of modes: row c of mode j is s[c, j] R[c, ..., j] Z[c, ..., j] e^{i m phi}
     with s (7, n) complex, R (7, *r.shape, n) and Z (7, *z.shape, n) real; one
-    Bessel sweep per |m| serves every mode and row."""
-    for geom in {md.geom for md in modes}:
-        _check_domain(geom, r, z)
-    ra = np.asarray(r, dtype=float)[..., None]
-    za = np.asarray(z, dtype=float)[..., None]
+    Bessel sweep per |m| serves every mode and row.  The arrays are read-only:
+    a repeat of the same ordered modes on nodes with the same float64 bytes
+    and shapes is served from _memo without a sweep."""
+    modes = tuple(modes)
+    ra, za = np.asarray(r, dtype=float), np.asarray(z, dtype=float)
+    key = (modes, ra.shape, ra.tobytes(), za.shape, za.tobytes())
+    factors = _memo.get(key)
+    if factors is None:
+        for geom in {md.geom for md in modes}:
+            _check_domain(geom, ra, za)
+        factors = _sweep(modes, ra[..., None], za[..., None])
+        for f in factors:
+            f.flags.writeable = False
+        _memo.put(key, factors)
+    return factors
+
+
+def _sweep(modes, ra, za):
+    """_factors of modes on radii ra and heights za, each with a trailing mode axis."""
     m = np.array([md.index.m for md in modes], dtype=int)
     g, h, k, omega, c = (np.array([getattr(md, f) for md in modes], dtype=float)
                          for f in ("g", "h", "k", "omega", "c_norm"))

@@ -270,8 +270,10 @@ class MaxwellResidualReport:
 
 
 def _fd_stencil(state: FieldState, r, phi, z, h, hphi):
-    """(div, curl, centre value) of E and of B by second-order central
-    differences; the centre and its six neighbours are sampled in one call."""
+    """(div, curl, centre value, time derivative) of E and of B: div and curl
+    by second-order central differences, d/dt analytic at the centre.  The
+    centre and its six neighbours are sampled in one call per state, so the
+    time derivative reuses the stencil's factors."""
     r, phi, z = np.broadcast_arrays(r, phi, z)
     # rows: centre, r + h, r - h, phi + hphi, phi - hphi, z + h, z - h
     rs = np.stack([r, r + h, r - h, r, r, r, r])
@@ -279,7 +281,8 @@ def _fd_stencil(state: FieldState, r, phi, z, h, hphi):
     zs = np.stack([z, z, z, z, z, z + h, z - h])
     dif = lambda f, row, width: (f[row] - f[row + 1]) / width
 
-    def ops(f_r, f_phi, f_z):
+    def ops(f, dfdt):
+        f_r, f_phi, f_z = f
         div = (dif(rs * f_r, 1, 2.0 * h * r) + dif(f_phi, 3, 2.0 * hphi * r)
                + dif(f_z, 5, 2.0 * h))
         curl = (
@@ -287,9 +290,10 @@ def _fd_stencil(state: FieldState, r, phi, z, h, hphi):
             dif(f_r, 5, 2.0 * h) - dif(f_z, 1, 2.0 * h),
             dif(rs * f_phi, 1, 2.0 * h * r) - dif(f_r, 3, 2.0 * hphi * r),
         )
-        return div, curl, (f_r[0], f_phi[0], f_z[0])
+        return div, curl, (f_r[0], f_phi[0], f_z[0]), tuple(dfdt[:, 0])
 
-    return [ops(*f) for f in _synthesize(state, rs, ps, zs, "EB")]
+    return [ops(f, dfdt) for f, dfdt in zip(_synthesize(state, rs, ps, zs, "EB"),
+                                             _synthesize(_derivative_state(state), rs, ps, zs, "EB"))]
 
 
 def maxwell_residual(state: FieldState, points, step: float) -> MaxwellResidualReport:
@@ -309,8 +313,8 @@ def maxwell_residual(state: FieldState, points, step: float) -> MaxwellResidualR
         raise ValueError("points must keep z within (step, L - step)")
 
     hphi = step / geom.a
-    de_dt, db_dt = _synthesize(_derivative_state(state), r, phi, z, "EB")
-    (div_e, curl_e, e_here), (div_b, curl_b, b_here) = _fd_stencil(state, r, phi, z, step, hphi)
+    (div_e, curl_e, e_here, de_dt), (div_b, curl_b, b_here, db_dt) = _fd_stencil(
+        state, r, phi, z, step, hphi)
     inv_c2 = 1.0 / (geom.c * geom.c)
     faraday = [ce + db for ce, db in zip(curl_e, db_dt)]
     ampere = [cb - inv_c2 * de for cb, de in zip(curl_b, de_dt)]

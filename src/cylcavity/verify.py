@@ -36,6 +36,7 @@ order, so identical inputs give identical bytes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -81,6 +82,14 @@ class QuadratureRule:
         )
 
 
+@functools.lru_cache(maxsize=32)
+def _gauss_legendre(n: int):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def quadrature_rule(
     geom: CavityGeometry,
     nr: int = DEFAULT_NR,
@@ -89,10 +98,10 @@ def quadrature_rule(
 ) -> QuadratureRule:
     """Build the tensor rule; nphi must exceed every azimuthal difference used."""
     nr, nphi, nz = (_as_int(name, v, 1) for name, v in (("nr", nr), ("nphi", nphi), ("nz", nz)))
-    tr, twr = np.polynomial.legendre.leggauss(nr)
+    tr, twr = _gauss_legendre(nr)
     r = 0.5 * geom.a * (tr + 1.0)
     wr = 0.5 * geom.a * twr * r          # Jacobian folded in
-    tz, twz = np.polynomial.legendre.leggauss(nz)
+    tz, twz = _gauss_legendre(nz)
     z = 0.5 * geom.L * (tz + 1.0)
     wz = 0.5 * geom.L * twz
     phi = 2.0 * math.pi * np.arange(nphi) / nphi
@@ -302,9 +311,18 @@ def wall_samples(geom: CavityGeometry, n_r: int = 9, n_phi: int = 12, n_z: int =
     return r, phi, z
 
 
+@functools.lru_cache(maxsize=32)
+def _default_walls(geom: CavityGeometry):
+    """wall_samples(geom) with its default sizes, read-only and built once per geometry."""
+    samples = wall_samples(geom)
+    for v in samples:
+        v.flags.writeable = False
+    return samples
+
+
 def check_boundary(mode: ModeData, samples=None) -> BoundaryReport:
     """Tangential u and normal curl u on the walls, vs interior maxima."""
-    return _walls((mode,), wall_samples(mode.geom) if samples is None else samples)[0]
+    return _walls((mode,), _default_walls(mode.geom) if samples is None else samples)[0]
 
 
 def _walls(modes, samples) -> list:
@@ -402,7 +420,7 @@ def _run_suites(geom: CavityGeometry, omega_max: float, suites, nr: int, nphi: i
             "rel_tolerance": rep.rel_tol,
         }
     if "boundary" in suites:
-        reps = _walls(modes, wall_samples(geom))
+        reps = _walls(modes, _default_walls(geom))
         worst_t = max((rep.tangential_ratio for rep in reps), default=0.0)
         worst_n = max((rep.normal_curl_ratio for rep in reps), default=0.0)
         tol = tolerances["boundary_tol"]

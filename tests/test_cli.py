@@ -20,7 +20,9 @@ from cylcavity import (
     u_mode,
     zero_table,
 )
+from cylcavity import cli
 from cylcavity.cli import main
+from cylcavity.stateio import _fmt
 
 GEOM_ARGS = ["--radius", "0.9", "--height", "1.3", "--speed-of-light", "1",
              "--vacuum-permittivity", "1", "--hbar", "1"]
@@ -92,6 +94,22 @@ def test_eval_accepts_sigma_aliases(capsys):
         assert code == 0
         outputs.add(out)
     assert len(outputs) == 1
+
+
+def test_grid_rows_match_per_value_formatting(capsys, rng):
+    # the one-format-string row equals _fmt applied value by value,
+    # including -0.0, +-inf, nan, subnormals and 17-digit values
+    special = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -1e308, 0.1, 1 / 3]
+    r, phi, z = np.array([0.0, 0.45, 0.9]), np.array([0.0, math.pi]), np.array([-0.0, 1.3])
+    columns = [rng.normal(size=(3, 2, 2)) for _ in range(6)]
+    for c in columns:
+        c.flat[rng.permutation(c.size)[:len(special)]] = special
+    cli._emit_grid("h", r, phi, z, columns)
+    coords = np.meshgrid(r, phi, z, indexing="ij")
+    values = [c.ravel().tolist() for c in (*coords, *columns)]
+    want = ["h"] + [",".join(_fmt(v) for v in row) for row in zip(*values)]
+    assert capsys.readouterr().out == "\n".join(want) + "\n"
+    assert "-0," in want[1] and all(s in "".join(want) for s in ("inf", "-inf", "nan"))
 
 
 def test_verify_report(capsys):

@@ -6,6 +6,8 @@ modefield evaluates all modes that share |m| with one bessel._j_orders call
 keyed by |m| and by how many modes each served, pins how often each check,
 synthesizer, projection and stencil sweeps.  Only the public one-mode
 check_boundary sweeps per mode; a CLI verify run checks the walls per |m|.
+A repeat of the same modes on the same nodes is served by modefield's memo
+and makes no sweep, so every test starts from an empty memo.
 The spectrum builds every ModeData the same way: one spectrum._j_orders
 call (J_|m|, J_|m|+1 at every chi) per distinct |m|.
 """
@@ -27,6 +29,7 @@ from cylcavity import (
     dumps_state,
     electric_field_grid,
     enumerate_modes,
+    field_samplers,
     loads_state,
     magnetic_field_grid,
     maxwell_residual,
@@ -37,6 +40,13 @@ from cylcavity import (
 )
 from cylcavity.cli import main
 from cylcavity.verify import default_nphi
+
+
+@pytest.fixture(autouse=True)
+def empty_memo():
+    modefield._memo.clear()
+    yield
+    modefield._memo.clear()
 
 
 @pytest.fixture
@@ -84,43 +94,60 @@ def _per_abs_m(sweeps, modes, count):
     sweeps.clear()
 
 
+def _once_then_memo(sweeps, modes, call):
+    """call() sweeps once per |m| of modes from an empty memo; a repeat, none."""
+    modefield._memo.clear()
+    call()
+    _per_abs_m(sweeps, modes, 1)
+    call()
+    assert not sweeps
+
+
 def test_checks_evaluate_each_mode_once(sweeps, state, rule):
     assert len({abs(md.index.m) for md in state.modes}) < len(state.modes)
-    check_vector_orthonormality(state.modes, rule)
-    _per_abs_m(sweeps, state.modes, 1)
-    check_curl_identity(state.modes, rule)
-    _per_abs_m(sweeps, state.modes, 1)
+    _once_then_memo(sweeps, state.modes, lambda: check_vector_orthonormality(state.modes, rule))
+    check_curl_identity(state.modes, rule)      # the Gram's modes on the Gram's nodes
+    assert not sweeps
+    _once_then_memo(sweeps, state.modes, lambda: check_curl_identity(state.modes, rule))
     tm = [md for md in state.modes if md.index.sigma == TM]
-    check_scalar_orthonormality(tm, rule)
-    _per_abs_m(sweeps, tm, 1)
+    _once_then_memo(sweeps, tm, lambda: check_scalar_orthonormality(tm, rule))
     for md in state.modes:
         check_boundary(md)
     assert sweeps == Counter((abs(md.index.m), 1) for md in state.modes)
+    sweeps.clear()
+    for md in state.modes[-10:]:       # the most recent walls fit in the memo's budget
+        check_boundary(md)
+    assert not sweeps
 
 
 def test_synthesis_evaluates_each_mode_once(sweeps, state, rule):
     grid = rule.grid()
-    total_energy(state, rule)
-    _per_abs_m(sweeps, state.modes, 1)
-    electric_field_grid(state, *grid)
-    _per_abs_m(sweeps, state.modes, 1)
+    _once_then_memo(sweeps, state.modes, lambda: total_energy(state, rule))
+    electric_field_grid(state, *grid)           # energy's modes on energy's nodes
     magnetic_field_grid(state, *grid)
-    _per_abs_m(sweeps, state.modes, 1)
+    assert not sweeps
+    _once_then_memo(sweeps, state.modes, lambda: electric_field_grid(state, *grid))
+    _once_then_memo(sweeps, state.modes, lambda: magnetic_field_grid(state, *grid))
 
 
 def test_projection_contraction_evaluates_each_mode_once(sweeps, state, rule):
     e = electric_field_grid(state, *rule.grid())
     b = magnetic_field_grid(state, *rule.grid())
     sweeps.clear()
-    project(lambda *_: e, lambda *_: b, state.modes, rule)
-    _per_abs_m(sweeps, state.modes, 1)
+    _once_then_memo(sweeps, state.modes, lambda: project(lambda *_: e, lambda *_: b, state.modes, rule))
 
 
-def test_maxwell_residual_evaluates_each_mode_twice(sweeps, state, rng):
-    # once for the whole stencil, once for the time derivative
+def test_projection_samplers_reuse_the_energy_factors(sweeps, state, rule):
+    total_energy(state, rule)
+    sweeps.clear()
+    project(*field_samplers(state), state.modes, rule)
+    _per_abs_m(sweeps, state.modes, 1)          # the contraction's 1-D nodes only
+
+
+def test_maxwell_residual_evaluates_each_mode_once(sweeps, state, rng):
+    # the time derivative is taken on the stencil's own nodes
     points = (rng.uniform(0.1, 0.8, 8), rng.uniform(0.0, 6.0, 8), rng.uniform(0.1, 1.2, 8))
-    maxwell_residual(state, points, 1e-3)
-    _per_abs_m(sweeps, state.modes, 2)
+    _once_then_memo(sweeps, state.modes, lambda: maxwell_residual(state, points, 1e-3))
 
 
 @pytest.mark.parametrize("suites,per_abs_m", [

@@ -2,6 +2,9 @@
 potential, plus symmetry, axis, boundary and domain behavior."""
 
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 from cylcavity import (
     TE,
     TM,
+    CavityGeometry,
     CylPoint,
     CylVector,
     ModeIndex,
@@ -22,7 +26,8 @@ from cylcavity import (
     u_grid,
     u_mode,
 )
-from cylcavity.modefield import _CURL, _U, _by_abs_m, _factors, _phase
+import cylcavity.modefield as modefield
+from cylcavity.modefield import _CURL, _MEMO_BYTES, _U, _by_abs_m, _factors, _memo, _phase
 from oracles import fd_curl_cyl, fd_div_cyl, fd_grad_cyl
 
 MODES = [
@@ -196,6 +201,126 @@ def test_abs_m_group_equals_single_mode_fields(unit_geom, rng):
                     got = [sc * Rc * Zc * phase for sc, Rc, Zc in zip(s[rows, j], R[rows, ..., j], Z[rows, ..., j])]
                     for f, want in zip(got, single(md, r, phi, z)):
                         assert np.array_equal(f, want)
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """Bessel sweeps made by _factors, starting from an empty memo."""
+    calls = []
+    original = modefield._j_orders
+    monkeypatch.setattr(modefield, "_j_orders", lambda orders, x: calls.append(orders) or original(orders, x))
+    _memo.clear()
+    yield calls
+    _memo.clear()
+
+
+def test_factor_memo_serves_repeats_read_only(unit_geom, sweeps):
+    modes = tuple(enumerate_modes(unit_geom, 6.5))
+    r, z = np.linspace(0.0, unit_geom.a, 9)[:, None], np.linspace(0.0, unit_geom.L, 7)[None, :]
+    first = _factors(modes, r, z)
+    count = len(sweeps)
+    again = _factors(list(modes), r.copy(), z.tolist())    # same modes, same float64 bytes
+    assert len(sweeps) == count and len(_memo) == 1
+    _memo.clear()
+    fresh = _factors(modes, r, z)
+    for a, b, c in zip(first, again, fresh):
+        assert a.tobytes() == b.tobytes() == c.tobytes() and a.shape == b.shape == c.shape
+        with pytest.raises(ValueError):
+            b[...] = 0.0
+    with pytest.raises(ValueError):
+        fresh[1][0, 0] = 1.0
+
+
+def test_factor_memo_misses_on_other_geometry_or_nodes(unit_geom, sweeps):
+    other = CavityGeometry(a=unit_geom.a, L=1.1 * unit_geom.L, c=1.0, eps0=1.0, hbar=1.0)
+    index = ModeIndex(m=1, mu=1, n=1, sigma=TM)
+    r, z = np.array([0.2, 0.5]), np.array([0.3, 0.9])
+    calls = []
+    for md, rr, zz in ((mode_data(unit_geom, index), r, z), (mode_data(other, index), r, z),
+                       (mode_data(unit_geom, index), np.nextafter(r, 1.0), z),
+                       (mode_data(unit_geom, index), r, np.nextafter(z, 0.0)),
+                       (mode_data(unit_geom, index), r[None, :], z)):
+        before = len(sweeps)
+        _factors((md,), rr, zz)
+        calls.append(len(sweeps) - before)
+    assert calls == [1, 1, 1, 1, 1] and len(_memo) == 5
+
+
+def test_factor_memo_keeps_within_budget(unit_geom, sweeps):
+    md = mode_data(unit_geom, ModeIndex(m=0, mu=1, n=1, sigma=TM))
+    r = np.array([0.4])
+    per_node = 7 * 8 + 8        # Z of one mode and the node's key bytes
+
+    def heights(count, shift):
+        return np.linspace(0.0, unit_geom.L, count) * (1.0 - shift * 1e-3)
+
+    big = heights(_MEMO_BYTES // per_node + 1, 0)
+    s, R, Z = _factors((md,), r, big)
+    assert Z.shape == (7, big.size, 1) and not Z.flags.writeable
+    assert len(_memo) == 0 and _memo.nbytes == 0
+    third = [heights(int(_MEMO_BYTES / (3.5 * per_node)), k) for k in range(4)]   # three fit
+    for k, z in enumerate(third[:3]):
+        _factors((md,), r, z)
+        assert len(_memo) == k + 1 and _memo.nbytes <= _MEMO_BYTES
+    _factors((md,), r, third[0])        # the oldest entry becomes the newest
+    _factors((md,), r, third[3])        # evicts third[1], the least recently used
+    assert len(_memo) == 3 and _memo.nbytes <= _MEMO_BYTES
+    before = len(sweeps)
+    _factors((md,), r, third[0])
+    _factors((md,), r, third[2])
+    assert len(sweeps) == before
+    _factors((md,), r, third[1])
+    assert len(sweeps) == before + 1 and _memo.nbytes <= _MEMO_BYTES
+
+
+def test_factor_memo_budget_bounds_its_memory(unit_geom, sweeps):
+    # one-point entries are mostly object headers; the budget counts them too
+    # (entries as _factors stores them, without a sweep per point)
+    md = mode_data(unit_geom, ModeIndex(m=1, mu=1, n=1, sigma=TM))
+    factors = _factors((md,), 0.4, 0.5)
+    radii, z = np.linspace(0.1, 0.8, 1200), np.asarray(0.5)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for x in radii:
+            r = np.asarray(x)
+            _memo.put(((md,), r.shape, r.tobytes(), z.shape, z.tobytes()), tuple(f.copy() for f in factors))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert 0 < len(_memo) < radii.size and _memo.nbytes <= _MEMO_BYTES
+    assert held <= _MEMO_BYTES
+
+
+def test_factor_memo_accounting_survives_threads(unit_geom, sweeps):
+    # more threads than cores, each evicting the others' entries; a lost
+    # update would leave nbytes off the sum of the entries kept
+    md = mode_data(unit_geom, ModeIndex(m=2, mu=1, n=1, sigma=TE))
+    r = np.array([0.3])
+    heights = [np.linspace(0.0, unit_geom.L, _MEMO_BYTES // 200) * (1.0 - k * 1e-3) for k in range(5)]
+    want = [_factors((md,), r, z)[2].tobytes() for z in heights]
+    errors = []
+
+    def work(k):
+        try:
+            for i in range(40):
+                j = (k + i) % len(heights)
+                assert _factors((md,), r, heights[j])[2].tobytes() == want[j]
+        except Exception as exc:    # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads) and not errors
+    assert _memo.nbytes == sum(size for _, size in _memo._entries.values()) <= _MEMO_BYTES
 
 
 def test_n0_mode_has_no_axial_dependence(unit_geom):

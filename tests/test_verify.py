@@ -38,6 +38,20 @@ def test_weights_sum_to_volume(unit_geom):
     assert rule.weight_sum == pytest.approx(unit_geom.volume, rel=1e-14)
 
 
+def test_rules_keep_their_own_nodes(unit_geom):
+    # the [-1, 1] nodes are built once per count and shared read-only; each
+    # rule scales them into arrays of its own, bitwise as from leggauss
+    t, w = np.polynomial.legendre.leggauss(12)
+    for _ in range(2):
+        rule = quadrature_rule(unit_geom, nr=12, nphi=3, nz=12)
+        r = 0.5 * unit_geom.a * (t + 1.0)
+        assert rule.r.tobytes() == r.tobytes()
+        assert rule.wr.tobytes() == (0.5 * unit_geom.a * w * r).tobytes()
+        assert rule.z.tobytes() == (0.5 * unit_geom.L * (t + 1.0)).tobytes()
+        assert rule.wz.tobytes() == (0.5 * unit_geom.L * w).tobytes()
+        rule.r[:] = rule.wz[:] = 0.0        # a caller's writes stay in its rule
+
+
 def test_polynomial_exactness(unit_geom):
     a, L = unit_geom.a, unit_geom.L
     rule = quadrature_rule(unit_geom, nr=6, nphi=4, nz=6)
@@ -136,6 +150,15 @@ def test_wall_samples_cover_all_walls(unit_geom):
     on_cap = np.minimum(np.abs(z), np.abs(unit_geom.L - z)) <= 1e-12 * unit_geom.L
     assert np.all(on_side | on_cap)
     assert np.any(on_side) and np.any(z <= 1e-12) and np.any(z >= unit_geom.L * (1 - 1e-12))
+
+
+def test_default_wall_samples_are_shared_read_only(unit_geom):
+    md = mode_data(unit_geom, ModeIndex(1, 1, 1, TE))
+    samples = wall_samples(unit_geom)
+    assert check_boundary(md) == check_boundary(md, samples)
+    for v in samples:
+        v[:] = unit_geom.a          # wall_samples' arrays are the caller's own
+    assert check_boundary(md) == check_boundary(md, wall_samples(unit_geom))
 
 
 @pytest.mark.parametrize("m,mu,n,sigma", [(0, 1, 0, TM), (1, 1, 1, TM),
