@@ -25,9 +25,9 @@ R on the r nodes and Z on the z nodes separately, with one Bessel sweep per
 |m|, and serves a repeat of the same modes on the same nodes read-only from
 a memo of fixed byte budget; every consumer here and in verify and
 synthesis contracts the factors, and _phase alone forms e^{i m phi}.  The
-only removable singularity is (m/r) J_m(g r) on the axis, which tends to g/2 for |m| = 1
-(both signs, since J_{-1} = -J_1) and to 0 otherwise; radii below 1e-8 a
-are evaluated with that limit.
+only removable singularity is (m/r) J_m(g r) on the axis, which tends to
+g/2 for |m| = 1 (both signs, since J_{-1} = -J_1) and to 0 otherwise;
+radii below 1e-8 a are evaluated with that limit.
 
 Grid evaluation: the *_grid functions accept numpy arrays for r, phi, z
 and broadcast them, so a tensor grid can be passed as r[:,None,None],

@@ -119,7 +119,7 @@ def _contract(a, b) -> np.ndarray:
     return out.reshape([full[i] for i in order]).transpose(np.argsort(order))
 
 
-def _synthesize(state: FieldState, r, phi, z, fields) -> np.ndarray:
+def _synthesize(state: FieldState, r, phi, z, fields, rate_at=None):
     """Real fields named in `fields` ("E", "B" or "EB"), shaped (field,
     component, ...), from c = sum_s p_s a_s s_s R_s(r) Z_s(z) e^{i m_s phi}:
     E = -2 Im c of u with p = sqrt(hbar omega / 2 eps0), B = 2 Re c of curl u
@@ -128,32 +128,50 @@ def _synthesize(state: FieldState, r, phi, z, fields) -> np.ndarray:
     Per |m| group, one _factors call; per m in it, one _contract of the real
     R with the real Z diag(Re, Im of 2 p a s) gives the (r, z) planes of
     Re c_m and Im c_m.  Then one _contract of all m's planes with
-    [cos m phi, -sin m phi] is the real inverse DFT over m."""
+    [cos m phi, -sin m phi] is the real inverse DFT over m.
+
+    With rate_at, indices into the point axes of r, phi and z (each padded
+    to the points' dimensions), returns (fields, rates): rates are the time
+    derivatives of the same fields (a_s -> -i omega_s a_s) on the nodes
+    those indices pick, contracted from the same factors, so both share
+    one sweep per |m|."""
     geom, modes = state.geom, state.modes
     shape = np.broadcast_shapes(np.shape(r), np.shape(phi), np.shape(z))
-    r, z = (np.reshape(v, (1,) * (len(shape) - np.ndim(v)) + np.shape(v)) for v in (r, z))
+    r, phi, z = (np.reshape(v, (1,) * (len(shape) - np.ndim(v)) + np.shape(v))
+                 for v in (r, phi, z))
     rows = {"E": _U, "B": _CURL, "EB": slice(_U.start, _CURL.stop)}[fields]   # u for E, curl u for B
     slot = {mv: j for j, mv in enumerate(dict.fromkeys(md.index.m for md in modes))}
     omega = np.array([md.omega for md in modes])
     p = np.array([1j * np.sqrt(geom.hbar * omega / (2.0 * geom.eps0)),
                   np.sqrt(geom.hbar / (2.0 * geom.eps0 * omega))])
-    pre = 2.0 * state.amplitudes * np.repeat(p[["EB".index(f) for f in fields]], 3, axis=0)
-    planes = np.empty((len(pre), *np.broadcast_shapes(r.shape, z.shape), len(slot), 2))
+    scale = np.repeat(p[["EB".index(f) for f in fields]], 3, axis=0)
+    # per output, 2 p a and an index into the point axes: the fields, then their rates
+    outputs = [(2.0 * state.amplitudes * scale, ((), (), ()))]
+    if rate_at is not None:
+        outputs.append((2.0 * _derivative_state(state).amplitudes * scale, rate_at))
+    planes = [np.empty((len(scale), *np.broadcast_shapes(r[at_r].shape, z[at_z].shape), len(slot), 2))
+              for _, (at_r, _, at_z) in outputs]
     for idx in _by_abs_m(modes):
         group = tuple(modes[i] for i in idx)
         m, (s, R, Z) = np.array([md.index.m for md in group]), _factors(group, r, z)
-        coef = s[rows] * pre[:, idx]
-        for mv in dict.fromkeys(m.tolist()):
-            at = m == mv
-            w = np.stack([coef.real[:, at], coef.imag[:, at]], axis=1)    # (row, Re/Im, mode)
-            w = w.reshape(len(pre), *(1,) * len(shape), 2, -1)
-            planes[..., slot[mv], :] = _contract(R[rows][..., None, at], Z[rows][..., None, at] * w)
-        del R, Z                # one group's factors live at a time
+        for (pre, (at_r, _, at_z)), out in zip(outputs, planes):
+            coef = s[rows] * pre[:, idx]
+            Ra, Za = R[rows][(slice(None), *at_r)], Z[rows][(slice(None), *at_z)]
+            for mv in dict.fromkeys(m.tolist()):
+                sel = m == mv
+                w = np.stack([coef.real[:, sel], coef.imag[:, sel]], axis=1)    # (row, Re/Im, mode)
+                w = w.reshape(len(scale), *(1,) * (out.ndim - 3), 2, -1)
+                out[..., slot[mv], :] = _contract(Ra[..., None, sel], Za[..., None, sel] * w)
+        del R, Z, Ra, Za        # one group's factors live at a time
     phase = _phase(np.array(list(slot), dtype=int), phi)
     dft = np.moveaxis(np.stack([phase.real, -phase.imag], axis=-1), 0, -2)   # Re c cos - Im c sin
-    out = _contract(dft.reshape(*phase.shape[1:], 2 * len(slot)),
-                    planes.reshape(*planes.shape[:-2], 2 * len(slot)))
-    return out.reshape(len(fields), 3, *shape)
+    outs = []
+    for (_, (at_r, at_phi, at_z)), out in zip(outputs, planes):
+        table = dft[at_phi]
+        outs.append(_contract(table.reshape(*table.shape[:-2], 2 * len(slot)),
+                              out.reshape(*out.shape[:-2], 2 * len(slot))).reshape(
+            len(fields), 3, *np.broadcast_shapes(r[at_r].shape, table.shape[:-2], z[at_z].shape)))
+    return outs[0] if rate_at is None else tuple(outs)
 
 
 def electric_field_grid(state: FieldState, r, phi, z):
@@ -271,9 +289,13 @@ class MaxwellResidualReport:
 
 def _fd_stencil(state: FieldState, r, phi, z, h, hphi):
     """(div, curl, centre value, time derivative) of E and of B: div and curl
-    by second-order central differences, d/dt analytic at the centre.  The
-    centre and its six neighbours are sampled in one call per state, so the
-    time derivative reuses the stencil's factors."""
+    by second-order central differences, d/dt analytic at the centre.  One
+    synthesis samples the centre and its six neighbours and gives the time
+    derivative at the centre from the same factors."""
+    nd = np.broadcast(r, phi, z).ndim
+    # the centres as given: row 0, one entry along an axis a coordinate is broadcast on
+    centre = tuple((0, *(slice(0, 1) if n == 1 else slice(None)
+                         for n in (1,) * (nd - np.ndim(v)) + np.shape(v))) for v in (r, phi, z))
     r, phi, z = np.broadcast_arrays(r, phi, z)
     # rows: centre, r + h, r - h, phi + hphi, phi - hphi, z + h, z - h
     rs = np.stack([r, r + h, r - h, r, r, r, r])
@@ -281,8 +303,7 @@ def _fd_stencil(state: FieldState, r, phi, z, h, hphi):
     zs = np.stack([z, z, z, z, z, z + h, z - h])
     dif = lambda f, row, width: (f[row] - f[row + 1]) / width
 
-    def ops(f, dfdt):
-        f_r, f_phi, f_z = f
+    def ops(f_r, f_phi, f_z):
         div = (dif(rs * f_r, 1, 2.0 * h * r) + dif(f_phi, 3, 2.0 * hphi * r)
                + dif(f_z, 5, 2.0 * h))
         curl = (
@@ -290,10 +311,10 @@ def _fd_stencil(state: FieldState, r, phi, z, h, hphi):
             dif(f_r, 5, 2.0 * h) - dif(f_z, 1, 2.0 * h),
             dif(rs * f_phi, 1, 2.0 * h * r) - dif(f_r, 3, 2.0 * hphi * r),
         )
-        return div, curl, (f_r[0], f_phi[0], f_z[0]), tuple(dfdt[:, 0])
+        return div, curl, (f_r[0], f_phi[0], f_z[0])
 
-    return [ops(f, dfdt) for f, dfdt in zip(_synthesize(state, rs, ps, zs, "EB"),
-                                             _synthesize(_derivative_state(state), rs, ps, zs, "EB"))]
+    fields, rates = _synthesize(state, rs, ps, zs, "EB", rate_at=centre)
+    return [ops(*f) + (tuple(dfdt),) for f, dfdt in zip(fields, rates)]
 
 
 def maxwell_residual(state: FieldState, points, step: float) -> MaxwellResidualReport:

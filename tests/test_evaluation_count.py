@@ -150,6 +150,17 @@ def test_maxwell_residual_evaluates_each_mode_once(sweeps, state, rng):
     _once_then_memo(sweeps, state.modes, lambda: maxwell_residual(state, points, 1e-3))
 
 
+def test_maxwell_residual_sweeps_once_without_the_memo(sweeps, state, rng, monkeypatch):
+    # the stencil and the time derivative share one _factors call per |m|,
+    # so a memo that keeps nothing changes no count
+    monkeypatch.setattr(modefield, "_memo", modefield._FactorMemo(0))
+    points = (rng.uniform(0.1, 0.8, 8), rng.uniform(0.0, 6.0, 8), rng.uniform(0.1, 1.2, 8))
+    for _ in range(2):
+        maxwell_residual(state, points, 1e-3)
+        _per_abs_m(sweeps, state.modes, 1)
+    assert len(modefield._memo) == 0
+
+
 @pytest.mark.parametrize("suites,per_abs_m", [
     ("gram,curl,boundary", 2),      # one Gram for both suites, then the walls
     ("bessel,boundary", 1),         # the zero tables sweep no mode

@@ -33,6 +33,7 @@ from cylcavity import (
     u_grid,
     zero_point_energy,
 )
+from cylcavity.synthesis import _derivative_state, _fd_stencil, _synthesize
 from cylcavity.verify import default_nphi
 from oracles import dense_fields
 
@@ -190,6 +191,22 @@ def test_maxwell_residuals_small_against_field_scale(unit_geom, rng):
     # h^2 k^3 ~ 1e-6 of the field scale at these frequencies
     assert rep.faraday < 1e-4 * max(rep.e_scale, rep.b_scale)
     assert rep.ampere < 1e-4 * max(rep.e_scale, rep.b_scale)
+
+
+@pytest.mark.parametrize("layout", ["scattered", "broadcast", "scalar phi"])
+def test_stencil_time_derivative_matches_centre_synthesis(unit_geom, rng, layout):
+    # the stencil's time derivative comes from its own factors, yet has the
+    # bits of the derivative state synthesized on the centres alone
+    state = _random_state(unit_geom, rng, 12)
+    r, phi, z = rng.uniform(0.2, 0.7, 6), rng.uniform(0.0, 6.0, 6), rng.uniform(0.2, 1.1, 6)
+    points = {"scattered": (r, phi, z), "broadcast": (r[:, None, None], phi[None, :, None], z[:5]),
+              "scalar phi": (r, 0.4, z)}[layout]
+    h = 1e-3
+    want = _synthesize(_derivative_state(state), *points, "EB")
+    for got, field in zip(_fd_stencil(state, *points, h, h / unit_geom.a), want):
+        assert len(got[3]) == 3
+        for g, w in zip(got[3], field):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 def test_maxwell_residual_rejects_wall_adjacent_points(unit_geom, rng):
