@@ -13,17 +13,29 @@ with no dependency on scipy.special.  Two regimes are used:
 
 Tiny x, where (x/2)**2/(m+1) < 2**-56 and the recurrence's growth 2k/x
 would overflow, takes the series' leading term (x/2)**m / m!: x = 0 gives
-exactly 1 for m = 0 and 0 otherwise.  Each point's regime, Miller start
-index (set by its x and the highest order of the call) and Hankel length
-depend on nothing else in the array, so J_m(x) has the same bits alone as
-inside any batch; J_{m-1}, J_m and J_{m+1} share one recurrence sweep.
+exactly 1 for m = 0 and 0 otherwise.  _j_points is the one kernel: every
+point carries its own orders (J_{m-1}, J_m, J_{m+1} for the zero finder,
+J_|m|, J_|m|+1 for the spectrum), its lowest order picks the leading term,
+its highest order and its x set its Miller start, and each order its own
+Hankel threshold and length.  None of these depends on anything else in
+the array, so J_m(x) has the same bits alone as inside any batch, and one
+backward sweep serves every point and order; _j_orders is the case of the
+same orders at every point.
 
-Zeros are bracketed by scanning with a step safely below the minimal
-spacing of consecutive zeros (> 3.11 for any order), starting just below
-the first-zero location m + 1.86*m**(1/3), and refined with a
-bracket-guarded Newton iteration that stops once its step no longer
-moves x.  The derivative zeros use the recurrence form
-J_m' = (J_{m-1} - J_{m+1})/2 and the Bessel equation for J_m''.
+Zeros are bracketed on the grid lo0 + i, i = 0, 1, ..., whose unit step
+is safely below the minimal spacing of consecutive zeros (> 3.11 for any
+order) and whose start lo0 lies below the first zero (near
+m + 1.86*m**(1/3)); each grid point is rounded once.  Each sign change is
+refined by a bracket-guarded Newton iteration that stops once its step no
+longer moves x.  The work is pooled across orders: one _zero_tables
+request evaluates the missing grid points of every (m, kind) it names in
+one kernel call and refines every new bracket in one Newton pass, each
+zero leaving the pass on the step it converges.  The cache (_ROOTS) grows
+per (m, kind) by scan cell: each cell is scanned once and each zero
+refined once, with the pass on which it converged, so a zero has the same
+bits whatever was requested before it or with it.  The derivative zeros
+use the recurrence form J_m' = (J_{m-1} - J_{m+1})/2 and the Bessel
+equation for J_m''.
 
 Convention: zeros are the strictly positive roots.  In particular the
 first zero of J_0' is 3.8317... (the stationary point at x = 0 is not
@@ -35,8 +47,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -45,21 +57,52 @@ _LEADING_MAX = 2.0 ** -56  # (x/2)^2/(m+1) below this: the series' leading term 
 _MILLER_EXTRA = 16        # start margin above the recurrence turning point
 _MILLER_STRIDE = 8        # starts are multiples of it; overflow is checked as often
 _RESCALE_LIMIT = 1e150    # overflow guard
-_SCAN_STEP = 1.0          # zero bracketing; minimal zero spacing is > 3.11
+_NEWTON_PASSES = 80       # cap on the pooled Newton pass; zeros converge in 5 to 7
+_HANKEL_SIGNS = np.array([(1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)])   # by m mod 4
 _KIND_J = "j"
 _KIND_JPRIME = "jprime"
 
 
-def _leading(orders: tuple, x: np.ndarray) -> dict:
-    """(x/2)^m / m!, one factor at a time: a normal result never underflows."""
-    terms = [np.ones_like(x)]
-    for k in range(1, orders[-1] + 1):
-        terms.append(terms[-1] * (0.5 * x) / k)
-    return {m: terms[m] for m in orders}
+def _asym_min(m):
+    """Smallest x where the Hankel expansion of order |m| reaches round-off."""
+    return np.maximum(_ASYM_X_MIN, 0.5 * m * m)
 
 
-def _asymptotic(m: int, x: np.ndarray) -> np.ndarray:
-    """Hankel expansion J_m ~ sqrt(2/(pi x)) (P cos w - Q sin w).
+def _gather_plan(want: np.ndarray) -> dict:
+    """order -> the (slot, point) index in a (slots, points) result where
+    it goes; the point index is every point when want is (slots, 1).
+
+    The (slots, 1) form, the same orders at every point, spares a mask and
+    a fancy-index write per order and per step of the sweep: on the 60
+    _j_orders calls of three fields ops (64 to 1344 points each; one
+    Xeon core) the kernel takes a median 22 ms with it against 30 ms with
+    the orders broadcast to every point, about 4% of those ops' time."""
+    if want.shape[1] == 1:
+        rows = {}
+        for slot, order in enumerate(want[:, 0].tolist()):
+            rows.setdefault(order, []).append(slot)
+        return {order: (slots[0] if len(slots) == 1 else slots, slice(None))
+                for order, slots in rows.items()}
+    return {order: np.nonzero(want == order) for order in set(want.ravel().tolist())}
+
+
+def _leading(hi: np.ndarray, want: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(x/2)^m / m! for each order of want, one factor at a time: a normal
+    result never underflows."""
+    out = np.empty((len(want), len(x)))
+    plan = _gather_plan(want)
+    term = np.ones_like(x)
+    for k in range(int(np.max(hi)) + 1):
+        if k:
+            term = term * (0.5 * x) / k
+        if k in plan:
+            at = plan[k]
+            out[at] = term[at[1]]
+    return out
+
+
+def _asymptotic(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Hankel expansion J_m ~ sqrt(2/(pi x)) (P cos w - Q sin w), order m per point.
 
     With w = x - (2m+1)pi/4 the offset is an odd multiple of pi/4, so
     cos(w), sin(w) are exact +-sqrt(1/2) combinations of cos(x), sin(x).
@@ -83,24 +126,30 @@ def _asymptotic(m: int, x: np.ndarray) -> np.ndarray:
         term[mag < 1e-18] = 0.0     # a stopped point carries a zero term
         if not term.any():
             break
-    c1, c2 = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))[m % 4]
+    c1, c2 = _HANKEL_SIGNS[m % 4].T
     cx = np.cos(x)
     sx = np.sin(x)
     amp = np.sqrt(1.0 / (math.pi * x))
     return amp * (c1 * (p * cx - q * sx) + c2 * (p * sx + q * cx))
 
 
-def _miller_multi(orders: tuple, x: np.ndarray) -> dict:
-    """One backward recurrence sweep returning J_m(x) for several orders.
-    Each point starts at its own index above its turning point max(m, x);
-    until then it carries f_k = f_{k+1} = 0, which the recurrence keeps."""
-    top = np.maximum(orders[-1], np.ceil(x))
+def _miller(hi: np.ndarray, want: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """J_{want[s, p]}(x[p]) for every slot s and point p from one backward
+    recurrence sweep, normalized by the Neumann sum; want is (slots, points)
+    or (slots, 1), the same orders at every point.
+
+    Each point starts at its own index above its turning point max(hi, x),
+    with hi its highest order; until then it carries f_k = f_{k+1} = 0,
+    which the recurrence keeps.  Each order is gathered as the sweep passes
+    it, only at the points that want it."""
+    top = np.maximum(hi, np.ceil(x))
     start = top + np.floor(9.0 * top ** (1.0 / 3.0)) + _MILLER_EXTRA
     start += -start % _MILLER_STRIDE
     inv_x = 1.0 / x
+    out = np.zeros((len(want), len(x)))
+    plan = _gather_plan(want)
     fk = np.zeros_like(x)
     fkp1 = np.zeros_like(x)
-    targets = {}
     even_sum = np.zeros_like(x)
     for k in range(int(np.max(start)), 0, -1):
         if k % _MILLER_STRIDE == 0:
@@ -112,49 +161,71 @@ def _miller_multi(orders: tuple, x: np.ndarray) -> dict:
                 fk = fk * scale
                 fkp1 = fkp1 * scale
                 even_sum = even_sum * scale
-                for o in targets:
-                    targets[o] = targets[o] * scale
+                out *= scale
             fk[start == k] = 1e-150     # arbitrary seed; the Neumann sum divides it out
         fkm1 = (2.0 * k) * inv_x * fk - fkp1
         fkp1 = fk
         fk = fkm1
         order = k - 1
-        if order in orders:
-            targets[order] = fk.copy()
+        if order in plan:
+            at = plan[order]
+            out[at] = fk[at[1]]
         if order > 0 and not order & 1:
             even_sum += fk
     norm = fk + 2.0 * even_sum          # Neumann sum, f_0 + 2 sum f_{2k}
-    return {m: targets[m] / norm for m in orders}
+    return out / norm
+
+
+def _j_points(orders, x) -> np.ndarray:
+    """J_{orders[s, p]}(x[p]) for each slot s and point p of a 1-D x, with
+    integer orders of any sign shaped (slots, points), or (slots, 1) for
+    the same orders at every point.
+
+    The package's one Bessel kernel; the module docstring says how each
+    point picks its regime.  J_{-m} = (-1)^m J_m, and values below the
+    normal range underflow quietly towards 0, as the true values do.
+    """
+    x = np.asarray(x, dtype=float)
+    if not x.size:
+        return np.empty((len(orders), 0))
+    x_min, x_max = x.min(), x.max()
+    if not (x_min >= 0.0 and x_max < math.inf):
+        raise ValueError("bessel_j requires finite x" if not np.all(np.isfinite(x))
+                         else "bessel_j requires x >= 0")
+    orders = np.asarray(orders)
+    absm = np.abs(orders)
+    lo, hi = absm.min(axis=0), absm.max(axis=0)     # per point, or (1,) for one set of orders
+    pick = lambda v, where: v if v.shape[-1] == 1 else v[..., where]    # (slots, 1) orders fit any subset
+    with np.errstate(under="ignore"):
+        leading, xm = None, x
+        if 0.25 * x_min * x_min <= _LEADING_MAX * (lo.max() + 1.0):
+            leading = 0.25 * x * x <= _LEADING_MAX * (lo + 1.0)
+            xm = np.where(leading, 1.0, x)      # these ride the sweep at x = 1, then are overwritten
+        if x_max < _ASYM_X_MIN:
+            out = _miller(hi, absm, xm)
+        else:
+            out = np.empty((len(absm), len(x)))
+            miller = xm < _asym_min(hi)
+            if miller.any():
+                out[:, miller] = _miller(pick(hi, miller), pick(absm, miller), xm[miller])
+        if leading is not None and leading.any():
+            out[:, leading] = _leading(pick(hi, leading), pick(absm, leading), x[leading])
+    if x_max >= _ASYM_X_MIN:
+        xs, ms = np.broadcast_arrays(x, absm)
+        asym = xs >= _asym_min(ms)
+        if asym.any():
+            out[asym] = _asymptotic(ms[asym], xs[asym])
+    if orders.min() < 0:
+        out = np.where((orders < 0) & (orders % 2 == 1), -out, out)
+    return out
 
 
 def _j_orders(orders: tuple, x) -> list:
-    """J_m(x) for each integer order in `orders` (any sign), shaped like x.
-
-    Each point takes the leading term, Miller or Hankel; one Miller sweep
-    serves all orders, and J_{-m} = (-1)^m J_m.  Values below the normal
-    range underflow quietly towards 0, as the true values do.
-    """
+    """J_m(x) for each integer order in `orders` (any sign), shaped like x:
+    _j_points with the same orders at every point."""
     xa = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(xa)):
-        raise ValueError("bessel_j requires finite x")
-    if np.any(xa < 0.0):
-        raise ValueError("bessel_j requires x >= 0")
-    x = np.atleast_1d(xa).ravel()
-    absm = tuple(sorted({abs(m) for m in orders}))
-    asym_min = {m: max(_ASYM_X_MIN, 0.5 * m * m) for m in absm}
-    got = {m: np.empty_like(x) for m in absm}
-    with np.errstate(under="ignore"):
-        leading = 0.25 * x * x <= _LEADING_MAX * (absm[0] + 1.0)
-        miller = ~leading & (x < asym_min[absm[-1]])
-        parts = [(where, kernel(absm, x[where])) for where, kernel in
-                 ((leading, _leading), (miller, _miller_multi)) if np.any(where)]
-    for m in absm:
-        for where, part in parts:
-            got[m][where] = part[m]
-        asym = x >= asym_min[m]
-        if np.any(asym):
-            got[m][asym] = _asymptotic(m, x[asym])
-    return [(-got[-m] if m < 0 and m % 2 else got[abs(m)]).reshape(xa.shape) for m in orders]
+    got = _j_points(np.array(orders, dtype=int)[:, None], xa.reshape(-1))
+    return [v.reshape(xa.shape) for v in got]
 
 
 def bessel_j(m: int, x):
@@ -173,22 +244,20 @@ def bessel_j_prime(m: int, x):
 
 # ---------------------------------------------------------------- zeros
 
-def _root_funcs(m: int, kind: str, x: np.ndarray, with_derivative: bool):
-    """f(x) (and optionally f'(x)) for the root function of one kind.
+def _root_funcs(m, is_j, x: np.ndarray, with_derivative: bool):
+    """f(x) (and optionally f'(x)) of the root function of order m, kind "j"
+    where is_j holds and "jprime" elsewhere; m and is_j per point or scalar.
 
     kind "j":       f = J_m,   f' = (J_{m-1} - J_{m+1})/2
     kind "jprime":  f = J_m',  f' = J_m'' = -J_m'/x + (m^2/x^2 - 1) J_m
     """
-    jm1, jm, jp1 = _j_orders((m - 1, m, m + 1), x)
-    if kind == _KIND_J:
-        f = jm
-        fp = 0.5 * (jm1 - jp1)
-    else:
-        f = 0.5 * (jm1 - jp1)
-        fp = -f / x + (m * m / (x * x) - 1.0) * jm
-    if with_derivative:
-        return f, fp
-    return f
+    m = np.broadcast_to(m, x.shape)
+    jm1, jm, jp1 = _j_points(np.stack([m - 1, m, m + 1]), x)
+    d = 0.5 * (jm1 - jp1)
+    f = np.where(is_j, jm, d)
+    if not with_derivative:
+        return f
+    return f, np.where(is_j, d, -d / x + (m * m / (x * x) - 1.0) * jm)
 
 
 def _scan_start(m: int, kind: str) -> float:
@@ -199,65 +268,139 @@ def _scan_start(m: int, kind: str) -> float:
     return 0.3 if m == 0 else max(0.3, 0.7 * m)
 
 
-def _brackets(m: int, kind: str, count: int):
-    """First `count` sign-change intervals of the root function."""
-    lo = _scan_start(m, kind)
-    # first zero sits near m + 1.86 m^(1/3); later spacing approaches pi
-    span = 1.86 * m ** (1.0 / 3.0) + (count + 3) * math.pi + 5.0
-    los, his = [], []
-    while len(los) < count:
-        grid = lo + _SCAN_STEP * np.arange(int(span / _SCAN_STEP) + 2)
-        fg = _root_funcs(m, kind, grid, with_derivative=False)
-        flips = np.nonzero(fg[:-1] * fg[1:] <= 0.0)[0]
-        for i in flips:
-            if fg[i] == 0.0 and fg[i + 1] == 0.0:
-                continue
-            los.append(grid[i])
-            his.append(grid[i + 1])
-            if len(los) == count:
-                break
-        lo = grid[-1]
-        span = (count - len(los) + 2) * math.pi + 5.0
-    return np.array(los[:count]), np.array(his[:count])
+class _Roots:
+    """The zeros of one root function (m, kind) found so far.
+
+    The scan grid is lo0 + i, i = 0, 1, ...; `scanned` grid points have
+    been evaluated, `last` is f at the last of them, and `cells` holds the
+    index i of each cell [lo0 + i, lo0 + i + 1] where f changes sign, with
+    the sign of f at its lower end.  Every cell found is refined before a
+    request returns: `zeros` and `passes` (the Newton pass on which each
+    converged) then run parallel to `cells`."""
+
+    def __init__(self, m: int, kind: str):
+        self.m, self.kind, self.lo0 = m, kind, _scan_start(m, kind)
+        self.scanned, self.last = 0, None
+        self.cells, self.signs, self.zeros, self.passes = [], [], [], []
+
+    def to_scan(self, count: int, below: float) -> int:
+        """How many more grid points hold the first `count` zeros and every zero <= below."""
+        need = 0
+        if len(self.cells) < count:
+            # first zero near m + 1.86 m^(1/3); later spacing approaches pi
+            if self.scanned == 0:
+                need = int(1.86 * self.m ** (1.0 / 3.0) + (count + 3) * math.pi + 5.0) + 2
+            else:
+                need = self.scanned + int((count - len(self.cells) + 2) * math.pi + 5.0) + 1
+        if below > self.lo0:
+            # up to the first grid point >= below; a zero at or under it lies in a cell before
+            need = max(need, math.ceil(below - self.lo0) + 2)
+        return max(0, need - self.scanned)
+
+    def add_scan(self, f: np.ndarray) -> None:
+        """Record f at the next len(f) grid points and the sign changes it shows."""
+        seq = f if self.last is None else np.concatenate([[self.last], f])
+        base = self.scanned - (self.last is not None)
+        flips = np.nonzero((seq[:-1] * seq[1:] <= 0.0) & ((seq[:-1] != 0.0) | (seq[1:] != 0.0)))[0]
+        self.cells += (base + flips).tolist()
+        self.signs += np.sign(seq[flips]).tolist()
+        self.scanned += len(f)
+        self.last = float(f[-1])
 
 
-def _refine(m: int, kind: str, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Vectorized Newton iteration kept inside the brackets."""
-    slo = np.sign(_root_funcs(m, kind, lo, with_derivative=False))
+def _newton(m, is_j, lo, hi, slo):
+    """Bracket-guarded Newton iteration on every point at once; returns the
+    zeros and the pass on which each converged (the cap if it did not).
+
+    A point has converged once Newton stops moving x, even onto a bracket
+    end; it then leaves the pass, so its zero does not depend on the batch."""
     x = 0.5 * (lo + hi)
-    done = np.zeros(x.shape, dtype=bool)
-    for _ in range(80):
-        f, fp = _root_funcs(m, kind, x, with_derivative=True)
-        shrink_hi = np.sign(f) != slo
-        hi = np.where(shrink_hi, x, hi)
-        lo = np.where(shrink_hi, lo, x)
+    passes = np.full(x.shape, _NEWTON_PASSES)
+    live = np.arange(len(x))
+    for it in range(1, _NEWTON_PASSES + 1):
+        xl = x[live]
+        f, fp = _root_funcs(m[live], is_j[live], xl, with_derivative=True)
+        shrink_hi = np.sign(f) != slo[live]
+        hi[live] = np.where(shrink_hi, xl, hi[live])
+        lo[live] = np.where(shrink_hi, lo[live], xl)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.where(fp != 0.0, f / fp, 0.0)
-        xn = x - step
-        # converged once Newton stops moving x, even onto a bracket end; a
-        # converged point stays put, so its zero does not depend on the batch
-        now = (fp != 0.0) & (np.abs(step) <= 1e-15 * x)
-        inside = (xn > lo) & (xn < hi)
-        x = np.where(done, x, np.where(inside | now, xn, 0.5 * (lo + hi)))
-        done |= now
-        if np.all(done):
+        xn = xl - step
+        now = (fp != 0.0) & (np.abs(step) <= 1e-15 * xl)
+        inside = (xn > lo[live]) & (xn < hi[live])
+        x[live] = np.where(inside | now, xn, 0.5 * (lo[live] + hi[live]))
+        passes[live[now]] = it
+        live = live[~now]
+        if not live.size:
             break
-    return x
+    return x, passes
 
 
-@lru_cache(maxsize=None)
-def _zero_block(m: int, kind: str, block: int) -> tuple:
-    lo, hi = _brackets(m, kind, block)
-    return tuple(float(v) for v in _refine(m, kind, lo, hi))
+def _canonical(m: int, kind: str) -> tuple:
+    # J_0' = -J_1: one root finder for both keeps TE(0, mu) and TM(+-1, mu)
+    # exactly degenerate
+    return (1, _KIND_J) if m == 0 and kind == _KIND_JPRIME else (m, kind)
+
+
+_ROOTS: dict = {}               # (m, kind) in canonical form -> _Roots
+_ROOTS_LOCK = threading.Lock()
+
+
+def _zero_tables(counts: dict, below: float = 0.0) -> dict:
+    """{(m, kind): every zero found so far} holding, for each key of counts,
+    at least its first counts[key] zeros and every zero <= below.  The lists
+    are the cache's own: read them, do not change them.
+
+    One pooled scan evaluates every missing grid point of every key (a
+    second only if the first fell short of a count), and one pooled Newton
+    pass refines every new cell."""
+    keys = {key: _canonical(*key) for key in counts}
+    with _ROOTS_LOCK:
+        roots = {c: _ROOTS.setdefault(c, _Roots(*c)) for c in keys.values()}
+        need = {c: 0 for c in roots}
+        for key, c in keys.items():
+            need[c] = max(need[c], counts[key])
+        while True:
+            todo = [(r, n) for c, r in roots.items() if (n := r.to_scan(need[c], below))]
+            if not todo:
+                break
+            m, is_j, x = _pool([(r, r.lo0 + np.arange(r.scanned, r.scanned + n, dtype=float))
+                                for r, n in todo])
+            f = _root_funcs(m, is_j, x, with_derivative=False)
+            for (r, n), part in zip(todo, np.split(f, np.cumsum([n for _, n in todo])[:-1])):
+                r.add_scan(part)
+        # the cells not yet refined: zeros run parallel to the cells before them
+        new = [(r, np.array(r.cells[len(r.zeros):], dtype=float)) for r in roots.values()]
+        new = [(r, i) for r, i in new if i.size]
+        if new:
+            m, is_j, lo = _pool([(r, r.lo0 + i) for r, i in new])
+            hi = np.concatenate([r.lo0 + (i + 1.0) for r, i in new])
+            slo = np.concatenate([r.signs[len(r.zeros):] for r, _ in new])
+            zeros, passes = _newton(m, is_j, lo, hi, slo)
+            at = np.cumsum([i.size for _, i in new])[:-1]
+            for (r, _), z, p in zip(new, np.split(zeros, at), np.split(passes, at)):
+                r.zeros += z.tolist()
+                r.passes += p.tolist()
+    return {key: roots[c].zeros for key, c in keys.items()}
+
+
+def _pool(parts):
+    """Per-point order, kind flag and x of [(roots, x), ...], concatenated."""
+    m = np.concatenate([np.full(x.size, r.m) for r, x in parts])
+    is_j = np.concatenate([np.full(x.size, r.kind == _KIND_J) for r, x in parts])
+    return m, is_j, np.concatenate([x for _, x in parts])
 
 
 def _zeros(m: int, kind: str, count: int) -> tuple:
-    if m == 0 and kind == _KIND_JPRIME:
-        # J_0' = -J_1: one root finder for both keeps TE(0, mu) and
-        # TM(+-1, mu) exactly degenerate
-        m, kind = 1, _KIND_J
-    block = 8 * ((count + 7) // 8)      # round cache key up; reuse across calls
-    return _zero_block(m, kind, block)[:count]
+    roots = _ROOTS.get(_canonical(m, kind))     # zeros only grow, so a read needs no lock
+    zeros = roots.zeros if roots and len(roots.zeros) >= count else _zero_tables({(m, kind): count})[m, kind]
+    return tuple(zeros[:count])
+
+
+def _newton_passes(m: int, kind: str, count: int) -> tuple:
+    """The Newton pass on which each of the first `count` zeros converged."""
+    _zero_tables({(m, kind): count})
+    return tuple(_ROOTS[_canonical(m, kind)].passes[:count])
 
 
 def _as_int(name: str, v, low=None) -> int:
@@ -306,7 +449,7 @@ class BesselZeroTable:
         if z.size and (np.any(z <= 0.0) or np.any(np.diff(z) <= 0.0)):
             raise ValueError("zeros must be strictly increasing and positive")
         if z.size:
-            resid = np.abs(_root_funcs(self.m, self.kind, z, with_derivative=False))
+            resid = np.abs(_root_funcs(self.m, self.kind == _KIND_J, z, with_derivative=False))
             if np.max(resid) >= 1e-12:
                 raise ValueError(
                     f"zero table residual {np.max(resid):.3e} exceeds 1e-12"

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import _as_int, _as_real, _j_orders, bessel_prime_zero, bessel_zero
+from .bessel import _KIND_J, _KIND_JPRIME, _as_int, _as_real, _j_points, _zero_tables
 
 # CODATA 2018 SI values
 SPEED_OF_LIGHT = 299792458.0            # m/s (exact)
@@ -105,16 +105,20 @@ class ModeData:
     c_norm: float   # scalar amplitude giving int |u|^2 dV = 1
 
 
-_ZERO_OF = {TM: bessel_zero, TE: bessel_prime_zero}
+_KIND_OF = {TM: _KIND_J, TE: _KIND_JPRIME}     # chi is a zero of J_m (TM) or J_m' (TE)
 
 
 def _modes(geom: CavityGeometry, indices) -> list[ModeData]:
-    """ModeData for each index, in input order, from one Bessel sweep per |m|."""
-    chis = np.array([_ZERO_OF[idx.sigma](abs(idx.m), idx.mu) for idx in indices])
-    abs_m = np.array([abs(idx.m) for idx in indices], dtype=int)
-    js = np.empty((2, len(chis)))   # J_|m|, J_|m|+1 at chi; a point's bits ignore its batch
-    for ma in set(abs_m.tolist()):
-        js[:, abs_m == ma] = _j_orders((ma, ma + 1), chis[abs_m == ma])
+    """ModeData for each index, in input order, from one zero request for
+    every index and one Bessel sweep (J_|m|, J_|m|+1 at every chi)."""
+    keys = [(abs(idx.m), _KIND_OF[idx.sigma]) for idx in indices]
+    need = {}
+    for key, idx in zip(keys, indices):
+        need[key] = max(need.get(key, 0), idx.mu)
+    tables = _zero_tables(need)
+    chis = np.array([tables[key][idx.mu - 1] for key, idx in zip(keys, indices)])
+    abs_m = np.array([m for m, _ in keys], dtype=int)
+    js = _j_points(np.stack([abs_m, abs_m + 1]), chis)     # a point's bits ignore its batch
     out = []
     for idx, chi, jm, jp1 in zip(indices, chis.tolist(), *js.tolist()):
         # Python floats: numpy's x**2 differs from Python's by 1 ulp for a few modes
@@ -150,18 +154,13 @@ def enumerate_modes(geom: CavityGeometry, omega_max: float) -> list[ModeData]:
         raise ValueError(f"omega_max must be finite and >= 0, got {omega_max!r}")
     chi_max = omega_max * geom.a / geom.c
     n_top = math.floor(omega_max * geom.L / (math.pi * geom.c)) + 1   # h <= omega/c
-    candidates = []
-    for sigma in (TM, TE):
-        m = 0
-        # first zeros increase with m, with one exception: x = 0 is not
-        # counted as a zero of J_0', so the m = 0 entry of the prime-zero
-        # sequence (3.83..) sits above the m = 1 entry (1.84..); m = 0 is
-        # therefore always scanned and never used to stop the scan
-        while m == 0 or _ZERO_OF[sigma](m, 1) <= chi_max:
-            mu = 1
-            while _ZERO_OF[sigma](m, mu) <= chi_max:
-                candidates += [ModeIndex(mm, mu, n, sigma) for mm in ((m,) if m == 0 else (m, -m))
-                               for n in range(0 if sigma == TM else 1, n_top + 1)]
-                mu += 1
-            m += 1
+    # every zero of J_m or J_m' exceeds m, so the orders up to chi_max hold
+    # every zero <= chi_max; x = 0 is not counted as a zero of J_0'
+    orders = range(math.floor(chi_max) + 1)
+    tables = _zero_tables({(m, kind): 0 for kind in _KIND_OF.values() for m in orders}, chi_max)
+    candidates = [ModeIndex(mm, mu, n, sigma)
+                  for sigma in (TM, TE) for m in orders
+                  for mu, chi in enumerate(tables[m, _KIND_OF[sigma]], start=1) if chi <= chi_max
+                  for mm in ((m,) if m == 0 else (m, -m))
+                  for n in range(0 if sigma == TM else 1, n_top + 1)]
     return sorted((md for md in _modes(geom, candidates) if md.omega <= omega_max), key=_sort_key)

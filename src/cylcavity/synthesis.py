@@ -255,8 +255,14 @@ def project(e_sampler, b_sampler, modes, rule: QuadratureRule) -> np.ndarray:
             hat.append((np.matmul(dft.real, c) + 1j * np.matmul(dft.imag, c)) * w)
         return np.array(hat)
 
-    # <u_i, E> and <curl u_i, B>: sum_c conj(s_ci) R_ci^T hat_{c, m_i} Z_ci
-    s, R, Z = _factors(modes, rule.r, rule.z)
+    # <u_i, E> and <curl u_i, B>: sum_c conj(s_ci) R_ci^T hat_{c, m_i} Z_ci, from
+    # the factors per |m| group on the grid's nodes, which the samplers of a
+    # state with these modes have just evaluated
+    s = np.empty((7, len(modes)), dtype=complex)
+    R, Z = np.empty((7, rule.nr, len(modes))), np.empty((7, rule.nz, len(modes)))
+    for idx in _by_abs_m(modes):
+        sg, Rg, Zg = _factors([modes[i] for i in idx], r, z)
+        s[:, idx], R[..., idx], Z[..., idx] = sg, Rg.reshape(7, rule.nr, -1), Zg.reshape(7, rule.nz, -1)
     inner = np.empty((2, len(modes)), dtype=complex)
     for half, (hat, rows) in enumerate(((fold("E", e_sampler), _U), (fold("B", b_sampler), _CURL))):
         for row in range(len(m_vals)):

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bessel import _as_int, bessel_j, bessel_j_prime, zero_table
+from .bessel import _as_int, _newton_passes, _zero_tables, bessel_j, bessel_j_prime, zero_table
 from .modefield import _CURL, _PSI, _U, _by_abs_m, _factors, _phase
 from .spectrum import CavityGeometry, ModeData, enumerate_modes
 
@@ -368,11 +368,14 @@ _SUITES = ("bessel", "gram", "curl", "boundary")
 def _bessel_suite(tol: float) -> dict:
     max_residual = 0.0
     interlacing_ok = True
-    count = 8
+    count, orders = 8, range(9)
+    _zero_tables({(m, kind): count for kind in ("j", "jprime") for m in orders})
+    passes = 0
     for kind, f in (("j", bessel_j), ("jprime", bessel_j_prime)):
         prev = None
-        for m in range(0, 9):
+        for m in orders:
             table = zero_table(m, kind, count)
+            passes = max(passes, *_newton_passes(m, kind, count))
             residual = float(np.max(np.abs(f(m, np.asarray(table.zeros)))))
             max_residual = max(max_residual, residual)
             # zeros of consecutive orders strictly interlace; the pair
@@ -382,7 +385,8 @@ def _bessel_suite(tol: float) -> dict:
                 interlacing_ok &= bool(np.all(prev < table.zeros))
                 interlacing_ok &= bool(np.all(table.zeros[:-1] < prev[1:]))
             prev = np.asarray(table.zeros)
-    return {"interlacing_ok": interlacing_ok, "max_residual": max_residual, "orders_checked": 9,
+    return {"interlacing_ok": interlacing_ok, "max_newton_iterations": passes,
+            "max_residual": max_residual, "orders_checked": len(orders),
             "passed": bool(interlacing_ok and max_residual <= tol), "tolerance": tol,
             "zeros_per_order": count}
 

@@ -40,7 +40,7 @@ from cylcavity import (
     wall_samples,
     zero_table,
 )
-from cylcavity.bessel import _zero_block
+from cylcavity.bessel import _ROOTS
 from cylcavity.verify import default_nphi
 from oracles import bessel_zero_oracle
 
@@ -69,7 +69,7 @@ def _report(ok: bool, name: str, detail: str) -> str:
 
 
 def test_bessel_zero_fidelity():
-    _zero_block.cache_clear()
+    _ROOTS.clear()
     t0 = time.perf_counter()
     worst_resid = 0.0
     worst_diff = 0.0

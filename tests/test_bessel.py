@@ -4,7 +4,10 @@ Reference values were computed once with mpmath at 40 significant
 digits and frozen; the mpmath grid comparison reruns live.
 """
 
+import hashlib
 import math
+import sys
+import threading
 
 import mpmath
 import numpy as np
@@ -12,8 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cylcavity.bessel as bessel
 from cylcavity.bessel import (
     BesselZeroTable,
+    _j_orders,
+    _j_points,
+    _newton_passes,
+    _zero_tables,
     bessel_j,
     bessel_j_prime,
     bessel_prime_zero,
@@ -44,14 +52,95 @@ def test_j0_prime_zeros_are_j1_zeros_bitwise():
         assert bessel_prime_zero(0, mu) == bessel_zero(1, mu)
 
 
-def test_zero_does_not_depend_on_how_many_were_requested():
-    # bessel_zero refines a block of 8 ceil(mu / 8) zeros, the table one of
-    # 24: each zero must stop on its own step, not on its neighbours'
+# sha256 of the float64 (little-endian) bytes of zero_table(m, kind, 30).zeros
+# for m = 0..40, kind "j" then "jprime" per m, computed with the per-order
+# zero finder that scanned and refined each (m, kind) on its own
+ZERO_TABLE_DIGEST = "955cce35eef7485640cecbb4bdbd4e7035e29310f41a61eee5190b4d396af8f4"
+
+
+def test_zero_tables_match_frozen_digest():
+    digest = hashlib.sha256()
+    for m in range(41):
+        for kind in ("j", "jprime"):
+            digest.update(np.asarray(zero_table(m, kind, 30).zeros, dtype="<f8").tobytes())
+    assert digest.hexdigest() == ZERO_TABLE_DIGEST
+
+
+def test_zero_does_not_depend_on_how_many_were_requested(monkeypatch):
+    # a table grown one zero per request, mu by mu, from an empty cache has
+    # the bits of a table of 24 built in one request from an empty cache
     for m in range(41):
         for kind, zero in (("j", bessel_zero), ("jprime", bessel_prime_zero)):
-            table = zero_table(m, kind, 24)
-            for mu in range(1, 25):
-                assert zero(m, mu) == table[mu], (m, kind, mu)
+            monkeypatch.setattr(bessel, "_ROOTS", {})
+            grown = [zero(m, mu) for mu in range(1, 25)]
+            monkeypatch.setattr(bessel, "_ROOTS", {})
+            table = zero_table(m, kind, 24).zeros
+            assert [v.hex() for v in grown] == [v.hex() for v in table], (m, kind)
+
+
+def _alone(key, count, monkeypatch):
+    monkeypatch.setattr(bessel, "_ROOTS", {})
+    return zero_table(*key, count).zeros, _newton_passes(*key, count)
+
+
+def test_pooled_zeros_equal_zeros_requested_alone(monkeypatch):
+    monkeypatch.setattr(bessel, "_ROOTS", {})
+    counts = {(m, kind): 3 + m % 11 for m in range(0, 61, 3) for kind in ("j", "jprime")}
+    pooled = _zero_tables(counts)
+    passes = {key: _newton_passes(*key, count) for key, count in counts.items()}
+    for key, count in counts.items():
+        zeros, alone_passes = _alone(key, count, monkeypatch)
+        assert [v.hex() for v in pooled[key][:count]] == [v.hex() for v in zeros], key
+        assert passes[key] == alone_passes, key
+
+
+def test_zeros_below_a_bound_equal_zeros_requested_alone(monkeypatch):
+    monkeypatch.setattr(bessel, "_ROOTS", {})
+    chi_max = 27.5
+    below = _zero_tables({(m, kind): 0 for m in range(28) for kind in ("j", "jprime")}, chi_max)
+    for (m, kind), found in below.items():
+        count = sum(v <= chi_max for v in found)
+        zeros, _ = _alone((m, kind), count + 1, monkeypatch)
+        assert zeros[count] > chi_max, (m, kind)        # none below the bound is missing
+        assert [v.hex() for v in found[:count]] == [v.hex() for v in zeros[:count]], (m, kind)
+
+
+def test_zero_cache_survives_threads(monkeypatch):
+    # more threads than cores growing the same tables by different amounts;
+    # a lost update would repeat or drop a scan cell or a zero
+    want = {key: zero_table(*key, 24).zeros for key in ((3, "j"), (3, "jprime"), (8, "j"))}
+    monkeypatch.setattr(bessel, "_ROOTS", {})
+    errors = []
+
+    def work(k):
+        try:
+            for count in range(1 + k % 3, 25, 3):
+                for key, zeros in want.items():
+                    assert zero_table(*key, count).zeros == zeros[:count]
+        except Exception as exc:    # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads) and not errors
+    for roots in bessel._ROOTS.values():
+        assert len(roots.zeros) == len(roots.cells) == len(set(roots.cells))
+        assert roots.cells == sorted(roots.cells)
+
+
+def test_newton_passes_are_recorded_per_zero():
+    passes = _newton_passes(7, "jprime", 10)
+    assert len(passes) == 10
+    assert all(1 <= p <= 8 for p in passes)
+    assert _newton_passes(0, "jprime", 10) == _newton_passes(1, "j", 10)
 
 
 def test_value_at_first_zero_of_j0():
@@ -156,6 +245,38 @@ def test_value_does_not_depend_on_the_rest_of_the_call(case):
     i = batch.index(x, 1) if x != 0.0 else 0
     assert bessel_j(m, np.array(batch))[i] == bessel_j(m, x)
     assert bessel_j_prime(m, np.array(batch))[i] == bessel_j_prime(m, x)
+
+
+@st.composite
+def _mixed_orders(draw):
+    # per point: an order and an x in one regime of its three orders: the
+    # leading term, Miller (from far below the turning point, where the
+    # sweep rescales, up to the Hankel threshold), or across that threshold
+    points = []
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        m = draw(st.integers(min_value=-100, max_value=100))
+        top = _threshold(abs(m) + 1)
+        x = draw(st.one_of(
+            st.just(0.0),
+            st.floats(min_value=0.0, max_value=1e-7),
+            st.floats(min_value=1e-3, max_value=0.5 * max(abs(m), 1)),
+            st.floats(min_value=0.0, max_value=min(top, 120.0)),
+            st.floats(min_value=_threshold(m) - 2.0, max_value=top + 2.0),
+            st.floats(min_value=top, max_value=4.0 * top),
+        ))
+        points.append((m, x))
+    return points
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mixed_orders())
+def test_per_point_orders_equal_one_point_calls(points):
+    m = np.array([p[0] for p in points])
+    x = np.array([p[1] for p in points])
+    got = _j_points(np.stack([m - 1, m, m + 1]), x)
+    for i, (mi, xi) in enumerate(points):
+        alone = np.array(_j_orders((mi - 1, mi, mi + 1), xi))
+        assert got[:, i].tobytes() == alone.tobytes(), (mi, xi)
 
 
 @settings(max_examples=120, deadline=None)

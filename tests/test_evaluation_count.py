@@ -8,8 +8,9 @@ synthesizer, projection and stencil sweeps.  Only the public one-mode
 check_boundary sweeps per mode; a CLI verify run checks the walls per |m|.
 A repeat of the same modes on the same nodes is served by modefield's memo
 and makes no sweep, so every test starts from an empty memo.
-The spectrum builds every ModeData the same way: one spectrum._j_orders
-call (J_|m|, J_|m|+1 at every chi) per distinct |m|.
+The spectrum builds every ModeData of one _modes call from one
+spectrum._j_points call (J_|m|, J_|m|+1 at every chi), and finds the zero
+tables it needs with one pooled scan and one pooled Newton pass.
 """
 
 from collections import Counter
@@ -17,6 +18,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import cylcavity.bessel as bessel
 import cylcavity.modefield as modefield
 import cylcavity.spectrum as spectrum
 from cylcavity import (
@@ -64,14 +66,29 @@ def sweeps(monkeypatch):
 
 @pytest.fixture
 def spectrum_sweeps(monkeypatch):
-    seen = Counter()
-    original = spectrum._j_orders
+    seen = []
+    original = spectrum._j_points
 
     def counting(orders, x):
-        seen[orders[0]] += 1        # |m|
+        seen.append(len(x))         # points served
         return original(orders, x)
 
-    monkeypatch.setattr(spectrum, "_j_orders", counting)
+    monkeypatch.setattr(spectrum, "_j_points", counting)
+    return seen
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Every call of the one Bessel kernel, the zero finder's and the spectrum's."""
+    seen = []
+    original = bessel._j_points
+
+    def counting(orders, x):
+        seen.append(len(x))
+        return original(orders, x)
+
+    monkeypatch.setattr(bessel, "_j_points", counting)
+    monkeypatch.setattr(spectrum, "_j_points", counting)
     return seen
 
 
@@ -138,10 +155,12 @@ def test_projection_contraction_evaluates_each_mode_once(sweeps, state, rule):
 
 
 def test_projection_samplers_reuse_the_energy_factors(sweeps, state, rule):
+    # the samplers and the contraction take the factors per |m| group on the
+    # grid's nodes, where total_energy left them
     total_energy(state, rule)
     sweeps.clear()
     project(*field_samplers(state), state.modes, rule)
-    _per_abs_m(sweeps, state.modes, 1)          # the contraction's 1-D nodes only
+    assert not sweeps
 
 
 def test_maxwell_residual_evaluates_each_mode_once(sweeps, state, rng):
@@ -173,11 +192,10 @@ def test_cli_verify_sweeps_once_per_abs_m_per_point_set(sweeps, state, capsys, s
     _per_abs_m(sweeps, state.modes, per_abs_m)
 
 
-def test_spectrum_sweeps_once_per_abs_m(spectrum_sweeps, unit_geom):
+def test_spectrum_sweeps_once_per_modes_call(spectrum_sweeps, unit_geom):
     modes = enumerate_modes(unit_geom, 20.0)
     assert len(modes) == 878
-    assert spectrum_sweeps == Counter({abs(md.index.m): 1 for md in modes})
-    assert len(spectrum_sweeps) == 16
+    assert len(spectrum_sweeps) == 1
     # a batch changes no bit: each mode equals its one-mode mode_data
     for md in modes:
         one = mode_data(unit_geom, md.index)
@@ -186,10 +204,20 @@ def test_spectrum_sweeps_once_per_abs_m(spectrum_sweeps, unit_geom):
             assert getattr(one, name).hex() == getattr(md, name).hex(), (md.index, name)
 
 
-def test_loads_state_sweeps_once_per_abs_m(spectrum_sweeps, state):
+def test_loads_state_sweeps_once(spectrum_sweeps, state):
     text = dumps_state(state)
     spectrum_sweeps.clear()
     back = loads_state(text)
     assert len(back.modes) == 30
-    assert spectrum_sweeps == Counter({abs(md.index.m): 1 for md in state.modes})
-    assert len(spectrum_sweeps) == 5
+    assert spectrum_sweeps == [30]
+
+
+def test_cold_enumeration_pools_the_zero_finder(kernel_calls, unit_geom, monkeypatch):
+    # one pooled scan, a Newton pass of a handful of steps and the ModeData
+    # sweep; a scan and a Newton pass per (m, kind) would take 236 calls
+    monkeypatch.setattr(bessel, "_ROOTS", {})
+    assert len(enumerate_modes(unit_geom, 20.0)) == 878
+    assert len(kernel_calls) <= 24
+    kernel_calls.clear()
+    enumerate_modes(unit_geom, 20.0)
+    assert len(kernel_calls) == 1           # warm: the ModeData sweep alone
