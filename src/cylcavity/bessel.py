@@ -14,11 +14,12 @@ with no dependency on scipy.special.  Two regimes are used:
 Tiny x, where (x/2)**2/(m+1) < 2**-56 and the recurrence's growth 2k/x
 would overflow, takes the series' leading term (x/2)**m / m!: x = 0 gives
 exactly 1 for m = 0 and 0 otherwise.  _j_points is the one kernel: every
-point carries its own orders (J_{m-1}, J_m, J_{m+1} for the zero finder,
-J_|m|, J_|m|+1 for the spectrum), its lowest order picks the leading term,
-its highest order and its x set its Miller start, and each order its own
-Hankel threshold and length.  None of these depends on anything else in
-the array, so J_m(x) has the same bits alone as inside any batch, and one
+point carries its own orders (J_{m-1}, J_m, J_{m+1} for the zero finder
+and for modefield's chunks of several |m|, J_|m|, J_|m|+1 for the
+spectrum), its lowest order picks the leading term, its highest order
+and its x set its Miller start, and each order its own Hankel threshold
+and length.  None of these depends on anything else in the array, so
+J_m(x) has the same bits alone as inside any batch, and one
 backward sweep serves every point and order; _j_orders is the case of the
 same orders at every point.
 
@@ -61,6 +62,7 @@ _NEWTON_PASSES = 80       # cap on the pooled Newton pass; zeros converge in 5 t
 _HANKEL_SIGNS = np.array([(1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)])   # by m mod 4
 _KIND_J = "j"
 _KIND_JPRIME = "jprime"
+_ZERO_RESIDUAL_MAX = 1e-12  # a certified zero's root function evaluates below this
 
 
 def _asym_min(m):
@@ -73,10 +75,10 @@ def _gather_plan(want: np.ndarray) -> dict:
     it goes; the point index is every point when want is (slots, 1).
 
     The (slots, 1) form, the same orders at every point, spares a mask and
-    a fancy-index write per order and per step of the sweep: on the 60
-    _j_orders calls of three fields ops (64 to 1344 points each; one
-    Xeon core) the kernel takes a median 22 ms with it against 30 ms with
-    the orders broadcast to every point, about 4% of those ops' time."""
+    a fancy-index write per order and per step of the sweep: the 20
+    one-mode wall checks of a certify op (348 radii each; one Xeon core)
+    take a minimum of 11.6 ms with it against 16.0 ms with the orders
+    broadcast to every point, so modefield keeps it for a chunk of one |m|."""
     if want.shape[1] == 1:
         rows = {}
         for slot, order in enumerate(want[:, 0].tolist()):
@@ -450,9 +452,9 @@ class BesselZeroTable:
             raise ValueError("zeros must be strictly increasing and positive")
         if z.size:
             resid = np.abs(_root_funcs(self.m, self.kind == _KIND_J, z, with_derivative=False))
-            if np.max(resid) >= 1e-12:
+            if np.max(resid) >= _ZERO_RESIDUAL_MAX:
                 raise ValueError(
-                    f"zero table residual {np.max(resid):.3e} exceeds 1e-12"
+                    f"zero table residual {np.max(resid):.3e} exceeds {_ZERO_RESIDUAL_MAX:g}"
                 )
 
     def __getitem__(self, mu: int) -> float:

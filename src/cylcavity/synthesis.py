@@ -9,13 +9,14 @@ common time t.  The physical fields are
 which are exactly real by construction: E = i (c - c*) = 2 Re (i c) and
 B = c + c* = 2 Re c of one complex sum c each.  Every component of u_s and
 curl u_s is s R_s(r) Z_s(z) e^{i m_s phi} (modefield._factors), all from one
-evaluation per |m_s|.  Synthesis is two real contractions: per m and
-component the (r, z) planes of Re c_m and Im c_m are R diag(2 p a s) Z^T,
-and one contraction of every m's planes with [cos m phi, -sin m phi] is
-the real inverse DFT over m.  _contract runs both as one matmul, a GEMM on
-a tensor grid and batched dots on scattered points.  Time evolution
-multiplies each amplitude by e^{-i omega_s dt}; with that rule (E, B)
-satisfies the free-space Maxwell equations, and the classical field energy
+evaluation per chunk of |m_s| groups.  Synthesis is two real contractions:
+per m and component the (r, z) planes of Re c_m and Im c_m are
+R diag(2 p a s) Z^T, and one contraction of every m's planes with
+[cos m phi, -sin m phi] is the real inverse DFT over m.  _contract runs
+both as one matmul, a GEMM on a tensor grid and batched dots on scattered
+points.  Time evolution multiplies each amplitude by e^{-i omega_s dt};
+with that rule (E, B) satisfies the free-space Maxwell equations, and the
+classical field energy
 
     int [ eps0/2 |E|^2 + 1/(2 mu0) |B|^2 ] dV  =  sum_s hbar omega_s |a_s|^2
 
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modefield import _CURL, _U, CylPoint, _by_abs_m, _factors, _phase
+from .modefield import _CURL, _U, CylPoint, _chunks, _factors, _phase
 from .spectrum import CavityGeometry, ModeData
 from .verify import QuadratureRule, _same_geometry, integrate_cavity
 
@@ -125,16 +126,16 @@ def _synthesize(state: FieldState, r, phi, z, fields, rate_at=None):
     E = -2 Im c of u with p = sqrt(hbar omega / 2 eps0), B = 2 Re c of curl u
     with p = sqrt(hbar / 2 eps0 omega).  E rows take i p, since -2 Im c =
     2 Re (i c), so every row is 2 Re c = 2 (Re c cos m phi - Im c sin m phi).
-    Per |m| group, one _factors call; per m in it, one _contract of the real
-    R with the real Z diag(Re, Im of 2 p a s) gives the (r, z) planes of
-    Re c_m and Im c_m.  Then one _contract of all m's planes with
-    [cos m phi, -sin m phi] is the real inverse DFT over m.
+    Per chunk of |m| groups (modefield._chunks), one _factors call; per m in
+    it, one _contract of the real R with the real Z diag(Re, Im of 2 p a s)
+    gives the (r, z) planes of Re c_m and Im c_m.  Then one _contract of all
+    m's planes with [cos m phi, -sin m phi] is the real inverse DFT over m.
 
     With rate_at, indices into the point axes of r, phi and z (each padded
     to the points' dimensions), returns (fields, rates): rates are the time
     derivatives of the same fields (a_s -> -i omega_s a_s) on the nodes
     those indices pick, contracted from the same factors, so both share
-    one sweep per |m|."""
+    one sweep per chunk."""
     geom, modes = state.geom, state.modes
     shape = np.broadcast_shapes(np.shape(r), np.shape(phi), np.shape(z))
     r, phi, z = (np.reshape(v, (1,) * (len(shape) - np.ndim(v)) + np.shape(v))
@@ -151,9 +152,9 @@ def _synthesize(state: FieldState, r, phi, z, fields, rate_at=None):
         outputs.append((2.0 * _derivative_state(state).amplitudes * scale, rate_at))
     planes = [np.empty((len(scale), *np.broadcast_shapes(r[at_r].shape, z[at_z].shape), len(slot), 2))
               for _, (at_r, _, at_z) in outputs]
-    for idx in _by_abs_m(modes):
-        group = tuple(modes[i] for i in idx)
-        m, (s, R, Z) = np.array([md.index.m for md in group]), _factors(group, r, z)
+    for idx in _chunks(modes, r.size):
+        chunk = tuple(modes[i] for i in idx)
+        m, (s, R, Z) = np.array([md.index.m for md in chunk]), _factors(chunk, r, z)
         for (pre, (at_r, _, at_z)), out in zip(outputs, planes):
             coef = s[rows] * pre[:, idx]
             Ra, Za = R[rows][(slice(None), *at_r)], Z[rows][(slice(None), *at_z)]
@@ -162,7 +163,7 @@ def _synthesize(state: FieldState, r, phi, z, fields, rate_at=None):
                 w = np.stack([coef.real[:, sel], coef.imag[:, sel]], axis=1)    # (row, Re/Im, mode)
                 w = w.reshape(len(scale), *(1,) * (out.ndim - 3), 2, -1)
                 out[..., slot[mv], :] = _contract(Ra[..., None, sel], Za[..., None, sel] * w)
-        del R, Z, Ra, Za        # one group's factors live at a time
+        del R, Z, Ra, Za        # one chunk's factors live at a time
     phase = _phase(np.array(list(slot), dtype=int), phi)
     dft = np.moveaxis(np.stack([phase.real, -phase.imag], axis=-1), 0, -2)   # Re c cos - Im c sin
     outs = []
@@ -256,11 +257,11 @@ def project(e_sampler, b_sampler, modes, rule: QuadratureRule) -> np.ndarray:
         return np.array(hat)
 
     # <u_i, E> and <curl u_i, B>: sum_c conj(s_ci) R_ci^T hat_{c, m_i} Z_ci, from
-    # the factors per |m| group on the grid's nodes, which the samplers of a
-    # state with these modes have just evaluated
+    # the factors per chunk of |m| groups on the grid's nodes, the chunks the
+    # samplers of a state with these modes have just evaluated
     s = np.empty((7, len(modes)), dtype=complex)
     R, Z = np.empty((7, rule.nr, len(modes))), np.empty((7, rule.nz, len(modes)))
-    for idx in _by_abs_m(modes):
+    for idx in _chunks(modes, rule.nr):
         sg, Rg, Zg = _factors([modes[i] for i in idx], r, z)
         s[:, idx], R[..., idx], Z[..., idx] = sg, Rg.reshape(7, rule.nr, -1), Zg.reshape(7, rule.nz, -1)
     inner = np.empty((2, len(modes)), dtype=complex)

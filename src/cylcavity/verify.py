@@ -13,13 +13,15 @@ runs each:
   (1/2) |c_norm|^2 V alpha delta_{ss'}  (one polarization at a time),
 * gram: the full vector Gram matrix <u_s, u_s'> against the identity,
 * curl: the curl identity <curl u_s, curl u_s'> = k'^2 <u_s, u_s'>, both
-  sides from one evaluation of the factors (one Bessel sweep per |m|),
-  which a verify run shares with gram,
+  sides from one evaluation of the factors (one Bessel sweep per chunk of
+  |m| groups), which a verify run shares with gram,
 * boundary: conductor boundary conditions on the walls (vanishing
   tangential u, vanishing normal component of curl u), from the moduli
-  |s| |R| |Z| of one evaluation per |m| group on the walls and on interior
-  radii and heights, since |e^{i m phi}| = 1,
-* bessel: residuals and interlacing of the zero tables of orders 0 to 8.
+  |s| |R| |Z| of one evaluation per chunk of |m| groups on the walls and
+  on interior radii and heights, since |e^{i m phi}| = 1; the default wall
+  layout is classified once per geometry,
+* bessel: residuals and interlacing of the zero tables of orders 0 to 8,
+  every residual from one kernel call.
 
 Pair sums are sum-factorized: every component of psi, u and curl u is
 s R(r) Z(z) e^{i m phi} (modefield._factors) on a tensor-product rule, so
@@ -42,8 +44,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bessel import _as_int, _newton_passes, _zero_tables, bessel_j, bessel_j_prime, zero_table
-from .modefield import _CURL, _PSI, _U, _by_abs_m, _factors, _phase
+from .bessel import (_KIND_J, _KIND_JPRIME, _ZERO_RESIDUAL_MAX, _as_int, _newton_passes, _root_funcs,
+                     _zero_tables)
+from .modefield import _CURL, _PSI, _U, _chunks, _factors, _phase
 from .spectrum import CavityGeometry, ModeData, enumerate_modes
 
 DEFAULT_NR = 64
@@ -311,26 +314,11 @@ def wall_samples(geom: CavityGeometry, n_r: int = 9, n_phi: int = 12, n_z: int =
     return r, phi, z
 
 
-@functools.lru_cache(maxsize=32)
-def _default_walls(geom: CavityGeometry):
-    """wall_samples(geom) with its default sizes, read-only and built once per geometry."""
-    samples = wall_samples(geom)
-    for v in samples:
-        v.flags.writeable = False
-    return samples
-
-
-def check_boundary(mode: ModeData, samples=None) -> BoundaryReport:
-    """Tangential u and normal curl u on the walls, vs interior maxima."""
-    return _walls((mode,), _default_walls(mode.geom) if samples is None else samples)[0]
-
-
-def _walls(modes, samples) -> list:
-    """check_boundary of each of modes (one geometry) on the same samples, from
-    one evaluation per |m| group on the walls and on interior radii and heights."""
-    if not modes:
-        return []
-    geom = modes[0].geom
+def _wall_nodes(geom: CavityGeometry, samples):
+    """The nodes one wall check evaluates, (r, z, on_side): the wall samples
+    followed by 24 radii and 24 heights strictly inside the walls, and which
+    samples lie on the side wall (the others lie on a cap).  Raises
+    ValueError naming the first sample that is on no wall."""
     r, phi, z = (np.asarray(v, dtype=float).ravel() for v in np.broadcast_arrays(*samples))
     if not r.size:
         raise ValueError("no wall samples given")
@@ -340,16 +328,39 @@ def _walls(modes, samples) -> list:
     if np.any(off_wall):
         i = int(np.nonzero(off_wall)[0][0])
         raise ValueError(f"sample {i} (r={r[i]}, phi={phi[i]}, z={z[i]}) is not on a wall")
-
-    # the wall samples, then 24 radii and 24 heights strictly inside the walls,
-    # in one evaluation; the moduli are |s| |R| |Z| since |e^{i m phi}| = 1, so
-    # the interior maxima over the 24 x 24 grid are |s| max|R| max|Z|
     cells = (np.arange(24) + 0.5) / 24.0
-    r_all, z_all = np.concatenate([r, geom.a * cells]), np.concatenate([z, geom.L * cells])
-    n = r.size
+    return np.concatenate([r, geom.a * cells]), np.concatenate([z, geom.L * cells]), on_side
+
+
+@functools.lru_cache(maxsize=32)
+def _default_walls(geom: CavityGeometry):
+    """_wall_nodes of wall_samples(geom) with its default sizes, read-only and
+    built once per geometry."""
+    nodes = _wall_nodes(geom, wall_samples(geom))
+    for v in nodes:
+        v.flags.writeable = False
+    return nodes
+
+
+def check_boundary(mode: ModeData, samples=None) -> BoundaryReport:
+    """Tangential u and normal curl u on the walls, vs interior maxima."""
+    return _walls((mode,), samples)[0]
+
+
+def _walls(modes, samples=None) -> list:
+    """check_boundary of each of modes (one geometry) on the same samples, the
+    default wall layout when samples is None, from one evaluation per chunk
+    of |m| groups on the walls and on interior radii and heights."""
+    if not modes:
+        return []
+    geom = modes[0].geom
+    r, z, on_side = _default_walls(geom) if samples is None else _wall_nodes(geom, samples)
+    # the moduli are |s| |R| |Z| since |e^{i m phi}| = 1, so the interior
+    # maxima over the 24 x 24 grid are |s| max|R| max|Z|
+    n = on_side.size
     reports = [None] * len(modes)
-    for idx in _by_abs_m(modes):
-        s, R, Z = (np.abs(f) for f in _factors(tuple(modes[i] for i in idx), r_all, z_all))
+    for idx in _chunks(modes, r.size):
+        s, R, Z = (np.abs(f) for f in _factors(tuple(modes[i] for i in idx), r, z))
         wall = s[:, None] * R[:, :n] * Z[:, :n]
         inner = s * np.max(R[:, n:], axis=1) * np.max(Z[:, n:], axis=1)
         tangential = np.where(on_side[:, None], np.hypot(wall[2], wall[3]), np.hypot(wall[1], wall[2]))
@@ -366,25 +377,28 @@ _SUITES = ("bessel", "gram", "curl", "boundary")
 
 
 def _bessel_suite(tol: float) -> dict:
-    max_residual = 0.0
-    interlacing_ok = True
     count, orders = 8, range(9)
-    _zero_tables({(m, kind): count for kind in ("j", "jprime") for m in orders})
-    passes = 0
-    for kind, f in (("j", bessel_j), ("jprime", bessel_j_prime)):
-        prev = None
-        for m in orders:
-            table = zero_table(m, kind, count)
-            passes = max(passes, *_newton_passes(m, kind, count))
-            residual = float(np.max(np.abs(f(m, np.asarray(table.zeros)))))
-            max_residual = max(max_residual, residual)
-            # zeros of consecutive orders strictly interlace; the pair
-            # (0, 1) of kind jprime is exempt because x = 0 is not
-            # counted as a zero of J_0'
-            if prev is not None and not (kind == "jprime" and m == 1):
-                interlacing_ok &= bool(np.all(prev < table.zeros))
-                interlacing_ok &= bool(np.all(table.zeros[:-1] < prev[1:]))
-            prev = np.asarray(table.zeros)
+    keys = [(m, kind) for kind in (_KIND_J, _KIND_JPRIME) for m in orders]
+    found = _zero_tables({key: count for key in keys})
+    tables = np.array([found[key][:count] for key in keys])
+    # every table's residual from one kernel call over all the zeros
+    resid = np.abs(_root_funcs(np.repeat([m for m, _ in keys], count),
+                               np.repeat([kind == _KIND_J for _, kind in keys], count),
+                               tables.ravel(), with_derivative=False)).reshape(tables.shape)
+    worst = np.unravel_index(np.argmax(resid), resid.shape)
+    if resid[worst] >= _ZERO_RESIDUAL_MAX:
+        m, kind = keys[worst[0]]
+        raise ValueError(f"zero table residual {resid[worst]:.3e} exceeds {_ZERO_RESIDUAL_MAX:g} "
+                         f"at zero {worst[1] + 1} of kind {kind!r}, order {m}")
+    interlacing_ok = True
+    for (m, kind), zeros, prev in zip(keys[1:], tables[1:], tables[:-1]):
+        # zeros of consecutive orders strictly interlace; the pair (0, 1) of
+        # kind jprime is exempt because x = 0 is not counted as a zero of J_0'
+        if m > 0 and not (kind == _KIND_JPRIME and m == 1):
+            interlacing_ok &= bool(np.all(prev < zeros))
+            interlacing_ok &= bool(np.all(zeros[:-1] < prev[1:]))
+    passes = max(max(_newton_passes(m, kind, count)) for m, kind in keys)
+    max_residual = float(resid[worst])
     return {"interlacing_ok": interlacing_ok, "max_newton_iterations": passes,
             "max_residual": max_residual, "orders_checked": len(orders),
             "passed": bool(interlacing_ok and max_residual <= tol), "tolerance": tol,
@@ -424,7 +438,7 @@ def _run_suites(geom: CavityGeometry, omega_max: float, suites, nr: int, nphi: i
             "rel_tolerance": rep.rel_tol,
         }
     if "boundary" in suites:
-        reps = _walls(modes, _default_walls(geom))
+        reps = _walls(modes)
         worst_t = max((rep.tangential_ratio for rep in reps), default=0.0)
         worst_n = max((rep.normal_curl_ratio for rep in reps), default=0.0)
         tol = tolerances["boundary_tol"]

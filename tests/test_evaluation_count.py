@@ -1,13 +1,15 @@
 """Every consumer of u and curl u evaluates each mode once per point set,
-in one Bessel sweep per |m|.
+in one Bessel sweep per chunk of |m| groups.
 
-modefield evaluates all modes that share |m| with one bessel._j_orders call
-(J_{|m|-1}, J_{|m|}, J_{|m|+1} on every mode's g r), so counting those calls,
-keyed by |m| and by how many modes each served, pins how often each check,
-synthesizer, projection and stencil sweeps.  Only the public one-mode
-check_boundary sweeps per mode; a CLI verify run checks the walls per |m|.
-A repeat of the same modes on the same nodes is served by modefield's memo
-and makes no sweep, so every test starts from an empty memo.
+modefield evaluates the modes of one chunk (modefield._chunks: whole |m|
+groups in ascending |m|, within a budget of radii x modes) with one
+bessel._j_points call (J_{|m|-1}, J_{|m|}, J_{|m|+1} on every mode's g r),
+so counting those calls, and the points each serves per |m|, pins how often
+each check, synthesizer, projection and stencil sweeps: one call per chunk,
+each mode once per point set.  Only the public one-mode check_boundary
+sweeps per mode; a CLI verify run checks the walls per chunk.  A repeat of
+the same modes on the same nodes is served by modefield's memo and makes no
+sweep, so every test starts from an empty memo.
 The spectrum builds every ModeData of one _modes call from one
 spectrum._j_points call (J_|m|, J_|m|+1 at every chi), and finds the zero
 tables it needs with one pooled scan and one pooled Newton pass.
@@ -41,7 +43,7 @@ from cylcavity import (
     total_energy,
 )
 from cylcavity.cli import main
-from cylcavity.verify import default_nphi
+from cylcavity.verify import DEFAULT_NR, _default_walls, default_nphi
 
 
 @pytest.fixture(autouse=True)
@@ -53,14 +55,16 @@ def empty_memo():
 
 @pytest.fixture
 def sweeps(monkeypatch):
-    seen = Counter()
-    original = modefield._j_orders
+    """Per Bessel kernel call modefield makes, the points it serves per |m|."""
+    seen = []
+    original = modefield._j_points
 
     def counting(orders, x):
-        seen[abs(orders[1]), np.shape(x)[-1]] += 1     # (|m|, modes served)
+        # the middle order of each point is its mode's |m|
+        seen.append(Counter(np.broadcast_to(orders[1], np.shape(x)).tolist()))
         return original(orders, x)
 
-    monkeypatch.setattr(modefield, "_j_orders", counting)
+    monkeypatch.setattr(modefield, "_j_points", counting)
     return seen
 
 
@@ -105,32 +109,37 @@ def rule(state):
     return quadrature_rule(state.geom, nr=12, nphi=default_nphi(state.modes), nz=12)
 
 
-def _per_abs_m(sweeps, modes, count):
-    groups = Counter(abs(md.index.m) for md in modes)
-    assert sweeps == Counter({(ma, n): count for ma, n in groups.items()})
+def _per_chunk(sweeps, modes, *radii):
+    """The sweeps were one kernel call per chunk of modes on each point set,
+    given by its number of radii, each serving its chunk's modes at every
+    radius: so each mode once per point set."""
+    want = [Counter(abs(modes[i].index.m) for i in idx for _ in range(n))
+            for n in radii for idx in modefield._chunks(modes, n)]
+    assert sweeps == want
     sweeps.clear()
 
 
-def _once_then_memo(sweeps, modes, call):
-    """call() sweeps once per |m| of modes from an empty memo; a repeat, none."""
+def _once_then_memo(sweeps, modes, radii, call):
+    """call() sweeps once per chunk of modes from an empty memo; a repeat, none."""
     modefield._memo.clear()
     call()
-    _per_abs_m(sweeps, modes, 1)
+    _per_chunk(sweeps, modes, radii)
     call()
     assert not sweeps
 
 
 def test_checks_evaluate_each_mode_once(sweeps, state, rule):
     assert len({abs(md.index.m) for md in state.modes}) < len(state.modes)
-    _once_then_memo(sweeps, state.modes, lambda: check_vector_orthonormality(state.modes, rule))
+    _once_then_memo(sweeps, state.modes, rule.nr, lambda: check_vector_orthonormality(state.modes, rule))
     check_curl_identity(state.modes, rule)      # the Gram's modes on the Gram's nodes
     assert not sweeps
-    _once_then_memo(sweeps, state.modes, lambda: check_curl_identity(state.modes, rule))
+    _once_then_memo(sweeps, state.modes, rule.nr, lambda: check_curl_identity(state.modes, rule))
     tm = [md for md in state.modes if md.index.sigma == TM]
-    _once_then_memo(sweeps, tm, lambda: check_scalar_orthonormality(tm, rule))
+    _once_then_memo(sweeps, tm, rule.nr, lambda: check_scalar_orthonormality(tm, rule))
+    radii = _default_walls(state.geom)[0].size
     for md in state.modes:
         check_boundary(md)
-    assert sweeps == Counter((abs(md.index.m), 1) for md in state.modes)
+    assert sweeps == [Counter({abs(md.index.m): radii}) for md in state.modes]
     sweeps.clear()
     for md in state.modes[-10:]:       # the most recent walls fit in the memo's budget
         check_boundary(md)
@@ -139,57 +148,70 @@ def test_checks_evaluate_each_mode_once(sweeps, state, rule):
 
 def test_synthesis_evaluates_each_mode_once(sweeps, state, rule):
     grid = rule.grid()
-    _once_then_memo(sweeps, state.modes, lambda: total_energy(state, rule))
+    _once_then_memo(sweeps, state.modes, rule.nr, lambda: total_energy(state, rule))
     electric_field_grid(state, *grid)           # energy's modes on energy's nodes
     magnetic_field_grid(state, *grid)
     assert not sweeps
-    _once_then_memo(sweeps, state.modes, lambda: electric_field_grid(state, *grid))
-    _once_then_memo(sweeps, state.modes, lambda: magnetic_field_grid(state, *grid))
+    _once_then_memo(sweeps, state.modes, rule.nr, lambda: electric_field_grid(state, *grid))
+    _once_then_memo(sweeps, state.modes, rule.nr, lambda: magnetic_field_grid(state, *grid))
+
+
+def test_synthesis_on_scattered_points_sweeps_once_per_chunk(sweeps, state, rng):
+    # scattered points give one radius each: more points, smaller chunks
+    points = tuple(rng.uniform(0.0, top, 300) for top in (state.geom.a, 2.0 * np.pi, state.geom.L))
+    assert len(modefield._chunks(state.modes, 300)) > 1
+    _once_then_memo(sweeps, state.modes, 300, lambda: electric_field_grid(state, *points))
 
 
 def test_projection_contraction_evaluates_each_mode_once(sweeps, state, rule):
     e = electric_field_grid(state, *rule.grid())
     b = magnetic_field_grid(state, *rule.grid())
     sweeps.clear()
-    _once_then_memo(sweeps, state.modes, lambda: project(lambda *_: e, lambda *_: b, state.modes, rule))
+    _once_then_memo(sweeps, state.modes, rule.nr,
+                    lambda: project(lambda *_: e, lambda *_: b, state.modes, rule))
 
 
 def test_projection_samplers_reuse_the_energy_factors(sweeps, state, rule):
-    # the samplers and the contraction take the factors per |m| group on the
-    # grid's nodes, where total_energy left them
-    total_energy(state, rule)
-    sweeps.clear()
-    project(*field_samplers(state), state.modes, rule)
-    assert not sweeps
+    # the samplers and the contraction take the factors per chunk on the
+    # grid's nodes, where total_energy left them; on 160 radii in more than
+    # one chunk
+    fine = quadrature_rule(state.geom, nr=160, nphi=rule.nphi, nz=8)
+    assert len(modefield._chunks(state.modes, fine.nr)) > 1
+    for on in (rule, fine):
+        total_energy(state, on)
+        sweeps.clear()
+        project(*field_samplers(state), state.modes, on)
+        assert not sweeps
 
 
 def test_maxwell_residual_evaluates_each_mode_once(sweeps, state, rng):
-    # the time derivative is taken on the stencil's own nodes
+    # the time derivative is taken on the stencil's own nodes: 7 rows of 8 points
     points = (rng.uniform(0.1, 0.8, 8), rng.uniform(0.0, 6.0, 8), rng.uniform(0.1, 1.2, 8))
-    _once_then_memo(sweeps, state.modes, lambda: maxwell_residual(state, points, 1e-3))
+    _once_then_memo(sweeps, state.modes, 7 * 8, lambda: maxwell_residual(state, points, 1e-3))
 
 
 def test_maxwell_residual_sweeps_once_without_the_memo(sweeps, state, rng, monkeypatch):
-    # the stencil and the time derivative share one _factors call per |m|,
+    # the stencil and the time derivative share one _factors call per chunk,
     # so a memo that keeps nothing changes no count
     monkeypatch.setattr(modefield, "_memo", modefield._FactorMemo(0))
     points = (rng.uniform(0.1, 0.8, 8), rng.uniform(0.0, 6.0, 8), rng.uniform(0.1, 1.2, 8))
     for _ in range(2):
         maxwell_residual(state, points, 1e-3)
-        _per_abs_m(sweeps, state.modes, 1)
+        _per_chunk(sweeps, state.modes, 7 * 8)
     assert len(modefield._memo) == 0
 
 
-@pytest.mark.parametrize("suites,per_abs_m", [
+@pytest.mark.parametrize("suites,point_sets", [
     ("gram,curl,boundary", 2),      # one Gram for both suites, then the walls
     ("bessel,boundary", 1),         # the zero tables sweep no mode
 ])
-def test_cli_verify_sweeps_once_per_abs_m_per_point_set(sweeps, state, capsys, suites, per_abs_m):
+def test_cli_verify_sweeps_once_per_abs_m_per_point_set(sweeps, state, capsys, suites, point_sets):
     argv = ["verify", "--radius", "0.9", "--height", "1.3", "--speed-of-light", "1",
             "--vacuum-permittivity", "1", "--hbar", "1", "--omega-max", "6.5", "--suite", suites]
     assert main(argv) == 0
     capsys.readouterr()
-    _per_abs_m(sweeps, state.modes, per_abs_m)
+    radii = (DEFAULT_NR, _default_walls(state.geom)[0].size)
+    _per_chunk(sweeps, state.modes, *radii[-point_sets:])
 
 
 def test_spectrum_sweeps_once_per_modes_call(spectrum_sweeps, unit_geom):

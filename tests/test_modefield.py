@@ -27,7 +27,7 @@ from cylcavity import (
     u_mode,
 )
 import cylcavity.modefield as modefield
-from cylcavity.modefield import _CURL, _MEMO_BYTES, _U, _by_abs_m, _factors, _memo, _phase
+from cylcavity.modefield import _CHUNK_POINTS, _CURL, _MEMO_BYTES, _U, _chunks, _factors, _memo, _phase
 from oracles import fd_curl_cyl, fd_div_cyl, fd_grad_cyl
 
 MODES = [
@@ -180,35 +180,86 @@ def test_potential_boundary_values(unit_geom):
     assert np.max(np.abs(dpsi)) < 1e-9
 
 
+def _equal_single_mode_fields(modes, r, phi, z):
+    """Each mode of one _factors call on modes equals that mode's own
+    u_grid / curl_u_grid, bit for bit."""
+    s, R, Z = _factors(modes, r, z)
+    for j, md in enumerate(modes):
+        phase = _phase(md.index.m, phi)
+        for rows, single in ((_U, u_grid), (_CURL, curl_u_grid)):
+            got = [sc * Rc * Zc * phase for sc, Rc, Zc in zip(s[rows, j], R[rows, ..., j], Z[rows, ..., j])]
+            for f, want in zip(got, single(md, r, phi, z)):
+                assert np.array_equal(f, want), (md.index, rows)
+
+
 def test_abs_m_group_equals_single_mode_fields(unit_geom, rng):
-    # one Bessel sweep per |m| must not change a mode's bits: each mode of
-    # the group evaluator equals that mode's own u_grid / curl_u_grid
+    # one Bessel sweep per |m| group must not change a mode's bits
     # chi up to 10.8: a group's g r spans several Miller start indices
     modes = enumerate_modes(unit_geom, 12.0)
-    groups = [tuple(modes[i] for i in idx) for idx in _by_abs_m(modes)]
+    groups = {}
+    for md in modes:
+        groups.setdefault(abs(md.index.m), []).append(md)
     assert any({md.index.m for md in g} == {1, -1} and len({md.index.sigma for md in g}) == 2
-               for g in groups)
+               for g in groups.values())
     assert any(md.index.sigma == TM and md.index.n == 0 for md in modes)
     tensor = (np.linspace(0.0, unit_geom.a, 17)[:, None, None],
               np.linspace(0.0, 2.0 * math.pi, 5)[None, :, None],
               np.linspace(0.0, unit_geom.L, 13)[None, None, :])
     for r, phi, z in (tensor, _interior_points(unit_geom, rng, 40)):
-        for group in groups:
-            s, R, Z = _factors(group, r, z)
-            for j, md in enumerate(group):
-                phase = _phase(md.index.m, phi)
-                for rows, single in ((_U, u_grid), (_CURL, curl_u_grid)):
-                    got = [sc * Rc * Zc * phase for sc, Rc, Zc in zip(s[rows, j], R[rows, ..., j], Z[rows, ..., j])]
-                    for f, want in zip(got, single(md, r, phi, z)):
-                        assert np.array_equal(f, want)
+        for group in groups.values():
+            _equal_single_mode_fields(tuple(group), r, phi, z)
+
+
+def test_pooled_chunks_equal_single_mode_fields(unit_geom, rng):
+    # every mode up to omega = 12 in one call, swept in several chunks of
+    # several |m| each with per-point orders, has the bits it has alone: on
+    # the axis, inside the on-axis limit's reach, on the wall and in between
+    modes = tuple(enumerate_modes(unit_geom, 12.0))
+    assert len(modes) == 183
+    a = unit_geom.a
+    radii = np.concatenate([[0.0, 1e-12 * a, 0.9e-8 * a, 1.1e-8 * a, a],
+                            np.linspace(0.0, a, 61)[1:-1]])
+    tensor = (radii[:, None, None], np.linspace(0.0, 2.0 * math.pi, 3)[None, :, None],
+              np.linspace(0.0, unit_geom.L, 5)[None, None, :])
+    scattered = (np.concatenate([[0.0, 1e-12 * a, a], rng.uniform(0.0, a, 61)]),
+                 rng.uniform(0.0, 2.0 * math.pi, 64), rng.uniform(0.0, unit_geom.L, 64))
+    for r, phi, z in (tensor, scattered):
+        chunks = _chunks(modes, np.size(r))
+        assert len(chunks) > 2 and any(len({abs(modes[i].index.m) for i in c}) > 2 for c in chunks)
+        _equal_single_mode_fields(modes, r, phi, z)
+
+
+@pytest.mark.parametrize("omega_max", [6.5, 20.0, 40.0])
+@pytest.mark.parametrize("radii", [1, 17, 64, 348, 5000])
+@pytest.mark.parametrize("order", ["spectrum", "reversed"])
+def test_chunks_take_whole_abs_m_groups_within_budget(unit_geom, omega_max, radii, order):
+    modes = enumerate_modes(unit_geom, omega_max)
+    modes = modes if order == "spectrum" else modes[::-1]
+    chunks = _chunks(modes, radii)
+    assert sorted(i for c in chunks for i in c) == list(range(len(modes)))
+    abs_m = [sorted({abs(modes[i].index.m) for i in c}) for c in chunks]
+    flat = [ma for ms in abs_m for ma in ms]
+    assert flat == sorted(set(flat))     # ascending, and each |m| group in one chunk
+    for c, ms, following in zip(chunks, abs_m, abs_m[1:] + [None]):
+        assert len(c) * radii <= _CHUNK_POINTS or len(ms) == 1
+        if following:       # a chunk stops only where the next group would pass the budget
+            nxt = sum(abs(md.index.m) == following[0] for md in modes)
+            assert (len(c) + nxt) * radii > _CHUNK_POINTS
+    assert _chunks((), radii) == []
+
+
+def test_empty_mode_set_has_empty_factors(unit_geom):
+    r, z = np.linspace(0.0, unit_geom.a, 4)[:, None], np.linspace(0.0, unit_geom.L, 3)[None, :]
+    s, R, Z = _factors((), r, z)
+    assert s.shape == (7, 0) and R.shape == (7, 4, 1, 0) and Z.shape == (7, 1, 3, 0)
 
 
 @pytest.fixture
 def sweeps(monkeypatch):
-    """Bessel sweeps made by _factors, starting from an empty memo."""
+    """Bessel kernel calls made by _factors, starting from an empty memo."""
     calls = []
-    original = modefield._j_orders
-    monkeypatch.setattr(modefield, "_j_orders", lambda orders, x: calls.append(orders) or original(orders, x))
+    original = modefield._j_points
+    monkeypatch.setattr(modefield, "_j_points", lambda orders, x: calls.append(orders) or original(orders, x))
     _memo.clear()
     yield calls
     _memo.clear()

@@ -33,6 +33,8 @@ from cylcavity import (
     u_grid,
     zero_point_energy,
 )
+import cylcavity.synthesis as synthesis
+from cylcavity.modefield import _CHUNK_POINTS
 from cylcavity.synthesis import _derivative_state, _fd_stencil, _synthesize
 from cylcavity.verify import default_nphi
 from oracles import dense_fields
@@ -240,6 +242,25 @@ def test_empty_state(unit_geom):
     assert zero_point_energy(state) == 0.0
     e = electric_field(state, CylPoint(r=0.2, phi=0.0, z=0.5))
     assert np.array_equal(e, np.zeros(3))
+    assert project(*field_samplers(state), (), rule).shape == (0,)
+
+
+def test_synthesis_keeps_each_evaluation_within_the_chunk_budget(unit_geom, rng, monkeypatch):
+    # 878 modes on 200 scattered points: the factors are asked for one chunk
+    # of whole |m| groups at a time, each within the budget of radii x modes
+    # unless one |m| group alone is larger
+    modes = enumerate_modes(unit_geom, 20.0)
+    assert len(modes) == 878
+    state = FieldState(geom=unit_geom, entries=tuple((md, 1.0) for md in modes))
+    asked = []
+    original = synthesis._factors
+    monkeypatch.setattr(synthesis, "_factors", lambda chunk, r, z: asked.append(
+        (len(chunk), np.size(r), len({abs(md.index.m) for md in chunk}))) or original(chunk, r, z))
+    points = tuple(rng.uniform(0.0, top, 200) for top in (unit_geom.a, 2.0 * math.pi, unit_geom.L))
+    e = electric_field_grid(state, *points)
+    assert sum(n for n, _, _ in asked) == len(modes) and len(asked) > 1
+    assert all(n * radii <= _CHUNK_POINTS or groups == 1 for n, radii, groups in asked)
+    assert any(groups > 1 for _, _, groups in asked) and all(np.all(np.isfinite(c)) for c in e)
 
 
 def test_fields_match_dense_oracle(unit_geom, rng):

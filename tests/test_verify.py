@@ -27,9 +27,16 @@ from cylcavity import (
     quadrature_rule,
     total_energy,
     u_grid,
+    bessel_j,
+    bessel_j_prime,
     wall_samples,
+    zero_table,
 )
-from cylcavity.verify import DEFAULT_NR, DEFAULT_NZ, CurlIdentityReport, _run_suites, _walls, default_nphi
+import cylcavity.bessel as bessel
+import cylcavity.verify as verify
+from cylcavity.cli import main
+from cylcavity.verify import (DEFAULT_NR, DEFAULT_NZ, CurlIdentityReport, _bessel_suite, _run_suites, _walls,
+                              default_nphi)
 from oracles import dense_boundary, dense_gram, dense_project, rz_gram
 
 
@@ -159,6 +166,27 @@ def test_default_wall_samples_are_shared_read_only(unit_geom):
     for v in samples:
         v[:] = unit_geom.a          # wall_samples' arrays are the caller's own
     assert check_boundary(md) == check_boundary(md, wall_samples(unit_geom))
+
+
+def test_default_wall_layout_is_built_once_per_geometry(unit_geom, monkeypatch):
+    # check_boundary without samples classifies the default samples once per
+    # geometry; samples a caller passes are validated on every call
+    verify._default_walls.cache_clear()
+    built = []
+    original = verify._wall_nodes
+    monkeypatch.setattr(verify, "_wall_nodes", lambda geom, samples: built.append(geom) or original(geom, samples))
+    other = CavityGeometry(a=1.1 * unit_geom.a, L=unit_geom.L, c=1.0, eps0=1.0, hbar=1.0)
+    for geom in (unit_geom, other):
+        for index in (ModeIndex(1, 1, 1, TE), ModeIndex(0, 2, 1, TM)):
+            check_boundary(mode_data(geom, index))
+    assert built == [unit_geom, other]
+    md = mode_data(unit_geom, ModeIndex(1, 1, 1, TE))
+    for _ in range(2):
+        assert check_boundary(md, wall_samples(unit_geom)) == check_boundary(md)
+    assert built == [unit_geom, other, unit_geom, unit_geom]
+    r, z, on_side = verify._default_walls(unit_geom)
+    assert not (r.flags.writeable or z.flags.writeable or on_side.flags.writeable)
+    verify._default_walls.cache_clear()
 
 
 @pytest.mark.parametrize("m,mu,n,sigma", [(0, 1, 0, TM), (1, 1, 1, TM),
@@ -352,7 +380,7 @@ def test_boundary_broadcasts_samples_before_flattening(unit_geom, oracle_modes):
 # --------------------------------------------- a verify run shares its work
 
 def test_walls_equal_one_mode_checks_bitwise(unit_geom, oracle_modes):
-    # one evaluation per |m| group gives each mode the bits it gets alone
+    # one evaluation per chunk of |m| groups gives each mode the bits it gets alone
     samples = wall_samples(unit_geom)
     assert _walls(tuple(oracle_modes), samples) == [check_boundary(md, samples) for md in oracle_modes]
     assert _walls((), samples) == []
@@ -375,3 +403,52 @@ def test_run_suites_gram_and_curl_equal_public_checks_bitwise(unit_geom, oracle_
         if "curl" in got:
             for key in ("max_absolute_mismatch", "max_relative_mismatch", "passed"):
                 assert got["curl"][key] == getattr(curl, key), (suites, key)
+
+
+# ----------------------------------------------------------- bessel suite
+
+def test_bessel_suite_evaluates_every_residual_in_one_call(monkeypatch):
+    _bessel_suite(1e-12)        # the zero tables are found once and kept
+    calls = []
+    original = bessel._j_points
+    monkeypatch.setattr(bessel, "_j_points", lambda orders, x: calls.append(len(x)) or original(orders, x))
+    rep = _bessel_suite(1e-12)
+    assert calls == [18 * 8]
+    monkeypatch.undo()
+    # each residual has the bits the public functions give the certified tables
+    want = max(float(np.max(np.abs(f(m, np.asarray(zero_table(m, kind, 8).zeros)))))
+               for kind, f in (("j", bessel_j), ("jprime", bessel_j_prime)) for m in range(9))
+    assert rep["max_residual"] == want < 1e-12
+    assert rep["passed"] and rep["interlacing_ok"] and rep["orders_checked"] == 9
+
+
+@pytest.mark.parametrize("tol", ["1e-12", "1e-3"])
+def test_verify_rejects_an_uncertified_zero_whatever_the_tolerance(monkeypatch, capsys, tol):
+    original = verify._root_funcs
+
+    def off(m, is_j, x, with_derivative):
+        f = original(m, is_j, x, with_derivative).copy()
+        f[4 * 8 + 5] = 1e-12        # zero 6 of J_4
+        return f
+
+    monkeypatch.setattr(verify, "_root_funcs", off)
+    argv = ["verify", "--radius", "0.9", "--height", "1.3", "--omega-max", "1",
+            "--suite", "bessel", "--bessel-tol", tol]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert not out
+    assert "residual 1.000e-12 exceeds 1e-12 at zero 6 of kind 'j', order 4" in err
+
+
+def test_bessel_suite_checks_interlacing(monkeypatch):
+    original = verify._zero_tables
+
+    def swapped(counts, below=0.0):
+        found = dict(original(counts, below))
+        found[2, "j"], found[3, "j"] = found[3, "j"], found[2, "j"]
+        return found
+
+    monkeypatch.setattr(verify, "_zero_tables", swapped)
+    monkeypatch.setattr(verify, "_root_funcs", lambda m, is_j, x, with_derivative: np.zeros_like(x))
+    rep = _bessel_suite(1e-12)
+    assert rep["max_residual"] == 0.0 and not rep["interlacing_ok"] and not rep["passed"]
