@@ -12,7 +12,11 @@ curl u_s is s R_s(r) Z_s(z) e^{i m_s phi} (modefield._factors), all from one
 evaluation per chunk of |m_s| groups.  Synthesis is two real contractions:
 per m and component the (r, z) planes of Re c_m and Im c_m are
 R diag(2 p a s) Z^T, and one contraction of every m's planes with
-[cos m phi, -sin m phi] is the real inverse DFT over m.  _contract runs
+[cos m phi, -sin m phi] is the real inverse DFT over m.  The planes are
+laid out slot-major, (m, Re/Im, component, r, z), and each chunk's modes
+are taken in m order once, so the modes of one m are a slice of the
+factors and its planes one contiguous block; the inverse DFT reads the
+leading (m, Re/Im) axes in place as its contracted axis.  _contract runs
 both as one matmul, a GEMM on a tensor grid and batched dots on scattered
 points.  Time evolution multiplies each amplitude by e^{-i omega_s dt};
 with that rule (E, B) satisfies the free-space Maxwell equations, and the
@@ -126,10 +130,14 @@ def _synthesize(state: FieldState, r, phi, z, fields, rate_at=None):
     E = -2 Im c of u with p = sqrt(hbar omega / 2 eps0), B = 2 Re c of curl u
     with p = sqrt(hbar / 2 eps0 omega).  E rows take i p, since -2 Im c =
     2 Re (i c), so every row is 2 Re c = 2 (Re c cos m phi - Im c sin m phi).
-    Per chunk of |m| groups (modefield._chunks), one _factors call; per m in
-    it, one _contract of the real R with the real Z diag(Re, Im of 2 p a s)
-    gives the (r, z) planes of Re c_m and Im c_m.  Then one _contract of all
-    m's planes with [cos m phi, -sin m phi] is the real inverse DFT over m.
+    Per chunk of |m| groups (modefield._chunks), one _factors call, whose
+    modes one stable argsort puts in m order: the modes of each m are then
+    one slice of R, of Z diag(Re, Im of 2 p a s), formed once per chunk,
+    and of the coefficients.  Per m, one _contract of those slices gives
+    the (Re/Im, component, r, z) planes of c_m, written as the contiguous
+    block planes[slot of m].  Then one _contract of the planes with
+    [cos m phi, -sin m phi] is the real inverse DFT over m; it contracts
+    the leading (slot, Re/Im) axes of the planes, a view of them.
 
     With rate_at, indices into the point axes of r, phi and z (each padded
     to the points' dimensions), returns (fields, rates): rates are the time
@@ -150,27 +158,32 @@ def _synthesize(state: FieldState, r, phi, z, fields, rate_at=None):
     outputs = [(2.0 * state.amplitudes * scale, ((), (), ()))]
     if rate_at is not None:
         outputs.append((2.0 * _derivative_state(state).amplitudes * scale, rate_at))
-    planes = [np.empty((len(scale), *np.broadcast_shapes(r[at_r].shape, z[at_z].shape), len(slot), 2))
+    planes = [np.empty((len(slot), 2, len(scale), *np.broadcast_shapes(r[at_r].shape, z[at_z].shape)))
               for _, (at_r, _, at_z) in outputs]
     for idx in _chunks(modes, r.size):
         chunk = tuple(modes[i] for i in idx)
-        m, (s, R, Z) = np.array([md.index.m for md in chunk]), _factors(chunk, r, z)
+        s, R, Z = _factors(chunk, r, z)
+        m = np.array([md.index.m for md in chunk])
+        order = np.argsort(m, kind="stable")    # the chunk in m order: each m is one slice
+        m, idx = m[order], np.asarray(idx)[order]
+        ends = [*(np.flatnonzero(np.diff(m)) + 1).tolist(), len(m)]
+        s, R, Z = s[rows][:, order], R[rows][..., order], Z[rows][..., order]
         for (pre, (at_r, _, at_z)), out in zip(outputs, planes):
-            coef = s[rows] * pre[:, idx]
-            Ra, Za = R[rows][(slice(None), *at_r)], Z[rows][(slice(None), *at_z)]
-            for mv in dict.fromkeys(m.tolist()):
-                sel = m == mv
-                w = np.stack([coef.real[:, sel], coef.imag[:, sel]], axis=1)    # (row, Re/Im, mode)
-                w = w.reshape(len(scale), *(1,) * (out.ndim - 3), 2, -1)
-                out[..., slot[mv], :] = _contract(Ra[..., None, sel], Za[..., None, sel] * w)
-        del R, Z, Ra, Za        # one chunk's factors live at a time
+            coef = s * pre[:, idx]
+            Ra = R[(None, slice(None), *at_r)]      # (1, row, *r, mode)
+            Za = Z[(slice(None), *at_z)]
+            Zw = Za * np.stack([coef.real, coef.imag]).reshape(2, len(scale), *(1,) * (Za.ndim - 2), -1)
+            for lo, hi in zip([0, *ends], ends):    # (Re/Im, row, *plane) of one m
+                out[slot[m[lo]]] = _contract(Ra[..., lo:hi], Zw[..., lo:hi])
+        del s, R, Z, Ra, Za, Zw     # one chunk's factors live at a time
     phase = _phase(np.array(list(slot), dtype=int), phi)
     dft = np.moveaxis(np.stack([phase.real, -phase.imag], axis=-1), 0, -2)   # Re c cos - Im c sin
     outs = []
     for (_, (at_r, at_phi, at_z)), out in zip(outputs, planes):
         table = dft[at_phi]
+        # the planes' leading (slot, Re/Im) axes as the contracted axis: a view, no copy
         outs.append(_contract(table.reshape(*table.shape[:-2], 2 * len(slot)),
-                              out.reshape(*out.shape[:-2], 2 * len(slot))).reshape(
+                              np.moveaxis(out.reshape(2 * len(slot), *out.shape[2:]), 0, -1)).reshape(
             len(fields), 3, *np.broadcast_shapes(r[at_r].shape, table.shape[:-2], z[at_z].shape)))
     return outs[0] if rate_at is None else tuple(outs)
 

@@ -3,6 +3,7 @@
 import cmath
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -366,3 +367,67 @@ def test_projection_rejects_non_finite_sample(unit_geom, rng, field, comp, bad):
     for axis, i in (("r", 3), ("phi", 2), ("z", 5)):
         assert f"{axis}={float(getattr(rule, axis)[i])!r}" in msg
     assert msg.endswith(repr(bad))
+
+
+def _shuffled_state(geom, rng):
+    """The 878 modes with omega <= 20 in a random order, with random
+    amplitudes: the modes of one m lie far apart, between those of -m and
+    of other m."""
+    modes = enumerate_modes(geom, 20.0)
+    assert len(modes) == 878
+    modes = [modes[i] for i in rng.permutation(len(modes))]
+    amps = rng.normal(size=len(modes)) + 1j * rng.normal(size=len(modes))
+    return FieldState(geom=geom, entries=tuple(zip(modes, amps)), t=0.3)
+
+
+def test_multi_chunk_shuffled_state_matches_dense_oracle(unit_geom, rng):
+    state = _shuffled_state(unit_geom, rng)
+    m = np.array([md.index.m for md in state.modes])
+    grid = (np.linspace(0.0, unit_geom.a, 5)[:, None, None],
+            np.linspace(0.0, 2.0 * math.pi, 6, endpoint=False)[None, :, None] + 0.2,
+            np.linspace(0.0, unit_geom.L, 5)[None, None, :])
+    scattered = (rng.uniform(0.0, unit_geom.a, 50), rng.uniform(0.0, 2.0 * math.pi, 50),
+                 rng.uniform(0.0, unit_geom.L, 50))
+    for r, phi, z in (grid, scattered):
+        # several chunks, each taking the modes of one m from several runs
+        chunks = synthesis._chunks(state.modes, np.size(r))
+        assert len(chunks) > 1
+        assert any(np.count_nonzero(np.diff(m[idx])) >= len(set(m[idx])) for idx in chunks)
+        ref_e, ref_b = dense_fields(state, r, phi, z)
+        got_e, got_b = _synthesize(state, r, phi, z, "EB")
+        for got, ref in ((got_e, ref_e), (got_b, ref_b)):
+            scale = float(np.max(np.abs(ref)))
+            assert scale > 0.0
+            assert float(np.max(np.abs(got - ref))) <= 1e-13 * scale
+
+
+def test_multi_chunk_stencil_time_derivative_matches_centre_synthesis(unit_geom, rng):
+    # the rates' planes are filled chunk by chunk next to the fields', from
+    # slices of the same m-ordered factors
+    state = _shuffled_state(unit_geom, rng)
+    points = (rng.uniform(0.2, 0.7, 20), rng.uniform(0.0, 6.0, 20), rng.uniform(0.2, 1.1, 20))
+    h = 1e-3
+    assert len(synthesis._chunks(state.modes, 7 * 20)) > 2
+    want = _synthesize(_derivative_state(state), *points, "EB")
+    for got, field in zip(_fd_stencil(state, *points, h, h / unit_geom.a), want):
+        for g, w in zip(got[3], field):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def test_rule_grid_synthesis_holds_no_second_copy_of_the_planes(unit_geom):
+    # the (m, Re/Im) planes and the output dominate the memory; the inverse
+    # DFT reads the planes in place, so a copy of them would show here
+    modes = enumerate_modes(unit_geom, 20.0)
+    state = FieldState(geom=unit_geom, entries=tuple((md, 1.0) for md in modes))
+    rule = default_rule(unit_geom, modes)
+    grid = rule.grid()
+    _synthesize(state, *grid, "EB")
+    planes = len({md.index.m for md in modes}) * 2 * 6 * rule.nr * rule.nz * 8
+    tracemalloc.start()
+    try:
+        out = _synthesize(state, *grid, "EB")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == 2 * 3 * rule.nr * rule.nphi * rule.nz * 8
+    assert peak <= 1.15 * (planes + out.nbytes)
