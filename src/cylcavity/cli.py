@@ -210,12 +210,14 @@ def _display_grid(geom: CavityGeometry, sizes: tuple):
 
 
 def _emit_grid(header: str, r, phi, z, columns) -> None:
-    """CSV rows r, phi, z, then each column's value, over the display grid."""
+    """CSV rows r, phi, z, then each column's value, over the display grid;
+    each coordinate is formatted once on its axis."""
     shape = (len(r), len(phi), len(z))
-    coords = np.meshgrid(r, phi, z, indexing="ij")
-    cols = [np.broadcast_to(c, shape).ravel().tolist() for c in (*coords, *columns)]
-    row = ",".join(["%.17g"] * len(cols))      # _fmt's text, one format per row
-    _emit([header] + [row % values for values in zip(*cols)])
+    rs, phis, zs = (["%.17g" % v for v in np.asarray(axis, dtype=float).tolist()] for axis in (r, phi, z))
+    nodes = [rp + zv for rp in [f"{rv},{pv}," for rv in rs for pv in phis] for zv in zs]
+    cols = [np.broadcast_to(c, shape).ravel().tolist() for c in columns]
+    row = ",%.17g" * len(cols)      # _fmt's text, one format per row
+    _emit([header] + [node + row % values for node, values in zip(nodes, zip(*cols))])
 
 
 def _cmd_eval(values: dict) -> int:

@@ -21,10 +21,16 @@ Every row (psi and each cylindrical component of u and of curl u) is
 separable: a constant s times a real radial factor R(r) -- J_m, g J_m',
 (m/r) J_m or g^2 J_m -- times a real axial factor Z(z), c Z or c Z', times
 e^{i m phi}.  _factors gives that (s, R, Z) triple for any set of modes,
-R on the r nodes and Z on the z nodes separately, with one Bessel sweep per
-chunk (_chunks: whole |m| groups in ascending |m|, within a budget of radii
-x modes), and serves a repeat of the same modes on the same nodes read-only
-from a memo of fixed byte budget; every consumer here and in verify and
+R on the r nodes and Z on the z nodes separately.  The radial factors
+depend on the mode only through its radial function J_|m|(g r), shared by
+the +-m partners and every n of one (|m|, mu, sigma), so _factors sweeps
+J_{|m|-1}, J_|m|, J_{|m|+1} once per distinct (|m|, g), one Bessel sweep
+per chunk of them (_groups: whole |m| groups in ascending |m|, within a
+budget of radii x functions).  A memo of fixed byte budget keeps, read-only,
+the factors of each call, for a repeat of the same modes on the same nodes,
+and the triple of each radial function, so a later call on the same radii
+sweeps only the functions not seen there yet (check_boundary of TE(-1,1,1)
+after TE(1,1,1) makes no sweep).  Every consumer here and in verify and
 synthesis takes the factors one chunk at a time and contracts them, and
 _phase alone forms e^{i m phi}.  The
 only removable singularity is (m/r) J_m(g r) on the axis, which tends to
@@ -94,13 +100,14 @@ class CylVector:
 
 
 def _check_domain(geom, r, z) -> None:
-    ra = np.asarray(r, dtype=float)
-    za = np.asarray(z, dtype=float)
-    if not (np.all(np.isfinite(ra)) and np.all(np.isfinite(za))):
+    # a NaN or an infinity shows in the extremes (0.0 stands in for no node)
+    (r_lo, r_hi), (z_lo, z_hi) = ((np.min(v, initial=0.0), np.max(v, initial=0.0))
+                                  for v in (np.asarray(r, dtype=float), np.asarray(z, dtype=float)))
+    if not np.isfinite([r_lo, r_hi, z_lo, z_hi]).all():
         raise ValueError("coordinates must be finite")
-    if np.any(ra < -_DOMAIN_SLACK * geom.a) or np.any(ra > geom.a * (1.0 + _DOMAIN_SLACK)):
+    if r_lo < -_DOMAIN_SLACK * geom.a or r_hi > geom.a * (1.0 + _DOMAIN_SLACK):
         raise ValueError(f"radius outside closed cavity domain [0, {geom.a}]")
-    if np.any(za < -_DOMAIN_SLACK * geom.L) or np.any(za > geom.L * (1.0 + _DOMAIN_SLACK)):
+    if z_lo < -_DOMAIN_SLACK * geom.L or z_hi > geom.L * (1.0 + _DOMAIN_SLACK):
         raise ValueError(f"z outside closed cavity domain [0, {geom.L}]")
 
 
@@ -109,9 +116,15 @@ _CHUNK_POINTS = 4096        # radii x modes of one Bessel sweep; see _chunks
 
 def _chunks(modes, radii: int) -> list:
     """Positions of `modes` in chunks of whole |m| groups, the unit of one
-    Bessel sweep on `radii` radii.  Groups are taken in ascending |m| and a
-    chunk takes the next group while radii x modes stays within
-    _CHUNK_POINTS; a group larger than that alone is a chunk of its own.
+    Bessel sweep on `radii` radii: _groups of the modes' |m|."""
+    return _groups([abs(md.index.m) for md in modes], radii)
+
+
+def _groups(abs_m, radii: int) -> list:
+    """Positions of `abs_m` in chunks of whole |m| groups.  Groups are taken
+    in ascending |m| and a chunk takes the next group while radii x members
+    stays within _CHUNK_POINTS; a group larger than that alone is a chunk
+    of its own.
 
     Pooling spares the kernel's per-call set-up, about 0.3 ms, but per-point
     orders cost more per point than the same orders at every point, and
@@ -123,8 +136,8 @@ def _chunks(modes, radii: int) -> list:
     call per group, while _factors of 878 and 7128 modes on 64 radii and
     the walls of 878 modes stayed within the noise."""
     groups = {}
-    for i, md in enumerate(modes):
-        groups.setdefault(abs(md.index.m), []).append(i)
+    for i, ma in enumerate(abs_m):
+        groups.setdefault(ma, []).append(i)
     chunks = []
     for ma in sorted(groups):
         if chunks and (len(chunks[-1]) + len(groups[ma])) * radii <= _CHUNK_POINTS:
@@ -140,12 +153,21 @@ _PSI, _U, _CURL = slice(0, 1), slice(1, 4), slice(4, 7)
 # factor (c Z, c Z') it takes; a row with s = 0 takes any
 _R_ROW = {TM: (0, 1, 2, 3, 2, 1, 0), TE: (0, 2, 1, 0, 1, 2, 3)}
 _Z_ROW = {TM: (0, 1, 1, 0, 0, 0, 0), TE: (0, 0, 0, 0, 1, 1, 0)}
+# per row, s: a constant times k^2 (TM) or omega (TE) where marked, else times 1
+_S_ROW = {sigma: (np.array(const, dtype=complex)[:, None], np.array(marked, dtype=bool)[:, None])
+          for sigma, const, marked in (
+              (TM, (1, 1, 1j, 1, 1j, -1, 0), (0, 0, 0, 0, 1, 1, 0)),        # u = a, curl u = k^2 b
+              (TE, (1, -1, -1j, 0, 1j, -1, 1j), (0, 1, 1, 0, 1, 1, 1)))}    # i omega (b, a)
 
 
 class _FactorMemo:
     """Least-recently-used map from a key to read-only factor arrays, holding
     at most `budget` bytes of arrays, of the key's bytes parts and of a fixed
-    per-entry overhead; an entry larger than the budget is not kept."""
+    per-entry overhead; an entry larger than the budget is not kept.
+
+    _factors keeps two kinds of entry here, under one budget: the (s, R, Z)
+    of a whole call, keyed on its ordered modes and nodes, and the Bessel
+    triple of one radial function, keyed on its (|m|, g) and radii."""
 
     # object headers of an entry: its arrays, key, tuples and map node, about
     # 1.1 kB by tracemalloc for one mode at one point under eviction
@@ -188,69 +210,124 @@ class _FactorMemo:
             self.nbytes = 0
 
 
+class _Key(tuple):
+    """A memo key that hashes its parts once: a tuple keeps no hash, and the
+    memo hashes its key on every lookup, move and store."""
+
+    def __new__(cls, parts):
+        key = super().__new__(cls, parts)
+        key.hash = tuple.__hash__(key)
+        return key
+
+    def __hash__(self) -> int:
+        return self.hash
+
+
 _MEMO_BYTES = 1 << 20       # byte budget of the factor memo
 _memo = _FactorMemo(_MEMO_BYTES)
 
 
 def _factors(modes, r, z):
     """(s, R, Z) of modes: row c of mode j is s[c, j] R[c, ..., j] Z[c, ..., j] e^{i m phi}
-    with s (7, n) complex, R (7, *r.shape, n) and Z (7, *z.shape, n) real; one
-    Bessel sweep per chunk of modes (_chunks) serves every mode and row of
-    the chunk.  The arrays are read-only:
-    a repeat of the same ordered modes on nodes with the same float64 bytes
-    and shapes is served from _memo without a sweep."""
+    with s (7, n) complex, R (7, *r.shape, n) and Z (7, *z.shape, n) real.
+    The arrays are read-only: a repeat of the same ordered modes on nodes
+    with the same float64 bytes and shapes is served from _memo without a
+    sweep.  Otherwise each radial function (|m|, g) of the modes is swept
+    once (_triples), or read from _memo where an earlier call on the same
+    radii left it, and shared by the +-m and every n that use it."""
     modes = tuple(modes)
     ra, za = np.asarray(r, dtype=float), np.asarray(z, dtype=float)
-    key = (modes, ra.shape, ra.tobytes(), za.shape, za.tobytes())
+    radii = (ra.shape, ra.tobytes())
+    key = _Key((modes, *radii, za.shape, za.tobytes()))
     factors = _memo.get(key)
     if factors is None:
-        for geom in {md.geom for md in modes}:
+        # geometries by identity: hashing one per mode costs more than the check
+        for geom in {id(md.geom): md.geom for md in modes}.values():
             _check_domain(geom, ra, za)
-        factors = _sweep(modes, ra[..., None], za[..., None])
+        funcs = {}
+        column = np.array([funcs.setdefault((abs(md.index.m), md.g), len(funcs)) for md in modes], dtype=int)
+        bessel, swept = _triples(list(funcs), ra[..., None], radii)
+        factors = _sweep(modes, bessel[..., column], ra[..., None], za[..., None])
         for f in factors:
             f.flags.writeable = False
+        # the new triples go in after the factors, so the memo drops the
+        # factors first: a miss of the factors then takes no kernel call
         _memo.put(key, factors)
+        for entry in swept:
+            _memo.put(*entry)
     return factors
 
 
-def _sweep(modes, ra, za):
-    """_factors of modes on radii ra and heights za, each with a trailing mode axis."""
-    m = np.array([md.index.m for md in modes], dtype=int)
-    g, h, k, omega, c = (np.array([getattr(md, f) for md in modes], dtype=float)
-                         for f in ("g", "h", "k", "omega", "c_norm"))
-    te = np.array([md.index.sigma == TE for md in modes])
-
-    # J_{|m|-1}, J_|m|, J_{|m|+1} of every mode at g r, one kernel call per chunk
-    absm, shape = np.abs(m), ra.shape[:-1]
-    bessel = np.empty((3, *shape, len(modes)))
-    for idx in _chunks(modes, ra.size):
+def _triples(funcs, ra, radii):
+    """(J, new): J holds J_{|m|-1}, J_|m|, J_{|m|+1} at g r of each radial
+    function (|m|, g) of funcs on radii ra (with a trailing axis), shaped
+    (3, *radii shape, len(funcs)).  A triple is read from _memo under
+    ((|m|, g), *radii), the radii's shape and bytes; the missing ones take
+    one kernel call per chunk (_groups) and are returned in new as
+    read-only (key, (triple,)) entries for the memo."""
+    shape = ra.shape[:-1]
+    out = np.empty((3, *shape, len(funcs)))
+    keys = [(f, *radii) for f in funcs]
+    missing = []
+    for j, key in enumerate(keys):
+        kept = _memo.get(key)
+        if kept is None:
+            missing.append(j)
+        else:
+            out[..., j] = kept[0]
+    absm = np.array([funcs[j][0] for j in missing], dtype=int)
+    g = np.array([funcs[j][1] for j in missing], dtype=float)
+    for idx in _groups(absm.tolist(), ra.size):
         ms = absm[idx]
         if ms[0] == ms[-1]:     # one |m|: the same orders at every point
             orders = (ms[0] + _NEIGHBOURS)[:, None]
         else:
             orders = np.broadcast_to(ms, (*shape, len(idx))).reshape(-1) + _NEIGHBOURS[:, None]
-        bessel[..., idx] = _j_points(orders, (g[idx] * ra).reshape(-1)).reshape(3, *shape, len(idx))
+        cols = [missing[i] for i in idx]
+        out[..., cols] = _j_points(orders, (g[idx] * ra).reshape(-1)).reshape(3, *shape, len(idx))
+    new = []
+    for j in missing:
+        triple = out[..., j].copy()
+        triple.flags.writeable = False
+        new.append((keys[j], (triple,)))
+    return out, new
+
+
+def _sweep(modes, bessel, ra, za):
+    """_factors of modes on radii ra and heights za, each with a trailing mode
+    axis, from bessel: J_{|m|-1}, J_|m|, J_{|m|+1} of each mode at g r."""
+    m = np.array([md.index.m for md in modes], dtype=int)
+    g, h, k, omega, c, a = np.array([(md.g, md.h, md.k, md.omega, md.c_norm, md.geom.a) for md in modes],
+                                    dtype=float).reshape(-1, 6).T
+    te = np.array([md.index.sigma == TE for md in modes], dtype=bool)
+    absm = np.abs(m)
     sign = np.where((m < 0) & (absm % 2 == 1), -1.0, 1.0)      # J_{-n} = (-1)^n J_n
     jm, jp = sign * bessel[1], sign * (0.5 * (bessel[0] - bessel[2]))
-    near_axis = ra < _AXIS_FRACTION * np.array([md.geom.a for md in modes])
+    near_axis = ra < _AXIS_FRACTION * a
     # (m/r) J_m vanishes for m = 0 and takes its limit near the axis
     m_over_r_jm = np.where(near_axis | (m == 0), np.where(absm == 1, 0.5 * g, 0.0),
                            m * jm / np.where(near_axis, 1.0, ra))
     radial = (jm, g * jp, m_over_r_jm, g * g * jm)
 
-    hz = h * za
-    flat = np.array([md.index.sigma == TM and md.index.n == 0 for md in modes])
-    zf = np.where(te, np.sin(hz), np.where(flat, _INV_SQRT2, np.cos(hz)))
-    dzf = np.where(te, h * np.cos(hz), np.where(flat, 0.0, -h * np.sin(hz)))
-    axial = np.stack([c * zf, c * dzf])
+    sin, cos = np.sin(h * za), np.cos(h * za)
+    flat = np.array([md.index.sigma == TM and md.index.n == 0 for md in modes], dtype=bool)
+    zf = np.where(te, sin, np.where(flat, _INV_SQRT2, cos))
+    dzf = np.where(te, h * cos, np.where(flat, 0.0, -h * sin))
+    axial = (c * zf, c * dzf)
 
     def pick(table, parts):             # row c of mode j is parts[table[sigma_j][c]]
-        return np.array([np.where(te, parts[i_te], parts[i_tm]) for i_tm, i_te in zip(table[TM], table[TE])])
+        out = np.empty((len(table[TM]), *parts[0].shape))
+        for row, i_tm, i_te in zip(out, table[TM], table[TE]):
+            np.copyto(row, parts[i_tm])
+            if i_te != i_tm:
+                np.copyto(row, parts[i_te], where=te)
+        return out
 
-    s = np.array([np.where(te, s_te, s_tm) for s_tm, s_te in zip(
-        (1.0, 1.0, 1j, 1.0, 1j * k * k, -k * k, 0.0),        # u = a, curl u = k^2 b
-        (1.0, -omega, -1j * omega, 0.0, 1j * omega, -omega, 1j * omega))],  # i omega (b, a)
-        dtype=complex)
+    def scaled(sigma, by):
+        const, marked = _S_ROW[sigma]
+        return const * np.where(marked, by, 1.0)
+
+    s = np.where(te, scaled(TE, omega), scaled(TM, k * k))
     return s, pick(_R_ROW, radial), pick(_Z_ROW, axial)
 
 

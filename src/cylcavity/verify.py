@@ -343,7 +343,9 @@ def _default_walls(geom: CavityGeometry):
 
 
 def check_boundary(mode: ModeData, samples=None) -> BoundaryReport:
-    """Tangential u and normal curl u on the walls, vs interior maxima."""
+    """Tangential u and normal curl u on the walls, vs interior maxima.  Modes
+    with the same radial function (|m|, g), such as the +-m partners, share
+    its Bessel sweep on the same wall samples through the factor memo."""
     return _walls((mode,), samples)[0]
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cylcavity import (
+    TE,
     TM,
     CylPoint,
     FieldState,
@@ -17,6 +18,7 @@ from cylcavity import (
     magnetic_field,
     mode_data,
     save_state,
+    u_grid,
     u_mode,
     zero_table,
 )
@@ -84,6 +86,20 @@ def test_eval_grid(capsys, unit_geom):
     assert float(row[3]) == vec.v_r.real
     assert float(row[4]) == vec.v_r.imag
     assert float(row[7]) == vec.v_z.real
+
+
+def test_eval_rows_format_each_node(capsys, unit_geom):
+    # every row is r, phi, z and the values at that node, r slowest and z
+    # fastest, each value as _fmt writes it
+    code, out, _ = run_cli(["eval", *GEOM_ARGS, "--mode=-2,1,1,te", "--grid", "3,4,5"], capsys)
+    assert code == 0
+    md = mode_data(unit_geom, ModeIndex(m=-2, mu=1, n=1, sigma=TE))
+    r, phi, z = cli._display_grid(unit_geom, (3, 4, 5))
+    parts = [p for c in u_grid(md, r[:, None, None], phi[None, :, None], z[None, None, :])
+             for p in (c.real, c.imag)]
+    want = [",".join(_fmt(v) for v in (r[i], phi[j], z[k], *(p[i, j, k] for p in parts)))
+            for i in range(3) for j in range(4) for k in range(5)]
+    assert out.splitlines()[1:] == want
 
 
 def test_eval_accepts_sigma_aliases(capsys):

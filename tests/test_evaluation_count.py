@@ -1,15 +1,18 @@
-"""Every consumer of u and curl u evaluates each mode once per point set,
-in one Bessel sweep per chunk of |m| groups.
+"""Every consumer of u and curl u evaluates each radial function once per
+point set, in one Bessel sweep per chunk of |m| groups.
 
-modefield evaluates the modes of one chunk (modefield._chunks: whole |m|
-groups in ascending |m|, within a budget of radii x modes) with one
-bessel._j_points call (J_{|m|-1}, J_{|m|}, J_{|m|+1} on every mode's g r),
-so counting those calls, and the points each serves per |m|, pins how often
-each check, synthesizer, projection and stencil sweeps: one call per chunk,
-each mode once per point set.  Only the public one-mode check_boundary
-sweeps per mode; a CLI verify run checks the walls per chunk.  A repeat of
-the same modes on the same nodes is served by modefield's memo and makes no
-sweep, so every test starts from an empty memo.
+A mode's radial function J_m(g r) depends on (|m|, g) alone, so the +-m
+partners and every axial index n of one (|m|, mu, sigma) share it.
+modefield evaluates the distinct radial functions of one chunk
+(modefield._chunks: whole |m| groups in ascending |m|, within a budget of
+radii x modes) with one bessel._j_points call (J_{|m|-1}, J_{|m|},
+J_{|m|+1} on every function's g r), so counting those calls, and the
+points each serves per |m|, pins how often each check, synthesizer,
+projection and stencil sweeps: one call per chunk, each (|m|, g) once per
+point set.  A repeat of the same modes on the same nodes is served by
+modefield's memo and makes no sweep, and so is a radial function already
+swept on the same radii: the one-mode check_boundary sweeps once per
+(|m|, g), not once per mode.  So every test starts from an empty memo.
 The spectrum builds every ModeData of one _modes call from one
 spectrum._j_points call (J_|m|, J_|m|+1 at every chi), and finds the zero
 tables it needs with one pooled scan and one pooled Newton pass.
@@ -30,6 +33,7 @@ from cylcavity import (
     check_curl_identity,
     check_scalar_orthonormality,
     check_vector_orthonormality,
+    default_rule,
     dumps_state,
     electric_field_grid,
     enumerate_modes,
@@ -109,11 +113,16 @@ def rule(state):
     return quadrature_rule(state.geom, nr=12, nphi=default_nphi(state.modes), nz=12)
 
 
+def _functions(modes):
+    """The distinct radial functions (|m|, g) of modes, in order of first use."""
+    return list(dict.fromkeys((abs(md.index.m), md.g) for md in modes))
+
+
 def _per_chunk(sweeps, modes, *radii):
     """The sweeps were one kernel call per chunk of modes on each point set,
-    given by its number of radii, each serving its chunk's modes at every
-    radius: so each mode once per point set."""
-    want = [Counter(abs(modes[i].index.m) for i in idx for _ in range(n))
+    given by its number of radii, each serving its chunk's distinct radial
+    functions at every radius: so each (|m|, g) once per point set."""
+    want = [Counter(ma for ma, _ in _functions([modes[i] for i in idx]) for _ in range(n))
             for n in radii for idx in modefield._chunks(modes, n)]
     assert sweeps == want
     sweeps.clear()
@@ -139,11 +148,33 @@ def test_checks_evaluate_each_mode_once(sweeps, state, rule):
     radii = _default_walls(state.geom)[0].size
     for md in state.modes:
         check_boundary(md)
-    assert sweeps == [Counter({abs(md.index.m): radii}) for md in state.modes]
+    # one sweep per radial function on the wall radii: 10, not one per mode
+    assert sweeps == [Counter({ma: radii}) for ma, _ in _functions(state.modes)]
+    assert len(sweeps) == 10 and len(state.modes) == 30
     sweeps.clear()
     for md in state.modes[-10:]:       # the most recent walls fit in the memo's budget
         check_boundary(md)
     assert not sweeps
+
+
+def test_certify_op_sweeps_each_radial_function_once(sweeps, unit_geom):
+    # the benchmark's certify op: the 20 lowest modes of the README cavity,
+    # their Gram and curl identity on the default rule, then check_boundary
+    # of each; the Gram sweeps its 7 radial functions in one call, the curl
+    # identity reuses the Gram's factors, and the walls sweep each function
+    # once: 8 kernel calls, where one sweep per mode on the walls takes 21
+    geom = unit_geom
+    modes = enumerate_modes(geom, 6.0)[:20]
+    rule = default_rule(geom, modes)
+    assert len(modes) == 20 and len(_functions(modes)) == 7
+    check_vector_orthonormality(modes, rule)
+    check_curl_identity(modes, rule)
+    assert len(modefield._chunks(modes, rule.nr)) == len(sweeps) == 1
+    _per_chunk(sweeps, modes, rule.nr)
+    walls = [check_boundary(md) for md in modes]
+    assert max(max(w.tangential_ratio, w.normal_curl_ratio) for w in walls) < 1e-10
+    radii = _default_walls(geom)[0].size
+    assert sweeps == [Counter({ma: radii}) for ma, _ in _functions(modes)]
 
 
 def test_synthesis_evaluates_each_mode_once(sweeps, state, rule):

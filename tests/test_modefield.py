@@ -3,6 +3,7 @@ potential, plus symmetry, axis, boundary and domain behavior."""
 
 import math
 import sys
+from collections import Counter
 import threading
 import tracemalloc
 
@@ -17,7 +18,9 @@ from cylcavity import (
     CavityGeometry,
     CylPoint,
     CylVector,
+    ModeData,
     ModeIndex,
+    check_boundary,
     curl_u_grid,
     enumerate_modes,
     mode_data,
@@ -27,7 +30,7 @@ from cylcavity import (
     u_mode,
 )
 import cylcavity.modefield as modefield
-from cylcavity.modefield import _CHUNK_POINTS, _CURL, _MEMO_BYTES, _U, _chunks, _factors, _memo, _phase
+from cylcavity.modefield import _CHUNK_POINTS, _CURL, _MEMO_BYTES, _U, _Key, _chunks, _factors, _memo, _phase
 from oracles import fd_curl_cyl, fd_div_cyl, fd_grad_cyl
 
 MODES = [
@@ -265,13 +268,24 @@ def sweeps(monkeypatch):
     _memo.clear()
 
 
+def _kept():
+    """The memo's entries by kind: the factors of whole _factors calls, keyed
+    on (modes, radii shape and bytes, heights shape and bytes), and the
+    Bessel triples of radial functions, keyed on ((|m|, g), radii shape and
+    bytes)."""
+    return Counter("call" if len(key) == 5 else "radial" for key in _memo._entries)
+
+
 def test_factor_memo_serves_repeats_read_only(unit_geom, sweeps):
     modes = tuple(enumerate_modes(unit_geom, 6.5))
     r, z = np.linspace(0.0, unit_geom.a, 9)[:, None], np.linspace(0.0, unit_geom.L, 7)[None, :]
     first = _factors(modes, r, z)
     count = len(sweeps)
     again = _factors(list(modes), r.copy(), z.tolist())    # same modes, same float64 bytes
-    assert len(sweeps) == count and len(_memo) == 1
+    # one entry for the call and one for each of its 10 radial functions
+    assert len(sweeps) == count and _kept() == {"call": 1, "radial": 10}
+    for triple, in (factors for key, (factors, _) in _memo._entries.items() if len(key) == 3):
+        assert triple.shape == (3, 9, 1) and not triple.flags.writeable
     _memo.clear()
     fresh = _factors(modes, r, z)
     for a, b, c in zip(first, again, fresh):
@@ -283,24 +297,93 @@ def test_factor_memo_serves_repeats_read_only(unit_geom, sweeps):
 
 
 def test_factor_memo_misses_on_other_geometry_or_nodes(unit_geom, sweeps):
-    other = CavityGeometry(a=unit_geom.a, L=1.1 * unit_geom.L, c=1.0, eps0=1.0, hbar=1.0)
+    # every call misses the factors; the Bessel triples are shared where the
+    # radial function and the radii are: a geometry with the same radius a
+    # has the same g, and other heights leave the radii as they are
+    other_l = CavityGeometry(a=unit_geom.a, L=1.1 * unit_geom.L, c=1.0, eps0=1.0, hbar=1.0)
+    other_a = CavityGeometry(a=1.1 * unit_geom.a, L=unit_geom.L, c=1.0, eps0=1.0, hbar=1.0)
     index = ModeIndex(m=1, mu=1, n=1, sigma=TM)
     r, z = np.array([0.2, 0.5]), np.array([0.3, 0.9])
-    calls = []
-    for md, rr, zz in ((mode_data(unit_geom, index), r, z), (mode_data(other, index), r, z),
-                       (mode_data(unit_geom, index), np.nextafter(r, 1.0), z),
-                       (mode_data(unit_geom, index), r, np.nextafter(z, 0.0)),
-                       (mode_data(unit_geom, index), r[None, :], z)):
+    calls, cases = [], ((mode_data(unit_geom, index), r, z), (mode_data(other_l, index), r, z),
+                        (mode_data(other_a, index), r, z),
+                        (mode_data(unit_geom, index), np.nextafter(r, 1.0), z),
+                        (mode_data(unit_geom, index), r, np.nextafter(z, 0.0)),
+                        (mode_data(unit_geom, index), r[None, :], z))
+    for md, rr, zz in cases:
         before = len(sweeps)
         _factors((md,), rr, zz)
         calls.append(len(sweeps) - before)
-    assert calls == [1, 1, 1, 1, 1] and len(_memo) == 5
+    assert calls == [1, 0, 1, 1, 0, 1] and _kept() == {"call": 6, "radial": 4}
+    _memo.clear()
+    for md, rr, zz in cases:     # each cold factor equals its memo-served one
+        want = _factors((md,), rr, zz)
+        _memo.clear()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(want, _factors((md,), rr, zz)))
 
 
-def test_factor_memo_keeps_within_budget(unit_geom, sweeps):
+def test_partners_read_one_triple_bit_for_bit(unit_geom, sweeps):
+    # TE(1,1,1), TE(-1,1,1) and TE(1,1,2) share J_1(g r): from a warm memo
+    # their factors equal the cold one-mode factors bit for bit, and the
+    # wall checks after the first make no kernel call
+    modes = [mode_data(unit_geom, ModeIndex(m=m, mu=1, n=n, sigma=TE)) for m, n in ((1, 1), (-1, 1), (1, 2))]
+    r, z = np.linspace(0.0, unit_geom.a, 11), np.linspace(0.0, unit_geom.L, 5)
+    cold = []
+    for md in modes:
+        _memo.clear()
+        cold.append(_factors((md,), r, z))
+    _memo.clear()
+    del sweeps[:]
+    for md, want in zip(modes, cold):
+        got = _factors((md,), r, z)
+        assert all(a.tobytes() == b.tobytes() and a.shape == b.shape for a, b in zip(got, want))
+    assert len(sweeps) == 1
+    reports = []
+    for md in modes:
+        reports.append(check_boundary(md))
+        assert len(sweeps) == 2, md.index      # the walls' radii: one more sweep
+    _memo.clear()
+    assert reports == [check_boundary(md) for md in modes]
+
+
+def test_one_call_shares_each_function_without_the_memo(unit_geom, sweeps, monkeypatch):
+    # a memo that keeps nothing still sweeps each radial function of a call
+    # once, in one kernel call per chunk: here two functions, two |m| groups
+    monkeypatch.setattr(modefield, "_memo", modefield._FactorMemo(0))
+    modes = [mode_data(unit_geom, ModeIndex(m=m, mu=1, n=n, sigma=sigma))
+             for m, n, sigma in ((1, 1, TE), (-1, 1, TE), (1, 2, TE), (0, 0, TM), (0, 2, TM))]
+    r, z = np.linspace(0.0, unit_geom.a, 13), np.linspace(0.0, unit_geom.L, 5)
+    for _ in range(2):
+        got = _factors(modes, r, z)
+        assert [orders.shape for orders in sweeps] == [(3, 2 * r.size)]
+        del sweeps[:]
+    assert len(modefield._memo) == 0
+    for j, md in enumerate(modes):      # each mode as it is alone
+        assert all(a[..., j].tobytes() == b[..., 0].tobytes() for a, b in zip(got, _factors((md,), r, z)))
+
+
+def test_cold_factors_hash_each_mode_once(unit_geom, monkeypatch):
+    # the key of a call is hashed once, not by each lookup, move and store
+    modes = enumerate_modes(unit_geom, 12.0)
+    r, z = np.linspace(0.0, unit_geom.a, 5)[:, None], np.linspace(0.0, unit_geom.L, 4)[None, :]
+    hashes = []
+    original = ModeData.__hash__
+    monkeypatch.setattr(ModeData, "__hash__", lambda md: hashes.append(md) or original(md))
+    _memo.clear()
+    _factors(modes, r, z)
+    assert len(modes) > 100 and len(hashes) <= len(modes)
+    del hashes[:]
+    _factors(modes, r, z)       # a hit
+    assert len(hashes) <= len(modes)
+    _memo.clear()
+
+
+def test_factor_memo_keeps_within_budget(unit_geom, sweeps, monkeypatch):
     md = mode_data(unit_geom, ModeIndex(m=0, mu=1, n=1, sigma=TM))
     r = np.array([0.4])
     per_node = 7 * 8 + 8        # Z of one mode and the node's key bytes
+    assembled = []              # _factors calls the memo did not serve
+    sweep = modefield._sweep
+    monkeypatch.setattr(modefield, "_sweep", lambda *args: assembled.append(1) or sweep(*args))
 
     def heights(count, shift):
         return np.linspace(0.0, unit_geom.L, count) * (1.0 - shift * 1e-3)
@@ -308,20 +391,24 @@ def test_factor_memo_keeps_within_budget(unit_geom, sweeps):
     big = heights(_MEMO_BYTES // per_node + 1, 0)
     s, R, Z = _factors((md,), r, big)
     assert Z.shape == (7, big.size, 1) and not Z.flags.writeable
-    assert len(_memo) == 0 and _memo.nbytes == 0
+    assert _kept() == {"radial": 1}     # the factors pass the budget; the one-radius triple is kept
+    wide = np.linspace(0.0, unit_geom.a, _MEMO_BYTES // (3 * 8 + 8) + 1)
+    _factors((md,), wide, 0.5)          # neither its factors nor its triple fit
+    assert _kept() == {"radial": 1}
     third = [heights(int(_MEMO_BYTES / (3.5 * per_node)), k) for k in range(4)]   # three fit
     for k, z in enumerate(third[:3]):
         _factors((md,), r, z)
-        assert len(_memo) == k + 1 and _memo.nbytes <= _MEMO_BYTES
+        assert _kept() == {"call": k + 1, "radial": 1} and _memo.nbytes <= _MEMO_BYTES
     _factors((md,), r, third[0])        # the oldest entry becomes the newest
     _factors((md,), r, third[3])        # evicts third[1], the least recently used
-    assert len(_memo) == 3 and _memo.nbytes <= _MEMO_BYTES
-    before = len(sweeps)
+    assert _kept() == {"call": 3, "radial": 1} and _memo.nbytes <= _MEMO_BYTES
+    before, swept = len(assembled), len(sweeps)
     _factors((md,), r, third[0])
     _factors((md,), r, third[2])
-    assert len(sweeps) == before
+    assert len(assembled) == before
     _factors((md,), r, third[1])
-    assert len(sweeps) == before + 1 and _memo.nbytes <= _MEMO_BYTES
+    assert len(assembled) == before + 1 and _memo.nbytes <= _MEMO_BYTES
+    assert len(sweeps) == swept         # its radial function is still kept
 
 
 def test_factor_memo_budget_bounds_its_memory(unit_geom, sweeps):
@@ -332,13 +419,14 @@ def test_factor_memo_budget_bounds_its_memory(unit_geom, sweeps):
     # them, without a sweep per point
     md = mode_data(unit_geom, ModeIndex(m=1, mu=1, n=1, sigma=TM))
     factors = _factors((md,), 0.4, 0.5)
+    _memo.clear()
     radii, z = np.linspace(0.1, 0.8, 1200), np.asarray(0.5)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         for x in radii:
             r = np.asarray(x)
-            _memo.put(((md,), r.shape, r.tobytes(), z.shape, z.tobytes()), tuple(f.copy() for f in factors))
+            _memo.put(_Key(((md,), r.shape, r.tobytes(), z.shape, z.tobytes())), tuple(f.copy() for f in factors))
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
