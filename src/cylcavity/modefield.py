@@ -21,21 +21,23 @@ Every row (psi and each cylindrical component of u and of curl u) is
 separable: a constant s times a real radial factor R(r) -- J_m, g J_m',
 (m/r) J_m or g^2 J_m -- times a real axial factor Z(z), c Z or c Z', times
 e^{i m phi}.  _factors gives that (s, R, Z) triple for any set of modes,
-R on the r nodes and Z on the z nodes separately.  The radial factors
-depend on the mode only through its radial function J_|m|(g r), shared by
-the +-m partners and every n of one (|m|, mu, sigma), so _factors sweeps
-J_{|m|-1}, J_|m|, J_{|m|+1} once per distinct (|m|, g), one Bessel sweep
-per chunk of them (_groups: whole |m| groups in ascending |m|, within a
-budget of radii x functions).  A memo of fixed byte budget keeps, read-only,
-the factors of each call, for a repeat of the same modes on the same nodes,
-and the triple of each radial function, so a later call on the same radii
-sweeps only the functions not seen there yet (check_boundary of TE(-1,1,1)
-after TE(1,1,1) makes no sweep).  Every consumer here and in verify and
-synthesis takes the factors one chunk at a time and contracts them, and
-_phase alone forms e^{i m phi}.  The
-only removable singularity is (m/r) J_m(g r) on the axis, which tends to
-g/2 for |m| = 1 (both signs, since J_{-1} = -J_1) and to 0 otherwise;
-radii below 1e-8 a are evaluated with that limit.
+R on the r nodes and Z on the z nodes separately, each as one index gather
+from a per-call table.  The radial factors depend on the mode only through
+its radial function J_|m|(g r), shared by the +-m partners and every n of
+one (|m|, mu, sigma), with the signs of m < 0 in s.  So the radial table
+holds J, g J', (|m|/r) J and g^2 J of each distinct radial function
+(|m|, g, a), from one Bessel sweep of J_{|m|-1}, J_|m|, J_{|m|+1} per chunk
+of functions (_groups: whole |m| groups in ascending |m|, within a budget
+of radii x functions).  The axial table holds sin, h cos, cos and -h sin
+of each distinct h.  A memo of fixed byte budget keeps one kind of entry,
+the radial table of one function on one set of radii, so a later call on
+the same radii sweeps only the functions not seen there yet
+(check_boundary of TE(-1,1,1) after TE(1,1,1) makes no sweep).  Every
+consumer here and in verify and synthesis contracts the factors, and
+_phase alone forms e^{i m phi}.  The only removable singularity is
+(m/r) J_m(g r) on the axis, which tends to g/2 for |m| = 1 (both signs,
+since J_{-1} = -J_1) and to 0 otherwise; radii below 1e-8 a are evaluated
+with that limit.
 
 Grid evaluation: the *_grid functions accept numpy arrays for r, phi, z
 and broadcast them, so a tensor grid can be passed as r[:,None,None],
@@ -59,7 +61,7 @@ from .spectrum import TE, TM, ModeData
 _AXIS_FRACTION = 1e-8       # r/a below which the on-axis limits are used
 _DOMAIN_SLACK = 1e-12       # relative tolerance for boundary membership
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_NEIGHBOURS = np.arange(-1, 2)  # the orders |m| - 1, |m|, |m| + 1 of a mode's sweep
+_NEIGHBOURS = np.arange(-1, 2)  # the orders |m| - 1, |m|, |m| + 1 of a radial function's sweep
 
 
 @dataclass(frozen=True)
@@ -100,10 +102,10 @@ class CylVector:
 
 
 def _check_domain(geom, r, z) -> None:
+    """Raise ValueError unless the float arrays r and z lie in the closed cavity."""
     # a NaN or an infinity shows in the extremes (0.0 stands in for no node)
-    (r_lo, r_hi), (z_lo, z_hi) = ((np.min(v, initial=0.0), np.max(v, initial=0.0))
-                                  for v in (np.asarray(r, dtype=float), np.asarray(z, dtype=float)))
-    if not np.isfinite([r_lo, r_hi, z_lo, z_hi]).all():
+    (r_lo, r_hi), (z_lo, z_hi) = ((v.min(), v.max()) if v.size else (0.0, 0.0) for v in (r, z))
+    if not all(map(math.isfinite, (r_lo, r_hi, z_lo, z_hi))):
         raise ValueError("coordinates must be finite")
     if r_lo < -_DOMAIN_SLACK * geom.a or r_hi > geom.a * (1.0 + _DOMAIN_SLACK):
         raise ValueError(f"radius outside closed cavity domain [0, {geom.a}]")
@@ -149,34 +151,30 @@ def _groups(abs_m, radii: int) -> list:
 
 # rows of a factor triple: psi, then the (r, phi, z) components of u and of curl u
 _PSI, _U, _CURL = slice(0, 1), slice(1, 4), slice(4, 7)
-# per row, the radial factor (J_m, g J_m', (m/r) J_m, g^2 J_m) and the axial
-# factor (c Z, c Z') it takes; a row with s = 0 takes any
-_R_ROW = {TM: (0, 1, 2, 3, 2, 1, 0), TE: (0, 2, 1, 0, 1, 2, 3)}
-_Z_ROW = {TM: (0, 1, 1, 0, 0, 0, 0), TE: (0, 0, 0, 0, 1, 1, 0)}
-# per row, s: a constant times k^2 (TM) or omega (TE) where marked, else times 1
-_S_ROW = {sigma: (np.array(const, dtype=complex)[:, None], np.array(marked, dtype=bool)[:, None])
-          for sigma, const, marked in (
-              (TM, (1, 1, 1j, 1, 1j, -1, 0), (0, 0, 0, 0, 1, 1, 0)),        # u = a, curl u = k^2 b
-              (TE, (1, -1, -1j, 0, 1j, -1, 1j), (0, 1, 1, 0, 1, 1, 1)))}    # i omega (b, a)
+# per row (columns TM, TE): the radial factor (J, g J', (|m|/r) J, g^2 J of
+# J_|m|) and the axial factor (c Z, c Z') it takes, a row with s = 0 taking
+# any; and s, a constant times k^2 (TM) or omega (TE) where marked, else times 1
+_R_ROW = np.array([(0, 1, 2, 3, 2, 1, 0), (0, 2, 1, 0, 1, 2, 3)]).T
+_Z_ROW = np.array([(0, 1, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1, 0)]).T
+_S_CONST = np.array([(1, 1, 1j, 1, 1j, -1, 0), (1, -1, -1j, 0, 1j, -1, 1j)]).T     # u = a, curl u = k^2 b; i omega (b, a)
+_S_MARKED = np.array([(0, 0, 0, 0, 1, 1, 0), (0, 1, 1, 0, 1, 1, 1)], dtype=bool).T
 
 
 class _FactorMemo:
-    """Least-recently-used map from a key to read-only factor arrays, holding
-    at most `budget` bytes of arrays, of the key's bytes parts and of a fixed
-    per-entry overhead; an entry larger than the budget is not kept.
+    """Least-recently-used map from a radial function on a set of radii,
+    keyed on ((|m|, g, a), radii shape, radii bytes), to its read-only
+    radial table, holding at most `budget` bytes of tables, of the keys'
+    bytes parts and of a fixed per-entry overhead; an entry larger than the
+    budget is not kept."""
 
-    _factors keeps two kinds of entry here, under one budget: the (s, R, Z)
-    of a whole call, keyed on its ordered modes and nodes, and the Bessel
-    triple of one radial function, keyed on its (|m|, g) and radii."""
-
-    # object headers of an entry: its arrays, key, tuples and map node, about
-    # 1.1 kB by tracemalloc for one mode at one point under eviction
+    # object headers of an entry: its table, key, tuples and map node, about
+    # 0.5 kB by tracemalloc for a one-radius table under eviction
     entry_overhead = 1536
 
     def __init__(self, budget: int):
         self.budget = budget
         self.nbytes = 0
-        self._entries: OrderedDict = OrderedDict()      # key -> (factors, bytes)
+        self._entries: OrderedDict = OrderedDict()      # key -> (table, bytes)
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -190,9 +188,8 @@ class _FactorMemo:
             self._entries.move_to_end(key)
             return entry[0]
 
-    def put(self, key, factors) -> None:
-        size = self.entry_overhead + sum(f.nbytes for f in factors) + sum(
-            len(k) for k in key if isinstance(k, bytes))
+    def put(self, key, table) -> None:
+        size = self.entry_overhead + table.nbytes + sum(len(k) for k in key if isinstance(k, bytes))
         if size > self.budget:
             return
         with self._lock:
@@ -201,26 +198,13 @@ class _FactorMemo:
             while self.nbytes + size > self.budget:
                 _, (_, old) = self._entries.popitem(last=False)
                 self.nbytes -= old
-            self._entries[key] = (factors, size)
+            self._entries[key] = (table, size)
             self.nbytes += size
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
             self.nbytes = 0
-
-
-class _Key(tuple):
-    """A memo key that hashes its parts once: a tuple keeps no hash, and the
-    memo hashes its key on every lookup, move and store."""
-
-    def __new__(cls, parts):
-        key = super().__new__(cls, parts)
-        key.hash = tuple.__hash__(key)
-        return key
-
-    def __hash__(self) -> int:
-        return self.hash
 
 
 _MEMO_BYTES = 1 << 20       # byte budget of the factor memo
@@ -230,105 +214,78 @@ _memo = _FactorMemo(_MEMO_BYTES)
 def _factors(modes, r, z):
     """(s, R, Z) of modes: row c of mode j is s[c, j] R[c, ..., j] Z[c, ..., j] e^{i m phi}
     with s (7, n) complex, R (7, *r.shape, n) and Z (7, *z.shape, n) real.
-    The arrays are read-only: a repeat of the same ordered modes on nodes
-    with the same float64 bytes and shapes is served from _memo without a
-    sweep.  Otherwise each radial function (|m|, g) of the modes is swept
-    once (_triples), or read from _memo where an earlier call on the same
-    radii left it, and shared by the +-m and every n that use it."""
-    modes = tuple(modes)
+    R is one gather from the radial tables of the modes' distinct radial
+    functions (|m|, g, a) on the radii (_radial), shared by the +-m partners
+    and every n of one function; Z is c times one gather from the axial
+    table of the modes' distinct h on the heights.  J_m = (-1)^|m| J_|m| for
+    m < 0, and (m/r) J_m takes the opposite sign of (|m|/r) J_|m|: those
+    signs go into s."""
     ra, za = np.asarray(r, dtype=float), np.asarray(z, dtype=float)
-    radii = (ra.shape, ra.tobytes())
-    key = _Key((modes, *radii, za.shape, za.tobytes()))
-    factors = _memo.get(key)
-    if factors is None:
-        # geometries by identity: hashing one per mode costs more than the check
-        for geom in {id(md.geom): md.geom for md in modes}.values():
-            _check_domain(geom, ra, za)
-        funcs = {}
-        column = np.array([funcs.setdefault((abs(md.index.m), md.g), len(funcs)) for md in modes], dtype=int)
-        bessel, swept = _triples(list(funcs), ra[..., None], radii)
-        factors = _sweep(modes, bessel[..., column], ra[..., None], za[..., None])
-        for f in factors:
-            f.flags.writeable = False
-        # the new triples go in after the factors, so the memo drops the
-        # factors first: a miss of the factors then takes no kernel call
-        _memo.put(key, factors)
-        for entry in swept:
-            _memo.put(*entry)
-    return factors
+    # geometries by identity: hashing one per mode costs more than the check
+    for geom in {id(md.geom): md.geom for md in modes}.values():
+        _check_domain(geom, ra, za)
+    funcs, heights = {}, {}
+    m, te, flat, column, at_h = np.array([
+        (md.index.m, md.index.sigma == TE, md.index.sigma == TM and md.index.n == 0,
+         funcs.setdefault((abs(md.index.m), md.g, md.geom.a), len(funcs)), heights.setdefault(md.h, len(heights)))
+        for md in modes], dtype=int).reshape(-1, 5).T
+    k, omega, c = np.array([(md.k, md.omega, md.c_norm) for md in modes], dtype=float).reshape(-1, 3).T
+    kind = _R_ROW[:, te]
+    s = _S_CONST[:, te] * np.where(_S_MARKED[:, te], np.where(te, omega, k * k), 1.0)
+    s = np.where((m < 0) & ((np.abs(m) % 2 == 1) != (kind == 2)), -s, s)
+    # per distinct h, the rows sin, h cos, cos and -h sin of h z, then 1/sqrt(2)
+    # and 0: (Z, Z') is (sin, h cos) for TE, (cos, -h sin) for TM and
+    # (1/sqrt(2), 0) for TM with n = 0
+    nh, hs, zs = len(heights), np.array(list(heights), dtype=float)[:, None], za.reshape(-1)
+    sin, cos = np.sin(hs * zs), np.cos(hs * zs)
+    axial = np.concatenate([sin, hs * cos, cos, -hs * sin, np.full((1, zs.size), _INV_SQRT2), np.zeros((1, zs.size))])
+    z_at = np.where(te, at_h, np.where(flat, 4 * nh, 2 * nh + at_h))      # the row of Z
+    z_at = np.where(_Z_ROW[:, te], z_at + np.where(flat, 1, nh), z_at)   # or of Z'
+    return (s, _gather(_radial(list(funcs), ra), 4 * column + kind, ra.shape),
+            c * _gather(axial, z_at, za.shape))
 
 
-def _triples(funcs, ra, radii):
-    """(J, new): J holds J_{|m|-1}, J_|m|, J_{|m|+1} at g r of each radial
-    function (|m|, g) of funcs on radii ra (with a trailing axis), shaped
-    (3, *radii shape, len(funcs)).  A triple is read from _memo under
-    ((|m|, g), *radii), the radii's shape and bytes; the missing ones take
-    one kernel call per chunk (_groups) and are returned in new as
-    read-only (key, (triple,)) entries for the memo."""
-    shape = ra.shape[:-1]
-    out = np.empty((3, *shape, len(funcs)))
-    keys = [(f, *radii) for f in funcs]
+def _gather(table, index, shape):
+    """out[c, ..., j] = table[index[c, j]] on the nodes of a (rows, nodes)
+    table, shaped (len(index), *shape, modes)."""
+    out = table.take(index, axis=0).swapaxes(1, 2).copy()
+    return out.reshape(len(index), *shape, index.shape[1])
+
+
+def _radial(funcs, ra):
+    """Radial tables of each radial function (|m|, g, a) of funcs on the radii
+    ra, rows J, g J', (|m|/r) J and g^2 J of J_|m|(g r), shaped
+    (4 len(funcs), ra.size); (|m|/r) J takes its limit, g/2 for |m| = 1 and
+    0 otherwise, below _AXIS_FRACTION a.  A table is read from _memo under
+    ((|m|, g, a), radii shape, radii bytes); the missing ones take one kernel
+    call per chunk (_groups) and enter the memo read-only."""
+    rs = ra.reshape(-1)
+    out = np.empty((len(funcs), 4, rs.size))
+    radii = ra.tobytes()
+    keys = [(f, ra.shape, radii) for f in funcs]
     missing = []
     for j, key in enumerate(keys):
         kept = _memo.get(key)
         if kept is None:
             missing.append(j)
         else:
-            out[..., j] = kept[0]
+            out[j] = kept
     absm = np.array([funcs[j][0] for j in missing], dtype=int)
-    g = np.array([funcs[j][1] for j in missing], dtype=float)
-    for idx in _groups(absm.tolist(), ra.size):
-        ms = absm[idx]
+    g, a = np.array([funcs[j][1:] for j in missing], dtype=float).reshape(-1, 2).T
+    for idx in _groups(absm.tolist(), rs.size):
+        ms, gs, near = absm[idx, None], g[idx, None], rs < _AXIS_FRACTION * a[idx, None]
         if ms[0] == ms[-1]:     # one |m|: the same orders at every point
-            orders = (ms[0] + _NEIGHBOURS)[:, None]
+            orders = ms[0] + _NEIGHBOURS[:, None]
         else:
-            orders = np.broadcast_to(ms, (*shape, len(idx))).reshape(-1) + _NEIGHBOURS[:, None]
-        cols = [missing[i] for i in idx]
-        out[..., cols] = _j_points(orders, (g[idx] * ra).reshape(-1)).reshape(3, *shape, len(idx))
-    new = []
+            orders = np.repeat(ms[:, 0], rs.size) + _NEIGHBOURS[:, None]
+        lower, j, upper = _j_points(orders, (gs * rs).reshape(-1)).reshape(3, len(idx), rs.size)
+        m_over_r = np.where(near | (ms == 0), np.where(ms == 1, 0.5 * gs, 0.0), ms * j / np.where(near, 1.0, rs))
+        out[[missing[i] for i in idx]] = np.stack([j, gs * (0.5 * (lower - upper)), m_over_r, gs * gs * j], axis=1)
     for j in missing:
-        triple = out[..., j].copy()
-        triple.flags.writeable = False
-        new.append((keys[j], (triple,)))
-    return out, new
-
-
-def _sweep(modes, bessel, ra, za):
-    """_factors of modes on radii ra and heights za, each with a trailing mode
-    axis, from bessel: J_{|m|-1}, J_|m|, J_{|m|+1} of each mode at g r."""
-    m = np.array([md.index.m for md in modes], dtype=int)
-    g, h, k, omega, c, a = np.array([(md.g, md.h, md.k, md.omega, md.c_norm, md.geom.a) for md in modes],
-                                    dtype=float).reshape(-1, 6).T
-    te = np.array([md.index.sigma == TE for md in modes], dtype=bool)
-    absm = np.abs(m)
-    sign = np.where((m < 0) & (absm % 2 == 1), -1.0, 1.0)      # J_{-n} = (-1)^n J_n
-    jm, jp = sign * bessel[1], sign * (0.5 * (bessel[0] - bessel[2]))
-    near_axis = ra < _AXIS_FRACTION * a
-    # (m/r) J_m vanishes for m = 0 and takes its limit near the axis
-    m_over_r_jm = np.where(near_axis | (m == 0), np.where(absm == 1, 0.5 * g, 0.0),
-                           m * jm / np.where(near_axis, 1.0, ra))
-    radial = (jm, g * jp, m_over_r_jm, g * g * jm)
-
-    sin, cos = np.sin(h * za), np.cos(h * za)
-    flat = np.array([md.index.sigma == TM and md.index.n == 0 for md in modes], dtype=bool)
-    zf = np.where(te, sin, np.where(flat, _INV_SQRT2, cos))
-    dzf = np.where(te, h * cos, np.where(flat, 0.0, -h * sin))
-    axial = (c * zf, c * dzf)
-
-    def pick(table, parts):             # row c of mode j is parts[table[sigma_j][c]]
-        out = np.empty((len(table[TM]), *parts[0].shape))
-        for row, i_tm, i_te in zip(out, table[TM], table[TE]):
-            np.copyto(row, parts[i_tm])
-            if i_te != i_tm:
-                np.copyto(row, parts[i_te], where=te)
-        return out
-
-    def scaled(sigma, by):
-        const, marked = _S_ROW[sigma]
-        return const * np.where(marked, by, 1.0)
-
-    s = np.where(te, scaled(TE, omega), scaled(TM, k * k))
-    return s, pick(_R_ROW, radial), pick(_Z_ROW, axial)
+        table = out[j].copy()
+        table.flags.writeable = False
+        _memo.put(keys[j], table)
+    return out.reshape(4 * len(funcs), rs.size)
 
 
 def _phase(m, phi):

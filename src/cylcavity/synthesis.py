@@ -8,8 +8,8 @@ common time t.  The physical fields are
 
 which are exactly real by construction: E = i (c - c*) = 2 Re (i c) and
 B = c + c* = 2 Re c of one complex sum c each.  Every component of u_s and
-curl u_s is s R_s(r) Z_s(z) e^{i m_s phi} (modefield._factors), all from one
-evaluation per chunk of |m_s| groups.  Synthesis is two real contractions:
+curl u_s is s R_s(r) Z_s(z) e^{i m_s phi} (modefield._factors), taken per
+chunk of |m_s| groups to bound the memory of the factors.  Synthesis is two real contractions:
 per m and component the (r, z) planes of Re c_m and Im c_m are
 R diag(2 p a s) Z^T, and one contraction of every m's planes with
 [cos m phi, -sin m phi] is the real inverse DFT over m.  The planes are
@@ -40,7 +40,10 @@ what makes the projection safe for states containing +-m pairs.
 project samples E and B once on the rule grid, rejects a non-finite
 sample, folds phi into (r, m, z) planes with the real and imaginary parts
 of the weighted DFT table as two matrix products, and contracts each inner
-product from the factors as sum_c conj(s_c) R_c^T hat_{c, m} Z_c.
+product from one _factors call on the rule grid as
+sum_c conj(s_c) R_c^T hat_{c, m} Z_c, the modes of each m one slice after a
+stable argsort.  After total_energy or the samplers on the same rule, every
+radial table comes from modefield's memo and project makes no Bessel sweep.
 """
 
 from __future__ import annotations
@@ -270,19 +273,16 @@ def project(e_sampler, b_sampler, modes, rule: QuadratureRule) -> np.ndarray:
         return np.array(hat)
 
     # <u_i, E> and <curl u_i, B>: sum_c conj(s_ci) R_ci^T hat_{c, m_i} Z_ci, from
-    # the factors per chunk of |m| groups on the grid's nodes, the chunks the
-    # samplers of a state with these modes have just evaluated
-    s = np.empty((7, len(modes)), dtype=complex)
-    R, Z = np.empty((7, rule.nr, len(modes))), np.empty((7, rule.nz, len(modes)))
-    for idx in _chunks(modes, rule.nr):
-        sg, Rg, Zg = _factors([modes[i] for i in idx], r, z)
-        s[:, idx], R[..., idx], Z[..., idx] = sg, Rg.reshape(7, rule.nr, -1), Zg.reshape(7, rule.nz, -1)
+    # the factors on the grid's nodes; one stable argsort makes each m one slice
+    order = np.argsort(row_of, kind="stable")
+    ends = np.cumsum(np.bincount(row_of, minlength=len(m_vals)))
+    s, R, Z = _factors(modes, r, z)
+    s, R, Z = s[:, order], R.reshape(7, rule.nr, -1)[..., order], Z.reshape(7, rule.nz, -1)[..., order]
     inner = np.empty((2, len(modes)), dtype=complex)
     for half, (hat, rows) in enumerate(((fold("E", e_sampler), _U), (fold("B", b_sampler), _CURL))):
-        for row in range(len(m_vals)):
-            at = row_of == row
-            rz = np.sum(R[rows][..., at] * (hat[:, :, row] @ Z[rows][..., at]), axis=1)
-            inner[half, at] = np.sum(np.conj(s[rows][:, at]) * rz, axis=0)
+        for row, (lo, hi) in enumerate(zip([0, *ends], ends)):
+            rz = np.sum(R[rows, :, lo:hi] * (hat[:, :, row] @ Z[rows, :, lo:hi]), axis=1)
+            inner[half, order[lo:hi]] = np.sum(np.conj(s[rows, lo:hi]) * rz, axis=0)
     geom, omega, k = rule.geom, np.array([md.omega for md in modes]), np.array([md.k for md in modes])
     return 0.5 * (-1j * np.sqrt(2.0 * geom.eps0 / (geom.hbar * omega)) * inner[0]
                   + np.sqrt(2.0 * geom.eps0 * omega / geom.hbar) / k**2 * inner[1])

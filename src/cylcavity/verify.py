@@ -13,8 +13,9 @@ runs each:
   (1/2) |c_norm|^2 V alpha delta_{ss'}  (one polarization at a time),
 * gram: the full vector Gram matrix <u_s, u_s'> against the identity,
 * curl: the curl identity <curl u_s, curl u_s'> = k'^2 <u_s, u_s'>, both
-  sides from one evaluation of the factors (one Bessel sweep per chunk of
-  |m| groups), which a verify run shares with gram,
+  sides from one evaluation of the factors, which a verify run shares with
+  gram; a check_curl_identity after a Gram on the same rule reads every
+  radial table from modefield's memo and makes no Bessel sweep,
 * boundary: conductor boundary conditions on the walls (vanishing
   tangential u, vanishing normal component of curl u), from the moduli
   |s| |R| |Z| of one evaluation per chunk of |m| groups on the walls and
@@ -345,7 +346,7 @@ def _default_walls(geom: CavityGeometry):
 def check_boundary(mode: ModeData, samples=None) -> BoundaryReport:
     """Tangential u and normal curl u on the walls, vs interior maxima.  Modes
     with the same radial function (|m|, g), such as the +-m partners, share
-    its Bessel sweep on the same wall samples through the factor memo."""
+    its radial table on the same wall samples through the factor memo."""
     return _walls((mode,), samples)[0]
 
 

@@ -3,7 +3,6 @@ potential, plus symmetry, axis, boundary and domain behavior."""
 
 import math
 import sys
-from collections import Counter
 import threading
 import tracemalloc
 
@@ -18,19 +17,27 @@ from cylcavity import (
     CavityGeometry,
     CylPoint,
     CylVector,
-    ModeData,
+    FieldState,
     ModeIndex,
     check_boundary,
+    check_curl_identity,
+    check_vector_orthonormality,
     curl_u_grid,
+    default_rule,
+    electric_field_grid,
     enumerate_modes,
+    field_samplers,
+    magnetic_field_grid,
     mode_data,
+    project,
     psi_grid,
     to_cartesian,
+    total_energy,
     u_grid,
     u_mode,
 )
 import cylcavity.modefield as modefield
-from cylcavity.modefield import _CHUNK_POINTS, _CURL, _MEMO_BYTES, _U, _Key, _chunks, _factors, _memo, _phase
+from cylcavity.modefield import _CHUNK_POINTS, _CURL, _MEMO_BYTES, _U, _chunks, _factors, _memo, _phase
 from oracles import fd_curl_cyl, fd_div_cyl, fd_grad_cyl
 
 MODES = [
@@ -268,38 +275,42 @@ def sweeps(monkeypatch):
     _memo.clear()
 
 
-def _kept():
-    """The memo's entries by kind: the factors of whole _factors calls, keyed
-    on (modes, radii shape and bytes, heights shape and bytes), and the
-    Bessel triples of radial functions, keyed on ((|m|, g), radii shape and
-    bytes)."""
-    return Counter("call" if len(key) == 5 else "radial" for key in _memo._entries)
+def _radial_entries():
+    """The memo's entries, each checked to be one radial function's table:
+    keyed on ((|m|, g, a), radii shape, radii bytes), a read-only (4, radii)
+    table (J, g J', (|m|/r) J, g^2 J)."""
+    entries = list(_memo._entries.items())
+    for (func, shape, radii), (table, size) in entries:
+        absm, g, a = func
+        assert isinstance(absm, int) and absm >= 0 and g > 0.0 and a > 0.0
+        assert len(radii) == 8 * math.prod(shape)
+        assert table.shape == (4, math.prod(shape)) and not table.flags.writeable
+        assert size == _memo.entry_overhead + table.nbytes + len(radii)
+    assert _memo.nbytes == sum(size for _, (_, size) in entries) <= _MEMO_BYTES
+    return entries
 
 
 def test_factor_memo_serves_repeats_read_only(unit_geom, sweeps):
+    # the memo keeps one read-only table per radial function and radii; a
+    # repeat of the same modes on nodes with the same float64 bytes and
+    # shapes reads every table from it
     modes = tuple(enumerate_modes(unit_geom, 6.5))
     r, z = np.linspace(0.0, unit_geom.a, 9)[:, None], np.linspace(0.0, unit_geom.L, 7)[None, :]
     first = _factors(modes, r, z)
     count = len(sweeps)
-    again = _factors(list(modes), r.copy(), z.tolist())    # same modes, same float64 bytes
-    # one entry for the call and one for each of its 10 radial functions
-    assert len(sweeps) == count and _kept() == {"call": 1, "radial": 10}
-    for triple, in (factors for key, (factors, _) in _memo._entries.items() if len(key) == 3):
-        assert triple.shape == (3, 9, 1) and not triple.flags.writeable
+    again = _factors(list(modes), r.copy(), z.tolist())
+    assert len(sweeps) == count and len(_radial_entries()) == 10
+    assert {func for (func, _, _) in _memo._entries} == {(abs(md.index.m), md.g, md.geom.a) for md in modes}
     _memo.clear()
     fresh = _factors(modes, r, z)
     for a, b, c in zip(first, again, fresh):
         assert a.tobytes() == b.tobytes() == c.tobytes() and a.shape == b.shape == c.shape
-        with pytest.raises(ValueError):
-            b[...] = 0.0
-    with pytest.raises(ValueError):
-        fresh[1][0, 0] = 1.0
 
 
 def test_factor_memo_misses_on_other_geometry_or_nodes(unit_geom, sweeps):
-    # every call misses the factors; the Bessel triples are shared where the
-    # radial function and the radii are: a geometry with the same radius a
-    # has the same g, and other heights leave the radii as they are
+    # a table is shared where the radial function and the radii are: a
+    # geometry with the same radius a has the same g, and other heights
+    # leave the radii as they are
     other_l = CavityGeometry(a=unit_geom.a, L=1.1 * unit_geom.L, c=1.0, eps0=1.0, hbar=1.0)
     other_a = CavityGeometry(a=1.1 * unit_geom.a, L=unit_geom.L, c=1.0, eps0=1.0, hbar=1.0)
     index = ModeIndex(m=1, mu=1, n=1, sigma=TM)
@@ -313,7 +324,7 @@ def test_factor_memo_misses_on_other_geometry_or_nodes(unit_geom, sweeps):
         before = len(sweeps)
         _factors((md,), rr, zz)
         calls.append(len(sweeps) - before)
-    assert calls == [1, 0, 1, 1, 0, 1] and _kept() == {"call": 6, "radial": 4}
+    assert calls == [1, 0, 1, 1, 0, 1] and len(_radial_entries()) == 4
     _memo.clear()
     for md, rr, zz in cases:     # each cold factor equals its memo-served one
         want = _factors((md,), rr, zz)
@@ -361,79 +372,57 @@ def test_one_call_shares_each_function_without_the_memo(unit_geom, sweeps, monke
         assert all(a[..., j].tobytes() == b[..., 0].tobytes() for a, b in zip(got, _factors((md,), r, z)))
 
 
-def test_cold_factors_hash_each_mode_once(unit_geom, monkeypatch):
-    # the key of a call is hashed once, not by each lookup, move and store
-    modes = enumerate_modes(unit_geom, 12.0)
-    r, z = np.linspace(0.0, unit_geom.a, 5)[:, None], np.linspace(0.0, unit_geom.L, 4)[None, :]
-    hashes = []
-    original = ModeData.__hash__
-    monkeypatch.setattr(ModeData, "__hash__", lambda md: hashes.append(md) or original(md))
-    _memo.clear()
-    _factors(modes, r, z)
-    assert len(modes) > 100 and len(hashes) <= len(modes)
-    del hashes[:]
-    _factors(modes, r, z)       # a hit
-    assert len(hashes) <= len(modes)
-    _memo.clear()
-
-
-def test_factor_memo_keeps_within_budget(unit_geom, sweeps, monkeypatch):
+def test_factor_memo_keeps_within_budget(unit_geom, sweeps):
+    # an entry costs 4 table floats and the key's 8 bytes per radius
     md = mode_data(unit_geom, ModeIndex(m=0, mu=1, n=1, sigma=TM))
-    r = np.array([0.4])
-    per_node = 7 * 8 + 8        # Z of one mode and the node's key bytes
-    assembled = []              # _factors calls the memo did not serve
-    sweep = modefield._sweep
-    monkeypatch.setattr(modefield, "_sweep", lambda *args: assembled.append(1) or sweep(*args))
+    per_radius = 4 * 8 + 8
 
-    def heights(count, shift):
-        return np.linspace(0.0, unit_geom.L, count) * (1.0 - shift * 1e-3)
+    def radii(count, shift):
+        return np.linspace(0.0, unit_geom.a, count) * (1.0 - shift * 1e-3)
 
-    big = heights(_MEMO_BYTES // per_node + 1, 0)
-    s, R, Z = _factors((md,), r, big)
-    assert Z.shape == (7, big.size, 1) and not Z.flags.writeable
-    assert _kept() == {"radial": 1}     # the factors pass the budget; the one-radius triple is kept
-    wide = np.linspace(0.0, unit_geom.a, _MEMO_BYTES // (3 * 8 + 8) + 1)
-    _factors((md,), wide, 0.5)          # neither its factors nor its triple fit
-    assert _kept() == {"radial": 1}
-    third = [heights(int(_MEMO_BYTES / (3.5 * per_node)), k) for k in range(4)]   # three fit
-    for k, z in enumerate(third[:3]):
-        _factors((md,), r, z)
-        assert _kept() == {"call": k + 1, "radial": 1} and _memo.nbytes <= _MEMO_BYTES
-    _factors((md,), r, third[0])        # the oldest entry becomes the newest
-    _factors((md,), r, third[3])        # evicts third[1], the least recently used
-    assert _kept() == {"call": 3, "radial": 1} and _memo.nbytes <= _MEMO_BYTES
-    before, swept = len(assembled), len(sweeps)
-    _factors((md,), r, third[0])
-    _factors((md,), r, third[2])
-    assert len(assembled) == before
-    _factors((md,), r, third[1])
-    assert len(assembled) == before + 1 and _memo.nbytes <= _MEMO_BYTES
-    assert len(sweeps) == swept         # its radial function is still kept
+    wide = radii(_MEMO_BYTES // per_radius + 1, 0)
+    s, R, Z = _factors((md,), wide, 0.5)    # returned, but its table passes the budget
+    assert R.shape == (7, wide.size, 1) and len(_memo) == 0
+    third = [radii(int(_MEMO_BYTES / (3.5 * per_radius)), k) for k in range(4)]    # three fit
+    for k, r in enumerate(third[:3]):
+        _factors((md,), r, 0.5)
+        assert len(_radial_entries()) == k + 1
+    _factors((md,), third[0], 0.5)          # the oldest entry becomes the newest
+    _factors((md,), third[3], 0.5)          # evicts third[1], the least recently used
+    assert len(_radial_entries()) == 3
+    before = len(sweeps)
+    _factors((md,), third[0], 0.7)
+    _factors((md,), third[2], 0.7)
+    assert len(sweeps) == before
+    _factors((md,), third[1], 0.5)
+    assert len(sweeps) == before + 1 and len(_radial_entries()) == 3
 
 
 def test_factor_memo_budget_bounds_its_memory(unit_geom, sweeps):
-    # one-point entries are mostly object headers; the budget counts them as
+    # one-radius entries are mostly object headers; the budget counts them as
     # the fixed _FactorMemo.entry_overhead per entry, so this pins that the
     # constant covers what tracemalloc sees an entry hold on this interpreter
-    # (about 1.1 kB on CPython 3.11 with NumPy 2); entries as _factors stores
-    # them, without a sweep per point
+    # (under 1 kB on CPython 3.11 with NumPy 2); entries as _factors stores
+    # them, without a sweep per radius
     md = mode_data(unit_geom, ModeIndex(m=1, mu=1, n=1, sigma=TM))
-    factors = _factors((md,), 0.4, 0.5)
+    _factors((md,), 0.4, 0.5)
+    [(key, (table, _))] = _memo._entries.items()
     _memo.clear()
-    radii, z = np.linspace(0.1, 0.8, 1200), np.asarray(0.5)
+    radii = np.linspace(0.1, 0.8, 1200)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         for x in radii:
             r = np.asarray(x)
-            _memo.put(_Key(((md,), r.shape, r.tobytes(), z.shape, z.tobytes())), tuple(f.copy() for f in factors))
+            kept = table.copy()
+            kept.flags.writeable = False
+            _memo.put(((abs(md.index.m), md.g, md.geom.a), r.shape, r.tobytes()), kept)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert 0 < len(_memo) < radii.size and _memo.nbytes <= _MEMO_BYTES
-    counted = sum(f.nbytes for f in factors) + 2 * 8
+    assert 0 < len(_memo) < radii.size and len(_radial_entries()) == len(_memo)
     assert held <= _memo.nbytes, (
-        f"an entry holds {held / len(_memo) - counted:.0f} bytes besides its arrays and key "
+        f"an entry holds {held / len(_memo) - table.nbytes - 8:.0f} bytes besides its table and key "
         f"bytes; _FactorMemo.entry_overhead counts {_memo.entry_overhead}")
 
 
@@ -441,16 +430,15 @@ def test_factor_memo_accounting_survives_threads(unit_geom, sweeps):
     # more threads than cores, each evicting the others' entries; a lost
     # update would leave nbytes off the sum of the entries kept
     md = mode_data(unit_geom, ModeIndex(m=2, mu=1, n=1, sigma=TE))
-    r = np.array([0.3])
-    heights = [np.linspace(0.0, unit_geom.L, _MEMO_BYTES // 200) * (1.0 - k * 1e-3) for k in range(5)]
-    want = [_factors((md,), r, z)[2].tobytes() for z in heights]
+    radii = [np.linspace(0.0, unit_geom.a, _MEMO_BYTES // 200) * (1.0 - k * 1e-3) for k in range(5)]
+    want = [_factors((md,), r, 0.3)[1].tobytes() for r in radii]
     errors = []
 
     def work(k):
         try:
             for i in range(40):
-                j = (k + i) % len(heights)
-                assert _factors((md,), r, heights[j])[2].tobytes() == want[j]
+                j = (k + i) % len(radii)
+                assert _factors((md,), radii[j], 0.3)[1].tobytes() == want[j]
         except Exception as exc:    # reported by the main thread
             errors.append(exc)
 
@@ -465,7 +453,29 @@ def test_factor_memo_accounting_survives_threads(unit_geom, sweeps):
     finally:
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads) and not errors
-    assert _memo.nbytes == sum(size for _, size in _memo._entries.values()) <= _MEMO_BYTES
+    assert 0 < len(_radial_entries()) < len(radii)
+
+
+def test_memo_keeps_radial_tables_only_after_certify_and_fields_ops(unit_geom, rng, sweeps):
+    # the two benchmark ops' calls, each repeated: the memo holds only
+    # radial-function tables within its budget, and every repeat reads all
+    # its tables from it
+    modes = enumerate_modes(unit_geom, 6.5)
+    rule = default_rule(unit_geom, modes)
+    state = FieldState(geom=unit_geom, entries=tuple(zip(modes, rng.normal(size=len(modes)) + 0j)))
+    grid = (np.linspace(0.0, unit_geom.a, 7)[:, None, None], np.linspace(0.0, 6.0, 5)[None, :, None],
+            np.linspace(0.0, unit_geom.L, 6)[None, None, :])
+    calls = [lambda: check_vector_orthonormality(modes, rule), lambda: check_curl_identity(modes, rule),
+             *(lambda md=md: check_boundary(md) for md in modes),
+             lambda: electric_field_grid(state, *grid), lambda: magnetic_field_grid(state, *grid),
+             lambda: total_energy(state, rule), lambda: project(*field_samplers(state), modes, rule)]
+    for call in calls:
+        call()
+        _radial_entries()
+        before = len(sweeps)
+        call()
+        assert len(sweeps) == before
+    assert len(_radial_entries()) > len({(abs(md.index.m), md.g) for md in modes})
 
 
 def test_n0_mode_has_no_axial_dependence(unit_geom):
