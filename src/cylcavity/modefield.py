@@ -278,9 +278,9 @@ def _radial(funcs, ra):
             orders = ms[0] + _NEIGHBOURS[:, None]
         else:
             orders = np.repeat(ms[:, 0], rs.size) + _NEIGHBOURS[:, None]
-        lower, j, upper = _j_points(orders, (gs * rs).reshape(-1)).reshape(3, len(idx), rs.size)
-        m_over_r = np.where(near | (ms == 0), np.where(ms == 1, 0.5 * gs, 0.0), ms * j / np.where(near, 1.0, rs))
-        out[[missing[i] for i in idx]] = np.stack([j, gs * (0.5 * (lower - upper)), m_over_r, gs * gs * j], axis=1)
+        lower, jm, upper = _j_points(orders, (gs * rs).reshape(-1)).reshape(3, len(idx), rs.size)
+        m_over_r = np.where(near | (ms == 0), np.where(ms == 1, 0.5 * gs, 0.0), ms * jm / np.where(near, 1.0, rs))
+        out[[missing[i] for i in idx]] = np.stack([jm, gs * (0.5 * (lower - upper)), m_over_r, gs * gs * jm], axis=1)
     for j in missing:
         table = out[j].copy()
         table.flags.writeable = False

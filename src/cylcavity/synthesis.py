@@ -9,10 +9,10 @@ common time t.  The physical fields are
 which are exactly real by construction: E = i (c - c*) = 2 Re (i c) and
 B = c + c* = 2 Re c of one complex sum c each.  Every component of u_s and
 curl u_s is s R_s(r) Z_s(z) e^{i m_s phi} (modefield._factors), taken per
-chunk of |m_s| groups to bound the memory of the factors.  Synthesis is two real contractions:
-per m and component the (r, z) planes of Re c_m and Im c_m are
-R diag(2 p a s) Z^T, and one contraction of every m's planes with
-[cos m phi, -sin m phi] is the real inverse DFT over m.  The planes are
+chunk of |m_s| groups to bound the memory of the factors.  Synthesis is
+two real contractions: per m and component the (r, z) planes of Re c_m and
+Im c_m are R diag(2 p a s) Z^T, and one contraction of every m's planes
+with [cos m phi, -sin m phi] is the real inverse DFT over m.  The planes are
 laid out slot-major, (m, Re/Im, component, r, z), and each chunk's modes
 are taken in m order once, so the modes of one m are a slice of the
 factors and its planes one contiguous block; the inverse DFT reads the
