@@ -20,24 +20,25 @@ lives entirely in the expansion amplitudes (see synthesis).
 Every row (psi and each cylindrical component of u and of curl u) is
 separable: a constant s times a real radial factor R(r) -- J_m, g J_m',
 (m/r) J_m or g^2 J_m -- times a real axial factor Z(z), c Z or c Z', times
-e^{i m phi}.  _factors gives that (s, R, Z) triple for any set of modes,
-R on the r nodes and Z on the z nodes separately, each as one index gather
-from a per-call table.  The radial factors depend on the mode only through
-its radial function J_|m|(g r), shared by the +-m partners and every n of
-one (|m|, mu, sigma), with the signs of m < 0 in s.  So the radial table
-holds J, g J', (|m|/r) J and g^2 J of each distinct radial function
-(|m|, g, a), from one Bessel sweep of J_{|m|-1}, J_|m|, J_{|m|+1} per chunk
-of functions (_groups: whole |m| groups in ascending |m|, within a budget
-of radii x functions).  The axial table holds sin, h cos, cos and -h sin
-of each distinct h.  A memo of fixed byte budget keeps one kind of entry,
-the radial table of one function on one set of radii, so a later call on
-the same radii sweeps only the functions not seen there yet
-(check_boundary of TE(-1,1,1) after TE(1,1,1) makes no sweep).  Every
-consumer here and in verify and synthesis contracts the factors, and
-_phase alone forms e^{i m phi}.  The only removable singularity is
-(m/r) J_m(g r) on the axis, which tends to g/2 for |m| = 1 (both signs,
-since J_{-1} = -J_1) and to 0 otherwise; radii below 1e-8 a are evaluated
-with that limit.
+e^{i m phi}.  _tables gives, for any set of modes, s, a radial table on
+the r nodes, an axial table on the z nodes and each mode's rows in them;
+_factors gathers the (s, R, Z) triple from those, R and Z each as one
+index gather.  The radial factors depend on the mode only through its
+radial function J_|m|(g r), shared by the +-m partners and every n of one
+(|m|, mu, sigma), with the signs of m < 0 in s.  So the radial table holds
+J, g J', (|m|/r) J and g^2 J of each distinct radial function (|m|, g, a),
+from one Bessel sweep of J_{|m|-1}, J_|m|, J_{|m|+1} per chunk of
+functions (_groups: whole |m| groups in ascending |m|, within a budget of
+radii x functions).  The axial table holds sin, h cos, cos and -h sin of
+each distinct h.  A memo of fixed byte budget keeps one kind of entry, the
+radial table of one function on one set of radii, so a later call on the
+same radii sweeps only the functions not seen there yet (check_boundary
+of TE(-1,1,1) after TE(1,1,1) makes no sweep).  Every consumer here and in
+verify and synthesis contracts the factors, except synthesis.total_energy,
+which takes Grams of the tables; _phase alone forms e^{i m phi}.  The only
+removable singularity is (m/r) J_m(g r) on the axis, which tends to g/2
+for |m| = 1 (both signs, since J_{-1} = -J_1) and to 0 otherwise; radii
+below 1e-8 a are evaluated with that limit.
 
 Grid evaluation: the *_grid functions accept numpy arrays for r, phi, z
 and broadcast them, so a tensor grid can be passed as r[:,None,None],
@@ -211,15 +212,16 @@ _MEMO_BYTES = 1 << 20       # byte budget of the factor memo
 _memo = _FactorMemo(_MEMO_BYTES)
 
 
-def _factors(modes, r, z):
-    """(s, R, Z) of modes: row c of mode j is s[c, j] R[c, ..., j] Z[c, ..., j] e^{i m phi}
-    with s (7, n) complex, R (7, *r.shape, n) and Z (7, *z.shape, n) real.
-    R is one gather from the radial tables of the modes' distinct radial
-    functions (|m|, g, a) on the radii (_radial), shared by the +-m partners
-    and every n of one function; Z is c times one gather from the axial
-    table of the modes' distinct h on the heights.  J_m = (-1)^|m| J_|m| for
-    m < 0, and (m/r) J_m takes the opposite sign of (|m|/r) J_|m|: those
-    signs go into s."""
+def _tables(modes, r, z):
+    """(s, c, radial, r_at, axial, z_at) of modes: row k of mode j is
+    s[k, j] radial[r_at[k, j]] c[j] axial[z_at[k, j]] e^{i m phi}, with s
+    (7, n) complex, c the modes' c_norm, and two real tables of rows on the
+    flattened nodes: radial (4 F, r.size), the rows J, g J', (|m|/r) J and
+    g^2 J of each of the modes' F distinct radial functions (|m|, g, a)
+    (_radial), shared by the +-m partners and every n of one function, and
+    axial (4 H + 2, z.size) of the modes' H distinct h.  J_m = (-1)^|m| J_|m|
+    for m < 0, and (m/r) J_m takes the opposite sign of (|m|/r) J_|m|:
+    those signs go into s."""
     ra, za = np.asarray(r, dtype=float), np.asarray(z, dtype=float)
     # geometries by identity: hashing one per mode costs more than the check
     for geom in {id(md.geom): md.geom for md in modes}.values():
@@ -241,8 +243,16 @@ def _factors(modes, r, z):
     axial = np.concatenate([sin, hs * cos, cos, -hs * sin, np.full((1, zs.size), _INV_SQRT2), np.zeros((1, zs.size))])
     z_at = np.where(te, at_h, np.where(flat, 4 * nh, 2 * nh + at_h))      # the row of Z
     z_at = np.where(_Z_ROW[:, te], z_at + np.where(flat, 1, nh), z_at)   # or of Z'
-    return (s, _gather(_radial(list(funcs), ra), 4 * column + kind, ra.shape),
-            c * _gather(axial, z_at, za.shape))
+    return s, c, _radial(list(funcs), ra), 4 * column + kind, axial, z_at
+
+
+def _factors(modes, r, z):
+    """(s, R, Z) of modes: row c of mode j is s[c, j] R[c, ..., j] Z[c, ..., j] e^{i m phi}
+    with s (7, n) complex, R (7, *r.shape, n) and Z (7, *z.shape, n) real:
+    R one gather from _tables' radial table and Z c_norm times one gather
+    from its axial table."""
+    s, c, radial, r_at, axial, z_at = _tables(modes, r, z)
+    return s, _gather(radial, r_at, np.shape(r)), c * _gather(axial, z_at, np.shape(z))
 
 
 def _gather(table, index, shape):

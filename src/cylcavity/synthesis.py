@@ -18,15 +18,25 @@ are taken in m order once, so the modes of one m are a slice of the
 factors and its planes one contiguous block; the inverse DFT reads the
 leading (m, Re/Im) axes in place as its contracted axis.  _contract runs
 both as one matmul, a GEMM on a tensor grid and batched dots on scattered
-points.  Time evolution multiplies each amplitude by e^{-i omega_s dt};
-with that rule (E, B) satisfies the free-space Maxwell equations, and the
-classical field energy
+points; on a tensor grid each m's GEMMs write straight into its block.
+Time evolution multiplies each amplitude by e^{-i omega_s dt}; with that
+rule (E, B) satisfies the free-space Maxwell equations, and the classical
+field energy
 
     int [ eps0/2 |E|^2 + 1/(2 mu0) |B|^2 ] dV  =  sum_s hbar omega_s |a_s|^2
 
-is time independent.  The zero-point contribution sum_s hbar omega_s / 2
-of a truncated mode set is reported separately by zero_point_energy and
-is never folded into the classical total (it diverges with the cutoff).
+is time independent.  total_energy takes the rule's quadrature of the
+left side without synthesizing E or B: it is the same discrete sum over
+every node, formed from the factor tables (modefield._tables).  The
+uniform phi rule sums e^{i q phi} to sum w_phi when q = 0 mod nphi and to
+0 otherwise (trapezoid rule), so only modes whose m agree mod nphi, or
+cancel mod nphi, meet in the sum; the (r, z) sums of each such pair of
+classes {q, -q} are small Grams of the radial and axial table rows the
+pair uses (sum factorization).  An aliasing nphi or a coarse r or z rule
+errs exactly as the full 3-D sum does.  The zero-point contribution
+sum_s hbar omega_s / 2 of a truncated mode set is reported separately by
+zero_point_energy and is never folded into the classical total (it
+diverges with the cutoff).
 
 Amplitudes can be recovered from sampled fields: with the inner product
 <f, g> = int f* . g dV,
@@ -54,9 +64,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modefield import _CURL, _U, CylPoint, _chunks, _factors, _phase
+from .modefield import _CURL, _U, CylPoint, _chunks, _factors, _phase, _tables
 from .spectrum import CavityGeometry, ModeData
-from .verify import QuadratureRule, _same_geometry, integrate_cavity
+from .verify import QuadratureRule, _same_geometry, _uniform_phi
 
 
 @dataclass(frozen=True)
@@ -109,22 +119,49 @@ def _derivative_state(state: FieldState) -> FieldState:
     return FieldState(geom=state.geom, entries=entries, t=state.t)
 
 
-def _contract(a, b) -> np.ndarray:
+def _contract(a, b, out=None) -> np.ndarray:
     """sum_j a[..., j] b[..., j] over broadcast leading axes, as one matmul: an
     axis where only a varies is a GEMM row, one where only b varies a column,
-    and one where both vary a batch axis."""
-    nd = max(a.ndim, b.ndim) - 1
+    and one where both vary a batch axis.  With out, an array of the
+    broadcast shape, the result is written into it: straight from the
+    matmul when out's last column axis has unit stride, its row axes merge
+    and each GEMM is at least 2 x 2 (leading column axes that cannot merge
+    with the rest become batch axes, broadcast in a), else by a copy."""
+    nd, n = max(a.ndim, b.ndim) - 1, a.shape[-1]
     sa, sb = ((1,) * (nd + 1 - v.ndim) + v.shape[:-1] for v in (a, b))
     full = np.broadcast_shapes(sa, sb)
     kind = [(x != 1) + 2 * (y != 1) for x, y in zip(sa, sb)]
     batch, rows, cols, ones = ([i for i in range(nd) if kind[i] == k] for k in (3, 1, 2, 0))
     size = lambda axes: math.prod(full[i] for i in axes)
-    lhs = a.reshape(*sa, a.shape[-1]).transpose(*batch, *rows, *cols, *ones, nd)
-    rhs = b.reshape(*sb, b.shape[-1]).transpose(*batch, *cols, *rows, *ones, nd)
-    out = np.matmul(lhs.reshape(size(batch), size(rows), a.shape[-1]),
-                    rhs.reshape(size(batch), size(cols), b.shape[-1]).swapaxes(-1, -2))
+
+    def operands(lead, cols, merge):    # the matmul's (batch..., rows, n) and (batch..., n, cols)
+        head = lambda shape: [math.prod(shape[i] for i in lead)] if merge else [shape[i] for i in lead]
+        lhs = a.reshape(*sa, n).transpose(*lead, *rows, *cols, *ones, nd)
+        rhs = b.reshape(*sb, n).transpose(*lead, *cols, *rows, *ones, nd)
+        return (lhs.reshape(*head(sa), size(rows), n),
+                rhs.reshape(*head(sb), size(cols), n).swapaxes(-1, -2))
+
+    if out is not None and cols and out.strides[cols[-1]] == out.itemsize and _merges(out, rows):
+        split = next(k for k in range(len(cols)) if _merges(out, cols[k:]))
+        lead, rest = batch + cols[:split], cols[split:]
+        if min(size(rows), size(rest)) >= 2:    # GEMMs, as on the copy path
+            view = out.transpose(*lead, *rows, *rest, *ones).reshape(
+                *(full[i] for i in lead), size(rows), size(rest))   # a view: rows and rest merge
+            np.matmul(*operands(lead, rest, merge=False), out=view)
+            return out
     order = batch + rows + cols + ones
-    return out.reshape([full[i] for i in order]).transpose(np.argsort(order))
+    res = np.matmul(*operands(batch, cols, merge=True))
+    res = res.reshape([full[i] for i in order]).transpose(np.argsort(order))
+    if out is None:
+        return res
+    out[...] = res
+    return out
+
+
+def _merges(out, axes) -> bool:
+    """Whether out's axes, in this order, form one strided axis."""
+    live = [i for i in axes if out.shape[i] != 1]
+    return all(out.strides[i] == out.strides[j] * out.shape[j] for i, j in zip(live, live[1:]))
 
 
 def _synthesize(state: FieldState, r, phi, z, fields, rate_at=None):
@@ -136,9 +173,9 @@ def _synthesize(state: FieldState, r, phi, z, fields, rate_at=None):
     Per chunk of |m| groups (modefield._chunks), one _factors call, whose
     modes one stable argsort puts in m order: the modes of each m are then
     one slice of R, of Z diag(Re, Im of 2 p a s), formed once per chunk,
-    and of the coefficients.  Per m, one _contract of those slices gives
-    the (Re/Im, component, r, z) planes of c_m, written as the contiguous
-    block planes[slot of m].  Then one _contract of the planes with
+    and of the coefficients.  Per m, one _contract of those slices writes
+    the (Re/Im, component, r, z) planes of c_m into the contiguous block
+    planes[slot of m].  Then one _contract of the planes with
     [cos m phi, -sin m phi] is the real inverse DFT over m; it contracts
     the leading (slot, Re/Im) axes of the planes, a view of them.
 
@@ -177,7 +214,7 @@ def _synthesize(state: FieldState, r, phi, z, fields, rate_at=None):
             Za = Z[(slice(None), *at_z)]
             Zw = Za * np.stack([coef.real, coef.imag]).reshape(2, len(scale), *(1,) * (Za.ndim - 2), -1)
             for lo, hi in zip([0, *ends], ends):    # (Re/Im, row, *plane) of one m
-                out[slot[m[lo]]] = _contract(Ra[..., lo:hi], Zw[..., lo:hi])
+                _contract(Ra[..., lo:hi], Zw[..., lo:hi], out=out[slot[m[lo]]])
         del s, R, Z, Ra, Za, Zw     # one chunk's factors live at a time
     phase = _phase(np.array(list(slot), dtype=int), phi)
     dft = np.moveaxis(np.stack([phase.real, -phase.imag], axis=-1), 0, -2)   # Re c cos - Im c sin
@@ -223,12 +260,60 @@ def field_samplers(state: FieldState):
 
 
 def total_energy(state: FieldState, rule: QuadratureRule) -> float:
-    """Classical field energy by quadrature; equals sum hbar omega |a|^2."""
-    geom = state.geom
-    _same_geometry(state.modes, rule)
-    e, b = _synthesize(state, *rule.grid(), "EB")
-    dens = 0.5 * geom.eps0 * sum(c * c for c in e) + 0.5 / geom.mu0 * sum(c * c for c in b)
-    return float(integrate_cavity(lambda *_: dens, rule).real)
+    """Classical field energy by the rule's quadrature; equals sum hbar omega |a|^2.
+
+    The same discrete sum as eps0/2 |E|^2 + |B|^2 / 2 mu0 over every node,
+    without the 3-D fields.  Each row of E and B is Re X on the nodes, X =
+    sum_i beta_i R_i(r) Z_i(z) e^{i m_i phi}, so the weighted sum of (Re X)^2
+    is 1/2 sum w |X|^2 + 1/2 Re sum w X^2, and the phi sum keeps in |X|^2 the
+    mode pairs of one class m mod nphi and in X^2 those of the classes q
+    and -q, each times sum w_phi.  Per pair {q, -q}, the beta of each class
+    scatter into A[row, rho, zeta] over the radial table rows rho and axial
+    table rows zeta the pair uses, and the (r, z) sums are
+    sum conj(A) G_R A G_Z and sum A_q G_R A_-q G_Z, with the 1-D Grams
+    G_R = T_R diag(w_r) T_R^T of those radial rows alone and G_Z of the
+    axial table.  Raises ValueError unless the rule's phi nodes and weights
+    are the uniform ones quadrature_rule builds: the identity needs them."""
+    geom, modes = state.geom, state.modes
+    _same_geometry(modes, rule)
+    phi, wphi = _uniform_phi(rule.nphi)
+    if not (np.array_equal(rule.phi, phi) and np.array_equal(rule.wphi, wphi)):
+        raise ValueError(f"total_energy needs the uniform phi rule of {rule.nphi} nodes with equal weights")
+    if not modes:
+        return 0.0
+    r, _, z = rule.grid()
+    s, c, radial, r_at, axial, z_at = _tables(modes, r, z)
+    rows = slice(_U.start, _CURL.stop)
+    omega = np.array([md.omega for md in modes])
+    # beta of the E rows (i p) and of the B rows (p), 2 p a c s, each times the
+    # square root of its energy density's factor, eps0 / 2 or 1 / (2 mu0)
+    p = np.repeat([1j * np.sqrt(geom.hbar * omega / (2.0 * geom.eps0)) * math.sqrt(0.5 * geom.eps0),
+                   np.sqrt(geom.hbar / (2.0 * geom.eps0 * omega)) * math.sqrt(0.5 / geom.mu0)], 3, axis=0)
+    beta = s[rows] * p * (2.0 * state.amplitudes * c)
+    r_at, z_at = r_at[rows], z_at[rows]
+    g_z = (axial * rule.wz) @ axial.T
+    q = np.array([md.index.m for md in modes]) % rule.nphi
+    pair = np.minimum(q, -q % rule.nphi)
+    order = np.argsort(pair, kind="stable")
+    ends = (np.flatnonzero(np.diff(pair[order])) + 1).tolist() + [len(order)]
+    total = 0.0
+    for lo, hi in zip([0, *ends], ends):
+        j = order[lo:hi]
+        slots = 1 + (pair[j[0]] != -pair[j[0]] % rule.nphi)     # slot 0 holds class q, slot 1 class -q
+        rho, at_rho = np.unique(r_at[:, j], return_inverse=True)
+        zeta, at_zeta = np.unique(z_at[:, j], return_inverse=True)
+        shape = (slots, len(beta), len(rho), len(zeta))
+        at = np.ravel_multi_index((q[j] != pair[j], np.arange(len(beta))[:, None],
+                                   at_rho.reshape(-1, len(j)), at_zeta.reshape(-1, len(j))), shape).ravel()
+        b = beta[:, j].ravel()
+        # A[Re/Im, slot, row, rho, zeta], and the same parts of G_R A G_Z
+        A = np.stack([np.bincount(at, part, math.prod(shape)) for part in (b.real, b.imag)]).reshape(2, *shape)
+        t = radial[rho]
+        GA = ((t * rule.wr) @ t.T) @ (A.reshape(-1, len(zeta)) @ g_z[np.ix_(zeta, zeta)]).reshape(-1, *shape[2:])
+        GA = GA.reshape(A.shape)
+        # Re sum conj(A) G A over the slots, and Re sum X_q X_-q over both orders
+        total += np.vdot(A, GA) + slots * (np.vdot(A[0, 0], GA[0, -1]) - np.vdot(A[1, 0], GA[1, -1]))
+    return float(0.5 * rule.wphi.sum() * total)
 
 
 def mode_sum_energy(state: FieldState) -> float:

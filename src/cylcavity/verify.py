@@ -59,7 +59,8 @@ class QuadratureRule:
     """Tensor-product cavity quadrature bound to one geometry.
 
     r/z nodes and weights are Gauss-Legendre (radial weights include the
-    cylindrical Jacobian r); phi nodes are uniform with equal weights.
+    cylindrical Jacobian r); phi nodes are uniform with equal weights, as
+    synthesis.total_energy requires.
     """
 
     geom: CavityGeometry
@@ -108,12 +109,16 @@ def quadrature_rule(
     tz, twz = _gauss_legendre(nz)
     z = 0.5 * geom.L * (tz + 1.0)
     wz = 0.5 * geom.L * twz
-    phi = 2.0 * math.pi * np.arange(nphi) / nphi
-    wphi = np.full(nphi, 2.0 * math.pi / nphi)
+    phi, wphi = _uniform_phi(nphi)
     return QuadratureRule(
         geom=geom, nr=nr, nphi=nphi, nz=nz,
         r=r, wr=wr, phi=phi, wphi=wphi, z=z, wz=wz,
     )
+
+
+def _uniform_phi(nphi: int):
+    """The phi nodes 2 pi k / nphi, k = 0 .. nphi - 1, and their equal weights."""
+    return 2.0 * math.pi * np.arange(nphi) / nphi, np.full(nphi, 2.0 * math.pi / nphi)
 
 
 def default_nphi(modes) -> int:

@@ -5,8 +5,8 @@ zeros come from sign scanning plus pure bisection, derivatives from
 central differences, and cavity inner products from a dense sum over
 every node of the 3-D rule, pair by pair (or, for sizes the 3-D sum cannot
 reach, one GEMM over the (r, z) planes), fields from a per-mode sum over
-every point, and wall checks from the full phased mode functions.  Slow
-and simple on purpose.
+every point, the field energy from those fields on every node, and wall
+checks from the full phased mode functions.  Slow and simple on purpose.
 """
 
 from __future__ import annotations
@@ -166,6 +166,16 @@ def dense_fields(state, r, phi, z):
     b = cb + np.conj(cb)
     assert not np.any(e.imag) and not np.any(b.imag)
     return e.real, b.real
+
+
+def dense_energy(state, rule):
+    """Classical field energy as the 3-D quadrature of dense_fields:
+    eps0/2 |E|^2 + |B|^2 / 2 mu0 summed with the weights of every node of
+    the rule's grid."""
+    geom = state.geom
+    e, b = dense_fields(state, *rule.grid())
+    density = 0.5 * geom.eps0 * np.sum(e * e, axis=0) + 0.5 / geom.mu0 * np.sum(b * b, axis=0)
+    return float(np.sum(_weighted(rule, [density])[0]))
 
 
 def dense_boundary(mode, samples):

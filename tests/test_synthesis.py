@@ -1,6 +1,7 @@
 """Field synthesis, energy bookkeeping, projection, Maxwell residuals."""
 
 import cmath
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -38,7 +39,7 @@ import cylcavity.synthesis as synthesis
 from cylcavity.modefield import _CHUNK_POINTS
 from cylcavity.synthesis import _derivative_state, _fd_stencil, _synthesize
 from cylcavity.verify import default_nphi
-from oracles import dense_fields
+from oracles import dense_energy, dense_fields
 
 
 def _random_state(geom, rng, count, omega_max=6.5, t=0.0):
@@ -125,6 +126,76 @@ def test_zero_point_reported_separately(unit_geom):
     assert total_energy(silent, rule) == 0.0
     expect = 0.5 * sum(md.omega for md in modes)
     assert zero_point_energy(silent) == pytest.approx(expect, rel=1e-15)
+
+
+def _energy_state(geom, rng, kind):
+    modes = enumerate_modes(geom, 6.5)     # the 30 lowest: +-m pairs, TM n = 0 and n > 0, TE
+    pick = {"pm_pairs": modes,
+            "tm_n0": [md for md in modes if md.index.sigma == TM and md.index.n == 0],
+            "m0": [md for md in modes if md.index.m == 0],
+            "single": [mode_data(geom, ModeIndex(2, 1, 1, TE))]}[kind]
+    amps = rng.normal(size=len(pick)) + 1j * rng.normal(size=len(pick))
+    return FieldState(geom=geom, entries=tuple(zip(pick, amps)))
+
+
+def _energy_rule(state, kind):
+    geom, modes = state.geom, state.modes
+    if kind.startswith("nphi"):
+        return quadrature_rule(geom, nphi=int(kind[4:]))
+    if kind.startswith("nrz"):
+        return quadrature_rule(geom, nr=int(kind[3:]), nphi=default_nphi(modes), nz=int(kind[3:]))
+    return default_rule(geom, modes)
+
+
+_ENERGY_RULES = ["default", "nphi3", "nphi4", "nphi5", "nphi7", "nphi8", "nrz6", "nrz10"]
+
+
+@pytest.mark.parametrize("rule_kind", _ENERGY_RULES)
+@pytest.mark.parametrize("state_kind", ["pm_pairs", "tm_n0", "m0", "single"])
+def test_energy_matches_dense_quadrature(unit_geom, rng, state_kind, rule_kind):
+    # the same discrete sum as the 3-D quadrature of the dense fields, so an
+    # aliasing phi rule or a coarse r, z rule errs exactly as that sum does
+    state = _energy_state(unit_geom, rng, state_kind)
+    assert state_kind != "tm_n0" or {md.index.m for md in state.modes} >= {-1, 0, 1}
+    rule = _energy_rule(state, rule_kind)
+    want = dense_energy(state, rule)
+    assert abs(total_energy(state, rule) - want) <= 1e-14 * want
+
+
+def test_energy_shows_the_error_of_an_under_resolved_rule(unit_geom, rng):
+    state = _energy_state(unit_geom, rng, "pm_pairs")
+    closed = mode_sum_energy(state)
+    for kind in _ENERGY_RULES:
+        err = abs(total_energy(state, _energy_rule(state, kind)) - closed) / closed
+        assert (err < 1e-14) if kind == "default" else (err > 1e-12), (kind, err)
+
+
+def test_energy_holds_no_field_on_the_rule_grid(unit_geom, rng):
+    # the energy comes from Grams of the factor tables: a warm call's peak
+    # stays below one 3-component field on the rule's nodes
+    modes = enumerate_modes(unit_geom, 20.0)
+    assert len(modes) == 878
+    state = FieldState(geom=unit_geom, entries=tuple(zip(modes, rng.normal(size=len(modes)) + 1j)))
+    rule = default_rule(unit_geom, modes)
+    total_energy(state, rule)
+    tracemalloc.start()
+    try:
+        total_energy(state, rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * rule.nr * rule.nphi * rule.nz * 8
+
+
+def test_energy_rejects_a_non_uniform_phi_rule(unit_geom, rng):
+    state = _random_state(unit_geom, rng, 4)
+    rule = _rule_for(state)
+    total_energy(state, rule)
+    unequal = rule.wphi.copy()
+    unequal[0] *= 1.5
+    for bad in (dataclasses.replace(rule, phi=rule.phi + 0.1), dataclasses.replace(rule, wphi=unequal)):
+        with pytest.raises(ValueError, match="phi"):
+            total_energy(state, bad)
 
 
 def test_projection_round_trip(unit_geom, rng):
