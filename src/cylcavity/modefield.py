@@ -20,25 +20,27 @@ lives entirely in the expansion amplitudes (see synthesis).
 Every row (psi and each cylindrical component of u and of curl u) is
 separable: a constant s times a real radial factor R(r) -- J_m, g J_m',
 (m/r) J_m or g^2 J_m -- times a real axial factor Z(z), c Z or c Z', times
-e^{i m phi}.  _tables gives, for any set of modes, s, a radial table on
-the r nodes, an axial table on the z nodes and each mode's rows in them;
-_factors gathers the (s, R, Z) triple from those, R and Z each as one
-index gather.  The radial factors depend on the mode only through its
+e^{i m phi}.  The radial factors depend on the mode only through its
 radial function J_|m|(g r), shared by the +-m partners and every n of one
-(|m|, mu, sigma), with the signs of m < 0 in s.  So the radial table holds
-J, g J', (|m|/r) J and g^2 J of each distinct radial function (|m|, g, a),
-from one Bessel sweep of J_{|m|-1}, J_|m|, J_{|m|+1} per chunk of
-functions (_groups: whole |m| groups in ascending |m|, within a budget of
-radii x functions).  The axial table holds sin, h cos, cos and -h sin of
-each distinct h.  A memo of fixed byte budget keeps one kind of entry, the
-radial table of one function on one set of radii, so a later call on the
-same radii sweeps only the functions not seen there yet (check_boundary
-of TE(-1,1,1) after TE(1,1,1) makes no sweep).  Every consumer here and in
-verify and synthesis contracts the factors, except synthesis.total_energy,
-which takes Grams of the tables; _phase alone forms e^{i m phi}.  The only
-removable singularity is (m/r) J_m(g r) on the axis, which tends to g/2
-for |m| = 1 (both signs, since J_{-1} = -J_1) and to 0 otherwise; radii
-below 1e-8 a are evaluated with that limit.
+(|m|, mu, sigma), with the signs of m < 0 in s.  Two entry points give
+them.  _tables gives, for any set of modes, s, a radial table on the r
+nodes, an axial table on the z nodes and each mode's rows in them; the
+quadrature reductions (verify's Grams, synthesis.total_energy) take Grams
+of those tables.  The radial table holds J, g J', (|m|/r) J and g^2 J of
+each distinct radial function (|m|, g, a), from one Bessel sweep of
+J_{|m|-1}, J_|m|, J_{|m|+1} per chunk of functions (_groups: whole |m|
+groups in ascending |m|, within a budget of radii x functions); the axial
+table holds sin, h cos, cos and -h sin of each distinct h.  _walk gives
+every point set's consumer (synthesis, projection, the wall check, the
+*_grid functions) the (s, R, Z) triple of one chunk of whole |m| groups at
+a time in m order, R and Z each one gather from the tables; _phase alone
+forms e^{i m phi}.  A memo of fixed byte budget keeps the radial table of
+one function on one set of radii, so a later call on the same radii
+sweeps only the functions not seen there yet (check_boundary of
+TE(-1,1,1) after TE(1,1,1) makes no sweep).  The only removable
+singularity is (m/r) J_m(g r) on the axis, which tends to g/2 for |m| = 1
+(both signs, since J_{-1} = -J_1) and to 0 otherwise; radii below 1e-8 a
+are evaluated with that limit.
 
 Grid evaluation: the *_grid functions accept numpy arrays for r, phi, z
 and broadcast them, so a tensor grid can be passed as r[:,None,None],
@@ -114,13 +116,7 @@ def _check_domain(geom, r, z) -> None:
         raise ValueError(f"z outside closed cavity domain [0, {geom.L}]")
 
 
-_CHUNK_POINTS = 4096        # radii x modes of one Bessel sweep; see _chunks
-
-
-def _chunks(modes, radii: int) -> list:
-    """Positions of `modes` in chunks of whole |m| groups, the unit of one
-    Bessel sweep on `radii` radii: _groups of the modes' |m|."""
-    return _groups([abs(md.index.m) for md in modes], radii)
+_CHUNK_POINTS = 4096        # radii x modes of one Bessel sweep; see _groups
 
 
 def _groups(abs_m, radii: int) -> list:
@@ -136,7 +132,7 @@ def _groups(abs_m, radii: int) -> list:
     groups in one call beat two calls up to about 1000 points per group
     and take 1.6 to 1.9 times as long at 2048 to 4096 per group.  With
     4096 the fields and certify ops ran 16 and 17 % faster than with one
-    call per group, while _factors of 878 and 7128 modes on 64 radii and
+    call per group, while the factors of 878 and 7128 modes on 64 radii and
     the walls of 878 modes stayed within the noise."""
     groups = {}
     for i, ma in enumerate(abs_m):
@@ -163,10 +159,10 @@ _S_MARKED = np.array([(0, 0, 0, 0, 1, 1, 0), (0, 1, 1, 0, 1, 1, 1)], dtype=bool)
 
 class _FactorMemo:
     """Least-recently-used map from a radial function on a set of radii,
-    keyed on ((|m|, g, a), radii shape, radii bytes), to its read-only
-    radial table, holding at most `budget` bytes of tables, of the keys'
-    bytes parts and of a fixed per-entry overhead; an entry larger than the
-    budget is not kept."""
+    keyed on ((|m|, g, a), radii bytes), to its read-only radial table,
+    holding at most `budget` bytes of tables, of the keys' bytes parts and
+    of a fixed per-entry overhead; an entry larger than the budget is not
+    kept."""
 
     # object headers of an entry: its table, key, tuples and map node, about
     # 0.5 kB by tracemalloc for a one-radius table under eviction
@@ -246,20 +242,27 @@ def _tables(modes, r, z):
     return s, c, _radial(list(funcs), ra), 4 * column + kind, axial, z_at
 
 
-def _factors(modes, r, z):
-    """(s, R, Z) of modes: row c of mode j is s[c, j] R[c, ..., j] Z[c, ..., j] e^{i m phi}
-    with s (7, n) complex, R (7, *r.shape, n) and Z (7, *z.shape, n) real:
-    R one gather from _tables' radial table and Z c_norm times one gather
-    from its axial table."""
-    s, c, radial, r_at, axial, z_at = _tables(modes, r, z)
-    return s, _gather(radial, r_at, np.shape(r)), c * _gather(axial, z_at, np.shape(z))
+def _walk(modes, r, z, rows):
+    """Per chunk of whole |m| groups (_groups), one _tables call: yields (idx,
+    m, s, R, Z, runs), idx the chunk's positions in modes in stable m order,
+    m their m and runs each m's (lo, hi) slice; row c of mode idx[j] is
+    s[c, j] R[c, ..., j] Z[c, ..., j] e^{i m phi} for each c of rows, s
+    complex, R (rows, *r.shape, k) and Z (rows, *z.shape, k) real."""
+    for chunk in _groups([abs(md.index.m) for md in modes], np.size(r)):
+        s, c, radial, r_at, axial, z_at = _tables(tuple(modes[i] for i in chunk), r, z)
+        m = np.array([modes[i].index.m for i in chunk])
+        order = np.argsort(m, kind="stable")    # only the gather index is permuted
+        m, ms = m[order], m[order].tolist()
+        starts = [j for j in range(len(ms)) if j == 0 or ms[j] != ms[j - 1]]
+        yield (np.asarray(chunk)[order], m, s[rows][:, order], _gather(radial, r_at[rows][:, order], np.shape(r)),
+               c[order] * _gather(axial, z_at[rows][:, order], np.shape(z)), list(zip(starts, starts[1:] + [len(ms)])))
 
 
 def _gather(table, index, shape):
     """out[c, ..., j] = table[index[c, j]] on the nodes of a (rows, nodes)
-    table, shaped (len(index), *shape, modes)."""
-    out = table.take(index, axis=0).swapaxes(1, 2).copy()
-    return out.reshape(len(index), *shape, index.shape[1])
+    table, shaped (len(index), *shape, modes), each mode's rows together in
+    memory: one gather, in the layout synthesis's GEMMs take."""
+    return table[index.T].transpose(1, 2, 0).reshape(len(index), *shape, index.shape[1])
 
 
 def _radial(funcs, ra):
@@ -267,12 +270,12 @@ def _radial(funcs, ra):
     ra, rows J, g J', (|m|/r) J and g^2 J of J_|m|(g r), shaped
     (4 len(funcs), ra.size); (|m|/r) J takes its limit, g/2 for |m| = 1 and
     0 otherwise, below _AXIS_FRACTION a.  A table is read from _memo under
-    ((|m|, g, a), radii shape, radii bytes); the missing ones take one kernel
-    call per chunk (_groups) and enter the memo read-only."""
+    ((|m|, g, a), bytes of the flattened radii); the missing ones take one
+    kernel call per chunk (_groups) and enter the memo read-only."""
     rs = ra.reshape(-1)
     out = np.empty((len(funcs), 4, rs.size))
-    radii = ra.tobytes()
-    keys = [(f, ra.shape, radii) for f in funcs]
+    radii = rs.tobytes()
+    keys = [(f, radii) for f in funcs]
     missing = []
     for j, key in enumerate(keys):
         kept = _memo.get(key)
@@ -309,9 +312,9 @@ def _phase(m, phi):
 
 def _rows(mode: ModeData, r, phi, z, rows):
     """s R Z e^{i m phi} of one mode on broadcastable coordinates, for each row of rows."""
-    s, R, Z = _factors((mode,), r, z)
+    ((_, _, s, R, Z, _),) = _walk((mode,), r, z, rows)
     phase = _phase(mode.index.m, phi)
-    return tuple(sc * Rc * Zc * phase for sc, Rc, Zc in zip(s[rows, 0], R[rows, ..., 0], Z[rows, ..., 0]))
+    return tuple(sc * Rc * Zc * phase for sc, Rc, Zc in zip(s[:, 0], R[..., 0], Z[..., 0]))
 
 
 def psi_grid(mode: ModeData, r, phi, z) -> np.ndarray:

@@ -8,13 +8,13 @@ common time t.  The physical fields are
 
 which are exactly real by construction: E = i (c - c*) = 2 Re (i c) and
 B = c + c* = 2 Re c of one complex sum c each.  Every component of u_s and
-curl u_s is s R_s(r) Z_s(z) e^{i m_s phi} (modefield._factors), taken per
-chunk of |m_s| groups to bound the memory of the factors.  Synthesis is
-two real contractions: per m and component the (r, z) planes of Re c_m and
-Im c_m are R diag(2 p a s) Z^T, and one contraction of every m's planes
-with [cos m phi, -sin m phi] is the real inverse DFT over m.  The planes are
-laid out slot-major, (m, Re/Im, component, r, z), and each chunk's modes
-are taken in m order once, so the modes of one m are a slice of the
+curl u_s is s R_s(r) Z_s(z) e^{i m_s phi}, taken from modefield._walk one
+chunk of |m_s| groups at a time, to bound the memory of the factors, with
+each chunk's modes in m order.  Synthesis is two real contractions: per m
+and component the (r, z) planes of Re c_m and Im c_m are R diag(2 p a s)
+Z^T, and one contraction of every m's planes with [cos m phi, -sin m phi]
+is the real inverse DFT over m.  The planes are laid out slot-major, (m,
+Re/Im, component, r, z), so the modes of one m are a slice of a chunk's
 factors and its planes one contiguous block; the inverse DFT reads the
 leading (m, Re/Im) axes in place as its contracted axis.  _contract runs
 both as one matmul, a GEMM on a tensor grid and batched dots on scattered
@@ -47,13 +47,13 @@ Amplitudes can be recovered from sampled fields: with the inner product
 The two halves each equal a_s plus opposite-sign leakage from the
 conjugate (-m) partner mode, so their mean is exact; the averaging is
 what makes the projection safe for states containing +-m pairs.
-project samples E and B once on the rule grid, rejects a non-finite
-sample, folds phi into (r, m, z) planes with the real and imaginary parts
-of the weighted DFT table as two matrix products, and contracts each inner
-product from one _factors call on the rule grid as
-sum_c conj(s_c) R_c^T hat_{c, m} Z_c, the modes of each m one slice after a
-stable argsort.  After total_energy or the samplers on the same rule, every
-radial table comes from modefield's memo and project makes no Bessel sweep.
+project samples E and B once on the rule grid, rejects a sampler without
+three components and a non-finite sample, folds phi into (r, m, z) planes
+with the real and imaginary parts of the weighted DFT table as two matrix
+products, and contracts each inner product, per m, as
+sum_c conj(s_c) R_c^T hat_{c, m} Z_c from modefield._walk on the rule's
+nodes.  After total_energy or the samplers on the same rule, every radial
+table comes from modefield's memo and project makes no Bessel sweep.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modefield import _CURL, _U, CylPoint, _chunks, _factors, _phase, _tables
+from .modefield import _CURL, _U, CylPoint, _phase, _tables, _walk
 from .spectrum import CavityGeometry, ModeData
 from .verify import QuadratureRule, _same_geometry, _uniform_phi
 
@@ -170,14 +170,14 @@ def _synthesize(state: FieldState, r, phi, z, fields, rate_at=None):
     E = -2 Im c of u with p = sqrt(hbar omega / 2 eps0), B = 2 Re c of curl u
     with p = sqrt(hbar / 2 eps0 omega).  E rows take i p, since -2 Im c =
     2 Re (i c), so every row is 2 Re c = 2 (Re c cos m phi - Im c sin m phi).
-    Per chunk of |m| groups (modefield._chunks), one _factors call, whose
-    modes one stable argsort puts in m order: the modes of each m are then
-    one slice of R, of Z diag(Re, Im of 2 p a s), formed once per chunk,
-    and of the coefficients.  Per m, one _contract of those slices writes
-    the (Re/Im, component, r, z) planes of c_m into the contiguous block
-    planes[slot of m].  Then one _contract of the planes with
-    [cos m phi, -sin m phi] is the real inverse DFT over m; it contracts
-    the leading (slot, Re/Im) axes of the planes, a view of them.
+    Per chunk of |m| groups, the factors from modefield._walk, whose modes
+    are in m order: the modes of each m are one slice of R, of Z diag(Re,
+    Im of 2 p a s), formed once per chunk, and of the coefficients.  Per m,
+    one _contract of those slices writes the (Re/Im, component, r, z)
+    planes of c_m into the contiguous block planes[slot of m].  Then one
+    _contract of the planes with [cos m phi, -sin m phi] is the real
+    inverse DFT over m; it contracts the leading (slot, Re/Im) axes of the
+    planes, a view of them.
 
     With rate_at, indices into the point axes of r, phi and z (each padded
     to the points' dimensions), returns (fields, rates): rates are the time
@@ -200,20 +200,13 @@ def _synthesize(state: FieldState, r, phi, z, fields, rate_at=None):
         outputs.append((2.0 * _derivative_state(state).amplitudes * scale, rate_at))
     planes = [np.empty((len(slot), 2, len(scale), *np.broadcast_shapes(r[at_r].shape, z[at_z].shape)))
               for _, (at_r, _, at_z) in outputs]
-    for idx in _chunks(modes, r.size):
-        chunk = tuple(modes[i] for i in idx)
-        s, R, Z = _factors(chunk, r, z)
-        m = np.array([md.index.m for md in chunk])
-        order = np.argsort(m, kind="stable")    # the chunk in m order: each m is one slice
-        m, idx = m[order], np.asarray(idx)[order]
-        ends = [*(np.flatnonzero(np.diff(m)) + 1).tolist(), len(m)]
-        s, R, Z = s[rows][:, order], R[rows][..., order], Z[rows][..., order]
+    for idx, m, s, R, Z, runs in _walk(modes, r, z, rows):
         for (pre, (at_r, _, at_z)), out in zip(outputs, planes):
             coef = s * pre[:, idx]
             Ra = R[(None, slice(None), *at_r)]      # (1, row, *r, mode)
             Za = Z[(slice(None), *at_z)]
             Zw = Za * np.stack([coef.real, coef.imag]).reshape(2, len(scale), *(1,) * (Za.ndim - 2), -1)
-            for lo, hi in zip([0, *ends], ends):    # (Re/Im, row, *plane) of one m
+            for lo, hi in runs:     # (Re/Im, row, *plane) of one m
                 _contract(Ra[..., lo:hi], Zw[..., lo:hi], out=out[slot[m[lo]]])
         del s, R, Z, Ra, Za, Zw     # one chunk's factors live at a time
     phase = _phase(np.array(list(slot), dtype=int), phi)
@@ -330,8 +323,10 @@ def zero_point_energy(state: FieldState) -> float:
 def project(e_sampler, b_sampler, modes, rule: QuadratureRule) -> np.ndarray:
     """Recover amplitudes of `modes` from sampled E and B fields.
 
-    Raises ValueError when two modes' m differ by a nonzero multiple of
-    nphi: the phi rule cannot tell them apart."""
+    Each sampler maps the rule's grid() to the components (r, phi, z).
+    Raises ValueError on another number of components, on a non-finite
+    sample, and when two modes' m differ by a nonzero multiple of nphi: the
+    phi rule cannot tell them apart."""
     modes = tuple(modes)
     _same_geometry(modes, rule)
     first = {}
@@ -342,32 +337,33 @@ def project(e_sampler, b_sampler, modes, rule: QuadratureRule) -> np.ndarray:
                              f"(m={md.index.m}): m differs by a multiple of nphi={rule.nphi}")
     r, phi, z = rule.grid()
     shape = (rule.nr, rule.nphi, rule.nz)
-    m_vals, row_of = np.unique([md.index.m for md in modes], return_inverse=True)
-    dft = rule.wphi * np.conj(_phase(m_vals, rule.phi))
+    slot = {mv: j for j, mv in enumerate(sorted({md.index.m for md in modes}))}
+    dft = rule.wphi * np.conj(_phase(np.array(list(slot), dtype=int), rule.phi))
     w = np.outer(rule.wr, rule.wz)[:, None, :]
 
     def fold(name, sampler):    # (component, r, m, z), weights included
-        hat = []
-        for comp, c in zip(("r", "phi", "z"), sampler(r, phi, z)):
+        comps = tuple(sampler(r, phi, z))
+        if len(comps) != 3:
+            raise ValueError(f"{name} sampler returned {len(comps)} components, expected 3 (r, phi, z)")
+        hat = np.empty((3, rule.nr, len(slot), rule.nz), dtype=complex)
+        for comp, c, out in zip(("r", "phi", "z"), comps, hat):
             c = np.broadcast_to(np.asarray(c), shape)
             if not np.all(np.isfinite(c)):
                 i, j, k = np.argwhere(~np.isfinite(c))[0]
                 raise ValueError(f"{name}_{comp} sample not finite at node r={float(rule.r[i])!r}, "
                                  f"phi={float(rule.phi[j])!r}, z={float(rule.z[k])!r}: {c[i, j, k].item()!r}")
-            hat.append((np.matmul(dft.real, c) + 1j * np.matmul(dft.imag, c)) * w)
-        return np.array(hat)
+            out[...] = (np.matmul(dft.real, c) + 1j * np.matmul(dft.imag, c)) * w
+        return hat
 
-    # <u_i, E> and <curl u_i, B>: sum_c conj(s_ci) R_ci^T hat_{c, m_i} Z_ci, from
-    # the factors on the grid's nodes; one stable argsort makes each m one slice
-    order = np.argsort(row_of, kind="stable")
-    ends = np.cumsum(np.bincount(row_of, minlength=len(m_vals)))
-    s, R, Z = _factors(modes, r, z)
-    s, R, Z = s[:, order], R.reshape(7, rule.nr, -1)[..., order], Z.reshape(7, rule.nz, -1)[..., order]
+    # <u_i, E> and <curl u_i, B>: sum_c conj(s_ci) R_ci^T hat_{c, m_i} Z_ci, per
+    # m from the walk's factors of u (rows 0-2) and curl u (rows 3-5)
+    halves = ((fold("E", e_sampler), slice(0, 3)), (fold("B", b_sampler), slice(3, 6)))
     inner = np.empty((2, len(modes)), dtype=complex)
-    for half, (hat, rows) in enumerate(((fold("E", e_sampler), _U), (fold("B", b_sampler), _CURL))):
-        for row, (lo, hi) in enumerate(zip([0, *ends], ends)):
-            rz = np.sum(R[rows, :, lo:hi] * (hat[:, :, row] @ Z[rows, :, lo:hi]), axis=1)
-            inner[half, order[lo:hi]] = np.sum(np.conj(s[rows, lo:hi]) * rz, axis=0)
+    for idx, m, s, R, Z, runs in _walk(modes, rule.r, rule.z, slice(_U.start, _CURL.stop)):
+        for lo, hi in runs:
+            for half, (hat, rows) in enumerate(halves):
+                rz = np.sum(R[rows, :, lo:hi] * (hat[:, :, slot[m[lo]]] @ Z[rows, :, lo:hi]), axis=1)
+                inner[half, idx[lo:hi]] = np.sum(np.conj(s[rows, lo:hi]) * rz, axis=0)
     geom, omega, k = rule.geom, np.array([md.omega for md in modes]), np.array([md.k for md in modes])
     return 0.5 * (-1j * np.sqrt(2.0 * geom.eps0 / (geom.hbar * omega)) * inner[0]
                   + np.sqrt(2.0 * geom.eps0 * omega / geom.hbar) / k**2 * inner[1])

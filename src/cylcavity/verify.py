@@ -18,20 +18,21 @@ runs each:
   radial table from modefield's memo and makes no Bessel sweep,
 * boundary: conductor boundary conditions on the walls (vanishing
   tangential u, vanishing normal component of curl u), from the moduli
-  |s| |R| |Z| of one evaluation per chunk of |m| groups on the walls and
-  on interior radii and heights, since |e^{i m phi}| = 1; the default wall
-  layout is classified once per geometry,
+  |s| |R| |Z| of one modefield._walk on the walls and on interior radii
+  and heights, since |e^{i m phi}| = 1; the default wall layout is
+  classified once per geometry,
 * bessel: residuals and interlacing of the zero tables of orders 0 to 8,
   every residual from one kernel call.
 
 Pair sums are sum-factorized: every component of psi, u and curl u is
-s R(r) Z(z) e^{i m phi} (modefield._factors) on a tensor-product rule, so
-the sum over all nodes is, per component, conj(s_i) s_j times two real
-1-D Grams, [sum_r w_r R_i R_j] [sum_z w_z Z_i Z_j], times
-Phi(m_j - m_i), Phi(q) = sum_phi w_phi e^{i q phi}.  Every factor is
-still summed numerically over the rule's own nodes, so an under-resolved
-rule shows as it would in the full 3-D sum.  The dense per-pair sum and
-an (r, z)-plane GEMM are the references in tests/oracles.py.
+s R(r) Z(z) e^{i m phi} on a tensor-product rule, R and Z rows of the
+tables of modefield._tables, so the sum over all nodes is, per component,
+conj(s_i) s_j times entries of two real 1-D table Grams, [sum_r w_r R_i
+R_j] [sum_z w_z Z_i Z_j], times Phi(m_j - m_i), Phi(q) = sum_phi w_phi
+e^{i q phi}.  Every factor is still summed numerically over the rule's own
+nodes, so an under-resolved rule shows as it would in the full 3-D sum.
+The dense per-pair sum and an (r, z)-plane GEMM are the references in
+tests/oracles.py.
 
 All reports are deterministic: fixed node sets and a fixed summation
 order, so identical inputs give identical bytes.
@@ -47,7 +48,7 @@ import numpy as np
 
 from .bessel import (_KIND_J, _KIND_JPRIME, _ZERO_RESIDUAL_MAX, _as_int, _newton_passes, _root_funcs,
                      _zero_tables)
-from .modefield import _CURL, _PSI, _U, _chunks, _factors, _phase
+from .modefield import _CURL, _PSI, _U, _phase, _tables, _walk
 from .spectrum import CavityGeometry, ModeData, enumerate_modes
 
 DEFAULT_NR = 64
@@ -137,16 +138,11 @@ def integrate_cavity(f, rule: QuadratureRule) -> complex:
     f receives broadcastable coordinate arrays (see QuadratureRule.grid)
     and must return values broadcastable to (nr, nphi, nz).
     """
-    r, phi, z = rule.grid()
-    vals = np.asarray(f(r, phi, z))
-    shape = (rule.nr, rule.nphi, rule.nz)
-    vals = np.broadcast_to(vals, shape)
+    vals = np.broadcast_to(np.asarray(f(*rule.grid())), (rule.nr, rule.nphi, rule.nz))
     if not np.all(np.isfinite(vals)):
-        i, j, k = (int(v[0]) for v in np.nonzero(~np.isfinite(vals)))
-        raise ValueError(
-            "integrand not finite at node "
-            f"r={rule.r[i]!r}, phi={rule.phi[j]!r}, z={rule.z[k]!r}"
-        )
+        i, j, k = np.argwhere(~np.isfinite(vals))[0]
+        raise ValueError(f"integrand not finite at node r={float(rule.r[i])!r}, "
+                         f"phi={float(rule.phi[j])!r}, z={float(rule.z[k])!r}")
     return complex(np.einsum("i,j,k,ijk->", rule.wr, rule.wphi, rule.wz, vals))
 
 
@@ -159,19 +155,21 @@ def _same_geometry(modes, rule: QuadratureRule) -> None:
 
 def _gram(modes, rule: QuadratureRule, *row_sets) -> list:
     """For each slice of factor rows in row_sets, the n x n matrix summed over
-    the nodes of w conj(row_i) row_j and over the rows: per row c,
-    conj(s_ci) s_cj [sum_r w_r R_ci R_cj] [sum_z w_z Z_ci Z_cj] (two real GEMMs,
-    the weights are positive), times Phi(m_j - m_i) summed once per distinct
-    difference."""
+    the nodes of w conj(row_i) row_j and over the rows: per row k of
+    _tables, conj(s_ki c_i) s_kj c_j G_R[rho_ki, rho_kj] G_Z[zeta_ki, zeta_kj]
+    with the table Grams G = t t^T, t a table times sqrt(w) (exactly
+    symmetric, so the matrix is exactly Hermitian), times Phi(m_j - m_i)
+    summed once per distinct difference."""
     _same_geometry(modes, rule)
-    s, R, Z = _factors(modes, rule.r, rule.z)
-    R, Z = R * np.sqrt(rule.wr)[:, None], Z * np.sqrt(rule.wz)[:, None]
+    s, c, radial, r_at, axial, z_at = _tables(modes, rule.r, rule.z)
+    a = s * c
+    g_r, g_z = (t @ t.T for t in (radial * np.sqrt(rule.wr), axial * np.sqrt(rule.wz)))
     m = np.array([md.index.m for md in modes], dtype=int)
     q = m[None, :] - m[:, None]
     qs = np.arange(q.min(initial=0), q.max(initial=0) + 1)
     phi_sum = (_phase(qs, rule.phi) @ rule.wphi)[q - qs[0]]
-    return [sum(np.outer(np.conj(s[c]), s[c]) * (R[c].T @ R[c]) * (Z[c].T @ Z[c])
-                for c in range(7)[rows]) * phi_sum for rows in row_sets]
+    return [sum(np.outer(np.conj(a[k]), a[k]) * g_r[np.ix_(r_at[k], r_at[k])] * g_z[np.ix_(z_at[k], z_at[k])]
+                for k in range(7)[rows]) * phi_sum for rows in row_sets]
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,8 +355,8 @@ def check_boundary(mode: ModeData, samples=None) -> BoundaryReport:
 
 def _walls(modes, samples=None) -> list:
     """check_boundary of each of modes (one geometry) on the same samples, the
-    default wall layout when samples is None, from one evaluation per chunk
-    of |m| groups on the walls and on interior radii and heights."""
+    default wall layout when samples is None, from one modefield._walk on
+    the walls and on interior radii and heights."""
     if not modes:
         return []
     geom = modes[0].geom
@@ -367,8 +365,8 @@ def _walls(modes, samples=None) -> list:
     # maxima over the 24 x 24 grid are |s| max|R| max|Z|
     n = on_side.size
     reports = [None] * len(modes)
-    for idx in _chunks(modes, r.size):
-        s, R, Z = (np.abs(f) for f in _factors(tuple(modes[i] for i in idx), r, z))
+    for idx, _, s, R, Z, _ in _walk(modes, r, z, slice(None)):
+        s, R, Z = np.abs(s), np.abs(R), np.abs(Z)
         wall = s[:, None] * R[:, :n] * Z[:, :n]
         inner = s * np.max(R[:, n:], axis=1) * np.max(Z[:, n:], axis=1)
         tangential = np.where(on_side[:, None], np.hypot(wall[2], wall[3]), np.hypot(wall[1], wall[2]))

@@ -4,8 +4,8 @@ point set, in one Bessel sweep per chunk of |m| groups.
 A mode's radial function J_m(g r) depends on (|m|, g) alone, so the +-m
 partners and every axial index n of one (|m|, mu, sigma) share it.
 modefield evaluates the distinct radial functions of one chunk
-(modefield._chunks: whole |m| groups in ascending |m|, within a budget of
-radii x modes) with one bessel._j_points call (J_{|m|-1}, J_{|m|},
+(modefield._groups of the modes' |m|: whole |m| groups in ascending |m|,
+within a budget of radii x modes) with one bessel._j_points call (J_{|m|-1}, J_{|m|},
 J_{|m|+1} on every function's g r), so counting those calls, and the
 points each serves per |m|, pins how often each check, synthesizer,
 projection and stencil sweeps: one call per chunk, each (|m|, g) once per
@@ -113,6 +113,11 @@ def rule(state):
     return quadrature_rule(state.geom, nr=12, nphi=default_nphi(state.modes), nz=12)
 
 
+def _walk_chunks(modes, radii):
+    """Positions of modes in the chunks of one modefield._walk on `radii` radii."""
+    return modefield._groups([abs(md.index.m) for md in modes], radii)
+
+
 def _functions(modes):
     """The distinct radial functions (|m|, g) of modes, in order of first use."""
     return list(dict.fromkeys((abs(md.index.m), md.g) for md in modes))
@@ -123,7 +128,7 @@ def _per_chunk(sweeps, modes, *radii):
     given by its number of radii, each serving its chunk's distinct radial
     functions at every radius: so each (|m|, g) once per point set."""
     want = [Counter(ma for ma, _ in _functions([modes[i] for i in idx]) for _ in range(n))
-            for n in radii for idx in modefield._chunks(modes, n)]
+            for n in radii for idx in _walk_chunks(modes, n)]
     assert sweeps == want
     sweeps.clear()
 
@@ -169,12 +174,22 @@ def test_certify_op_sweeps_each_radial_function_once(sweeps, unit_geom):
     assert len(modes) == 20 and len(_functions(modes)) == 7
     check_vector_orthonormality(modes, rule)
     check_curl_identity(modes, rule)
-    assert len(modefield._chunks(modes, rule.nr)) == len(sweeps) == 1
+    assert len(_walk_chunks(modes, rule.nr)) == len(sweeps) == 1
     _per_chunk(sweeps, modes, rule.nr)
     walls = [check_boundary(md) for md in modes]
     assert max(max(w.tangential_ratio, w.normal_curl_ratio) for w in walls) < 1e-10
     radii = _default_walls(geom)[0].size
     assert sweeps == [Counter({ma: radii}) for ma, _ in _functions(modes)]
+
+
+def test_gram_after_energy_on_one_rule_makes_no_sweep(sweeps, state, rule):
+    # total_energy takes the rule's radii shaped (nr, 1, 1) and the Grams the
+    # 1-D radii: the same bytes, so the same radial tables
+    total_energy(state, rule)
+    sweeps.clear()
+    check_vector_orthonormality(state.modes, rule)
+    check_curl_identity(state.modes, rule)
+    assert not sweeps
 
 
 def test_synthesis_evaluates_each_mode_once(sweeps, state, rule):
@@ -190,7 +205,7 @@ def test_synthesis_evaluates_each_mode_once(sweeps, state, rule):
 def test_synthesis_on_scattered_points_sweeps_once_per_chunk(sweeps, state, rng):
     # scattered points give one radius each: more points, smaller chunks
     points = tuple(rng.uniform(0.0, top, 300) for top in (state.geom.a, 2.0 * np.pi, state.geom.L))
-    assert len(modefield._chunks(state.modes, 300)) > 1
+    assert len(_walk_chunks(state.modes, 300)) > 1
     _once_then_memo(sweeps, state.modes, 300, lambda: electric_field_grid(state, *points))
 
 
@@ -204,10 +219,11 @@ def test_projection_contraction_evaluates_each_mode_once(sweeps, state, rule):
 
 def test_projection_samplers_reuse_the_energy_factors(sweeps, state, rule):
     # the samplers and the contraction take the factors per chunk on the
-    # grid's nodes, where total_energy left them; on 160 radii in more than
-    # one chunk
+    # rule's radii, where total_energy left them (the contraction on the 1-D
+    # radii, the energy on the grid's (nr, 1, 1) ones); on 160 radii in more
+    # than one chunk
     fine = quadrature_rule(state.geom, nr=160, nphi=rule.nphi, nz=8)
-    assert len(modefield._chunks(state.modes, fine.nr)) > 1
+    assert len(_walk_chunks(state.modes, fine.nr)) > 1
     for on in (rule, fine):
         total_energy(state, on)
         sweeps.clear()
@@ -222,7 +238,7 @@ def test_maxwell_residual_evaluates_each_mode_once(sweeps, state, rng):
 
 
 def test_maxwell_residual_sweeps_once_without_the_memo(sweeps, state, rng, monkeypatch):
-    # the stencil and the time derivative share one _factors call per chunk,
+    # the stencil and the time derivative share one walk of the factors,
     # so a memo that keeps nothing changes no count
     monkeypatch.setattr(modefield, "_memo", modefield._FactorMemo(0))
     points = (rng.uniform(0.1, 0.8, 8), rng.uniform(0.0, 6.0, 8), rng.uniform(0.1, 1.2, 8))

@@ -37,7 +37,8 @@ from cylcavity import (
     u_mode,
 )
 import cylcavity.modefield as modefield
-from cylcavity.modefield import _CHUNK_POINTS, _CURL, _MEMO_BYTES, _U, _chunks, _factors, _memo, _phase
+from cylcavity.modefield import (_CHUNK_POINTS, _CURL, _MEMO_BYTES, _PSI, _U, _gather, _groups, _memo, _phase,
+                                 _tables, _walk)
 from oracles import fd_curl_cyl, fd_div_cyl, fd_grad_cyl
 
 MODES = [
@@ -190,10 +191,24 @@ def test_potential_boundary_values(unit_geom):
     assert np.max(np.abs(dpsi)) < 1e-9
 
 
+def _abs_m(modes):
+    return [abs(md.index.m) for md in modes]
+
+
+def _walked(modes, r, z):
+    """s (7, n), R (7, *r.shape, n) and Z (7, *z.shape, n) of every row of
+    modes, in their own order, from one _walk."""
+    n = len(modes)
+    s, R, Z = np.empty((7, n), dtype=complex), np.empty((7, *np.shape(r), n)), np.empty((7, *np.shape(z), n))
+    for idx, _, s_c, R_c, Z_c, _ in _walk(modes, r, z, slice(None)):
+        s[:, idx], R[..., idx], Z[..., idx] = s_c, R_c, Z_c
+    return s, R, Z
+
+
 def _equal_single_mode_fields(modes, r, phi, z):
-    """Each mode of one _factors call on modes equals that mode's own
-    u_grid / curl_u_grid, bit for bit."""
-    s, R, Z = _factors(modes, r, z)
+    """Each mode of one _walk on modes equals that mode's own u_grid /
+    curl_u_grid, bit for bit."""
+    s, R, Z = _walked(modes, r, z)
     for j, md in enumerate(modes):
         phase = _phase(md.index.m, phi)
         for rows, single in ((_U, u_grid), (_CURL, curl_u_grid)):
@@ -234,7 +249,7 @@ def test_pooled_chunks_equal_single_mode_fields(unit_geom, rng):
     scattered = (np.concatenate([[0.0, 1e-12 * a, a], rng.uniform(0.0, a, 61)]),
                  rng.uniform(0.0, 2.0 * math.pi, 64), rng.uniform(0.0, unit_geom.L, 64))
     for r, phi, z in (tensor, scattered):
-        chunks = _chunks(modes, np.size(r))
+        chunks = _groups(_abs_m(modes), np.size(r))
         assert len(chunks) > 2 and any(len({abs(modes[i].index.m) for i in c}) > 2 for c in chunks)
         _equal_single_mode_fields(modes, r, phi, z)
 
@@ -245,7 +260,7 @@ def test_pooled_chunks_equal_single_mode_fields(unit_geom, rng):
 def test_chunks_take_whole_abs_m_groups_within_budget(unit_geom, omega_max, radii, order):
     modes = enumerate_modes(unit_geom, omega_max)
     modes = modes if order == "spectrum" else modes[::-1]
-    chunks = _chunks(modes, radii)
+    chunks = _groups(_abs_m(modes), radii)
     assert sorted(i for c in chunks for i in c) == list(range(len(modes)))
     abs_m = [sorted({abs(modes[i].index.m) for i in c}) for c in chunks]
     flat = [ma for ms in abs_m for ma in ms]
@@ -255,18 +270,47 @@ def test_chunks_take_whole_abs_m_groups_within_budget(unit_geom, omega_max, radi
         if following:       # a chunk stops only where the next group would pass the budget
             nxt = sum(abs(md.index.m) == following[0] for md in modes)
             assert (len(c) + nxt) * radii > _CHUNK_POINTS
-    assert _chunks((), radii) == []
+    assert _groups([], radii) == []
+
+
+@pytest.mark.parametrize("rows", [_PSI, _U, _CURL, slice(_U.start, _CURL.stop), slice(None)])
+def test_walk_yields_each_mode_once_in_stable_m_order(unit_geom, rng, rows):
+    # the 183 modes up to omega = 12 shuffled, on 60 radii: several chunks,
+    # each with only the asked rows of its modes in stable m order, and
+    # those equal one full gather from _tables of every mode, bit for bit
+    modes = list(enumerate_modes(unit_geom, 12.0))
+    modes = [modes[i] for i in rng.permutation(len(modes))]
+    r, z = np.linspace(0.0, unit_geom.a, 60)[:, None], np.linspace(0.0, unit_geom.L, 6)[None, :]
+    s_all, c, radial, r_at, axial, z_at = _tables(modes, r, z)
+    full = (s_all[rows], _gather(radial, r_at, r.shape)[rows], (c * _gather(axial, z_at, z.shape))[rows])
+    chunks = list(_walk(modes, r, z, rows))
+    assert len(chunks) > 2
+    seen = []
+    for idx, m, s, R, Z, runs in chunks:
+        assert m.tolist() == [modes[i].index.m for i in idx]
+        assert [lo for lo, _ in runs] == [0, *(hi for _, hi in runs[:-1])] and runs[-1][1] == len(idx)
+        assert np.all(np.diff([m[lo] for lo, _ in runs]) > 0)      # one run per m, ascending
+        for lo, hi in runs:     # one m, in the order modes gives
+            assert np.all(m[lo:hi] == m[lo]) and np.all(np.diff(idx[lo:hi]) > 0)
+        for got, want in zip((s, R, Z), full):
+            want = want[..., idx]
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        seen.extend(idx.tolist())
+    assert sorted(seen) == list(range(len(modes)))
 
 
 def test_empty_mode_set_has_empty_factors(unit_geom):
     r, z = np.linspace(0.0, unit_geom.a, 4)[:, None], np.linspace(0.0, unit_geom.L, 3)[None, :]
-    s, R, Z = _factors((), r, z)
-    assert s.shape == (7, 0) and R.shape == (7, 4, 1, 0) and Z.shape == (7, 1, 3, 0)
+    assert list(_walk((), r, z, slice(None))) == []
+    s, c, radial, r_at, axial, z_at = _tables((), r, z)
+    assert s.shape == r_at.shape == z_at.shape == (7, 0) and c.shape == (0,) and radial.shape == (0, 4)
+    assert _gather(radial, r_at, r.shape).shape == (7, 4, 1, 0)
+    assert _gather(axial, z_at, z.shape).shape == (7, 1, 3, 0)
 
 
 @pytest.fixture
 def sweeps(monkeypatch):
-    """Bessel kernel calls made by _factors, starting from an empty memo."""
+    """Bessel kernel calls made by modefield, starting from an empty memo."""
     calls = []
     original = modefield._j_points
     monkeypatch.setattr(modefield, "_j_points", lambda orders, x: calls.append(orders) or original(orders, x))
@@ -277,14 +321,13 @@ def sweeps(monkeypatch):
 
 def _radial_entries():
     """The memo's entries, each checked to be one radial function's table:
-    keyed on ((|m|, g, a), radii shape, radii bytes), a read-only (4, radii)
-    table (J, g J', (|m|/r) J, g^2 J)."""
+    keyed on ((|m|, g, a), radii bytes), a read-only (4, radii) table (J,
+    g J', (|m|/r) J, g^2 J)."""
     entries = list(_memo._entries.items())
-    for (func, shape, radii), (table, size) in entries:
+    for (func, radii), (table, size) in entries:
         absm, g, a = func
         assert isinstance(absm, int) and absm >= 0 and g > 0.0 and a > 0.0
-        assert len(radii) == 8 * math.prod(shape)
-        assert table.shape == (4, math.prod(shape)) and not table.flags.writeable
+        assert table.shape == (4, len(radii) // 8) and not table.flags.writeable
         assert size == _memo.entry_overhead + table.nbytes + len(radii)
     assert _memo.nbytes == sum(size for _, (_, size) in entries) <= _MEMO_BYTES
     return entries
@@ -292,25 +335,26 @@ def _radial_entries():
 
 def test_factor_memo_serves_repeats_read_only(unit_geom, sweeps):
     # the memo keeps one read-only table per radial function and radii; a
-    # repeat of the same modes on nodes with the same float64 bytes and
-    # shapes reads every table from it
+    # repeat of the same modes on nodes with the same float64 bytes reads
+    # every table from it
     modes = tuple(enumerate_modes(unit_geom, 6.5))
     r, z = np.linspace(0.0, unit_geom.a, 9)[:, None], np.linspace(0.0, unit_geom.L, 7)[None, :]
-    first = _factors(modes, r, z)
+    first = _walked(modes, r, z)
     count = len(sweeps)
-    again = _factors(list(modes), r.copy(), z.tolist())
+    again = _walked(list(modes), r.copy(), z.tolist())
     assert len(sweeps) == count and len(_radial_entries()) == 10
-    assert {func for (func, _, _) in _memo._entries} == {(abs(md.index.m), md.g, md.geom.a) for md in modes}
+    assert {func for (func, _) in _memo._entries} == {(abs(md.index.m), md.g, md.geom.a) for md in modes}
     _memo.clear()
-    fresh = _factors(modes, r, z)
+    fresh = _walked(modes, r, z)
     for a, b, c in zip(first, again, fresh):
         assert a.tobytes() == b.tobytes() == c.tobytes() and a.shape == b.shape == c.shape
 
 
 def test_factor_memo_misses_on_other_geometry_or_nodes(unit_geom, sweeps):
     # a table is shared where the radial function and the radii are: a
-    # geometry with the same radius a has the same g, and other heights
-    # leave the radii as they are
+    # geometry with the same radius a has the same g, other heights leave
+    # the radii as they are, and a table lies on the flattened radii, so
+    # the same radii in another shape share it
     other_l = CavityGeometry(a=unit_geom.a, L=1.1 * unit_geom.L, c=1.0, eps0=1.0, hbar=1.0)
     other_a = CavityGeometry(a=1.1 * unit_geom.a, L=unit_geom.L, c=1.0, eps0=1.0, hbar=1.0)
     index = ModeIndex(m=1, mu=1, n=1, sigma=TM)
@@ -322,14 +366,14 @@ def test_factor_memo_misses_on_other_geometry_or_nodes(unit_geom, sweeps):
                         (mode_data(unit_geom, index), r[None, :], z))
     for md, rr, zz in cases:
         before = len(sweeps)
-        _factors((md,), rr, zz)
+        _walked((md,), rr, zz)
         calls.append(len(sweeps) - before)
-    assert calls == [1, 0, 1, 1, 0, 1] and len(_radial_entries()) == 4
+    assert calls == [1, 0, 1, 1, 0, 0] and len(_radial_entries()) == 3
     _memo.clear()
     for md, rr, zz in cases:     # each cold factor equals its memo-served one
-        want = _factors((md,), rr, zz)
+        want = _walked((md,), rr, zz)
         _memo.clear()
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(want, _factors((md,), rr, zz)))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(want, _walked((md,), rr, zz)))
 
 
 def test_partners_read_one_triple_bit_for_bit(unit_geom, sweeps):
@@ -341,11 +385,11 @@ def test_partners_read_one_triple_bit_for_bit(unit_geom, sweeps):
     cold = []
     for md in modes:
         _memo.clear()
-        cold.append(_factors((md,), r, z))
+        cold.append(_walked((md,), r, z))
     _memo.clear()
     del sweeps[:]
     for md, want in zip(modes, cold):
-        got = _factors((md,), r, z)
+        got = _walked((md,), r, z)
         assert all(a.tobytes() == b.tobytes() and a.shape == b.shape for a, b in zip(got, want))
     assert len(sweeps) == 1
     reports = []
@@ -364,12 +408,12 @@ def test_one_call_shares_each_function_without_the_memo(unit_geom, sweeps, monke
              for m, n, sigma in ((1, 1, TE), (-1, 1, TE), (1, 2, TE), (0, 0, TM), (0, 2, TM))]
     r, z = np.linspace(0.0, unit_geom.a, 13), np.linspace(0.0, unit_geom.L, 5)
     for _ in range(2):
-        got = _factors(modes, r, z)
+        got = _walked(modes, r, z)
         assert [orders.shape for orders in sweeps] == [(3, 2 * r.size)]
         del sweeps[:]
     assert len(modefield._memo) == 0
     for j, md in enumerate(modes):      # each mode as it is alone
-        assert all(a[..., j].tobytes() == b[..., 0].tobytes() for a, b in zip(got, _factors((md,), r, z)))
+        assert all(a[..., j].tobytes() == b[..., 0].tobytes() for a, b in zip(got, _walked((md,), r, z)))
 
 
 def test_factor_memo_keeps_within_budget(unit_geom, sweeps):
@@ -381,20 +425,20 @@ def test_factor_memo_keeps_within_budget(unit_geom, sweeps):
         return np.linspace(0.0, unit_geom.a, count) * (1.0 - shift * 1e-3)
 
     wide = radii(_MEMO_BYTES // per_radius + 1, 0)
-    s, R, Z = _factors((md,), wide, 0.5)    # returned, but its table passes the budget
+    s, R, Z = _walked((md,), wide, 0.5)     # returned, but its table passes the budget
     assert R.shape == (7, wide.size, 1) and len(_memo) == 0
     third = [radii(int(_MEMO_BYTES / (3.5 * per_radius)), k) for k in range(4)]    # three fit
     for k, r in enumerate(third[:3]):
-        _factors((md,), r, 0.5)
+        _walked((md,), r, 0.5)
         assert len(_radial_entries()) == k + 1
-    _factors((md,), third[0], 0.5)          # the oldest entry becomes the newest
-    _factors((md,), third[3], 0.5)          # evicts third[1], the least recently used
+    _walked((md,), third[0], 0.5)           # the oldest entry becomes the newest
+    _walked((md,), third[3], 0.5)           # evicts third[1], the least recently used
     assert len(_radial_entries()) == 3
     before = len(sweeps)
-    _factors((md,), third[0], 0.7)
-    _factors((md,), third[2], 0.7)
+    _walked((md,), third[0], 0.7)
+    _walked((md,), third[2], 0.7)
     assert len(sweeps) == before
-    _factors((md,), third[1], 0.5)
+    _walked((md,), third[1], 0.5)
     assert len(sweeps) == before + 1 and len(_radial_entries()) == 3
 
 
@@ -402,10 +446,10 @@ def test_factor_memo_budget_bounds_its_memory(unit_geom, sweeps):
     # one-radius entries are mostly object headers; the budget counts them as
     # the fixed _FactorMemo.entry_overhead per entry, so this pins that the
     # constant covers what tracemalloc sees an entry hold on this interpreter
-    # (under 1 kB on CPython 3.11 with NumPy 2); entries as _factors stores
+    # (under 1 kB on CPython 3.11 with NumPy 2); entries as modefield stores
     # them, without a sweep per radius
     md = mode_data(unit_geom, ModeIndex(m=1, mu=1, n=1, sigma=TM))
-    _factors((md,), 0.4, 0.5)
+    _walked((md,), 0.4, 0.5)
     [(key, (table, _))] = _memo._entries.items()
     _memo.clear()
     radii = np.linspace(0.1, 0.8, 1200)
@@ -416,7 +460,7 @@ def test_factor_memo_budget_bounds_its_memory(unit_geom, sweeps):
             r = np.asarray(x)
             kept = table.copy()
             kept.flags.writeable = False
-            _memo.put(((abs(md.index.m), md.g, md.geom.a), r.shape, r.tobytes()), kept)
+            _memo.put(((abs(md.index.m), md.g, md.geom.a), r.tobytes()), kept)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -431,14 +475,14 @@ def test_factor_memo_accounting_survives_threads(unit_geom, sweeps):
     # update would leave nbytes off the sum of the entries kept
     md = mode_data(unit_geom, ModeIndex(m=2, mu=1, n=1, sigma=TE))
     radii = [np.linspace(0.0, unit_geom.a, _MEMO_BYTES // 200) * (1.0 - k * 1e-3) for k in range(5)]
-    want = [_factors((md,), r, 0.3)[1].tobytes() for r in radii]
+    want = [_walked((md,), r, 0.3)[1].tobytes() for r in radii]
     errors = []
 
     def work(k):
         try:
             for i in range(40):
                 j = (k + i) % len(radii)
-                assert _factors((md,), radii[j], 0.3)[1].tobytes() == want[j]
+                assert _walked((md,), radii[j], 0.3)[1].tobytes() == want[j]
         except Exception as exc:    # reported by the main thread
             errors.append(exc)
 

@@ -35,8 +35,8 @@ from cylcavity import (
     u_grid,
     zero_point_energy,
 )
-import cylcavity.synthesis as synthesis
-from cylcavity.modefield import _CHUNK_POINTS
+import cylcavity.modefield as modefield
+from cylcavity.modefield import _CHUNK_POINTS, _groups
 from cylcavity.synthesis import _derivative_state, _fd_stencil, _synthesize
 from cylcavity.verify import default_nphi
 from oracles import dense_energy, dense_fields
@@ -243,6 +243,44 @@ def test_projection_rejects_aliasing_phi_rule(unit_geom, rng):
     assert np.max(np.abs(got - amps)) < 1e-10
 
 
+@pytest.mark.parametrize("field", ["E", "B"])
+@pytest.mark.parametrize("count", [2, 4])
+def test_projection_rejects_a_sampler_without_three_components(unit_geom, rng, field, count):
+    # a fourth array must not be ignored, nor two fail in broadcasting
+    state = _random_state(unit_geom, rng, 6)
+    rule = _rule_for(state)
+    samplers = list(field_samplers(state))
+    clean = samplers["EB".index(field)]
+    samplers["EB".index(field)] = lambda r, phi, z: (tuple(clean(r, phi, z)) * 2)[:count]
+    with pytest.raises(ValueError, match=f"{field} sampler returned {count} components, expected 3"):
+        project(*samplers, state.modes, rule)
+
+
+def test_projection_memory_is_one_chunk_of_factors_and_the_planes(unit_geom, rng):
+    # 878 modes on 32 radii take 9 chunks; project holds the folded (r, m, z)
+    # planes of E and B and the factors of u and curl u of one chunk at a
+    # time, never those of every mode
+    modes = enumerate_modes(unit_geom, 20.0)
+    rule = quadrature_rule(unit_geom, nr=32, nphi=default_nphi(modes), nz=32)
+    state = FieldState(geom=unit_geom, entries=tuple(zip(modes, rng.normal(size=len(modes)) + 0j)))
+    e, b = (np.array(f(state, *rule.grid())) for f in (electric_field_grid, magnetic_field_grid))
+    samplers = (lambda *_: e, lambda *_: b)
+    assert np.max(np.abs(project(*samplers, modes, rule) - state.amplitudes)) < 1e-12
+    chunks = _groups([abs(md.index.m) for md in modes], rule.nr)
+    assert len(chunks) > 2
+    planes = 2 * 3 * rule.nr * len({md.index.m for md in modes}) * rule.nz * 16
+    chunk = 6 * (rule.nr + rule.nz) * max(map(len, chunks)) * 8
+    every = 6 * (rule.nr + rule.nz) * len(modes) * 8
+    assert every > 0.5 * planes + 2 * chunk
+    tracemalloc.start()
+    try:
+        project(*samplers, modes, rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * planes + 2 * chunk
+
+
 def test_maxwell_residuals_second_order(unit_geom, rng):
     state = _random_state(unit_geom, rng, 10)
     pts = (rng.uniform(0.15, 0.75, size=16),
@@ -325,8 +363,8 @@ def test_synthesis_keeps_each_evaluation_within_the_chunk_budget(unit_geom, rng,
     assert len(modes) == 878
     state = FieldState(geom=unit_geom, entries=tuple((md, 1.0) for md in modes))
     asked = []
-    original = synthesis._factors
-    monkeypatch.setattr(synthesis, "_factors", lambda chunk, r, z: asked.append(
+    original = modefield._tables
+    monkeypatch.setattr(modefield, "_tables", lambda chunk, r, z: asked.append(
         (len(chunk), np.size(r), len({abs(md.index.m) for md in chunk}))) or original(chunk, r, z))
     points = tuple(rng.uniform(0.0, top, 200) for top in (unit_geom.a, 2.0 * math.pi, unit_geom.L))
     e = electric_field_grid(state, *points)
@@ -461,7 +499,7 @@ def test_multi_chunk_shuffled_state_matches_dense_oracle(unit_geom, rng):
                  rng.uniform(0.0, unit_geom.L, 50))
     for r, phi, z in (grid, scattered):
         # several chunks, each taking the modes of one m from several runs
-        chunks = synthesis._chunks(state.modes, np.size(r))
+        chunks = _groups([abs(md.index.m) for md in state.modes], np.size(r))
         assert len(chunks) > 1
         assert any(np.count_nonzero(np.diff(m[idx])) >= len(set(m[idx])) for idx in chunks)
         ref_e, ref_b = dense_fields(state, r, phi, z)
@@ -478,7 +516,7 @@ def test_multi_chunk_stencil_time_derivative_matches_centre_synthesis(unit_geom,
     state = _shuffled_state(unit_geom, rng)
     points = (rng.uniform(0.2, 0.7, 20), rng.uniform(0.0, 6.0, 20), rng.uniform(0.2, 1.1, 20))
     h = 1e-3
-    assert len(synthesis._chunks(state.modes, 7 * 20)) > 2
+    assert len(_groups([abs(md.index.m) for md in state.modes], 7 * 20)) > 2
     want = _synthesize(_derivative_state(state), *points, "EB")
     for got, field in zip(_fd_stencil(state, *points, h, h / unit_geom.a), want):
         for g, w in zip(got[3], field):

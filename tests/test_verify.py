@@ -35,7 +35,8 @@ from cylcavity import (
 import cylcavity.bessel as bessel
 import cylcavity.verify as verify
 from cylcavity.cli import main
-from cylcavity.verify import (DEFAULT_NR, DEFAULT_NZ, CurlIdentityReport, _bessel_suite, _run_suites, _walls,
+from cylcavity.modefield import _CURL, _PSI, _U
+from cylcavity.verify import (DEFAULT_NR, DEFAULT_NZ, CurlIdentityReport, _bessel_suite, _gram, _run_suites, _walls,
                               default_nphi)
 from oracles import dense_boundary, dense_gram, dense_project, rz_gram
 
@@ -82,7 +83,8 @@ def test_default_nphi(unit_geom):
 
 def test_integrate_rejects_non_finite(unit_geom):
     rule = quadrature_rule(unit_geom, nr=4, nphi=4, nz=4)
-    with pytest.raises(ValueError):
+    node = f"r={float(rule.r[0])!r}, phi={float(rule.phi[0])!r}, z={float(rule.z[0])!r}"
+    with pytest.raises(ValueError, match=re.escape(f"integrand not finite at node {node}") + "$"):
         integrate_cavity(lambda r, phi, z: np.full(np.broadcast_shapes(
             np.shape(r), np.shape(phi), np.shape(z)), np.nan), rule)
 
@@ -337,6 +339,21 @@ def test_gram_and_curl_match_rz_oracle_at_183_modes(unit_geom):
     rep = check_curl_identity(modes, rule)
     _assert_matches_dense(rep.lhs, rz_gram(modes, rule, curl_u_grid))
     _assert_matches_dense(rep.rhs, u * np.array([md.k**2 for md in modes]))
+
+
+@pytest.mark.parametrize("count", [0, 1, 183])
+def test_gram_is_exactly_hermitian_and_matches_rz_oracle(unit_geom, count):
+    # every row set's Gram from the table Grams equals its conjugate
+    # transpose bit for bit, and the (r, z)-plane GEMM within rounding
+    modes = tuple(enumerate_modes(unit_geom, 12.0)[:count])
+    rule = default_rule(unit_geom, modes)
+    psi = lambda md, r, phi, z: (psi_grid(md, r, phi, z),)
+    for rows, evaluator in ((_PSI, psi), (_U, u_grid), (_CURL, curl_u_grid)):
+        (got,) = _gram(modes, rule, rows)
+        assert got.shape == (count, count) and np.array_equal(got, got.conj().T)
+        if modes:
+            _assert_matches_dense(got, rz_gram(modes, rule, evaluator))
+    assert check_vector_orthonormality(modes, rule).hermiticity_error == 0.0
 
 
 def test_under_resolved_phi_rule_aliases_like_dense_sum(unit_geom, oracle_modes):
