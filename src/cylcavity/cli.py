@@ -31,6 +31,7 @@ import numpy as np
 
 from .bessel import zero_table
 from .spectrum import (
+    _GEOMETRY_KEYS,
     HBAR,
     SPEED_OF_LIGHT,
     VACUUM_PERMITTIVITY,
@@ -121,13 +122,7 @@ _GEOMETRY_OPTS = (
 
 
 def _geometry(values: dict) -> CavityGeometry:
-    return CavityGeometry(
-        a=values["radius"],
-        L=values["height"],
-        c=values["speed_of_light"],
-        eps0=values["vacuum_permittivity"],
-        hbar=values["hbar"],
-    )
+    return CavityGeometry(**{name: values[key] for key, name in _GEOMETRY_KEYS})
 
 
 def _read_config(sub: argparse.ArgumentParser, path: str, known: set) -> dict:

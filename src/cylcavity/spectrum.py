@@ -68,6 +68,11 @@ class CavityGeometry:
         return math.pi * self.a * self.a * self.L
 
 
+# the name of each CavityGeometry field in state files, CLI options and verify JSON
+_GEOMETRY_KEYS = (("radius", "a"), ("height", "L"), ("speed_of_light", "c"),
+                  ("vacuum_permittivity", "eps0"), ("hbar", "hbar"))
+
+
 @dataclass(frozen=True)
 class ModeIndex:
     """(m, mu, n, sigma) mode label; sigma is TM=1 or TE=2."""

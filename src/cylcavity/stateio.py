@@ -19,20 +19,12 @@ is exact.  Unknown keys are rejected rather than ignored.
 
 from __future__ import annotations
 
-from .spectrum import CavityGeometry, ModeIndex, _modes
+from .spectrum import _GEOMETRY_KEYS, CavityGeometry, ModeIndex, _modes
 from .synthesis import FieldState
 
 FORMAT_VERSION = 1
 
-_SCALAR_KEYS = {
-    "format_version",
-    "radius",
-    "height",
-    "speed_of_light",
-    "vacuum_permittivity",
-    "hbar",
-    "time",
-}
+_SCALAR_KEYS = {"format_version", *(key for key, _ in _GEOMETRY_KEYS), "time"}
 
 
 def _fmt(v: float) -> str:
@@ -67,11 +59,7 @@ def dumps_state(state: FieldState) -> str:
     geom = state.geom
     lines = [
         f"format_version = {FORMAT_VERSION}",
-        f"radius = {_fmt(geom.a)}",
-        f"height = {_fmt(geom.L)}",
-        f"speed_of_light = {_fmt(geom.c)}",
-        f"vacuum_permittivity = {_fmt(geom.eps0)}",
-        f"hbar = {_fmt(geom.hbar)}",
+        *(f"{key} = {_fmt(getattr(geom, name))}" for key, name in _GEOMETRY_KEYS),
         f"time = {_fmt(state.t)}",
     ]
     for md, a in state.entries:
@@ -120,13 +108,7 @@ def loads_state(text: str) -> FieldState:
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {version:g}, expected {FORMAT_VERSION}")
 
-    geom = CavityGeometry(
-        a=scalar("radius"),
-        L=scalar("height"),
-        c=scalar("speed_of_light"),
-        eps0=scalar("vacuum_permittivity"),
-        hbar=scalar("hbar"),
-    )
+    geom = CavityGeometry(**{name: scalar(key) for key, name in _GEOMETRY_KEYS})
     entries = tuple(zip(_modes(geom, [idx for idx, _ in raw_modes]), [a for _, a in raw_modes]))
     return FieldState(geom=geom, entries=entries, t=scalar("time"))
 

@@ -27,13 +27,14 @@ field energy
 
 is time independent.  total_energy takes the rule's quadrature of the
 left side without synthesizing E or B: it is the same discrete sum over
-every node, formed from the factor tables (modefield._tables).  The
-uniform phi rule sums e^{i q phi} to sum w_phi when q = 0 mod nphi and to
-0 otherwise (trapezoid rule), so only modes whose m agree mod nphi, or
-cancel mod nphi, meet in the sum; the (r, z) sums of each such pair of
-classes {q, -q} are small Grams of the radial and axial table rows the
-pair uses (sum factorization).  An aliasing nphi or a coarse r or z rule
-errs exactly as the full 3-D sum does.  The zero-point contribution
+every node, formed from the factor tables (modefield._tables).  Every
+QuadratureRule has the uniform phi rule, which sums e^{i q phi} exactly to
+sum w_phi when q = 0 mod nphi and to 0 otherwise (trapezoid rule), so only
+modes whose m agree mod nphi, or cancel mod nphi, meet in the sum; the
+(r, z) sums of each such pair of classes {q, -q}, still numeric, are small
+Grams of the radial and axial table rows the pair uses (sum
+factorization).  An aliasing nphi or a coarse r or z rule errs exactly as
+the full 3-D sum does.  The zero-point contribution
 sum_s hbar omega_s / 2 of a truncated mode set is reported separately by
 zero_point_energy and is never folded into the classical total (it
 diverges with the cutoff).
@@ -66,7 +67,7 @@ import numpy as np
 
 from .modefield import _CURL, _U, CylPoint, _phase, _tables, _walk
 from .spectrum import CavityGeometry, ModeData
-from .verify import QuadratureRule, _same_geometry, _uniform_phi
+from .verify import QuadratureRule, _same_geometry
 
 
 @dataclass(frozen=True)
@@ -265,13 +266,11 @@ def total_energy(state: FieldState, rule: QuadratureRule) -> float:
     table rows zeta the pair uses, and the (r, z) sums are
     sum conj(A) G_R A G_Z and sum A_q G_R A_-q G_Z, with the 1-D Grams
     G_R = T_R diag(w_r) T_R^T of those radial rows alone and G_Z of the
-    axial table.  Raises ValueError unless the rule's phi nodes and weights
-    are the uniform ones quadrature_rule builds: the identity needs them."""
+    axial table.  Every QuadratureRule has the uniform phi rule this needs,
+    so the phi sum is exact by construction and the r and z sums stay
+    numeric; an aliasing nphi shows as in the full 3-D sum."""
     geom, modes = state.geom, state.modes
     _same_geometry(modes, rule)
-    phi, wphi = _uniform_phi(rule.nphi)
-    if not (np.array_equal(rule.phi, phi) and np.array_equal(rule.wphi, wphi)):
-        raise ValueError(f"total_energy needs the uniform phi rule of {rule.nphi} nodes with equal weights")
     if not modes:
         return 0.0
     r, _, z = rule.grid()

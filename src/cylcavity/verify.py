@@ -2,9 +2,9 @@
 
 The cavity integral int_0^a r dr int_0^{2pi} dphi int_0^L dz is done with
 a tensor-product rule: Gauss-Legendre in r (the Jacobian r is folded into
-the radial weights) and in z, and the uniform rectangle rule in phi,
-which is exact for azimuthal Fourier modes e^{i q phi} with |q| < nphi.
-Weights are positive and sum to the cavity volume pi a^2 L.
+the radial weights) and in z, and the uniform rectangle rule in phi, which
+every QuadratureRule derives from nphi.  Weights are positive and sum to
+the cavity volume pi a^2 L.
 
 Checks provided, with the suite of `cylcavity verify` (_run_suites) that
 runs each:
@@ -12,7 +12,8 @@ runs each:
 * scalar products of the potentials against the closed form
   (1/2) |c_norm|^2 V alpha delta_{ss'}  (one polarization at a time),
 * gram: the full vector Gram matrix <u_s, u_s'> against the identity,
-* curl: the curl identity <curl u_s, curl u_s'> = k'^2 <u_s, u_s'>, both
+* curl: the curl identity <curl u_s, curl u_s'> = k'^2 <u_s, u_s'>, each
+  entry judged on the scale sqrt(|lhs_ss lhs_s's'|) (about k k'), both
   sides from one evaluation of the factors, which a verify run shares with
   gram; a check_curl_identity after a Gram on the same rule reads every
   radial table from modefield's memo and makes no Bessel sweep,
@@ -29,9 +30,13 @@ s R(r) Z(z) e^{i m phi} on a tensor-product rule, R and Z rows of the
 tables of modefield._tables, so the sum over all nodes is, per component,
 conj(s_i) s_j times entries of two real 1-D table Grams, [sum_r w_r R_i
 R_j] [sum_z w_z Z_i Z_j], times Phi(m_j - m_i), Phi(q) = sum_phi w_phi
-e^{i q phi}.  Every factor is still summed numerically over the rule's own
-nodes, so an under-resolved rule shows as it would in the full 3-D sum.
-The dense per-pair sum and an (r, z)-plane GEMM are the references in
+e^{i q phi}.  On the uniform phi rule Phi(q) is exactly sum w_phi when
+q = 0 mod nphi and 0 otherwise (discrete orthogonality of the trapezoid
+rule), so _gram takes it in that closed form: entries between different m
+classes are exactly 0, and an aliasing nphi keeps its aliased entries.
+The r and z factors are summed numerically over the rule's own nodes, so
+an under-resolved r or z rule shows as it would in the full 3-D sum.  The
+dense per-pair sum and an (r, z)-plane GEMM are the references in
 tests/oracles.py.
 
 All reports are deterministic: fixed node sets and a fixed summation
@@ -48,8 +53,8 @@ import numpy as np
 
 from .bessel import (_KIND_J, _KIND_JPRIME, _ZERO_RESIDUAL_MAX, _as_int, _newton_passes, _root_funcs,
                      _zero_tables)
-from .modefield import _CURL, _PSI, _U, _phase, _tables, _walk
-from .spectrum import CavityGeometry, ModeData, enumerate_modes
+from .modefield import _CURL, _PSI, _U, _tables, _walk
+from .spectrum import _GEOMETRY_KEYS, CavityGeometry, ModeData, enumerate_modes
 
 DEFAULT_NR = 64
 DEFAULT_NZ = 64
@@ -60,8 +65,9 @@ class QuadratureRule:
     """Tensor-product cavity quadrature bound to one geometry.
 
     r/z nodes and weights are Gauss-Legendre (radial weights include the
-    cylindrical Jacobian r); phi nodes are uniform with equal weights, as
-    synthesis.total_energy requires.
+    cylindrical Jacobian r).  phi and wphi are not arguments: they are the
+    uniform nodes 2 pi k / nphi and equal weights 2 pi / nphi, derived from
+    nphi, so every rule has the exact phi sums _gram and total_energy use.
     """
 
     geom: CavityGeometry
@@ -70,10 +76,16 @@ class QuadratureRule:
     nz: int
     r: np.ndarray = field(repr=False)
     wr: np.ndarray = field(repr=False)
-    phi: np.ndarray = field(repr=False)
-    wphi: np.ndarray = field(repr=False)
     z: np.ndarray = field(repr=False)
     wz: np.ndarray = field(repr=False)
+
+    @property
+    def phi(self) -> np.ndarray:
+        return 2.0 * math.pi * np.arange(self.nphi) / self.nphi
+
+    @property
+    def wphi(self) -> np.ndarray:
+        return np.full(self.nphi, 2.0 * math.pi / self.nphi)
 
     @property
     def weight_sum(self) -> float:
@@ -110,16 +122,7 @@ def quadrature_rule(
     tz, twz = _gauss_legendre(nz)
     z = 0.5 * geom.L * (tz + 1.0)
     wz = 0.5 * geom.L * twz
-    phi, wphi = _uniform_phi(nphi)
-    return QuadratureRule(
-        geom=geom, nr=nr, nphi=nphi, nz=nz,
-        r=r, wr=wr, phi=phi, wphi=wphi, z=z, wz=wz,
-    )
-
-
-def _uniform_phi(nphi: int):
-    """The phi nodes 2 pi k / nphi, k = 0 .. nphi - 1, and their equal weights."""
-    return 2.0 * math.pi * np.arange(nphi) / nphi, np.full(nphi, 2.0 * math.pi / nphi)
+    return QuadratureRule(geom=geom, nr=nr, nphi=nphi, nz=nz, r=r, wr=wr, z=z, wz=wz)
 
 
 def default_nphi(modes) -> int:
@@ -158,16 +161,14 @@ def _gram(modes, rule: QuadratureRule, *row_sets) -> list:
     the nodes of w conj(row_i) row_j and over the rows: per row k of
     _tables, conj(s_ki c_i) s_kj c_j G_R[rho_ki, rho_kj] G_Z[zeta_ki, zeta_kj]
     with the table Grams G = t t^T, t a table times sqrt(w) (exactly
-    symmetric, so the matrix is exactly Hermitian), times Phi(m_j - m_i)
-    summed once per distinct difference."""
+    symmetric, so the matrix is exactly Hermitian), times the exact phi sum
+    Phi(m_j - m_i): sum w_phi when m_j = m_i mod nphi, else 0."""
     _same_geometry(modes, rule)
     s, c, radial, r_at, axial, z_at = _tables(modes, rule.r, rule.z)
     a = s * c
     g_r, g_z = (t @ t.T for t in (radial * np.sqrt(rule.wr), axial * np.sqrt(rule.wz)))
     m = np.array([md.index.m for md in modes], dtype=int)
-    q = m[None, :] - m[:, None]
-    qs = np.arange(q.min(initial=0), q.max(initial=0) + 1)
-    phi_sum = (_phase(qs, rule.phi) @ rule.wphi)[q - qs[0]]
+    phi_sum = np.where((m[None, :] - m[:, None]) % rule.nphi == 0, rule.wphi.sum(), 0.0)
     return [sum(np.outer(np.conj(a[k]), a[k]) * g_r[np.ix_(r_at[k], r_at[k])] * g_z[np.ix_(z_at[k], z_at[k])]
                 for k in range(7)[rows]) * phi_sum for rows in row_sets]
 
@@ -228,7 +229,11 @@ def check_vector_orthonormality(modes, rule: QuadratureRule) -> GramReport:
 
 @dataclass(frozen=True, eq=False)
 class CurlIdentityReport:
-    """<curl u_i, curl u_j> compared with k_j^2 <u_i, u_j>, entrywise."""
+    """<curl u_i, curl u_j> compared with k_j^2 <u_i, u_j>, entrywise.
+
+    An entry's absolute floor is abs_tol times its bound sqrt(|lhs_ii lhs_jj|),
+    the Cauchy-Schwarz bound of |<curl u_i, curl u_j>| (about k_i k_j), so
+    the criterion has no units and does not tighten as the cutoff grows."""
 
     modes: tuple
     lhs: np.ndarray
@@ -245,24 +250,35 @@ class CurlIdentityReport:
         return np.maximum(np.abs(self.lhs), np.abs(self.rhs))
 
     @property
+    def bound(self) -> np.ndarray:
+        """sqrt(|lhs_ii lhs_jj|) for every entry (i, j)."""
+        norms = np.abs(np.diag(self.lhs))
+        return np.sqrt(np.outer(norms, norms))
+
+    @property
     def max_relative_mismatch(self) -> float:
-        """Worst mismatch/scale over entries with scale above abs_tol."""
-        sig = self.scale > self.abs_tol
+        """Worst mismatch/scale over entries with scale above abs_tol * bound."""
+        sig = self.scale > self.abs_tol * self.bound
         if not np.any(sig):
             return 0.0
         return float(np.max(self.mismatch[sig] / self.scale[sig]))
 
     @property
     def max_absolute_mismatch(self) -> float:
-        """Worst mismatch over entries where both sides are negligible."""
-        sig = self.scale > self.abs_tol
+        """Worst mismatch over entries where both sides are within abs_tol * bound."""
+        sig = self.scale > self.abs_tol * self.bound
         if np.all(sig):
             return 0.0
         return float(np.max(self.mismatch[~sig]))
 
     @property
+    def max_scaled_mismatch(self) -> float:
+        """Worst mismatch/bound over all entries."""
+        return float(np.max(self.mismatch / self.bound, initial=0.0))
+
+    @property
     def passed(self) -> bool:
-        ok = self.mismatch <= np.maximum(self.rel_tol * self.scale, self.abs_tol)
+        ok = self.mismatch <= np.maximum(self.rel_tol * self.scale, self.abs_tol * self.bound)
         return bool(np.all(ok))
 
 
@@ -439,6 +455,7 @@ def _run_suites(geom: CavityGeometry, omega_max: float, suites, nr: int, nphi: i
             "abs_tolerance": rep.abs_tol,
             "max_absolute_mismatch": rep.max_absolute_mismatch,
             "max_relative_mismatch": rep.max_relative_mismatch,
+            "max_scaled_mismatch": rep.max_scaled_mismatch,
             "mode_count": len(modes),
             "passed": rep.passed,
             "rel_tolerance": rep.rel_tol,
@@ -456,8 +473,7 @@ def _run_suites(geom: CavityGeometry, omega_max: float, suites, nr: int, nphi: i
             "tolerance": tol,
         }
     return {
-        "geometry": {"hbar": geom.hbar, "height": geom.L, "radius": geom.a,
-                     "speed_of_light": geom.c, "vacuum_permittivity": geom.eps0},
+        "geometry": {key: getattr(geom, name) for key, name in _GEOMETRY_KEYS},
         "mode_count": len(modes),
         "omega_max": omega_max,
         "passed": all(s["passed"] for s in out.values()),

@@ -164,6 +164,20 @@ def test_verify_empty_spectrum_passes(capsys):
         assert set(rep["suites"][name]) == set(full["suites"][name])
 
 
+@pytest.mark.parametrize("argv,count", [
+    ([*GEOM_ARGS, "--omega-max", "20"], 878),
+    (["--radius", "0.02", "--height", "0.03", "--omega-max", "1.6e11"], 185),    # SI constants
+])
+def test_verify_passes_with_default_options(capsys, argv, count):
+    # the curl identity is judged on each entry's own scale, about k_i k_j
+    code, out, _ = run_cli(["verify", *argv], capsys)
+    rep = json.loads(out)
+    assert rep["mode_count"] == count
+    assert code == 0 and rep["passed"] is True, rep["suites"]["curl"]
+    assert rep["suites"]["curl"]["max_scaled_mismatch"] < 1e-13
+    assert rep["suites"]["gram"]["hermiticity_error"] == 0.0
+
+
 def test_verify_suite_selection(capsys):
     code, out, _ = run_cli(["verify", *GEOM_ARGS, "--omega-max", "4",
                             "--suite", "bessel"], capsys)

@@ -16,6 +16,7 @@ from cylcavity import (
     CylPoint,
     FieldState,
     ModeIndex,
+    QuadratureRule,
     curl_u_grid,
     default_rule,
     electric_field,
@@ -187,15 +188,24 @@ def test_energy_holds_no_field_on_the_rule_grid(unit_geom, rng):
     assert peak < 3 * rule.nr * rule.nphi * rule.nz * 8
 
 
-def test_energy_rejects_a_non_uniform_phi_rule(unit_geom, rng):
+def test_quadrature_rule_cannot_take_phi_nodes_or_weights(unit_geom, rng):
+    # the uniform phi rule total_energy needs is part of the type: phi and
+    # wphi follow from nphi and are not arguments, so no rule has other nodes
     state = _random_state(unit_geom, rng, 4)
     rule = _rule_for(state)
-    total_energy(state, rule)
-    unequal = rule.wphi.copy()
-    unequal[0] *= 1.5
-    for bad in (dataclasses.replace(rule, phi=rule.phi + 0.1), dataclasses.replace(rule, wphi=unequal)):
-        with pytest.raises(ValueError, match="phi"):
-            total_energy(state, bad)
+    nodes = {"r": rule.r, "wr": rule.wr, "z": rule.z, "wz": rule.wz}
+    for bad in ({"phi": rule.phi + 0.1}, {"wphi": np.full(rule.nphi, 1.0)}):
+        with pytest.raises(TypeError, match="phi"):
+            QuadratureRule(geom=unit_geom, nr=rule.nr, nphi=rule.nphi, nz=rule.nz, **nodes, **bad)
+        with pytest.raises(TypeError, match="phi"):
+            dataclasses.replace(rule, **bad)
+    rule.phi[0] += 0.1      # each access is a new array: the rule's nodes stay uniform
+    rule.wphi[0] *= 1.5
+    assert np.array_equal(rule.phi, 2.0 * math.pi * np.arange(rule.nphi) / rule.nphi)
+    assert np.array_equal(rule.wphi, np.full(rule.nphi, 2.0 * math.pi / rule.nphi))
+    finer = dataclasses.replace(rule, nphi=rule.nphi + 3)
+    assert finer.phi.shape == finer.wphi.shape == (rule.nphi + 3,)
+    assert total_energy(state, finer) == total_energy(state, quadrature_rule(unit_geom, 48, rule.nphi + 3, 48))
 
 
 def test_projection_round_trip(unit_geom, rng):

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cylcavity import (
     TE,
@@ -151,6 +153,36 @@ def test_curl_report_mismatch_math():
                             rel_tol=1e-8, abs_tol=1e-12)
     assert ok.passed
     assert ok.max_relative_mismatch == 0.0
+
+
+_SIGNED = st.builds(lambda e, sign: sign * 10.0**e, st.floats(-16.0, 0.0), st.sampled_from([-1.0, 1.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 4), data=st.data())
+def test_scaled_curl_floor_rejects_all_the_absolute_floor_rejected(n, data):
+    # with every sqrt(|lhs_ii lhs_jj|) <= 1 the floor abs_tol sqrt(|lhs_ii lhs_jj|)
+    # is at most abs_tol, so no entry the old criterion, mismatch <=
+    # max(rel_tol scale, abs_tol), rejected can pass
+    rel_tol, abs_tol = 1e-8, 1e-12
+    lhs = np.array(data.draw(st.lists(_SIGNED, min_size=n * n, max_size=n * n))).reshape(n, n)
+    rhs = np.array(data.draw(st.lists(_SIGNED, min_size=n * n, max_size=n * n))).reshape(n, n)
+    diag = np.array(data.draw(st.lists(st.floats(1e-8, 1.0), min_size=n, max_size=n)))
+    np.fill_diagonal(lhs, diag)
+    dummies = tuple(range(n))
+    scaled = 0.0
+    for i in range(n):
+        for j in range(n):
+            one = lhs.copy()
+            one[i, j] = rhs[i, j]       # this entry alone differs
+            rep = CurlIdentityReport(modes=dummies, lhs=lhs, rhs=one, rel_tol=rel_tol, abs_tol=abs_tol)
+            gap = abs(lhs[i, j] - rhs[i, j])
+            if gap > max(rel_tol * max(abs(lhs[i, j]), abs(rhs[i, j])), abs_tol):
+                assert not rep.passed, (i, j)
+            assert rep.max_scaled_mismatch == gap / math.sqrt(diag[i] * diag[j])
+            scaled = max(scaled, rep.max_scaled_mismatch)
+    full = CurlIdentityReport(modes=dummies, lhs=lhs, rhs=rhs, rel_tol=rel_tol, abs_tol=abs_tol)
+    assert full.max_scaled_mismatch == scaled
 
 
 def test_wall_samples_cover_all_walls(unit_geom):
@@ -335,10 +367,15 @@ def test_gram_and_curl_match_rz_oracle_at_183_modes(unit_geom):
     assert len(modes) == 183 and max(abs(md.index.m) for md in modes) == 8
     rule = default_rule(unit_geom, modes)
     u = rz_gram(modes, rule, u_grid)
-    _assert_matches_dense(check_vector_orthonormality(modes, rule).matrix, u)
+    gram = check_vector_orthonormality(modes, rule).matrix
+    _assert_matches_dense(gram, u)
     rep = check_curl_identity(modes, rule)
     _assert_matches_dense(rep.lhs, rz_gram(modes, rule, curl_u_grid))
     _assert_matches_dense(rep.rhs, u * np.array([md.k**2 for md in modes]))
+    # the phi sum is exact: on the default rule no two m classes meet
+    m = np.array([md.index.m for md in modes])
+    cross = m[:, None] != m[None, :]
+    assert np.all(gram[cross] == 0.0) and np.all(rep.lhs[cross] == 0.0)
 
 
 @pytest.mark.parametrize("count", [0, 1, 183])
@@ -363,6 +400,12 @@ def test_under_resolved_phi_rule_aliases_like_dense_sum(unit_geom, oracle_modes)
     got = check_vector_orthonormality(oracle_modes, rule)
     assert got.max_offdiag > 1e-3
     _assert_matches_dense(got.matrix, dense_gram(oracle_modes, rule, u_grid))
+    # the aliased cross-m entries keep their sum w_phi, all other cross-m entries are 0
+    m = np.array([md.index.m for md in oracle_modes])
+    q = m[None, :] - m[:, None]
+    aliased = (q % 7 == 0) & (q != 0)
+    assert np.any(aliased) and np.all(got.matrix[aliased] != 0.0)
+    assert np.all(got.matrix[q % 7 != 0] == 0.0)
 
 
 # -------------------------------------------- wall check vs phased oracle
@@ -418,7 +461,7 @@ def test_run_suites_gram_and_curl_equal_public_checks_bitwise(unit_geom, oracle_
             for key in ("hermiticity_error", "max_diag_deviation", "max_offdiag"):
                 assert got["gram"][key] == getattr(gram, key), (suites, key)
         if "curl" in got:
-            for key in ("max_absolute_mismatch", "max_relative_mismatch", "passed"):
+            for key in ("max_absolute_mismatch", "max_relative_mismatch", "max_scaled_mismatch", "passed"):
                 assert got["curl"][key] == getattr(curl, key), (suites, key)
 
 
