@@ -17,8 +17,8 @@ is the real inverse DFT over m.  The planes are laid out slot-major, (m,
 Re/Im, component, r, z), so the modes of one m are a slice of a chunk's
 factors and its planes one contiguous block; the inverse DFT reads the
 leading (m, Re/Im) axes in place as its contracted axis.  _contract runs
-both as one matmul, a GEMM on a tensor grid and batched dots on scattered
-points; on a tensor grid each m's GEMMs write straight into its block.
+both, a GEMM on a tensor grid and batched dots on scattered points; per
+chunk it lays out the factors once and runs one matmul per m block.
 Time evolution multiplies each amplitude by e^{-i omega_s dt}; with that
 rule (E, B) satisfies the free-space Maxwell equations, and the classical
 field energy
@@ -49,9 +49,9 @@ The two halves each equal a_s plus opposite-sign leakage from the
 conjugate (-m) partner mode, so their mean is exact; the averaging is
 what makes the projection safe for states containing +-m pairs.
 project samples E and B once on the rule grid, rejects a sampler without
-three components and a non-finite sample, folds phi into (r, m, z) planes
-with the real and imaginary parts of the weighted DFT table as two matrix
-products, and contracts each inner product, per m, as
+three components and a sample that is not finite or not real, folds phi
+by one real GEMM per component into a real (component, Re/Im, m, r, z)
+array, and contracts each inner product, per m, as one real matmul,
 sum_c conj(s_c) R_c^T hat_{c, m} Z_c from modefield._walk on the rule's
 nodes.  After total_energy or the samplers on the same rule, every radial
 table comes from modefield's memo and project makes no Bessel sweep.
@@ -120,20 +120,22 @@ def _derivative_state(state: FieldState) -> FieldState:
     return FieldState(geom=state.geom, entries=entries, t=state.t)
 
 
-def _contract(a, b, out=None) -> np.ndarray:
+def _contract(a, b, out=None, runs=None) -> np.ndarray:
     """sum_j a[..., j] b[..., j] over broadcast leading axes, as one matmul: an
     axis where only a varies is a GEMM row, one where only b varies a column,
     and one where both vary a batch axis.  With out, an array of the
     broadcast shape, the result is written into it: straight from the
     matmul when out's last column axis has unit stride, its row axes merge
     and each GEMM is at least 2 x 2 (leading column axes that cannot merge
-    with the rest become batch axes, broadcast in a), else by a copy."""
+    with the rest become batch axes, broadcast in a), else by a copy.
+    With runs of (lo, hi, k), out[k] gets j in lo:hi: operands laid out once, a matmul per run."""
     nd, n = max(a.ndim, b.ndim) - 1, a.shape[-1]
     sa, sb = ((1,) * (nd + 1 - v.ndim) + v.shape[:-1] for v in (a, b))
     full = np.broadcast_shapes(sa, sb)
     kind = [(x != 1) + 2 * (y != 1) for x, y in zip(sa, sb)]
     batch, rows, cols, ones = ([i for i in range(nd) if kind[i] == k] for k in (3, 1, 2, 0))
     size = lambda axes: math.prod(full[i] for i in axes)
+    blocks, runs = (out, runs) if runs is not None else (None if out is None else out[None], [(0, n, 0)])
 
     def operands(lead, cols, merge):    # the matmul's (batch..., rows, n) and (batch..., n, cols)
         head = lambda shape: [math.prod(shape[i] for i in lead)] if merge else [shape[i] for i in lead]
@@ -142,20 +144,24 @@ def _contract(a, b, out=None) -> np.ndarray:
         return (lhs.reshape(*head(sa), size(rows), n),
                 rhs.reshape(*head(sb), size(cols), n).swapaxes(-1, -2))
 
-    if out is not None and cols and out.strides[cols[-1]] == out.itemsize and _merges(out, rows):
-        split = next(k for k in range(len(cols)) if _merges(out, cols[k:]))
+    if out is not None and cols and blocks[0].strides[cols[-1]] == out.itemsize and _merges(blocks[0], rows):
+        split = next(k for k in range(len(cols)) if _merges(blocks[0], cols[k:]))
         lead, rest = batch + cols[:split], cols[split:]
         if min(size(rows), size(rest)) >= 2:    # GEMMs, as on the copy path
-            view = out.transpose(*lead, *rows, *rest, *ones).reshape(
-                *(full[i] for i in lead), size(rows), size(rest))   # a view: rows and rest merge
-            np.matmul(*operands(lead, rest, merge=False), out=view)
+            lhs, rhs = operands(lead, rest, merge=False)
+            views = blocks.transpose(0, *(1 + i for i in lead + rows + rest + ones)).reshape(
+                len(blocks), *(full[i] for i in lead), size(rows), size(rest))   # a view: rows and rest merge
+            for lo, hi, k in runs:
+                np.matmul(lhs[..., lo:hi], rhs[..., lo:hi, :], out=views[k])
             return out
     order = batch + rows + cols + ones
-    res = np.matmul(*operands(batch, cols, merge=True))
-    res = res.reshape([full[i] for i in order]).transpose(np.argsort(order))
-    if out is None:
-        return res
-    out[...] = res
+    lhs, rhs = operands(batch, cols, merge=True)
+    for lo, hi, k in runs:
+        res = np.matmul(lhs[..., lo:hi], rhs[..., lo:hi, :]).reshape([full[i] for i in order])
+        res = res.transpose(np.argsort(order))
+        if blocks is None:
+            return res
+        blocks[k][...] = res
     return out
 
 
@@ -173,12 +179,12 @@ def _synthesize(state: FieldState, r, phi, z, fields, rate_at=None):
     2 Re (i c), so every row is 2 Re c = 2 (Re c cos m phi - Im c sin m phi).
     Per chunk of |m| groups, the factors from modefield._walk, whose modes
     are in m order: the modes of each m are one slice of R, of Z diag(Re,
-    Im of 2 p a s), formed once per chunk, and of the coefficients.  Per m,
-    one _contract of those slices writes the (Re/Im, component, r, z)
-    planes of c_m into the contiguous block planes[slot of m].  Then one
-    _contract of the planes with [cos m phi, -sin m phi] is the real
-    inverse DFT over m; it contracts the leading (slot, Re/Im) axes of the
-    planes, a view of them.
+    Im of 2 p a s), formed once per chunk, and of the coefficients.  One
+    _contract per chunk and output writes, per m, the (Re/Im, component,
+    r, z) planes of c_m from those slices into the contiguous block
+    planes[slot of m].  Then one _contract of the planes with [cos m phi,
+    -sin m phi] is the real inverse DFT over m; it contracts the leading
+    (slot, Re/Im) axes of the planes, a view of them.
 
     With rate_at, indices into the point axes of r, phi and z (each padded
     to the points' dimensions), returns (fields, rates): rates are the time
@@ -207,8 +213,7 @@ def _synthesize(state: FieldState, r, phi, z, fields, rate_at=None):
             Ra = R[(None, slice(None), *at_r)]      # (1, row, *r, mode)
             Za = Z[(slice(None), *at_z)]
             Zw = Za * np.stack([coef.real, coef.imag]).reshape(2, len(scale), *(1,) * (Za.ndim - 2), -1)
-            for lo, hi in runs:     # (Re/Im, row, *plane) of one m
-                _contract(Ra[..., lo:hi], Zw[..., lo:hi], out=out[slot[m[lo]]])
+            _contract(Ra, Zw, out=out, runs=[(lo, hi, slot[m[lo]]) for lo, hi in runs])   # per m, its block
         del s, R, Z, Ra, Za, Zw     # one chunk's factors live at a time
     phase = _phase(np.array(list(slot), dtype=int), phi)
     dft = np.moveaxis(np.stack([phase.real, -phase.imag], axis=-1), 0, -2)   # Re c cos - Im c sin
@@ -322,10 +327,11 @@ def zero_point_energy(state: FieldState) -> float:
 def project(e_sampler, b_sampler, modes, rule: QuadratureRule) -> np.ndarray:
     """Recover amplitudes of `modes` from sampled E and B fields.
 
-    Each sampler maps the rule's grid() to the components (r, phi, z).
-    Raises ValueError on another number of components, on a non-finite
-    sample, and when two modes' m differ by a nonzero multiple of nphi: the
-    phi rule cannot tell them apart."""
+    Each sampler maps the rule's grid() to the real components (r, phi, z).
+    Raises ValueError on another number of components, on a sample that is
+    not finite or not real (complex with a nonzero imaginary part), and
+    when two modes' m differ by a nonzero multiple of nphi: the phi rule
+    cannot tell them apart."""
     modes = tuple(modes)
     _same_geometry(modes, rule)
     first = {}
@@ -338,21 +344,23 @@ def project(e_sampler, b_sampler, modes, rule: QuadratureRule) -> np.ndarray:
     shape = (rule.nr, rule.nphi, rule.nz)
     slot = {mv: j for j, mv in enumerate(sorted({md.index.m for md in modes}))}
     dft = rule.wphi * np.conj(_phase(np.array(list(slot), dtype=int), rule.phi))
-    w = np.outer(rule.wr, rule.wz)[:, None, :]
+    table = np.concatenate([dft.real, dft.imag])    # (Re/Im slot, phi)
 
-    def fold(name, sampler):    # (component, r, m, z), weights included
+    def fold(name, sampler):    # (component, Re/Im, slot, r, z), weights included
         comps = tuple(sampler(r, phi, z))
         if len(comps) != 3:
             raise ValueError(f"{name} sampler returned {len(comps)} components, expected 3 (r, phi, z)")
-        hat = np.empty((3, rule.nr, len(slot), rule.nz), dtype=complex)
+        hat = np.empty((3, len(table), rule.nr * rule.nz))
         for comp, c, out in zip(("r", "phi", "z"), comps, hat):
             c = np.broadcast_to(np.asarray(c), shape)
-            if not np.all(np.isfinite(c)):
-                i, j, k = np.argwhere(~np.isfinite(c))[0]
-                raise ValueError(f"{name}_{comp} sample not finite at node r={float(rule.r[i])!r}, "
-                                 f"phi={float(rule.phi[j])!r}, z={float(rule.z[k])!r}: {c[i, j, k].item()!r}")
-            out[...] = (np.matmul(dft.real, c) + 1j * np.matmul(dft.imag, c)) * w
-        return hat
+            if not (ok := np.isfinite(c) & ((c.imag == 0) if np.iscomplexobj(c) else True)).all():
+                i, j, k = np.argwhere(~ok)[0]
+                v = c[i, j, k].item()
+                raise ValueError(f"{name}_{comp} sample not {'real' if cmath.isfinite(v) else 'finite'} at node "
+                                 f"r={float(rule.r[i])!r}, phi={float(rule.phi[j])!r}, z={float(rule.z[k])!r}: {v!r}")
+            np.matmul(table, np.moveaxis(c.real, 1, 0).reshape(rule.nphi, -1), out=out)    # a view of phi-major c
+        hat *= np.outer(rule.wr, rule.wz).ravel()
+        return hat.reshape(3, 2, len(slot), rule.nr, rule.nz)
 
     # <u_i, E> and <curl u_i, B>: sum_c conj(s_ci) R_ci^T hat_{c, m_i} Z_ci, per
     # m from the walk's factors of u (rows 0-2) and curl u (rows 3-5)
@@ -361,8 +369,8 @@ def project(e_sampler, b_sampler, modes, rule: QuadratureRule) -> np.ndarray:
     for idx, m, s, R, Z, runs in _walk(modes, rule.r, rule.z, slice(_U.start, _CURL.stop)):
         for lo, hi in runs:
             for half, (hat, rows) in enumerate(halves):
-                rz = np.sum(R[rows, :, lo:hi] * (hat[:, :, slot[m[lo]]] @ Z[rows, :, lo:hi]), axis=1)
-                inner[half, idx[lo:hi]] = np.sum(np.conj(s[rows, lo:hi]) * rz, axis=0)
+                rz = np.sum(R[rows, None, :, lo:hi] * (hat[:, :, slot[m[lo]]] @ Z[rows, None, :, lo:hi]), axis=2)
+                inner[half, idx[lo:hi]] = np.sum(np.conj(s[rows, lo:hi]) * (rz[:, 0] + 1j * rz[:, 1]), axis=0)
     geom, omega, k = rule.geom, np.array([md.omega for md in modes]), np.array([md.k for md in modes])
     return 0.5 * (-1j * np.sqrt(2.0 * geom.eps0 / (geom.hbar * omega)) * inner[0]
                   + np.sqrt(2.0 * geom.eps0 * omega / geom.hbar) / k**2 * inner[1])

@@ -179,32 +179,32 @@ class GramReport:
 
     For the scalar check the matrix is normalized by the closed-form
     diagonal (1/2)|c_norm|^2 V alpha, so the target is the identity in
-    both cases.
+    both cases.  Each property is computed once, on first access.
     """
 
     modes: tuple
     matrix: np.ndarray
 
-    @property
+    @functools.cached_property
     def max_offdiag(self) -> float:
         if len(self.modes) < 2:
             return 0.0
         off = self.matrix - np.diag(np.diag(self.matrix))
         return float(np.max(np.abs(off)))
 
-    @property
+    @functools.cached_property
     def max_diag_deviation(self) -> float:
         if not self.modes:
             return 0.0
         return float(np.max(np.abs(np.diag(self.matrix) - 1.0)))
 
-    @property
+    @functools.cached_property
     def hermiticity_error(self) -> float:
         if not self.modes:
             return 0.0
         return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
 
-    @property
+    @functools.cached_property
     def max_deviation(self) -> float:
         return max(self.max_offdiag, self.max_diag_deviation)
 
@@ -233,7 +233,8 @@ class CurlIdentityReport:
 
     An entry's absolute floor is abs_tol times its bound sqrt(|lhs_ii lhs_jj|),
     the Cauchy-Schwarz bound of |<curl u_i, curl u_j>| (about k_i k_j), so
-    the criterion has no units and does not tighten as the cutoff grows."""
+    the criterion has no units and does not tighten as the cutoff grows.
+    Each property is computed once, on first access; arrays are read-only."""
 
     modes: tuple
     lhs: np.ndarray
@@ -241,21 +242,21 @@ class CurlIdentityReport:
     rel_tol: float
     abs_tol: float
 
-    @property
+    @functools.cached_property
     def mismatch(self) -> np.ndarray:
-        return np.abs(self.lhs - self.rhs)
+        return _read_only(np.abs(self.lhs - self.rhs))
 
-    @property
+    @functools.cached_property
     def scale(self) -> np.ndarray:
-        return np.maximum(np.abs(self.lhs), np.abs(self.rhs))
+        return _read_only(np.maximum(np.abs(self.lhs), np.abs(self.rhs)))
 
-    @property
+    @functools.cached_property
     def bound(self) -> np.ndarray:
         """sqrt(|lhs_ii lhs_jj|) for every entry (i, j)."""
         norms = np.abs(np.diag(self.lhs))
-        return np.sqrt(np.outer(norms, norms))
+        return _read_only(np.sqrt(np.outer(norms, norms)))
 
-    @property
+    @functools.cached_property
     def max_relative_mismatch(self) -> float:
         """Worst mismatch/scale over entries with scale above abs_tol * bound."""
         sig = self.scale > self.abs_tol * self.bound
@@ -263,7 +264,7 @@ class CurlIdentityReport:
             return 0.0
         return float(np.max(self.mismatch[sig] / self.scale[sig]))
 
-    @property
+    @functools.cached_property
     def max_absolute_mismatch(self) -> float:
         """Worst mismatch over entries where both sides are within abs_tol * bound."""
         sig = self.scale > self.abs_tol * self.bound
@@ -271,15 +272,21 @@ class CurlIdentityReport:
             return 0.0
         return float(np.max(self.mismatch[~sig]))
 
-    @property
+    @functools.cached_property
     def max_scaled_mismatch(self) -> float:
         """Worst mismatch/bound over all entries."""
         return float(np.max(self.mismatch / self.bound, initial=0.0))
 
-    @property
+    @functools.cached_property
     def passed(self) -> bool:
-        ok = self.mismatch <= np.maximum(self.rel_tol * self.scale, self.abs_tol * self.bound)
-        return bool(np.all(ok))
+        floor = self.rel_tol * self.scale
+        np.maximum(floor, self.abs_tol * self.bound, out=floor)
+        return bool(np.all(self.mismatch <= floor))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def check_curl_identity(

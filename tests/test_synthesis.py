@@ -37,10 +37,10 @@ from cylcavity import (
     zero_point_energy,
 )
 import cylcavity.modefield as modefield
-from cylcavity.modefield import _CHUNK_POINTS, _groups
-from cylcavity.synthesis import _derivative_state, _fd_stencil, _synthesize
+from cylcavity.modefield import _CHUNK_POINTS, _groups, _walk
+from cylcavity.synthesis import _contract, _derivative_state, _fd_stencil, _synthesize
 from cylcavity.verify import default_nphi
-from oracles import dense_energy, dense_fields
+from oracles import dense_energy, dense_fields, dense_project
 
 
 def _random_state(geom, rng, count, omega_max=6.5, t=0.0):
@@ -486,6 +486,86 @@ def test_projection_rejects_non_finite_sample(unit_geom, rng, field, comp, bad):
     for axis, i in (("r", 3), ("phi", 2), ("z", 5)):
         assert f"{axis}={float(getattr(rule, axis)[i])!r}" in msg
     assert msg.endswith(repr(bad))
+
+
+@pytest.mark.parametrize("field, comp", [("E", 0), ("B", 2)])
+def test_projection_rejects_a_complex_sample(unit_geom, rng, field, comp):
+    # E and B are real: a complex array with zero imaginary parts projects as
+    # its real part, and a nonzero imaginary part is named like a non-finite value
+    state = _random_state(unit_geom, rng, 6)
+    rule = _rule_for(state)
+    samplers = list(field_samplers(state))
+    want = project(*samplers, state.modes, rule)
+    clean = samplers["EB".index(field)]
+    as_complex = lambda r, phi, z: [np.array(c, dtype=complex) for c in clean(r, phi, z)]
+    samplers["EB".index(field)] = as_complex
+    assert project(*samplers, state.modes, rule).tobytes() == want.tobytes()
+
+    def spoiled(r, phi, z):
+        comps = as_complex(r, phi, z)
+        comps[comp][3, 2, 5] += 1e-3j
+        return comps
+
+    samplers["EB".index(field)] = spoiled
+    with pytest.raises(ValueError, match="sample not real") as err:
+        project(*samplers, state.modes, rule)
+    msg = str(err.value)
+    assert f"{field}_{('r', 'phi', 'z')[comp]}" in msg
+    for axis, i in (("r", 3), ("phi", 2), ("z", 5)):
+        assert f"{axis}={float(getattr(rule, axis)[i])!r}" in msg
+    assert msg.endswith(repr(spoiled(*rule.grid())[comp][3, 2, 5].item()))
+
+
+@pytest.mark.parametrize("layout", ["sampler_views", "c_ordered_copies", "broadcast_scalar"])
+def test_fold_matches_dense_projection_on_every_sample_layout(unit_geom, rng, layout):
+    # the fold takes each component as (phi, r z): a view of the samplers'
+    # phi-major output, a copy of any other layout
+    modes = enumerate_modes(unit_geom, 6.5)
+    amps = rng.normal(size=len(modes)) + 1j * rng.normal(size=len(modes))
+    state = FieldState(geom=unit_geom, entries=tuple(zip(modes, amps)), t=0.2)
+    rule = default_rule(unit_geom, modes)
+    e_sampler, b_sampler = field_samplers(state)
+    grid = rule.grid()
+    if layout == "sampler_views":
+        samplers = (e_sampler, b_sampler)
+        for c in (*e_sampler(*grid), *b_sampler(*grid)):
+            assert np.shares_memory(np.moveaxis(c, 1, 0).reshape(rule.nphi, -1), c)
+    elif layout == "c_ordered_copies":
+        samplers = tuple(lambda *g, f=f: [np.array(c, order="C") for c in f(*g)] for f in (e_sampler, b_sampler))
+        assert all(c.flags.c_contiguous for c in samplers[0](*grid))
+    else:
+        samplers = (lambda *g: (e_sampler(*g)[0], 0.37, e_sampler(*g)[2]), b_sampler)
+    got = project(*samplers, modes, rule)
+    ref = dense_project(*samplers, modes, rule)
+    scale = float(np.max(np.abs(ref)))
+    assert scale > 0.0
+    assert float(np.max(np.abs(got - ref))) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("layout", ["phi_z_r_grid", "r_phi_shared", "size_one_axis", "scattered"])
+def test_contract_by_runs_equals_one_contraction_per_run(unit_geom, rng, layout):
+    # synthesis lays out a chunk's factors once and runs one matmul per m into
+    # that m's block; each must equal the contraction of that m's slices alone
+    # bit for bit: GEMMs written in place, GEMMs copied out, batched dots
+    modes = enumerate_modes(unit_geom, 6.5)
+    if layout == "scattered":
+        r, z = rng.uniform(0.0, unit_geom.a, 50), rng.uniform(0.0, unit_geom.L, 50)
+    else:
+        r, _, z = _layout(layout, unit_geom, rng)
+    nd = max(np.ndim(r), np.ndim(z))
+    r, z = (np.reshape(v, (1,) * (nd - np.ndim(v)) + np.shape(v)) for v in (r, z))
+    ((_, m, _, R, Z, runs),) = _walk(modes, r, z, slice(1, 7))
+    assert len(runs) > 3
+    a = R[None]
+    b = Z * rng.normal(size=(2, 6, *(1,) * (Z.ndim - 2), len(m)))
+    blocks = list(range(len(runs)))[::-1]
+    got = np.full((len(runs), *np.broadcast_shapes(a.shape[:-1], b.shape[:-1])), np.nan)
+    want = got.copy()
+    assert _contract(a, b, out=got, runs=[(lo, hi, k) for (lo, hi), k in zip(runs, blocks)]) is got
+    for (lo, hi), k in zip(runs, blocks):
+        _contract(a[..., lo:hi], b[..., lo:hi], out=want[k])
+    assert got.tobytes() == want.tobytes()
+    assert not np.any(np.isnan(got))
 
 
 def _shuffled_state(geom, rng):

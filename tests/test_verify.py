@@ -1,5 +1,6 @@
 """Quadrature rule and the certification checks built on it."""
 
+import json
 import math
 import re
 
@@ -38,8 +39,8 @@ import cylcavity.bessel as bessel
 import cylcavity.verify as verify
 from cylcavity.cli import main
 from cylcavity.modefield import _CURL, _PSI, _U
-from cylcavity.verify import (DEFAULT_NR, DEFAULT_NZ, CurlIdentityReport, _bessel_suite, _gram, _run_suites, _walls,
-                              default_nphi)
+from cylcavity.verify import (DEFAULT_NR, DEFAULT_NZ, CurlIdentityReport, GramReport, _bessel_suite, _gram, _run_suites,
+                              _walls, default_nphi)
 from oracles import dense_boundary, dense_gram, dense_project, rz_gram
 
 
@@ -153,6 +154,52 @@ def test_curl_report_mismatch_math():
                             rel_tol=1e-8, abs_tol=1e-12)
     assert ok.passed
     assert ok.max_relative_mismatch == 0.0
+
+
+def _report_formulas(gram, curl):
+    """Every report property rebuilt from the matrices, as each access did
+    before the reports kept their values."""
+    u, lhs, rhs = gram.matrix, curl.lhs, curl.rhs
+    mismatch = np.abs(lhs - rhs)
+    scale = np.maximum(np.abs(lhs), np.abs(rhs))
+    norms = np.abs(np.diag(lhs))
+    bound = np.sqrt(np.outer(norms, norms))
+    sig = scale > curl.abs_tol * bound
+    g = {"max_offdiag": float(np.max(np.abs(u - np.diag(np.diag(u))))),
+         "max_diag_deviation": float(np.max(np.abs(np.diag(u) - 1.0))),
+         "hermiticity_error": float(np.max(np.abs(u - u.conj().T)))}
+    g["max_deviation"] = max(g["max_offdiag"], g["max_diag_deviation"])
+    c = {"mismatch": mismatch, "scale": scale, "bound": bound,
+         "max_relative_mismatch": float(np.max(mismatch[sig] / scale[sig])),
+         "max_absolute_mismatch": float(np.max(mismatch[~sig])),
+         "max_scaled_mismatch": float(np.max(mismatch / bound, initial=0.0)),
+         "passed": bool(np.all(mismatch <= np.maximum(curl.rel_tol * scale, curl.abs_tol * bound)))}
+    return g, c
+
+
+def test_report_properties_are_computed_once_with_the_bits_of_their_formulas(unit_geom, capsys):
+    modes = tuple(enumerate_modes(unit_geom, 10.0))
+    assert len(modes) == 105
+    rule = default_rule(unit_geom, modes)
+    gram = GramReport(modes=modes, matrix=_gram(modes, rule, _U)[0])
+    curl = check_curl_identity(modes, rule)
+    want_gram, want_curl = _report_formulas(gram, curl)
+    for rep, want in ((gram, want_gram), (curl, want_curl)):
+        for key, value in want.items():
+            got = getattr(rep, key)
+            assert getattr(rep, key) is got, key       # kept, not rebuilt
+            assert np.asarray(got).tobytes() == np.asarray(value).tobytes(), key
+    for key in ("mismatch", "scale", "bound"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(curl, key)[0, 0] = 0.0
+    # the CLI JSON carries the same bits
+    assert main(["verify", "--radius", "0.9", "--height", "1.3", "--speed-of-light", "1",
+                 "--vacuum-permittivity", "1", "--hbar", "1", "--omega-max", "10", "--suite", "gram,curl"]) == 0
+    suites = json.loads(capsys.readouterr().out)["suites"]
+    for key in ("hermiticity_error", "max_diag_deviation", "max_offdiag"):
+        assert repr(suites["gram"][key]) == repr(want_gram[key]), key
+    for key in ("max_absolute_mismatch", "max_relative_mismatch", "max_scaled_mismatch", "passed"):
+        assert repr(suites["curl"][key]) == repr(want_curl[key]), key
 
 
 _SIGNED = st.builds(lambda e, sign: sign * 10.0**e, st.floats(-16.0, 0.0), st.sampled_from([-1.0, 1.0]))
