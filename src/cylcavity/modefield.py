@@ -30,13 +30,14 @@ of those tables.  The radial table holds J, g J', (|m|/r) J and g^2 J of
 each distinct radial function (|m|, g, a), from one Bessel sweep of
 J_{|m|-1}, J_|m|, J_{|m|+1} per chunk of functions (_groups: whole |m|
 groups in ascending |m|, within a budget of radii x functions); the axial
-table holds sin, h cos, cos and -h sin of each distinct h.  _walk gives
-every point set's consumer (synthesis, projection, the wall check, the
-*_grid functions) the (s, R, Z) triple of one chunk of whole |m| groups at
-a time in m order, R and Z each one gather from the tables; _phase alone
-forms e^{i m phi}.  A memo of fixed byte budget keeps the radial table of
-one function on one set of radii, so a later call on the same radii
-sweeps only the functions not seen there yet (check_boundary of
+table holds sin, h cos, cos and -h sin of each distinct h.  The wall
+check (verify._walls) indexes the tables of its distinct wall nodes, and
+the one-mode *_grid functions read their mode's rows from them.  _walk
+gives synthesis and projection the (s, R, Z) triple of one chunk of whole
+|m| groups at a time in m order, R and Z each one gather from the tables;
+_phase alone forms e^{i m phi}.  A memo of fixed byte budget keeps the
+radial table of one function on one set of radii, so a later call on the
+same radii sweeps only the functions not seen there yet (check_boundary of
 TE(-1,1,1) after TE(1,1,1) makes no sweep).  The only removable
 singularity is (m/r) J_m(g r) on the axis, which tends to g/2 for |m| = 1
 (both signs, since J_{-1} = -J_1) and to 0 otherwise; radii below 1e-8 a
@@ -311,10 +312,13 @@ def _phase(m, phi):
 
 
 def _rows(mode: ModeData, r, phi, z, rows):
-    """s R Z e^{i m phi} of one mode on broadcastable coordinates, for each row of rows."""
-    ((_, _, s, R, Z, _),) = _walk((mode,), r, z, rows)
+    """s R Z e^{i m phi} of one mode on broadcastable coordinates, for each row
+    of rows, read straight from one _tables call."""
+    s, c, radial, r_at, axial, z_at = _tables((mode,), r, z)
+    R = radial[r_at[rows, 0]].reshape(-1, *np.shape(r))
+    Z = c[0] * axial[z_at[rows, 0]].reshape(-1, *np.shape(z))
     phase = _phase(mode.index.m, phi)
-    return tuple(sc * Rc * Zc * phase for sc, Rc, Zc in zip(s[:, 0], R[..., 0], Z[..., 0]))
+    return tuple(sc * Rc * Zc * phase for sc, Rc, Zc in zip(s[rows, 0], R, Z))
 
 
 def psi_grid(mode: ModeData, r, phi, z) -> np.ndarray:

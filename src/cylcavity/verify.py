@@ -19,9 +19,12 @@ runs each:
   radial table from modefield's memo and makes no Bessel sweep,
 * boundary: conductor boundary conditions on the walls (vanishing
   tangential u, vanishing normal component of curl u), from the moduli
-  |s| |R| |Z| of one modefield._walk on the walls and on interior radii
-  and heights, since |e^{i m phi}| = 1; the default wall layout is
-  classified once per geometry,
+  |s| |R| |Z|, since |e^{i m phi}| = 1: samples that differ only in phi
+  are one node (the 324 default samples are 25 nodes on 9 radii and 9
+  heights), and one modefield._tables call per chunk of modes on the
+  distinct wall radii and heights and on 24 interior Gauss-Legendre radii
+  and heights gives every node by indexing; the default wall layout is
+  built once per geometry,
 * bessel: residuals and interlacing of the zero tables of orders 0 to 8,
   every residual from one kernel call.
 
@@ -53,11 +56,12 @@ import numpy as np
 
 from .bessel import (_KIND_J, _KIND_JPRIME, _ZERO_RESIDUAL_MAX, _as_int, _newton_passes, _root_funcs,
                      _zero_tables)
-from .modefield import _CURL, _PSI, _U, _tables, _walk
+from .modefield import _CURL, _PSI, _U, _groups, _tables
 from .spectrum import _GEOMETRY_KEYS, CavityGeometry, ModeData, enumerate_modes
 
 DEFAULT_NR = 64
 DEFAULT_NZ = 64
+_INTERIOR = 24      # interior radii and heights of a wall check's reference maxima
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,10 +346,17 @@ def wall_samples(geom: CavityGeometry, n_r: int = 9, n_phi: int = 12, n_z: int =
 
 
 def _wall_nodes(geom: CavityGeometry, samples):
-    """The nodes one wall check evaluates, (r, z, on_side): the wall samples
-    followed by 24 radii and 24 heights strictly inside the walls, and which
-    samples lie on the side wall (the others lie on a cap).  Raises
-    ValueError naming the first sample that is on no wall."""
+    """The nodes one wall check evaluates, (r, z, r_at, z_at, on_side): r and z
+    the distinct radii and heights of the wall samples followed by the
+    _INTERIOR Gauss-Legendre nodes of (0, a) and of (0, L), and per distinct
+    wall node (r, z) its index into r and into z and whether it lies on the
+    side wall (else on a cap).  Raises ValueError naming the first sample
+    that is on no wall.
+
+    The interior nodes set the reference maxima, so they must not alias:
+    cos(24 pi t) vanishes on every cell centre t = (i + 1/2)/24, while on
+    the 24 Gauss-Legendre nodes of (0, 1) max|cos n pi t| >= 0.70 and
+    max|sin n pi t| >= 0.69 for every n <= 2000."""
     r, phi, z = (np.asarray(v, dtype=float).ravel() for v in np.broadcast_arrays(*samples))
     if not r.size:
         raise ValueError("no wall samples given")
@@ -355,14 +366,20 @@ def _wall_nodes(geom: CavityGeometry, samples):
     if np.any(off_wall):
         i = int(np.nonzero(off_wall)[0][0])
         raise ValueError(f"sample {i} (r={r[i]}, phi={phi[i]}, z={z[i]}) is not on a wall")
-    cells = (np.arange(24) + 0.5) / 24.0
-    return np.concatenate([r, geom.a * cells]), np.concatenate([z, geom.L * cells]), on_side
+    # |e^{i m phi}| = 1, so samples that differ only in phi are one node;
+    # every np.unique asks for an index (a plain call imports numpy.ma)
+    rs, r_of = np.unique(r, return_inverse=True)
+    zs, z_of = np.unique(z, return_inverse=True)
+    nodes, first = np.unique(r_of * zs.size + z_of, return_index=True)
+    inner = quadrature_rule(geom, nr=_INTERIOR, nz=_INTERIOR)
+    return (np.concatenate([rs, inner.r]), np.concatenate([zs, inner.z]),
+            nodes // zs.size, nodes % zs.size, on_side[first])
 
 
 @functools.lru_cache(maxsize=32)
 def _default_walls(geom: CavityGeometry):
     """_wall_nodes of wall_samples(geom) with its default sizes, read-only and
-    built once per geometry."""
+    built once per geometry: 25 wall nodes on 9 radii and 9 heights."""
     nodes = _wall_nodes(geom, wall_samples(geom))
     for v in nodes:
         v.flags.writeable = False
@@ -378,25 +395,26 @@ def check_boundary(mode: ModeData, samples=None) -> BoundaryReport:
 
 def _walls(modes, samples=None) -> list:
     """check_boundary of each of modes (one geometry) on the same samples, the
-    default wall layout when samples is None, from one modefield._walk on
-    the walls and on interior radii and heights."""
+    default wall layout when samples is None: per chunk of whole |m| groups
+    (modefield._groups, which bounds the memory), one modefield._tables
+    call on the nodes of _wall_nodes."""
     if not modes:
         return []
     geom = modes[0].geom
-    r, z, on_side = _default_walls(geom) if samples is None else _wall_nodes(geom, samples)
-    # the moduli are |s| |R| |Z| since |e^{i m phi}| = 1, so the interior
-    # maxima over the 24 x 24 grid are |s| max|R| max|Z|
-    n = on_side.size
+    r, z, r_at, z_at, on_side = _default_walls(geom) if samples is None else _wall_nodes(geom, samples)
     reports = [None] * len(modes)
-    for idx, _, s, R, Z, _ in _walk(modes, r, z, slice(None)):
-        s, R, Z = np.abs(s), np.abs(R), np.abs(Z)
-        wall = s[:, None] * R[:, :n] * Z[:, :n]
-        inner = s * np.max(R[:, n:], axis=1) * np.max(Z[:, n:], axis=1)
-        tangential = np.where(on_side[:, None], np.hypot(wall[2], wall[3]), np.hypot(wall[1], wall[2]))
-        normal_curl = np.where(on_side[:, None], wall[4], wall[6])
-        for j, i in enumerate(idx):
-            reports[i] = BoundaryReport(modes[i], *(float(np.max(v[..., j])) for v in (
-                tangential, normal_curl, inner[_U], inner[_CURL])))
+    for chunk in _groups([abs(md.index.m) for md in modes], r.size):
+        s, c, radial, rho, axial, zeta = _tables(tuple(modes[i] for i in chunk), r, z)
+        # the moduli are |s| |R| |Z| since |e^{i m phi}| = 1, so the interior
+        # maxima over the grid of interior radii and heights are |s| max|R| max|Z|
+        s, R, Z = np.abs(s)[..., None], np.abs(radial)[rho], np.abs(c[:, None] * axial[zeta])
+        wall = s * R[..., r_at] * Z[..., z_at]     # (row, mode, node)
+        inner = s[..., 0] * R[..., -_INTERIOR:].max(axis=-1) * Z[..., -_INTERIOR:].max(axis=-1)
+        tangential = np.where(on_side, np.hypot(wall[2], wall[3]), np.hypot(wall[1], wall[2]))
+        normal_curl = np.where(on_side, wall[4], wall[6])
+        maxima = (tangential.max(axis=1), normal_curl.max(axis=1), inner[_U].max(axis=0), inner[_CURL].max(axis=0))
+        for i, *values in zip(chunk, *(v.tolist() for v in maxima)):
+            reports[i] = BoundaryReport(modes[i], *values)
     return reports
 
 

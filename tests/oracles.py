@@ -181,8 +181,8 @@ def dense_energy(state, rule):
 def dense_boundary(mode, samples):
     """The four BoundaryReport fields from the phased u_grid and curl_u_grid:
     tangential u and normal curl u at the wall samples (broadcast), and the
-    interior maxima of |u| and |curl u| over the 24 x 24 (r, z) grid of cell
-    centres, at three phi."""
+    interior maxima of |u| and |curl u| over the 24 x 24 (r, z) grid of
+    Gauss-Legendre nodes of (0, a) and (0, L), at three phi."""
     geom = mode.geom
     r, phi, z = (np.asarray(v, dtype=float) for v in samples)
     u_r, u_phi, u_z = u_grid(mode, r, phi, z)
@@ -191,7 +191,7 @@ def dense_boundary(mode, samples):
     tangential = np.where(on_side, np.hypot(np.abs(u_phi), np.abs(u_z)),
                           np.hypot(np.abs(u_r), np.abs(u_phi)))
     normal_curl = np.where(on_side, np.abs(v_r), np.abs(v_z))
-    cells = (np.arange(24) + 0.5) / 24.0
+    cells = 0.5 * (np.polynomial.legendre.leggauss(24)[0] + 1.0)
     grid = (geom.a * cells[:, None, None], np.array([0.0, 1.0, 2.5])[None, :, None],
             geom.L * cells[None, None, :])
     return {

@@ -217,6 +217,25 @@ def _equal_single_mode_fields(modes, r, phi, z):
                 assert np.array_equal(f, want), (md.index, rows)
 
 
+def test_single_mode_rows_equal_walk_rows_bitwise(unit_geom, rng):
+    # psi_grid, u_grid and curl_u_grid read one mode straight from _tables:
+    # the bits of s R Z e^{i m phi} from a one-mode _walk, on every layout
+    modes = enumerate_modes(unit_geom, 12.0)
+    layouts = [(0.3, 1.0, 0.4),
+               (np.array([0.0, 0.45, unit_geom.a]), np.array([0.0, 2.0, 4.0]), np.array([0.0, 0.6, unit_geom.L])),
+               (np.linspace(0.0, unit_geom.a, 5)[:, None, None], np.linspace(0.0, 6.0, 4)[None, :, None],
+                np.linspace(0.0, unit_geom.L, 6)[None, None, :]),
+               (rng.uniform(0.0, unit_geom.a, (3, 4)), 0.7, rng.uniform(0.0, unit_geom.L, (3, 4))),
+               (np.array([1e-10, 0.2]), np.array([[0.1], [5.0]]), 0.0)]
+    for md in (modes[0], modes[5], modes[40], modes[-1]):
+        for r, phi, z in layouts:
+            ((_, _, s, R, Z, _),) = _walk((md,), r, z, slice(None))
+            phase = _phase(md.index.m, phi)
+            want = [sc * Rc * Zc * phase for sc, Rc, Zc in zip(s[:, 0], R[..., 0], Z[..., 0])]
+            got = [psi_grid(md, r, phi, z), *u_grid(md, r, phi, z), *curl_u_grid(md, r, phi, z)]
+            assert all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, want)), md.index
+
+
 def test_abs_m_group_equals_single_mode_fields(unit_geom, rng):
     # one Bessel sweep per |m| group must not change a mode's bits
     # chi up to 10.8: a group's g r spans several Miller start indices

@@ -265,8 +265,13 @@ def test_default_wall_layout_is_built_once_per_geometry(unit_geom, monkeypatch):
     for _ in range(2):
         assert check_boundary(md, wall_samples(unit_geom)) == check_boundary(md)
     assert built == [unit_geom, other, unit_geom, unit_geom]
-    r, z, on_side = verify._default_walls(unit_geom)
-    assert not (r.flags.writeable or z.flags.writeable or on_side.flags.writeable)
+    # the 324 default samples are 25 distinct (r, z) nodes on 9 radii and 9
+    # heights, then the 24 interior radii and heights
+    nodes = verify._default_walls(unit_geom)
+    r, z, r_at, z_at, on_side = nodes
+    assert (r.size, z.size, on_side.size) == (9 + 24, 9 + 24, 25)
+    assert r_at.shape == z_at.shape == on_side.shape
+    assert not any(v.flags.writeable for v in nodes)
     verify._default_walls.cache_clear()
 
 
@@ -482,6 +487,42 @@ def test_boundary_broadcasts_samples_before_flattening(unit_geom, oracle_modes):
         side = check_boundary(md, (unit_geom.a, phi, z))
         full = check_boundary(md, (np.full(phi.shape, unit_geom.a), phi, z))
         assert side == full
+
+
+def test_repeated_phi_samples_are_one_node(unit_geom, oracle_modes):
+    # every default wall node, the corners r = a, z in {0, L} among them, at
+    # 5 phi: the oracle still agrees, and the report has the bits of the set
+    # without repeats, since samples that differ only in phi are one node
+    r, phi, z = wall_samples(unit_geom)
+    corners = np.isclose(r, unit_geom.a) & (np.isclose(z, 0.0) | np.isclose(z, unit_geom.L))
+    assert np.any(corners)
+    repeated = (np.repeat(r, 5), np.tile(np.linspace(0.0, 6.0, 5), r.size), np.repeat(z, 5))
+    for md in oracle_modes:
+        _assert_boundary_matches(md, repeated)
+        assert check_boundary(md, repeated) == check_boundary(md, (r, phi, z))
+
+
+def test_interior_heights_do_not_alias():
+    # the reference maxima take cos(n pi t) and sin(n pi t) on the 24
+    # Gauss-Legendre nodes t of (0, 1); on the 24 cell centres cos(24 pi t)
+    # vanishes at every node
+    geom = CavityGeometry(a=1.0, L=1.0, c=1.0, eps0=1.0, hbar=1.0)
+    t = verify._default_walls(geom)[1][-24:]
+    nt = np.arange(1, 2001)[:, None] * math.pi * t
+    assert np.min(np.max(np.abs(np.cos(nt)), axis=1)) >= 0.70
+    assert np.min(np.max(np.abs(np.sin(nt)), axis=1)) >= 0.69
+    cells = (np.arange(24) + 0.5) / 24.0
+    assert np.max(np.abs(np.cos(24.0 * math.pi * cells))) < 1e-13
+
+
+@pytest.mark.parametrize("m,mu", [(6, 2), (9, 1), (-35, 1)])
+def test_tm_modes_with_n_24_pass_the_wall_check(unit_geom, m, mu):
+    # cos(h z) with n = 24 vanished on every cell-centre height, so the curl's
+    # interior maximum read ~1e-12 and the normal-curl ratio ~0.3
+    md = mode_data(unit_geom, ModeIndex(m=m, mu=mu, n=24, sigma=TM))
+    rep = check_boundary(md)
+    assert rep.tangential_ratio < 1e-12 and rep.normal_curl_ratio < 1e-12
+    _assert_boundary_matches(md, wall_samples(unit_geom))
 
 
 # --------------------------------------------- a verify run shares its work
