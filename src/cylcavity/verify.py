@@ -371,8 +371,8 @@ def _wall_nodes(geom: CavityGeometry, samples):
     rs, r_of = np.unique(r, return_inverse=True)
     zs, z_of = np.unique(z, return_inverse=True)
     nodes, first = np.unique(r_of * zs.size + z_of, return_index=True)
-    inner = quadrature_rule(geom, nr=_INTERIOR, nz=_INTERIOR)
-    return (np.concatenate([rs, inner.r]), np.concatenate([zs, inner.z]),
+    interior = quadrature_rule(geom, nr=_INTERIOR, nz=_INTERIOR)
+    return (np.concatenate([rs, interior.r]), np.concatenate([zs, interior.z]),
             nodes // zs.size, nodes % zs.size, on_side[first])
 
 
