@@ -35,13 +35,13 @@ check (verify._walls) indexes the tables of its distinct wall nodes, and
 the one-mode *_grid functions read their mode's rows from them.  _walk
 gives synthesis and projection the (s, R, Z) triple of one chunk of whole
 |m| groups at a time in m order, R and Z each one gather from the tables;
-_phase alone forms e^{i m phi}.  A memo of fixed byte budget keeps the
-radial table of one function on one set of radii, so a later call on the
-same radii sweeps only the functions not seen there yet (check_boundary of
-TE(-1,1,1) after TE(1,1,1) makes no sweep).  The only removable
-singularity is (m/r) J_m(g r) on the axis, which tends to g/2 for |m| = 1
-(both signs, since J_{-1} = -J_1) and to 0 otherwise; radii below 1e-8 a
-are evaluated with that limit.
+_phase alone forms e^{i m phi}.  The radial tables are kept per set of
+radii (_kept), the least recently used set evicted whole, so a later call
+on the same radii sweeps only the functions not kept there yet
+(check_boundary of TE(-1,1,1) after TE(1,1,1) makes no sweep).  The only
+removable singularity is (m/r) J_m(g r) on the axis, which tends to g/2
+for |m| = 1 (both signs, since J_{-1} = -J_1) and to 0 otherwise; radii
+below 1e-8 a are evaluated with that limit.
 
 Grid evaluation: the *_grid functions accept numpy arrays for r, phi, z
 and broadcast them, so a tensor grid can be passed as r[:,None,None],
@@ -52,9 +52,8 @@ domain 0 <= r <= a, 0 <= z <= L, and phi must be finite.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,7 +116,7 @@ def _check_domain(geom, r, z) -> None:
         raise ValueError(f"z outside closed cavity domain [0, {geom.L}]")
 
 
-_CHUNK_POINTS = 4096        # radii x modes of one Bessel sweep; see _groups
+_CHUNK_POINTS = 4096        # radii x modes of one Bessel sweep (see _groups); most radii of a kept set
 
 
 def _groups(abs_m, radii: int) -> list:
@@ -156,57 +155,6 @@ _R_ROW = np.array([(0, 1, 2, 3, 2, 1, 0), (0, 2, 1, 0, 1, 2, 3)]).T
 _Z_ROW = np.array([(0, 1, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1, 0)]).T
 _S_CONST = np.array([(1, 1, 1j, 1, 1j, -1, 0), (1, -1, -1j, 0, 1j, -1, 1j)]).T     # u = a, curl u = k^2 b; i omega (b, a)
 _S_MARKED = np.array([(0, 0, 0, 0, 1, 1, 0), (0, 1, 1, 0, 1, 1, 1)], dtype=bool).T
-
-
-class _FactorMemo:
-    """Least-recently-used map from a radial function on a set of radii,
-    keyed on ((|m|, g, a), radii bytes), to its read-only radial table,
-    holding at most `budget` bytes of tables, of the keys' bytes parts and
-    of a fixed per-entry overhead; an entry larger than the budget is not
-    kept."""
-
-    # object headers of an entry: its table, key, tuples and map node, about
-    # 0.5 kB by tracemalloc for a one-radius table under eviction
-    entry_overhead = 1536
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.nbytes = 0
-        self._entries: OrderedDict = OrderedDict()      # key -> (table, bytes)
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key):
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return None
-            self._entries.move_to_end(key)
-            return entry[0]
-
-    def put(self, key, table) -> None:
-        size = self.entry_overhead + table.nbytes + sum(len(k) for k in key if isinstance(k, bytes))
-        if size > self.budget:
-            return
-        with self._lock:
-            if key in self._entries:
-                return
-            while self.nbytes + size > self.budget:
-                _, (_, old) = self._entries.popitem(last=False)
-                self.nbytes -= old
-            self._entries[key] = (table, size)
-            self.nbytes += size
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.nbytes = 0
-
-
-_MEMO_BYTES = 1 << 20       # byte budget of the factor memo
-_memo = _FactorMemo(_MEMO_BYTES)
 
 
 def _tables(modes, r, z):
@@ -266,26 +214,35 @@ def _gather(table, index, shape):
     return table[index.T].transpose(1, 2, 0).reshape(len(index), *shape, index.shape[1])
 
 
+# radii sets whose tables are kept: the most one benchmark op uses, a fields
+# op's display grid, rule and two Maxwell stencils (a certify op uses the
+# rule and the walls)
+_KEPT_SETS = 4
+
+
+@functools.lru_cache(maxsize=_KEPT_SETS)
+def _kept(radii: bytes) -> dict:
+    """The radial tables kept on one set of radii, given by the float64 bytes
+    of the flattened radii: radial function (|m|, g, a) -> its read-only
+    (4, radii) table.  The least recently used set is evicted whole.  No
+    lock: two threads may sweep one function twice and keep equal bytes."""
+    return {}
+
+
 def _radial(funcs, ra):
     """Radial tables of each radial function (|m|, g, a) of funcs on the radii
     ra, rows J, g J', (|m|/r) J and g^2 J of J_|m|(g r), shaped
     (4 len(funcs), ra.size); (|m|/r) J takes its limit, g/2 for |m| = 1 and
-    0 otherwise, below _AXIS_FRACTION a.  A table is read from _memo under
-    ((|m|, g, a), bytes of the flattened radii); the missing ones take one
-    kernel call per chunk (_groups) and enter the memo read-only."""
+    0 otherwise, below _AXIS_FRACTION a.  The functions not yet kept on
+    these radii (_kept) take one kernel call per chunk (_groups) and are
+    kept read-only; a set of more than _CHUNK_POINTS radii keeps nothing,
+    so the tables kept take at most _KEPT_SETS x _CHUNK_POINTS x 32 bytes
+    per radial function."""
     rs = ra.reshape(-1)
-    out = np.empty((len(funcs), 4, rs.size))
-    radii = rs.tobytes()
-    keys = [(f, radii) for f in funcs]
-    missing = []
-    for j, key in enumerate(keys):
-        kept = _memo.get(key)
-        if kept is None:
-            missing.append(j)
-        else:
-            out[j] = kept
-    absm = np.array([funcs[j][0] for j in missing], dtype=int)
-    g, a = np.array([funcs[j][1:] for j in missing], dtype=float).reshape(-1, 2).T
+    kept = _kept(rs.tobytes()) if rs.size <= _CHUNK_POINTS else {}
+    missing = [f for f in funcs if f not in kept]
+    absm = np.array([f[0] for f in missing], dtype=int)
+    g, a = np.array([f[1:] for f in missing], dtype=float).reshape(-1, 2).T
     for idx in _groups(absm.tolist(), rs.size):
         ms, gs, near = absm[idx, None], g[idx, None], rs < _AXIS_FRACTION * a[idx, None]
         if ms[0] == ms[-1]:     # one |m|: the same orders at every point
@@ -294,12 +251,10 @@ def _radial(funcs, ra):
             orders = np.repeat(ms[:, 0], rs.size) + _NEIGHBOURS[:, None]
         lower, jm, upper = _j_points(orders, (gs * rs).reshape(-1)).reshape(3, len(idx), rs.size)
         m_over_r = np.where(near | (ms == 0), np.where(ms == 1, 0.5 * gs, 0.0), ms * jm / np.where(near, 1.0, rs))
-        out[[missing[i] for i in idx]] = np.stack([jm, gs * (0.5 * (lower - upper)), m_over_r, gs * gs * jm], axis=1)
-    for j in missing:
-        table = out[j].copy()
-        table.flags.writeable = False
-        _memo.put(keys[j], table)
-    return out.reshape(4 * len(funcs), rs.size)
+        tables = np.stack([jm, gs * (0.5 * (lower - upper)), m_over_r, gs * gs * jm], axis=1)
+        tables.flags.writeable = False
+        kept.update(zip([missing[i] for i in idx], tables))
+    return np.array([kept[f] for f in funcs], dtype=float).reshape(4 * len(funcs), rs.size)
 
 
 def _phase(m, phi):

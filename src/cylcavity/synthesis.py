@@ -54,7 +54,8 @@ by one real GEMM per component into a real (component, Re/Im, m, r, z)
 array, and contracts each inner product, per m, as one real matmul,
 sum_c conj(s_c) R_c^T hat_{c, m} Z_c from modefield._walk on the rule's
 nodes.  After total_energy or the samplers on the same rule, every radial
-table comes from modefield's memo and project makes no Bessel sweep.
+table is one modefield keeps on the rule's radii, and project makes no
+Bessel sweep.
 """
 
 from __future__ import annotations

@@ -16,7 +16,8 @@ runs each:
   entry judged on the scale sqrt(|lhs_ss lhs_s's'|) (about k k'), both
   sides from one evaluation of the factors, which a verify run shares with
   gram; a check_curl_identity after a Gram on the same rule reads every
-  radial table from modefield's memo and makes no Bessel sweep,
+  radial table modefield keeps on the rule's radii and makes no Bessel
+  sweep,
 * boundary: conductor boundary conditions on the walls (vanishing
   tangential u, vanishing normal component of curl u), from the moduli
   |s| |R| |Z|, since |e^{i m phi}| = 1: samples that differ only in phi
@@ -389,7 +390,7 @@ def _default_walls(geom: CavityGeometry):
 def check_boundary(mode: ModeData, samples=None) -> BoundaryReport:
     """Tangential u and normal curl u on the walls, vs interior maxima.  Modes
     with the same radial function (|m|, g), such as the +-m partners, share
-    its radial table on the same wall samples through the factor memo."""
+    its radial table, which modefield keeps on the wall radii."""
     return _walls((mode,), samples)[0]
 
 

@@ -9,10 +9,11 @@ within a budget of radii x modes) with one bessel._j_points call (J_{|m|-1}, J_{
 J_{|m|+1} on every function's g r), so counting those calls, and the
 points each serves per |m|, pins how often each check, synthesizer,
 projection and stencil sweeps: one call per chunk, each (|m|, g) once per
-point set.  A repeat of the same modes on the same nodes is served by
-modefield's memo and makes no sweep, and so is a radial function already
-swept on the same radii: the one-mode check_boundary sweeps once per
-(|m|, g), not once per mode.  So every test starts from an empty memo.
+point set.  A repeat of the same modes on the same nodes reads the radial
+tables modefield keeps per set of radii and makes no sweep, and so does a
+radial function already swept on the same radii: the one-mode
+check_boundary sweeps once per (|m|, g), not once per mode.  So every test
+starts with no table kept.
 The spectrum builds every ModeData of one _modes call from one
 spectrum._j_points call (J_|m|, J_|m|+1 at every chi), and finds the zero
 tables it needs with one pooled scan and one pooled Newton pass.
@@ -51,10 +52,10 @@ from cylcavity.verify import DEFAULT_NR, _default_walls, default_nphi
 
 
 @pytest.fixture(autouse=True)
-def empty_memo():
-    modefield._memo.clear()
+def nothing_kept():
+    modefield._kept.cache_clear()
     yield
-    modefield._memo.clear()
+    modefield._kept.cache_clear()
 
 
 @pytest.fixture
@@ -134,8 +135,8 @@ def _per_chunk(sweeps, modes, *radii):
 
 
 def _once_then_memo(sweeps, modes, radii, call):
-    """call() sweeps once per chunk of modes from an empty memo; a repeat, none."""
-    modefield._memo.clear()
+    """call() sweeps once per chunk of modes with no table kept; a repeat, none."""
+    modefield._kept.cache_clear()
     call()
     _per_chunk(sweeps, modes, radii)
     call()
@@ -157,7 +158,7 @@ def test_checks_evaluate_each_mode_once(sweeps, state, rule):
     assert sweeps == [Counter({ma: radii}) for ma, _ in _functions(state.modes)]
     assert len(sweeps) == 10 and len(state.modes) == 30
     sweeps.clear()
-    for md in state.modes[-10:]:       # the most recent walls fit in the memo's budget
+    for md in state.modes:
         check_boundary(md)
     assert not sweeps
 
@@ -239,13 +240,29 @@ def test_maxwell_residual_evaluates_each_mode_once(sweeps, state, rng):
 
 def test_maxwell_residual_sweeps_once_without_the_memo(sweeps, state, rng, monkeypatch):
     # the stencil and the time derivative share one walk of the factors,
-    # so a memo that keeps nothing changes no count
-    monkeypatch.setattr(modefield, "_memo", modefield._FactorMemo(0))
+    # so keeping no table changes no count
+    kept = modefield._kept
+    monkeypatch.setattr(modefield, "_kept", lambda radii: {})
     points = (rng.uniform(0.1, 0.8, 8), rng.uniform(0.0, 6.0, 8), rng.uniform(0.1, 1.2, 8))
     for _ in range(2):
         maxwell_residual(state, points, 1e-3)
         _per_chunk(sweeps, state.modes, 7 * 8)
-    assert len(modefield._memo) == 0
+    assert kept.cache_info().currsize == 0
+
+
+def test_projection_after_energy_at_omega_40_makes_no_sweep(sweeps, unit_geom, rng):
+    # the 7128 modes' 333 radial tables on the default rule stay kept whole:
+    # a repeat total_energy and project with its samplers sweep nothing
+    modes = enumerate_modes(unit_geom, 40.0)
+    rule = default_rule(unit_geom, modes)
+    state = FieldState(geom=unit_geom, entries=tuple(zip(modes, rng.normal(size=len(modes)) + 0j)))
+    assert len(modes) == 7128 and len(_functions(modes)) == 333
+    total_energy(state, rule)
+    assert sweeps
+    sweeps.clear()
+    total_energy(state, rule)
+    project(*field_samplers(state), modes, rule)
+    assert not sweeps
 
 
 @pytest.mark.parametrize("suites,point_sets", [

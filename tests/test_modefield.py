@@ -37,8 +37,9 @@ from cylcavity import (
     u_mode,
 )
 import cylcavity.modefield as modefield
-from cylcavity.modefield import (_CHUNK_POINTS, _CURL, _MEMO_BYTES, _PSI, _U, _gather, _groups, _memo, _phase,
+from cylcavity.modefield import (_CHUNK_POINTS, _CURL, _KEPT_SETS, _PSI, _U, _gather, _groups, _kept, _phase,
                                  _tables, _walk)
+from cylcavity.verify import _default_walls
 from oracles import fd_curl_cyl, fd_div_cyl, fd_grad_cyl
 
 MODES = [
@@ -329,44 +330,46 @@ def test_empty_mode_set_has_empty_factors(unit_geom):
 
 @pytest.fixture
 def sweeps(monkeypatch):
-    """Bessel kernel calls made by modefield, starting from an empty memo."""
+    """Bessel kernel calls made by modefield, starting with no table kept."""
     calls = []
     original = modefield._j_points
     monkeypatch.setattr(modefield, "_j_points", lambda orders, x: calls.append(orders) or original(orders, x))
-    _memo.clear()
+    _kept.cache_clear()
     yield calls
-    _memo.clear()
+    _kept.cache_clear()
 
 
-def _radial_entries():
-    """The memo's entries, each checked to be one radial function's table:
-    keyed on ((|m|, g, a), radii bytes), a read-only (4, radii) table (J,
-    g J', (|m|/r) J, g^2 J)."""
-    entries = list(_memo._entries.items())
-    for (func, radii), (table, size) in entries:
-        absm, g, a = func
+def _kept_tables(r):
+    """The tables kept on the radii r, which must be a kept set, each checked
+    to be one radial function's read-only (4, radii) table (J, g J',
+    (|m|/r) J, g^2 J) keyed on (|m|, g, a)."""
+    hits = _kept.cache_info().hits
+    kept = _kept(np.asarray(r, dtype=float).reshape(-1).tobytes())
+    assert _kept.cache_info().hits == hits + 1, "the radii set is not kept"
+    for (absm, g, a), table in kept.items():
         assert isinstance(absm, int) and absm >= 0 and g > 0.0 and a > 0.0
-        assert table.shape == (4, len(radii) // 8) and not table.flags.writeable
-        assert size == _memo.entry_overhead + table.nbytes + len(radii)
-    assert _memo.nbytes == sum(size for _, (_, size) in entries) <= _MEMO_BYTES
-    return entries
+        assert table.shape == (4, np.size(r)) and not table.flags.writeable
+    assert _kept.cache_info().currsize <= _KEPT_SETS
+    return kept
 
 
 def test_factor_memo_serves_repeats_read_only(unit_geom, sweeps):
-    # the memo keeps one read-only table per radial function and radii; a
-    # repeat of the same modes on nodes with the same float64 bytes reads
-    # every table from it
+    # one read-only table per radial function is kept on a set of radii; a
+    # repeat of the same modes on radii with the same float64 bytes, in any
+    # shape, reads every table from it
     modes = tuple(enumerate_modes(unit_geom, 6.5))
     r, z = np.linspace(0.0, unit_geom.a, 9)[:, None], np.linspace(0.0, unit_geom.L, 7)[None, :]
     first = _walked(modes, r, z)
     count = len(sweeps)
     again = _walked(list(modes), r.copy(), z.tolist())
-    assert len(sweeps) == count and len(_radial_entries()) == 10
-    assert {func for (func, _) in _memo._entries} == {(abs(md.index.m), md.g, md.geom.a) for md in modes}
-    _memo.clear()
+    flat = _walked(modes, r.ravel()[None, :], z)
+    assert len(sweeps) == count and _kept.cache_info().currsize == 1
+    assert set(_kept_tables(r)) == {(abs(md.index.m), md.g, md.geom.a) for md in modes}
+    assert len(_kept_tables(r)) == 10
+    _kept.cache_clear()
     fresh = _walked(modes, r, z)
-    for a, b, c in zip(first, again, fresh):
-        assert a.tobytes() == b.tobytes() == c.tobytes() and a.shape == b.shape == c.shape
+    for a, b, c, d in zip(first, again, fresh, flat):
+        assert a.tobytes() == b.tobytes() == c.tobytes() == d.tobytes() and a.shape == b.shape == c.shape
 
 
 def test_factor_memo_misses_on_other_geometry_or_nodes(unit_geom, sweeps):
@@ -387,11 +390,12 @@ def test_factor_memo_misses_on_other_geometry_or_nodes(unit_geom, sweeps):
         before = len(sweeps)
         _walked((md,), rr, zz)
         calls.append(len(sweeps) - before)
-    assert calls == [1, 0, 1, 1, 0, 0] and len(_radial_entries()) == 3
-    _memo.clear()
-    for md, rr, zz in cases:     # each cold factor equals its memo-served one
+    assert calls == [1, 0, 1, 1, 0, 0] and _kept.cache_info().currsize == 2
+    assert len(_kept_tables(r)) == 2 and len(_kept_tables(np.nextafter(r, 1.0))) == 1
+    _kept.cache_clear()
+    for md, rr, zz in cases:     # each cold factor equals its kept one
         want = _walked((md,), rr, zz)
-        _memo.clear()
+        _kept.cache_clear()
         assert all(a.tobytes() == b.tobytes() for a, b in zip(want, _walked((md,), rr, zz)))
 
 
@@ -403,9 +407,9 @@ def test_partners_read_one_triple_bit_for_bit(unit_geom, sweeps):
     r, z = np.linspace(0.0, unit_geom.a, 11), np.linspace(0.0, unit_geom.L, 5)
     cold = []
     for md in modes:
-        _memo.clear()
+        _kept.cache_clear()
         cold.append(_walked((md,), r, z))
-    _memo.clear()
+    _kept.cache_clear()
     del sweeps[:]
     for md, want in zip(modes, cold):
         got = _walked((md,), r, z)
@@ -415,14 +419,14 @@ def test_partners_read_one_triple_bit_for_bit(unit_geom, sweeps):
     for md in modes:
         reports.append(check_boundary(md))
         assert len(sweeps) == 2, md.index      # the walls' radii: one more sweep
-    _memo.clear()
+    _kept.cache_clear()
     assert reports == [check_boundary(md) for md in modes]
 
 
 def test_one_call_shares_each_function_without_the_memo(unit_geom, sweeps, monkeypatch):
-    # a memo that keeps nothing still sweeps each radial function of a call
+    # with no table kept, one call still sweeps each of its radial functions
     # once, in one kernel call per chunk: here two functions, two |m| groups
-    monkeypatch.setattr(modefield, "_memo", modefield._FactorMemo(0))
+    monkeypatch.setattr(modefield, "_kept", lambda radii: {})
     modes = [mode_data(unit_geom, ModeIndex(m=m, mu=1, n=n, sigma=sigma))
              for m, n, sigma in ((1, 1, TE), (-1, 1, TE), (1, 2, TE), (0, 0, TM), (0, 2, TM))]
     r, z = np.linspace(0.0, unit_geom.a, 13), np.linspace(0.0, unit_geom.L, 5)
@@ -430,71 +434,68 @@ def test_one_call_shares_each_function_without_the_memo(unit_geom, sweeps, monke
         got = _walked(modes, r, z)
         assert [orders.shape for orders in sweeps] == [(3, 2 * r.size)]
         del sweeps[:]
-    assert len(modefield._memo) == 0
+    assert _kept.cache_info().currsize == 0
     for j, md in enumerate(modes):      # each mode as it is alone
         assert all(a[..., j].tobytes() == b[..., 0].tobytes() for a, b in zip(got, _walked((md,), r, z)))
 
 
 def test_factor_memo_keeps_within_budget(unit_geom, sweeps):
-    # an entry costs 4 table floats and the key's 8 bytes per radius
-    md = mode_data(unit_geom, ModeIndex(m=0, mu=1, n=1, sigma=TM))
-    per_radius = 4 * 8 + 8
-
-    def radii(count, shift):
-        return np.linspace(0.0, unit_geom.a, count) * (1.0 - shift * 1e-3)
-
-    wide = radii(_MEMO_BYTES // per_radius + 1, 0)
-    s, R, Z = _walked((md,), wide, 0.5)     # returned, but its table passes the budget
-    assert R.shape == (7, wide.size, 1) and len(_memo) == 0
-    third = [radii(int(_MEMO_BYTES / (3.5 * per_radius)), k) for k in range(4)]    # three fit
-    for k, r in enumerate(third[:3]):
-        _walked((md,), r, 0.5)
-        assert len(_radial_entries()) == k + 1
-    _walked((md,), third[0], 0.5)           # the oldest entry becomes the newest
-    _walked((md,), third[3], 0.5)           # evicts third[1], the least recently used
-    assert len(_radial_entries()) == 3
-    before = len(sweeps)
-    _walked((md,), third[0], 0.7)
-    _walked((md,), third[2], 0.7)
-    assert len(sweeps) == before
-    _walked((md,), third[1], 0.5)
-    assert len(sweeps) == before + 1 and len(_radial_entries()) == 3
+    # _KEPT_SETS radii sets are kept and a further one evicts the least
+    # recently used set whole; a set of more than _CHUNK_POINTS radii is used
+    # but not kept
+    one, two = (mode_data(unit_geom, ModeIndex(m=m, mu=1, n=1, sigma=TM)) for m in (0, 2))
+    sets = [np.linspace(0.0, unit_geom.a, 9 + k) for k in range(_KEPT_SETS + 1)]
+    _walked((one,), sets[0], 0.5)
+    _walked((two,), sets[0], 0.5)           # two functions on the oldest set, swept apart
+    for r in sets[1:]:
+        _walked((one,), r, 0.5)
+    assert _kept.cache_info().currsize == _KEPT_SETS
+    del sweeps[:]
+    for r in sets[:0:-1]:
+        _walked((one,), r, 0.7)
+    assert not sweeps
+    _walked((one, two), sets[0], 0.5)       # both functions again, in one sweep
+    assert [orders.shape for orders in sweeps] == [(3, 2 * sets[0].size)]
+    edge, wide = (np.linspace(0.0, unit_geom.a, n) for n in (_CHUNK_POINTS, _CHUNK_POINTS + 1))
+    calls, info = [], _kept.cache_info()
+    for r in (wide, wide, edge, edge):
+        before = len(sweeps)
+        s, R, Z = _walked((one,), r, 0.5)
+        calls.append(len(sweeps) - before)
+        assert R.shape == (7, r.size, 1)
+    assert calls == [1, 1, 1, 0] and _kept.cache_info().misses == info.misses + 1
 
 
 def test_factor_memo_budget_bounds_its_memory(unit_geom, sweeps):
-    # one-radius entries are mostly object headers; the budget counts them as
-    # the fixed _FactorMemo.entry_overhead per entry, so this pins that the
-    # constant covers what tracemalloc sees an entry hold on this interpreter
-    # (under 1 kB on CPython 3.11 with NumPy 2); entries as modefield stores
-    # them, without a sweep per radius
-    md = mode_data(unit_geom, ModeIndex(m=1, mu=1, n=1, sigma=TM))
-    _walked((md,), 0.4, 0.5)
-    [(key, (table, _))] = _memo._entries.items()
-    _memo.clear()
-    radii = np.linspace(0.1, 0.8, 1200)
+    # the kept tables take at most _KEPT_SETS x _CHUNK_POINTS x 32 bytes per
+    # radial function, besides each set's key of 8 bytes per radius: here two
+    # functions on more sets of _CHUNK_POINTS radii than are kept
+    modes = [mode_data(unit_geom, ModeIndex(m=m, mu=1, n=1, sigma=TE)) for m in (1, 3)]
+    sets = [np.linspace(0.0, unit_geom.a, _CHUNK_POINTS) * (1.0 - k * 1e-3) for k in range(_KEPT_SETS + 2)]
+    _walked(modes, sets[0], 0.5)
+    _kept.cache_clear()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        for x in radii:
-            r = np.asarray(x)
-            kept = table.copy()
-            kept.flags.writeable = False
-            _memo.put(((abs(md.index.m), md.g, md.geom.a), r.tobytes()), kept)
+        for r in sets:
+            _walked(modes, r, 0.5)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert 0 < len(_memo) < radii.size and len(_radial_entries()) == len(_memo)
-    assert held <= _memo.nbytes, (
-        f"an entry holds {held / len(_memo) - table.nbytes - 8:.0f} bytes besides its table and key "
-        f"bytes; _FactorMemo.entry_overhead counts {_memo.entry_overhead}")
+    tables = _KEPT_SETS * _CHUNK_POINTS * 32 * len(modes)
+    assert _kept.cache_info().currsize == _KEPT_SETS
+    assert tables <= held <= tables + _KEPT_SETS * _CHUNK_POINTS * 8 + (64 << 10), held
 
 
 def test_factor_memo_accounting_survives_threads(unit_geom, sweeps):
-    # more threads than cores, each evicting the others' entries; a lost
-    # update would leave nbytes off the sum of the entries kept
+    # more threads than cores, each evicting the others' sets: every call
+    # returns the bytes of a cold call, and no more sets are kept than allowed
     md = mode_data(unit_geom, ModeIndex(m=2, mu=1, n=1, sigma=TE))
-    radii = [np.linspace(0.0, unit_geom.a, _MEMO_BYTES // 200) * (1.0 - k * 1e-3) for k in range(5)]
-    want = [_walked((md,), r, 0.3)[1].tobytes() for r in radii]
+    radii = [np.linspace(0.0, unit_geom.a, 512) * (1.0 - k * 1e-3) for k in range(_KEPT_SETS + 2)]
+    want = []
+    for r in radii:
+        _kept.cache_clear()
+        want.append(_walked((md,), r, 0.3)[1].tobytes())
     errors = []
 
     def work(k):
@@ -516,29 +517,31 @@ def test_factor_memo_accounting_survives_threads(unit_geom, sweeps):
     finally:
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads) and not errors
-    assert 0 < len(_radial_entries()) < len(radii)
+    assert _kept.cache_info().currsize == _KEPT_SETS
 
 
 def test_memo_keeps_radial_tables_only_after_certify_and_fields_ops(unit_geom, rng, sweeps):
-    # the two benchmark ops' calls, each repeated: the memo holds only
-    # radial-function tables within its budget, and every repeat reads all
-    # its tables from it
+    # the two benchmark ops' calls, each repeated: at most _KEPT_SETS radii
+    # sets are kept, each holding only radial-function tables, and every
+    # repeat reads all its tables from them
     modes = enumerate_modes(unit_geom, 6.5)
     rule = default_rule(unit_geom, modes)
     state = FieldState(geom=unit_geom, entries=tuple(zip(modes, rng.normal(size=len(modes)) + 0j)))
     grid = (np.linspace(0.0, unit_geom.a, 7)[:, None, None], np.linspace(0.0, 6.0, 5)[None, :, None],
             np.linspace(0.0, unit_geom.L, 6)[None, None, :])
-    calls = [lambda: check_vector_orthonormality(modes, rule), lambda: check_curl_identity(modes, rule),
-             *(lambda md=md: check_boundary(md) for md in modes),
-             lambda: electric_field_grid(state, *grid), lambda: magnetic_field_grid(state, *grid),
-             lambda: total_energy(state, rule), lambda: project(*field_samplers(state), modes, rule)]
-    for call in calls:
+    funcs = {(abs(md.index.m), md.g, md.geom.a) for md in modes}
+    calls = [(rule.r, lambda: check_vector_orthonormality(modes, rule)),
+             (rule.r, lambda: check_curl_identity(modes, rule)),
+             *((_default_walls(unit_geom)[0], lambda md=md: check_boundary(md)) for md in modes),
+             (grid[0], lambda: electric_field_grid(state, *grid)), (grid[0], lambda: magnetic_field_grid(state, *grid)),
+             (rule.r, lambda: total_energy(state, rule)), (rule.r, lambda: project(*field_samplers(state), modes, rule))]
+    for radii, call in calls:
         call()
-        _radial_entries()
+        assert set(_kept_tables(radii)) <= funcs
         before = len(sweeps)
         call()
         assert len(sweeps) == before
-    assert len(_radial_entries()) > len({(abs(md.index.m), md.g) for md in modes})
+    assert set(_kept_tables(rule.r)) == set(_kept_tables(grid[0])) == funcs
 
 
 def test_n0_mode_has_no_axial_dependence(unit_geom):
