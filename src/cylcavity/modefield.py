@@ -83,7 +83,8 @@ class CylPoint:
             object.__setattr__(self, name, v)
         if self.r < 0.0:
             raise ValueError(f"CylPoint.r must be >= 0, got {self.r}")
-        object.__setattr__(self, "phi", self.phi % (2.0 * math.pi))
+        phi = self.phi % (2.0 * math.pi)      # rounds a tiny negative phi up to 2 pi
+        object.__setattr__(self, "phi", phi if phi < 2.0 * math.pi else 0.0)
 
 
 @dataclass(frozen=True)

@@ -115,12 +115,6 @@ def evolve(state: FieldState, dt: float) -> FieldState:
     return FieldState(geom=state.geom, entries=entries, t=state.t + dt)
 
 
-def _derivative_state(state: FieldState) -> FieldState:
-    """State whose field values equal the time derivative: a_s -> -i omega_s a_s."""
-    entries = tuple((md, -1j * md.omega * a) for md, a in state.entries)
-    return FieldState(geom=state.geom, entries=entries, t=state.t)
-
-
 def _contract(a, b, out=None, runs=None) -> np.ndarray:
     """sum_j a[..., j] b[..., j] over broadcast leading axes, as one matmul: an
     axis where only a varies is a GEMM row, one where only b varies a column,
@@ -205,7 +199,7 @@ def _synthesize(state: FieldState, r, phi, z, fields, rate_at=None):
     # per output, 2 p a and an index into the point axes: the fields, then their rates
     outputs = [(2.0 * state.amplitudes * scale, ((), (), ()))]
     if rate_at is not None:
-        outputs.append((2.0 * _derivative_state(state).amplitudes * scale, rate_at))
+        outputs.append((2.0 * (-1j * omega * state.amplitudes) * scale, rate_at))
     planes = [np.empty((len(slot), 2, len(scale), *np.broadcast_shapes(r[at_r].shape, z[at_z].shape)))
               for _, (at_r, _, at_z) in outputs]
     for idx, m, s, R, Z, runs in _walk(modes, r, z, rows):

@@ -11,13 +11,18 @@ runs each:
 
 * scalar products of the potentials against the closed form
   (1/2) |c_norm|^2 V alpha delta_{ss'}  (one polarization at a time),
-* gram: the full vector Gram matrix <u_s, u_s'> against the identity,
+* gram: the full vector Gram matrix <u_s, u_s'> against the identity;
+  GramReport gives max_offdiag, max_diag_deviation, hermiticity_error and
+  max_deviation,
 * curl: the curl identity <curl u_s, curl u_s'> = k'^2 <u_s, u_s'>, each
   entry judged on the scale sqrt(|lhs_ss lhs_s's'|) (about k k'), both
   sides from one evaluation of the factors, which a verify run shares with
   gram; a check_curl_identity after a Gram on the same rule reads every
   radial table modefield keeps on the rule's radii and makes no Bessel
-  sweep,
+  sweep; CurlIdentityReport gives max_relative_mismatch,
+  max_absolute_mismatch, max_scaled_mismatch and passed.  Each report
+  computes all its figures together from its matrices, on the first access
+  to any of them, and keeps no other n x n array,
 * boundary: conductor boundary conditions on the walls (vanishing
   tangential u, vanishing normal component of curl u), from the moduli
   |s| |R| |Z|, since |e^{i m phi}| = 1: samples that differ only in phi
@@ -36,12 +41,14 @@ conj(s_i) s_j times entries of two real 1-D table Grams, [sum_r w_r R_i
 R_j] [sum_z w_z Z_i Z_j], times Phi(m_j - m_i), Phi(q) = sum_phi w_phi
 e^{i q phi}.  On the uniform phi rule Phi(q) is exactly sum w_phi when
 q = 0 mod nphi and 0 otherwise (discrete orthogonality of the trapezoid
-rule), so _gram takes it in that closed form: entries between different m
-classes are exactly 0, and an aliasing nphi keeps its aliased entries.
+rule), so _gram sums only the pairs of one m class (m mod nphi), found
+once per call, and scatters them into a zero matrix: entries between
+different classes are exactly 0.0, and an aliasing nphi puts its aliased
+pairs in one class, so they keep their entries.
 The r and z factors are summed numerically over the rule's own nodes, so
 an under-resolved r or z rule shows as it would in the full 3-D sum.  The
-dense per-pair sum and an (r, z)-plane GEMM are the references in
-tests/oracles.py.
+dense per-pair sum, an (r, z)-plane GEMM and the same table sum over every
+pair, masked by Phi, are the references in tests/oracles.py.
 
 All reports are deterministic: fixed node sets and a fixed summation
 order, so identical inputs give identical bytes.
@@ -163,19 +170,33 @@ def _same_geometry(modes, rule: QuadratureRule) -> None:
 
 def _gram(modes, rule: QuadratureRule, *row_sets) -> list:
     """For each slice of factor rows in row_sets, the n x n matrix summed over
-    the nodes of w conj(row_i) row_j and over the rows: per row k of
+    the nodes of w conj(row_i) row_j and over the rows.  The exact phi sum
+    Phi(m_j - m_i) is sum w_phi when m_j = m_i mod nphi, else 0, so only the
+    pairs (i, j) of one m class are summed, found once per call: per row k of
     _tables, conj(s_ki c_i) s_kj c_j G_R[rho_ki, rho_kj] G_Z[zeta_ki, zeta_kj]
     with the table Grams G = t t^T, t a table times sqrt(w) (exactly
-    symmetric, so the matrix is exactly Hermitian), times the exact phi sum
-    Phi(m_j - m_i): sum w_phi when m_j = m_i mod nphi, else 0."""
+    symmetric, so the matrix is exactly Hermitian), times sum w_phi.  Every
+    other entry is exactly 0.0."""
     _same_geometry(modes, rule)
     s, c, radial, r_at, axial, z_at = _tables(modes, rule.r, rule.z)
     a = s * c
     g_r, g_z = (t @ t.T for t in (radial * np.sqrt(rule.wr), axial * np.sqrt(rule.wz)))
-    m = np.array([md.index.m for md in modes], dtype=int)
-    phi_sum = np.where((m[None, :] - m[:, None]) % rule.nphi == 0, rule.wphi.sum(), 0.0)
-    return [sum(np.outer(np.conj(a[k]), a[k]) * g_r[np.ix_(r_at[k], r_at[k])] * g_z[np.ix_(z_at[k], z_at[k])]
-                for k in range(7)[rows]) * phi_sum for rows in row_sets]
+    # the in-class pairs (i, j): the p-th mode in class order pairs with order[first[p]:first[p] + size[p]]
+    m = np.array([md.index.m for md in modes], dtype=int) % rule.nphi
+    order = np.argsort(m, kind="stable")
+    size, first = np.bincount(m[order])[m[order]], np.searchsorted(m[order], m[order])
+    i = np.repeat(order, size)
+    j = order[np.repeat(first - np.cumsum(size) + size, size) + np.arange(size.sum())]
+    grams = [np.zeros((len(modes),) * 2, dtype=complex) for _ in row_sets]
+    for gram, rows in zip(grams, row_sets):
+        b, r, z = a[rows], r_at[rows], z_at[rows]
+        gram[i, j] = sum(np.conj(b[:, i]) * b[:, j] * g_r[r[:, i], r[:, j]] * g_z[z[:, i], z[:, j]]) * rule.wphi.sum()
+    return grams
+
+
+def _figure(name: str, doc: str | None = None) -> property:
+    """A report property: one entry of the figures the report computes together."""
+    return property(lambda rep: rep._figures[name], doc=doc)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,34 +205,25 @@ class GramReport:
 
     For the scalar check the matrix is normalized by the closed-form
     diagonal (1/2)|c_norm|^2 V alpha, so the target is the identity in
-    both cases.  Each property is computed once, on first access.
+    both cases.  All figures are computed together from the matrix, on the
+    first access to any of them, and kept.
     """
 
     modes: tuple
     matrix: np.ndarray
 
-    @functools.cached_property
-    def max_offdiag(self) -> float:
-        if len(self.modes) < 2:
-            return 0.0
-        off = self.matrix - np.diag(np.diag(self.matrix))
-        return float(np.max(np.abs(off)))
+    max_offdiag = _figure("max_offdiag")
+    max_diag_deviation = _figure("max_diag_deviation")
+    hermiticity_error = _figure("hermiticity_error")
+    max_deviation = _figure("max_deviation")
 
     @functools.cached_property
-    def max_diag_deviation(self) -> float:
-        if not self.modes:
-            return 0.0
-        return float(np.max(np.abs(np.diag(self.matrix) - 1.0)))
-
-    @functools.cached_property
-    def hermiticity_error(self) -> float:
-        if not self.modes:
-            return 0.0
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
-
-    @functools.cached_property
-    def max_deviation(self) -> float:
-        return max(self.max_offdiag, self.max_diag_deviation)
+    def _figures(self) -> dict:
+        g, n = self.matrix, len(self.modes)
+        off = float(np.max(np.abs(g - np.diag(np.diag(g))))) if n >= 2 else 0.0
+        diag = float(np.max(np.abs(np.diag(g) - 1.0))) if n else 0.0
+        return {"max_offdiag": off, "max_diag_deviation": diag, "max_deviation": max(off, diag),
+                "hermiticity_error": float(np.max(np.abs(g - g.conj().T))) if n else 0.0}
 
 
 def check_scalar_orthonormality(modes, rule: QuadratureRule) -> GramReport:
@@ -239,7 +251,11 @@ class CurlIdentityReport:
     An entry's absolute floor is abs_tol times its bound sqrt(|lhs_ii lhs_jj|),
     the Cauchy-Schwarz bound of |<curl u_i, curl u_j>| (about k_i k_j), so
     the criterion has no units and does not tighten as the cutoff grows.
-    Each property is computed once, on first access; arrays are read-only."""
+    An entry's mismatch is |lhs - rhs| and its scale max(|lhs|, |rhs|); it
+    is significant when its scale exceeds abs_tol times its bound, and
+    passes when its mismatch is at most max(rel_tol scale, abs_tol bound).
+    All figures are computed together from lhs and rhs, on the first access
+    to any of them, and kept."""
 
     modes: tuple
     lhs: np.ndarray
@@ -247,51 +263,24 @@ class CurlIdentityReport:
     rel_tol: float
     abs_tol: float
 
-    @functools.cached_property
-    def mismatch(self) -> np.ndarray:
-        return _read_only(np.abs(self.lhs - self.rhs))
+    max_relative_mismatch = _figure("max_relative_mismatch", "Worst mismatch/scale over the significant entries.")
+    max_absolute_mismatch = _figure("max_absolute_mismatch", "Worst mismatch over the other entries.")
+    max_scaled_mismatch = _figure("max_scaled_mismatch", "Worst mismatch/bound over all entries.")
+    passed = _figure("passed", "Whether every entry passes.")
 
     @functools.cached_property
-    def scale(self) -> np.ndarray:
-        return _read_only(np.maximum(np.abs(self.lhs), np.abs(self.rhs)))
-
-    @functools.cached_property
-    def bound(self) -> np.ndarray:
-        """sqrt(|lhs_ii lhs_jj|) for every entry (i, j)."""
+    def _figures(self) -> dict:
+        mismatch = np.abs(self.lhs - self.rhs)
+        scale = np.maximum(np.abs(self.lhs), np.abs(self.rhs))
         norms = np.abs(np.diag(self.lhs))
-        return _read_only(np.sqrt(np.outer(norms, norms)))
-
-    @functools.cached_property
-    def max_relative_mismatch(self) -> float:
-        """Worst mismatch/scale over entries with scale above abs_tol * bound."""
-        sig = self.scale > self.abs_tol * self.bound
-        if not np.any(sig):
-            return 0.0
-        return float(np.max(self.mismatch[sig] / self.scale[sig]))
-
-    @functools.cached_property
-    def max_absolute_mismatch(self) -> float:
-        """Worst mismatch over entries where both sides are within abs_tol * bound."""
-        sig = self.scale > self.abs_tol * self.bound
-        if np.all(sig):
-            return 0.0
-        return float(np.max(self.mismatch[~sig]))
-
-    @functools.cached_property
-    def max_scaled_mismatch(self) -> float:
-        """Worst mismatch/bound over all entries."""
-        return float(np.max(self.mismatch / self.bound, initial=0.0))
-
-    @functools.cached_property
-    def passed(self) -> bool:
-        floor = self.rel_tol * self.scale
-        np.maximum(floor, self.abs_tol * self.bound, out=floor)
-        return bool(np.all(self.mismatch <= floor))
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+        bound = np.sqrt(np.outer(norms, norms))
+        sig = scale > self.abs_tol * bound
+        figures = {"max_relative_mismatch": float(np.max(mismatch[sig] / scale[sig], initial=0.0)),
+                   "max_absolute_mismatch": float(np.max(mismatch[~sig], initial=0.0)),
+                   "max_scaled_mismatch": float(np.max(mismatch / bound, initial=0.0))}
+        # in place, scale becomes each entry's floor max(rel_tol scale, abs_tol bound)
+        np.maximum(np.multiply(scale, self.rel_tol, out=scale), np.multiply(bound, self.abs_tol, out=bound), out=scale)
+        return {**figures, "passed": bool(np.all(mismatch <= scale))}
 
 
 def check_curl_identity(

@@ -7,6 +7,8 @@ every node of the 3-D rule, pair by pair (or, for sizes the 3-D sum cannot
 reach, one GEMM over the (r, z) planes), fields from a per-mode sum over
 every point, the field energy from those fields on every node, and wall
 checks from the full phased mode functions.  Slow and simple on purpose.
+One reference is not independent: masked_gram is the production Gram's
+formula summed over every pair and masked by the phi sum afterwards.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 import numpy as np
 
 from cylcavity.bessel import bessel_j, bessel_j_prime
-from cylcavity.modefield import curl_u_grid, u_grid
+from cylcavity.modefield import _tables, curl_u_grid, u_grid
 
 
 def bisect_zeros(f, count: int, x_start: float, x_stop: float, scan_step: float = 0.5):
@@ -130,6 +132,20 @@ def rz_gram(modes, rule, evaluator):
     m = np.array([md.index.m for md in modes])
     phi_sum = np.exp(1j * (m[None, :, None] - m[:, None, None]) * rule.phi) @ rule.wphi
     return (np.conj(planes) @ planes.T) * phi_sum
+
+
+def masked_gram(modes, rule, *row_sets):
+    """_gram's sum over every pair (i, j) of the n x n matrix, each entry then
+    multiplied by the exact phi sum: sum w_phi when m_j = m_i mod nphi, else
+    0.  Reads the production factor tables; the reference for summing only
+    the in-class pairs."""
+    s, c, radial, r_at, axial, z_at = _tables(modes, rule.r, rule.z)
+    a = s * c
+    g_r, g_z = (t @ t.T for t in (radial * np.sqrt(rule.wr), axial * np.sqrt(rule.wz)))
+    m = np.array([md.index.m for md in modes], dtype=int)
+    phi_sum = np.where((m[None, :] - m[:, None]) % rule.nphi == 0, rule.wphi.sum(), 0.0)
+    return [sum(np.outer(np.conj(a[k]), a[k]) * g_r[np.ix_(r_at[k], r_at[k])] * g_z[np.ix_(z_at[k], z_at[k])]
+                for k in range(7)[rows]) * phi_sum for rows in row_sets]
 
 
 def dense_project(e_sampler, b_sampler, modes, rule):

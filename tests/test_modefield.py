@@ -565,6 +565,11 @@ def test_cyl_point_validation():
         CylPoint(r=-0.1, phi=0.0, z=0.0)
     p = CylPoint(r=0.2, phi=2.0 * math.pi + 0.3, z=0.1)
     assert p.phi == pytest.approx(0.3, abs=1e-12)
+    # a tiny negative phi, which % rounds up to 2 pi, folds to 0
+    for phi in (-1e-20, -1e-16, -0.0):
+        p = CylPoint(r=0.1, phi=phi, z=0.2)
+        assert p.phi == 0.0 and not math.copysign(1.0, p.phi) < 0.0, phi
+    assert 0.0 < CylPoint(r=0.1, phi=-5e-16, z=0.2).phi < 2.0 * math.pi
 
 
 def test_cyl_point_stores_numpy_reals_as_floats_and_rejects_bools():

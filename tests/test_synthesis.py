@@ -38,7 +38,7 @@ from cylcavity import (
 )
 import cylcavity.modefield as modefield
 from cylcavity.modefield import _CHUNK_POINTS, _groups, _walk
-from cylcavity.synthesis import _contract, _derivative_state, _fd_stencil, _synthesize
+from cylcavity.synthesis import _contract, _fd_stencil, _synthesize
 from cylcavity.verify import default_nphi
 from oracles import dense_energy, dense_fields, dense_project
 
@@ -313,6 +313,12 @@ def test_maxwell_residuals_small_against_field_scale(unit_geom, rng):
     # h^2 k^3 ~ 1e-6 of the field scale at these frequencies
     assert rep.faraday < 1e-4 * max(rep.e_scale, rep.b_scale)
     assert rep.ampere < 1e-4 * max(rep.e_scale, rep.b_scale)
+
+
+def _derivative_state(state):
+    """The state whose fields are the time derivative of state's: a_s -> -i omega_s a_s."""
+    entries = tuple((md, -1j * md.omega * a) for md, a in state.entries)
+    return FieldState(geom=state.geom, entries=entries, t=state.t)
 
 
 @pytest.mark.parametrize("layout", ["scattered", "broadcast", "scalar phi"])
