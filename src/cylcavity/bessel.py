@@ -46,6 +46,7 @@ from the same table so the two agree to the last bit.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 import threading
@@ -430,6 +431,13 @@ def _as_real(name: str, v) -> float:
     if isinstance(v, bool) or not isinstance(v, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {v!r}")
     return float(v)
+
+
+def _as_complex(name: str, v) -> complex:
+    """v as a Python complex when it is a finite number other than a bool; else ValueError."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Complex) or not cmath.isfinite(v):
+        raise ValueError(f"{name} must be a finite number, got {v!r}")
+    return complex(v)
 
 
 def bessel_zero(m: int, mu: int) -> float:

@@ -53,10 +53,6 @@ class UsageError(Exception):
     """Malformed invocation detected after option merging (exit status 2)."""
 
 
-def _parse_int(raw: str) -> int:
-    return int(raw, 10)
-
-
 def _parse_kind(raw: str) -> str:
     if raw not in ("j", "jprime"):
         raise ValueError("expected 'j' or 'jprime'")
@@ -268,9 +264,9 @@ _COMMANDS = (
         "bessel-zeros",
         "print the first zeros of J_m or J_m' as CSV",
         (
-            _Opt("m", _parse_int, help_text="Bessel order (non-negative integer)"),
+            _Opt("m", int, help_text="Bessel order (non-negative integer)"),
             _Opt("kind", _parse_kind, "j", "'j' for J_m zeros, 'jprime' for J_m' zeros"),
-            _Opt("count", _parse_int, 10, "how many zeros"),
+            _Opt("count", int, 10, "how many zeros"),
         ),
         _cmd_bessel_zeros,
     ),
@@ -298,9 +294,9 @@ _COMMANDS = (
             _Opt("omega-max", float, help_text="angular frequency cutoff for the mode set"),
             _Opt("suite", _parse_suites, _SUITES,
                  "comma list from bessel,gram,curl,boundary (default all)"),
-            _Opt("nr", _parse_int, DEFAULT_NR, "radial quadrature order"),
-            _Opt("nphi", _parse_int, 0, "azimuthal quadrature points (0 = auto)"),
-            _Opt("nz", _parse_int, DEFAULT_NZ, "axial quadrature order"),
+            _Opt("nr", int, DEFAULT_NR, "radial quadrature order"),
+            _Opt("nphi", int, 0, "azimuthal quadrature points (0 = auto)"),
+            _Opt("nz", int, DEFAULT_NZ, "axial quadrature order"),
             _Opt("gram-tol", float, 1e-8, "orthonormality tolerance"),
             _Opt("curl-rel-tol", float, 1e-8, "curl identity relative tolerance"),
             _Opt("curl-abs-tol", float, 1e-12, "curl identity absolute tolerance"),
@@ -327,9 +323,9 @@ _COMMANDS = (
             _Opt("modes", _parse_mode_list, None,
                  "target modes 'm,mu,n,sigma;...' (alternative to --omega-max)"),
             _Opt("omega-max", float, None, "project onto all modes below this cutoff"),
-            _Opt("nr", _parse_int, DEFAULT_NR, "radial quadrature order"),
-            _Opt("nphi", _parse_int, 0, "azimuthal quadrature points (0 = auto)"),
-            _Opt("nz", _parse_int, DEFAULT_NZ, "axial quadrature order"),
+            _Opt("nr", int, DEFAULT_NR, "radial quadrature order"),
+            _Opt("nphi", int, 0, "azimuthal quadrature points (0 = auto)"),
+            _Opt("nz", int, DEFAULT_NZ, "axial quadrature order"),
         ),
         _cmd_project,
     ),

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import _as_real, _j_points
+from .bessel import _as_complex, _as_real, _j_points
 from .spectrum import TE, TM, ModeData
 
 _AXIS_FRACTION = 1e-8       # r/a below which the on-axis limits are used
@@ -97,9 +97,7 @@ class CylVector:
 
     def __post_init__(self) -> None:
         for name in ("v_r", "v_phi", "v_z"):
-            v = complex(getattr(self, name))
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                raise ValueError(f"CylVector.{name} must be finite, got {v!r}")
+            object.__setattr__(self, name, _as_complex(f"CylVector.{name}", getattr(self, name)))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.v_r, self.v_phi, self.v_z], dtype=complex)

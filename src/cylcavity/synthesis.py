@@ -66,6 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bessel import _as_complex, _as_real
 from .modefield import _CURL, _U, CylPoint, _phase, _tables, _walk
 from .spectrum import CavityGeometry, ModeData
 from .verify import QuadratureRule, _same_geometry
@@ -80,21 +81,20 @@ class FieldState:
     t: float = 0.0
 
     def __post_init__(self) -> None:
-        entries = tuple((md, complex(a)) for md, a in self.entries)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "t", _as_real("FieldState.t", self.t))
         if not math.isfinite(self.t):
             raise ValueError(f"time must be finite, got {self.t!r}")
-        seen = set()
-        for md, a in entries:
+        entries, seen = [], set()
+        for k, (md, a) in enumerate(self.entries):
             if not isinstance(md, ModeData):
                 raise ValueError(f"entries must pair ModeData with amplitudes, got {md!r}")
             if md.geom != self.geom:
                 raise ValueError(f"mode {md.index} belongs to a different geometry")
-            if not (math.isfinite(a.real) and math.isfinite(a.imag)):
-                raise ValueError(f"amplitude for {md.index} must be finite, got {a!r}")
             if md.index in seen:
                 raise ValueError(f"duplicate mode {md.index} in state")
             seen.add(md.index)
+            entries.append((md, _as_complex(f"amplitude of entry {k}", a)))
+        object.__setattr__(self, "entries", tuple(entries))
 
     @property
     def modes(self) -> tuple:
@@ -107,6 +107,7 @@ class FieldState:
 
 def evolve(state: FieldState, dt: float) -> FieldState:
     """Advance by dt: a_s -> a_s e^{-i omega_s dt}."""
+    dt = _as_real("dt", dt)
     if not math.isfinite(dt):
         raise ValueError(f"dt must be finite, got {dt!r}")
     entries = tuple(

@@ -22,7 +22,10 @@ runs each:
   sweep; CurlIdentityReport gives max_relative_mismatch,
   max_absolute_mismatch, max_scaled_mismatch and passed.  Each report
   computes all its figures together from its matrices, on the first access
-  to any of them, and keeps no other n x n array,
+  to any of them, and keeps no other n x n array.  One function per report
+  kind (_gram_figures, _curl_figures) takes the figures from a list of
+  diagonal blocks: a report passes its own matrices as the one block, and
+  a verify run the blocks of the m classes, so it forms no n x n array,
 * boundary: conductor boundary conditions on the walls (vanishing
   tangential u, vanishing normal component of curl u), from the moduli
   |s| |R| |Z|, since |e^{i m phi}| = 1: samples that differ only in phi
@@ -41,10 +44,11 @@ conj(s_i) s_j times entries of two real 1-D table Grams, [sum_r w_r R_i
 R_j] [sum_z w_z Z_i Z_j], times Phi(m_j - m_i), Phi(q) = sum_phi w_phi
 e^{i q phi}.  On the uniform phi rule Phi(q) is exactly sum w_phi when
 q = 0 mod nphi and 0 otherwise (discrete orthogonality of the trapezoid
-rule), so _gram sums only the pairs of one m class (m mod nphi), found
-once per call, and scatters them into a zero matrix: entries between
-different classes are exactly 0.0, and an aliasing nphi puts its aliased
-pairs in one class, so they keep their entries.
+rule), so _pair_sums sums only the pairs of one m class (m mod nphi),
+found once per call and laid out class by class, each class's square
+block row-major; _gram scatters them into a zero matrix for the reports:
+entries between different classes are exactly 0.0, and an aliasing nphi
+puts its aliased pairs in one class, so they keep their entries.
 The r and z factors are summed numerically over the rule's own nodes, so
 an under-resolved r or z rule shows as it would in the full 3-D sum.  The
 dense per-pair sum, an (r, z)-plane GEMM and the same table sum over every
@@ -168,35 +172,56 @@ def _same_geometry(modes, rule: QuadratureRule) -> None:
             raise ValueError(f"mode {md.index} belongs to {md.geom}, the quadrature rule to {rule.geom}")
 
 
-def _gram(modes, rule: QuadratureRule, *row_sets) -> list:
-    """For each slice of factor rows in row_sets, the n x n matrix summed over
-    the nodes of w conj(row_i) row_j and over the rows.  The exact phi sum
-    Phi(m_j - m_i) is sum w_phi when m_j = m_i mod nphi, else 0, so only the
-    pairs (i, j) of one m class are summed, found once per call: per row k of
-    _tables, conj(s_ki c_i) s_kj c_j G_R[rho_ki, rho_kj] G_Z[zeta_ki, zeta_kj]
-    with the table Grams G = t t^T, t a table times sqrt(w) (exactly
-    symmetric, so the matrix is exactly Hermitian), times sum w_phi.  Every
-    other entry is exactly 0.0."""
+def _pair_sums(modes, rule: QuadratureRule, *row_sets):
+    """(i, j, sizes, sums): the pairs (i, j) of modes whose m agree mod nphi,
+    class by class in ascending m mod nphi and each class's pairs row-major,
+    the class sizes, and for each slice of factor rows in row_sets the pair
+    sums of w conj(row_i) row_j over the nodes and the rows.  The exact phi
+    sum Phi(m_j - m_i) is sum w_phi on these pairs and 0 on all others: per
+    row k of _tables, conj(s_ki c_i) s_kj c_j G_R[rho_ki, rho_kj] G_Z[zeta_ki,
+    zeta_kj] with the table Grams G = t t^T, t a table times sqrt(w) (exactly
+    symmetric, so each class's block is exactly Hermitian), times sum w_phi."""
     _same_geometry(modes, rule)
     s, c, radial, r_at, axial, z_at = _tables(modes, rule.r, rule.z)
     a = s * c
     g_r, g_z = (t @ t.T for t in (radial * np.sqrt(rule.wr), axial * np.sqrt(rule.wz)))
     # the in-class pairs (i, j): the p-th mode in class order pairs with order[first[p]:first[p] + size[p]]
     m = np.array([md.index.m for md in modes], dtype=int) % rule.nphi
-    order = np.argsort(m, kind="stable")
-    size, first = np.bincount(m[order])[m[order]], np.searchsorted(m[order], m[order])
+    order, sizes = np.argsort(m, kind="stable"), np.bincount(m)
+    size, first = sizes[m[order]], np.searchsorted(m[order], m[order])
     i = np.repeat(order, size)
     j = order[np.repeat(first - np.cumsum(size) + size, size) + np.arange(size.sum())]
-    grams = [np.zeros((len(modes),) * 2, dtype=complex) for _ in row_sets]
-    for gram, rows in zip(grams, row_sets):
+    sums = []
+    for rows in row_sets:
         b, r, z = a[rows], r_at[rows], z_at[rows]
-        gram[i, j] = sum(np.conj(b[:, i]) * b[:, j] * g_r[r[:, i], r[:, j]] * g_z[z[:, i], z[:, j]]) * rule.wphi.sum()
+        sums.append(sum(np.conj(b[:, i]) * b[:, j] * g_r[r[:, i], r[:, j]] * g_z[z[:, i], z[:, j]]) * rule.wphi.sum())
+    return i, j, sizes[sizes > 0], sums
+
+
+def _gram(modes, rule: QuadratureRule, *row_sets) -> list:
+    """For each slice of factor rows in row_sets, the n x n matrix with the
+    _pair_sums of the in-class pairs; every other entry is exactly 0.0."""
+    i, j, _, sums = _pair_sums(modes, rule, *row_sets)
+    grams = [np.zeros((len(modes),) * 2, dtype=complex) for _ in row_sets]
+    for gram, pair_sums in zip(grams, sums):
+        gram[i, j] = pair_sums
     return grams
 
 
 def _figure(name: str, doc: str | None = None) -> property:
     """A report property: one entry of the figures the report computes together."""
     return property(lambda rep: rep._figures[name], doc=doc)
+
+
+def _gram_figures(blocks) -> dict:
+    """GramReport's figures of a matrix that is 0 outside its square diagonal
+    blocks, from the blocks; as in np.max, a NaN anywhere shows."""
+    worst = [[np.max(np.abs(g - np.diag(np.diag(g))), initial=0.0), np.max(np.abs(np.diag(g) - 1.0), initial=0.0),
+              np.max(np.abs(g - g.conj().T), initial=0.0)] for g in blocks]
+    off, diag, hermiticity = np.max(np.reshape(worst, (-1, 3)), axis=0, initial=0.0).tolist()
+    off = off if sum(len(g) for g in blocks) >= 2 else 0.0
+    return {"max_offdiag": off, "max_diag_deviation": diag, "max_deviation": max(off, diag),
+            "hermiticity_error": hermiticity}
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,11 +244,7 @@ class GramReport:
 
     @functools.cached_property
     def _figures(self) -> dict:
-        g, n = self.matrix, len(self.modes)
-        off = float(np.max(np.abs(g - np.diag(np.diag(g))))) if n >= 2 else 0.0
-        diag = float(np.max(np.abs(np.diag(g) - 1.0))) if n else 0.0
-        return {"max_offdiag": off, "max_diag_deviation": diag, "max_deviation": max(off, diag),
-                "hermiticity_error": float(np.max(np.abs(g - g.conj().T))) if n else 0.0}
+        return _gram_figures([self.matrix])
 
 
 def check_scalar_orthonormality(modes, rule: QuadratureRule) -> GramReport:
@@ -270,17 +291,29 @@ class CurlIdentityReport:
 
     @functools.cached_property
     def _figures(self) -> dict:
-        mismatch = np.abs(self.lhs - self.rhs)
-        scale = np.maximum(np.abs(self.lhs), np.abs(self.rhs))
-        norms = np.abs(np.diag(self.lhs))
+        return _curl_figures([(self.lhs, self.rhs)], self.rel_tol, self.abs_tol)
+
+
+def _curl_figures(blocks, rel_tol: float, abs_tol: float) -> dict:
+    """CurlIdentityReport's figures of an lhs and rhs that are 0 outside their
+    square diagonal blocks, from the (lhs, rhs) block pairs; as in np.max, a
+    NaN anywhere shows.  An entry outside the blocks passes and adds 0 to
+    every figure while each |lhs_ii| is positive and finite and abs_tol >= 0."""
+    worst, passed = [], True
+    for lhs, rhs in blocks:
+        mismatch = np.abs(lhs - rhs)
+        scale = np.maximum(np.abs(lhs), np.abs(rhs))
+        norms = np.abs(np.diag(lhs))
         bound = np.sqrt(np.outer(norms, norms))
-        sig = scale > self.abs_tol * bound
-        figures = {"max_relative_mismatch": float(np.max(mismatch[sig] / scale[sig], initial=0.0)),
-                   "max_absolute_mismatch": float(np.max(mismatch[~sig], initial=0.0)),
-                   "max_scaled_mismatch": float(np.max(mismatch / bound, initial=0.0))}
+        sig = scale > abs_tol * bound
+        worst.append([np.max(mismatch[sig] / scale[sig], initial=0.0), np.max(mismatch[~sig], initial=0.0),
+                      np.max(mismatch / bound, initial=0.0)])
         # in place, scale becomes each entry's floor max(rel_tol scale, abs_tol bound)
-        np.maximum(np.multiply(scale, self.rel_tol, out=scale), np.multiply(bound, self.abs_tol, out=bound), out=scale)
-        return {**figures, "passed": bool(np.all(mismatch <= scale))}
+        np.maximum(np.multiply(scale, rel_tol, out=scale), np.multiply(bound, abs_tol, out=bound), out=scale)
+        passed = passed and bool(np.all(mismatch <= scale))
+    relative, absolute, scaled = np.max(np.reshape(worst, (-1, 3)), axis=0, initial=0.0).tolist()
+    return {"max_relative_mismatch": relative, "max_absolute_mismatch": absolute, "max_scaled_mismatch": scaled,
+            "passed": passed}
 
 
 def check_curl_identity(
@@ -291,11 +324,7 @@ def check_curl_identity(
 ) -> CurlIdentityReport:
     """Both matrices from one evaluation of the factors of u and curl u."""
     modes = tuple(modes)
-    return _curl_report(modes, *_gram(modes, rule, _U, _CURL), rel_tol, abs_tol)
-
-
-def _curl_report(modes, u_gram, curl_gram, rel_tol, abs_tol) -> CurlIdentityReport:
-    """lhs = the Gram of curl u, rhs = k_j^2 times the Gram of u."""
+    u_gram, curl_gram = _gram(modes, rule, _U, _CURL)
     rhs = u_gram * np.array([md.k**2 for md in modes])
     return CurlIdentityReport(modes=modes, lhs=curl_gram, rhs=rhs, rel_tol=rel_tol, abs_tol=abs_tol)
 
@@ -453,28 +482,19 @@ def _run_suites(geom: CavityGeometry, omega_max: float, suites, nr: int, nphi: i
         out["bessel"] = _bessel_suite(tolerances["bessel_tol"])
     if "gram" in suites or "curl" in suites:
         rule = quadrature_rule(geom, nr=nr, nphi=nphi or default_nphi(modes), nz=nz)
-        grams = _gram(modes, rule, _U, _CURL) if "curl" in suites else _gram(modes, rule, _U)
+        _, j, sizes, sums = _pair_sums(modes, rule, _U, _CURL) if "curl" in suites else _pair_sums(modes, rule, _U)
+        # each class's square block is a view of its row-major run of pair sums
+        blocks = lambda flat: [flat[end - n * n:end].reshape(n, n) for n, end in zip(sizes, np.cumsum(sizes * sizes))]
     if "gram" in suites:
-        rep = GramReport(modes=modes, matrix=grams[0])
-        out["gram"] = {
-            "hermiticity_error": rep.hermiticity_error,
-            "max_diag_deviation": rep.max_diag_deviation,
-            "max_offdiag": rep.max_offdiag,
-            "mode_count": len(modes),
-            "passed": bool(rep.max_deviation <= tolerances["gram_tol"]),
-            "tolerance": tolerances["gram_tol"],
-        }
+        figures = _gram_figures(blocks(sums[0]))
+        passed = bool(figures.pop("max_deviation") <= tolerances["gram_tol"])
+        out["gram"] = {**figures, "mode_count": len(modes), "passed": passed, "tolerance": tolerances["gram_tol"]}
     if "curl" in suites:
-        rep = _curl_report(modes, *grams, tolerances["curl_rel_tol"], tolerances["curl_abs_tol"])
-        out["curl"] = {
-            "abs_tolerance": rep.abs_tol,
-            "max_absolute_mismatch": rep.max_absolute_mismatch,
-            "max_relative_mismatch": rep.max_relative_mismatch,
-            "max_scaled_mismatch": rep.max_scaled_mismatch,
-            "mode_count": len(modes),
-            "passed": rep.passed,
-            "rel_tolerance": rep.rel_tol,
-        }
+        rhs = sums[0] * np.array([md.k**2 for md in modes])[j]
+        figures = _curl_figures(zip(blocks(sums[1]), blocks(rhs)),
+                                tolerances["curl_rel_tol"], tolerances["curl_abs_tol"])
+        out["curl"] = {**figures, "abs_tolerance": tolerances["curl_abs_tol"], "mode_count": len(modes),
+                       "rel_tolerance": tolerances["curl_rel_tol"]}
     if "boundary" in suites:
         reps = _walls(modes)
         worst_t = max((rep.tangential_ratio for rep in reps), default=0.0)

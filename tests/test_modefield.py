@@ -582,6 +582,16 @@ def test_cyl_point_stores_numpy_reals_as_floats_and_rejects_bools():
                 CylPoint(**{"r": 0.5, "phi": 0.0, "z": 0.5, name: bad})
 
 
+def test_cyl_vector_stores_numbers_as_complex_and_rejects_bools_and_strings():
+    v = CylVector(np.float32(0.5), np.complex128(2j), 3)
+    assert (v.v_r, v.v_phi, v.v_z) == (0.5, 2j, 3)
+    assert all(type(c) is complex for c in (v.v_r, v.v_phi, v.v_z))
+    for name in ("v_r", "v_phi", "v_z"):
+        for bad in ("1", "2j", True, np.False_, complex(0.0, math.inf), math.nan):
+            with pytest.raises(ValueError, match=f"CylVector.{name} must be a finite number"):
+                CylVector(**{"v_r": 1.0, "v_phi": 0j, "v_z": 0j, name: bad})
+
+
 def test_point_api_matches_grid(unit_geom):
     md = mode_data(unit_geom, ModeIndex(m=2, mu=1, n=1, sigma=TE))
     p = CylPoint(r=0.31, phi=1.2, z=0.9)

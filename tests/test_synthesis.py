@@ -359,6 +359,21 @@ def test_state_validation(unit_geom, rng):
     other = CavityGeometry(a=1.1, L=1.3, c=1.0, eps0=1.0, hbar=1.0)
     with pytest.raises(ValueError):
         FieldState(geom=other, entries=((modes[0], 1.0),))
+    # amplitudes are finite numbers and t and dt real numbers, none of them a
+    # bool or a string, which complex() and float() would take; the state
+    # keeps them as Python complex and float
+    for bad in ("1+2j", True, np.True_, None, complex(0.0, math.nan)):
+        with pytest.raises(ValueError, match="amplitude of entry 1 must be a finite number"):
+            FieldState(geom=unit_geom, entries=((modes[0], 1.0), (modes[1], bad)))
+    for bad in ("0", True):
+        with pytest.raises(ValueError, match="FieldState.t must be a real number"):
+            FieldState(geom=unit_geom, entries=(), t=bad)
+    state = FieldState(geom=unit_geom, entries=((modes[0], np.complex64(1 + 2j)), (modes[1], 3)), t=np.float32(0.5))
+    assert [type(a) for _, a in state.entries] == [complex, complex] and state.amplitudes.tolist() == [1 + 2j, 3]
+    assert type(state.t) is float and state.t == 0.5
+    for bad in (True, "1"):
+        with pytest.raises(ValueError, match="dt must be a real number"):
+            evolve(state, bad)
 
 
 def test_empty_state(unit_geom):

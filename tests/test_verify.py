@@ -565,23 +565,75 @@ def test_walls_equal_one_mode_checks_bitwise(unit_geom, oracle_modes):
     assert _walls((), samples) == []
 
 
-def test_run_suites_gram_and_curl_equal_public_checks_bitwise(unit_geom, oracle_modes):
-    tolerances = {"gram_tol": 1e-8, "curl_rel_tol": 1e-8, "curl_abs_tol": 1e-12,
-                  "boundary_tol": 1e-10, "bessel_tol": 1e-12}
+_TOLERANCES = {"gram_tol": 1e-8, "curl_rel_tol": 1e-8, "curl_abs_tol": 1e-12,
+               "boundary_tol": 1e-10, "bessel_tol": 1e-12}
+
+
+def _assert_suites_carry_the_report_bits(got, modes, rule):
+    # the figures _run_suites takes from the class blocks have the bits of
+    # the dense reports' figures, NaN included
+    gram = check_vector_orthonormality(modes, rule)
+    curl = check_curl_identity(modes, rule, _TOLERANCES["curl_rel_tol"], _TOLERANCES["curl_abs_tol"])
+    if "gram" in got:
+        assert got["gram"]["mode_count"] == len(modes)
+        assert got["gram"]["passed"] is bool(gram.max_deviation <= _TOLERANCES["gram_tol"])
+        for key in ("hermiticity_error", "max_diag_deviation", "max_offdiag"):
+            assert repr(got["gram"][key]) == repr(getattr(gram, key)), key
+    if "curl" in got:
+        for key in ("max_absolute_mismatch", "max_relative_mismatch", "max_scaled_mismatch", "passed"):
+            assert repr(got["curl"][key]) == repr(getattr(curl, key)), key
+
+
+def test_run_suites_gram_and_curl_equal_public_checks_bitwise(unit_geom):
+    # a resolving rule, an aliasing nphi = 7, an under-resolved nr = nz = 10
+    # (both fail), and no modes at all
+    for omega_max, nr, nphi, nz, passed in ((6.5, DEFAULT_NR, 0, DEFAULT_NZ, True), (10.0, 20, 7, 14, False),
+                                            (10.0, 10, 0, 10, False), (0.1, DEFAULT_NR, 0, DEFAULT_NZ, True)):
+        modes = enumerate_modes(unit_geom, omega_max)
+        rule = quadrature_rule(unit_geom, nr=nr, nphi=nphi or default_nphi(modes), nz=nz)
+        # gram alone reads a three-component Gram, with curl a six-component one
+        for suites in (("gram",), ("curl",), ("gram", "curl")):
+            got = _run_suites(unit_geom, omega_max, suites, nr, nphi, nz, _TOLERANCES)
+            assert got["suites"].keys() == set(suites) and got["passed"] is passed, (omega_max, nphi, nr)
+            _assert_suites_carry_the_report_bits(got["suites"], modes, rule)
+
+
+def test_run_suites_show_a_nan_in_any_one_block_as_the_dense_reports_do(unit_geom, oracle_modes, monkeypatch):
+    # np.max keeps a NaN wherever it is, where Python's max keeps it only first
     rule = default_rule(unit_geom, oracle_modes)
-    gram = check_vector_orthonormality(oracle_modes, rule)
-    curl = check_curl_identity(oracle_modes, rule)
-    # gram alone reads a three-component Gram, with curl a six-component one
-    for suites in (("gram",), ("curl",), ("gram", "curl")):
-        got = _run_suites(unit_geom, 6.5, suites, DEFAULT_NR, 0, DEFAULT_NZ, tolerances)["suites"]
-        assert got.keys() == set(suites)
-        if "gram" in got:
-            assert got["gram"]["mode_count"] == len(oracle_modes)
-            for key in ("hermiticity_error", "max_diag_deviation", "max_offdiag"):
-                assert got["gram"][key] == getattr(gram, key), (suites, key)
-        if "curl" in got:
-            for key in ("max_absolute_mismatch", "max_relative_mismatch", "max_scaled_mismatch", "passed"):
-                assert got["curl"][key] == getattr(curl, key), (suites, key)
+    original = verify._pair_sums
+    sizes = original(oracle_modes, rule, _U)[2]
+    assert len(sizes) > 2 and max(sizes) > 1
+    for start, size in zip((np.cumsum(sizes * sizes) - sizes * sizes).tolist(), sizes.tolist()):
+        for at, rows in ((start, _U), (start, _CURL), (start + size * size - 2, _U), (start + 1, _CURL)):
+            if size == 1 and at != start:
+                continue
+
+            def poisoned(modes, rule, *row_sets):
+                i, j, sizes, sums = original(modes, rule, *row_sets)
+                for sliced, flat in zip(row_sets, sums):
+                    if sliced == rows:
+                        flat[at] = np.nan
+                return i, j, sizes, sums
+
+            monkeypatch.setattr(verify, "_pair_sums", poisoned)
+            got = _run_suites(unit_geom, 6.5, ("gram", "curl"), DEFAULT_NR, 0, DEFAULT_NZ, _TOLERANCES)["suites"]
+            assert any(isinstance(v, float) and math.isnan(v) for suite in got.values() for v in suite.values())
+            _assert_suites_carry_the_report_bits(got, oracle_modes, rule)
+
+
+def test_run_suites_hold_no_n_by_n_array(unit_geom):
+    # at 878 modes the peak stays below one complex 878 x 878 matrix; the
+    # dense reports took 5 of them
+    _run_suites(unit_geom, 20.0, ("gram", "curl"), DEFAULT_NR, 0, DEFAULT_NZ, _TOLERANCES)     # tables kept
+    tracemalloc.start()
+    try:
+        got = _run_suites(unit_geom, 20.0, ("gram", "curl"), DEFAULT_NR, 0, DEFAULT_NZ, _TOLERANCES)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got["mode_count"] == 878 and got["passed"]
+    assert peak < 16 * 878**2
 
 
 # ----------------------------------------------------------- bessel suite
