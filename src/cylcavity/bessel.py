@@ -433,6 +433,13 @@ def _as_real(name: str, v) -> float:
     return float(v)
 
 
+def _as_tolerance(name: str, v) -> float:
+    """v as a Python float when it is a finite real number >= 0 other than a bool; else ValueError."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not (math.isfinite(v) and v >= 0):
+        raise ValueError(f"{name} must be a finite number >= 0, got {v!r}")
+    return float(v)
+
+
 def _as_complex(name: str, v) -> complex:
     """v as a Python complex when it is a finite number other than a bool; else ValueError."""
     if isinstance(v, bool) or not isinstance(v, numbers.Complex) or not cmath.isfinite(v):

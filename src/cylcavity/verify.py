@@ -44,9 +44,9 @@ conj(s_i) s_j times entries of two real 1-D table Grams, [sum_r w_r R_i
 R_j] [sum_z w_z Z_i Z_j], times Phi(m_j - m_i), Phi(q) = sum_phi w_phi
 e^{i q phi}.  On the uniform phi rule Phi(q) is exactly sum w_phi when
 q = 0 mod nphi and 0 otherwise (discrete orthogonality of the trapezoid
-rule), so _pair_sums sums only the pairs of one m class (m mod nphi),
-found once per call and laid out class by class, each class's square
-block row-major; _gram scatters them into a zero matrix for the reports:
+rule), so _blocks sums only the pairs of one m class (m mod nphi) and
+yields each class's positions and square block; _gram scatters them into
+a zero matrix for the reports, a verify run takes its figures from them:
 entries between different classes are exactly 0.0, and an aliasing nphi
 puts its aliased pairs in one class, so they keep their entries.
 The r and z factors are summed numerically over the rule's own nodes, so
@@ -66,7 +66,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bessel import (_KIND_J, _KIND_JPRIME, _ZERO_RESIDUAL_MAX, _as_int, _newton_passes, _root_funcs,
+from .bessel import (_KIND_J, _KIND_JPRIME, _ZERO_RESIDUAL_MAX, _as_int, _as_tolerance, _newton_passes, _root_funcs,
                      _zero_tables)
 from .modefield import _CURL, _PSI, _U, _groups, _tables
 from .spectrum import _GEOMETRY_KEYS, CavityGeometry, ModeData, enumerate_modes
@@ -172,39 +172,39 @@ def _same_geometry(modes, rule: QuadratureRule) -> None:
             raise ValueError(f"mode {md.index} belongs to {md.geom}, the quadrature rule to {rule.geom}")
 
 
-def _pair_sums(modes, rule: QuadratureRule, *row_sets):
-    """(i, j, sizes, sums): the pairs (i, j) of modes whose m agree mod nphi,
-    class by class in ascending m mod nphi and each class's pairs row-major,
-    the class sizes, and for each slice of factor rows in row_sets the pair
-    sums of w conj(row_i) row_j over the nodes and the rows.  The exact phi
-    sum Phi(m_j - m_i) is sum w_phi on these pairs and 0 on all others: per
-    row k of _tables, conj(s_ki c_i) s_kj c_j G_R[rho_ki, rho_kj] G_Z[zeta_ki,
+def _blocks(modes, rule: QuadratureRule, *row_sets):
+    """Per class of the modes whose m agree mod nphi, in ascending m mod nphi:
+    the class's positions in modes, in stable order, and for each slice of
+    factor rows in row_sets the class's square block of the sums of w
+    conj(row_i) row_j over the nodes and the rows.  The exact phi sum
+    Phi(m_j - m_i) is sum w_phi in a class and 0 between classes: per row k
+    of _tables, conj(s_ki c_i) s_kj c_j G_R[rho_ki, rho_kj] G_Z[zeta_ki,
     zeta_kj] with the table Grams G = t t^T, t a table times sqrt(w) (exactly
-    symmetric, so each class's block is exactly Hermitian), times sum w_phi."""
+    symmetric, so each block is exactly Hermitian), times sum w_phi."""
     _same_geometry(modes, rule)
     s, c, radial, r_at, axial, z_at = _tables(modes, rule.r, rule.z)
-    a = s * c
     g_r, g_z = (t @ t.T for t in (radial * np.sqrt(rule.wr), axial * np.sqrt(rule.wz)))
-    # the in-class pairs (i, j): the p-th mode in class order pairs with order[first[p]:first[p] + size[p]]
     m = np.array([md.index.m for md in modes], dtype=int) % rule.nphi
-    order, sizes = np.argsort(m, kind="stable"), np.bincount(m)
-    size, first = sizes[m[order]], np.searchsorted(m[order], m[order])
-    i = np.repeat(order, size)
-    j = order[np.repeat(first - np.cumsum(size) + size, size) + np.arange(size.sum())]
-    sums = []
-    for rows in row_sets:
-        b, r, z = a[rows], r_at[rows], z_at[rows]
-        sums.append(sum(np.conj(b[:, i]) * b[:, j] * g_r[r[:, i], r[:, j]] * g_z[z[:, i], z[:, j]]) * rule.wphi.sum())
-    return i, j, sizes[sizes > 0], sums
+    order, sizes, w = np.argsort(m, kind="stable"), np.bincount(m), rule.wphi.sum()
+    # the factors of the rows from the first to the last requested, in class
+    # order, so that each class is a run of columns
+    lo, hi = min(rows.start for rows in row_sets), max(rows.stop for rows in row_sets)
+    a, r, z = (s * c)[lo:hi, order], r_at[lo:hi, order], z_at[lo:hi, order]
+    for stop, size in zip(np.cumsum(sizes).tolist(), sizes.tolist()):
+        if size:
+            at = slice(stop - size, stop)
+            terms = (np.conj(a[:, at, None]) * a[:, None, at] * g_r[r[:, at, None], r[:, None, at]]
+                     * g_z[z[:, at, None], z[:, None, at]])
+            yield order[at], [sum(terms[rows.start - lo:rows.stop - lo]) * w for rows in row_sets]
 
 
 def _gram(modes, rule: QuadratureRule, *row_sets) -> list:
     """For each slice of factor rows in row_sets, the n x n matrix with the
-    _pair_sums of the in-class pairs; every other entry is exactly 0.0."""
-    i, j, _, sums = _pair_sums(modes, rule, *row_sets)
+    class blocks of _blocks; every entry between classes is exactly 0.0."""
     grams = [np.zeros((len(modes),) * 2, dtype=complex) for _ in row_sets]
-    for gram, pair_sums in zip(grams, sums):
-        gram[i, j] = pair_sums
+    for idx, blocks in _blocks(modes, rule, *row_sets):
+        for gram, block in zip(grams, blocks):
+            gram[idx[:, None], idx] = block
     return grams
 
 
@@ -323,6 +323,7 @@ def check_curl_identity(
     abs_tol: float = 1e-12,
 ) -> CurlIdentityReport:
     """Both matrices from one evaluation of the factors of u and curl u."""
+    rel_tol, abs_tol = _as_tolerance("rel_tol", rel_tol), _as_tolerance("abs_tol", abs_tol)
     modes = tuple(modes)
     u_gram, curl_gram = _gram(modes, rule, _U, _CURL)
     rhs = u_gram * np.array([md.k**2 for md in modes])
@@ -476,29 +477,28 @@ def _run_suites(geom: CavityGeometry, omega_max: float, suites, nr: int, nphi: i
     """The `cylcavity verify` report: each requested suite of _SUITES on the modes
     with omega <= omega_max.  nphi = 0 takes default_nphi; tolerances holds
     gram_tol, curl_rel_tol, curl_abs_tol, boundary_tol and bessel_tol."""
+    tolerances = {key: _as_tolerance(key, v) for key, v in tolerances.items()}
     modes = tuple(enumerate_modes(geom, omega_max))
     out = {}
     if "bessel" in suites:
         out["bessel"] = _bessel_suite(tolerances["bessel_tol"])
     if "gram" in suites or "curl" in suites:
         rule = quadrature_rule(geom, nr=nr, nphi=nphi or default_nphi(modes), nz=nz)
-        _, j, sizes, sums = _pair_sums(modes, rule, _U, _CURL) if "curl" in suites else _pair_sums(modes, rule, _U)
-        # each class's square block is a view of its row-major run of pair sums
-        blocks = lambda flat: [flat[end - n * n:end].reshape(n, n) for n, end in zip(sizes, np.cumsum(sizes * sizes))]
+        classes = list(_blocks(modes, rule, _U, _CURL) if "curl" in suites else _blocks(modes, rule, _U))
     if "gram" in suites:
-        figures = _gram_figures(blocks(sums[0]))
+        figures = _gram_figures([u for _, (u, *_) in classes])
         passed = bool(figures.pop("max_deviation") <= tolerances["gram_tol"])
         out["gram"] = {**figures, "mode_count": len(modes), "passed": passed, "tolerance": tolerances["gram_tol"]}
     if "curl" in suites:
-        rhs = sums[0] * np.array([md.k**2 for md in modes])[j]
-        figures = _curl_figures(zip(blocks(sums[1]), blocks(rhs)),
+        ksq = np.array([md.k**2 for md in modes])
+        figures = _curl_figures(((curl, u * ksq[idx]) for idx, (u, curl) in classes),
                                 tolerances["curl_rel_tol"], tolerances["curl_abs_tol"])
         out["curl"] = {**figures, "abs_tolerance": tolerances["curl_abs_tol"], "mode_count": len(modes),
                        "rel_tolerance": tolerances["curl_rel_tol"]}
     if "boundary" in suites:
         reps = _walls(modes)
-        worst_t = max((rep.tangential_ratio for rep in reps), default=0.0)
-        worst_n = max((rep.normal_curl_ratio for rep in reps), default=0.0)
+        ratios = np.reshape([(rep.tangential_ratio, rep.normal_curl_ratio) for rep in reps], (-1, 2))
+        worst_t, worst_n = np.max(ratios, axis=0, initial=0.0).tolist()
         tol = tolerances["boundary_tol"]
         out["boundary"] = {
             "max_normal_curl_ratio": worst_n,

@@ -178,6 +178,15 @@ def test_verify_passes_with_default_options(capsys, argv, count):
     assert rep["suites"]["gram"]["hermiticity_error"] == 0.0
 
 
+@pytest.mark.parametrize("bad", ["-1e-12", "nan", "inf"])
+def test_verify_rejects_a_negative_or_non_finite_tolerance(capsys, recwarn, bad):
+    for option in ("gram-tol", "curl-rel-tol", "curl-abs-tol", "boundary-tol", "bessel-tol"):
+        code, out, err = run_cli(["verify", *GEOM_ARGS, "--omega-max", "10", f"--{option}={bad}"], capsys)
+        assert code == 1 and not out
+        assert err == f"error: {option.replace('-', '_')} must be a finite number >= 0, got {float(bad)!r}\n"
+    assert not recwarn.list
+
+
 def test_verify_suite_selection(capsys):
     code, out, _ = run_cli(["verify", *GEOM_ARGS, "--omega-max", "4",
                             "--suite", "bessel"], capsys)

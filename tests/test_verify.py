@@ -1,5 +1,6 @@
 """Quadrature rule and the certification checks built on it."""
 
+import dataclasses
 import json
 import math
 import re
@@ -40,8 +41,8 @@ import cylcavity.bessel as bessel
 import cylcavity.verify as verify
 from cylcavity.cli import main
 from cylcavity.modefield import _CURL, _PSI, _U
-from cylcavity.verify import (DEFAULT_NR, DEFAULT_NZ, CurlIdentityReport, GramReport, _bessel_suite, _gram, _run_suites,
-                              _walls, default_nphi)
+from cylcavity.verify import (_SUITES, DEFAULT_NR, DEFAULT_NZ, CurlIdentityReport, GramReport, _bessel_suite, _gram,
+                              _run_suites, _walls, default_nphi)
 from oracles import dense_boundary, dense_gram, dense_project, masked_gram, rz_gram
 
 
@@ -601,39 +602,85 @@ def test_run_suites_gram_and_curl_equal_public_checks_bitwise(unit_geom):
 def test_run_suites_show_a_nan_in_any_one_block_as_the_dense_reports_do(unit_geom, oracle_modes, monkeypatch):
     # np.max keeps a NaN wherever it is, where Python's max keeps it only first
     rule = default_rule(unit_geom, oracle_modes)
-    original = verify._pair_sums
-    sizes = original(oracle_modes, rule, _U)[2]
+    original = verify._blocks
+    sizes = [len(idx) for idx, _ in original(oracle_modes, rule, _U)]
     assert len(sizes) > 2 and max(sizes) > 1
-    for start, size in zip((np.cumsum(sizes * sizes) - sizes * sizes).tolist(), sizes.tolist()):
-        for at, rows in ((start, _U), (start, _CURL), (start + size * size - 2, _U), (start + 1, _CURL)):
-            if size == 1 and at != start:
+    for poisoned_class, size in enumerate(sizes):
+        for at, rows in ((0, _U), (0, _CURL), (size * size - 2, _U), (1, _CURL)):
+            if size == 1 and at != 0:
                 continue
 
             def poisoned(modes, rule, *row_sets):
-                i, j, sizes, sums = original(modes, rule, *row_sets)
-                for sliced, flat in zip(row_sets, sums):
-                    if sliced == rows:
-                        flat[at] = np.nan
-                return i, j, sizes, sums
+                for k, (idx, blocks) in enumerate(original(modes, rule, *row_sets)):
+                    for sliced, block in zip(row_sets, blocks):
+                        if k == poisoned_class and sliced == rows:
+                            block.flat[at] = np.nan
+                    yield idx, blocks
 
-            monkeypatch.setattr(verify, "_pair_sums", poisoned)
+            monkeypatch.setattr(verify, "_blocks", poisoned)
             got = _run_suites(unit_geom, 6.5, ("gram", "curl"), DEFAULT_NR, 0, DEFAULT_NZ, _TOLERANCES)["suites"]
             assert any(isinstance(v, float) and math.isnan(v) for suite in got.values() for v in suite.values())
             _assert_suites_carry_the_report_bits(got, oracle_modes, rule)
 
 
+@pytest.mark.parametrize("nphi", [0, 7])
+def test_blocks_yield_the_m_classes_in_ascending_order_with_stable_members(unit_geom, oracle_modes, nphi):
+    # the default nphi resolves every m difference of the set; nphi = 7 puts
+    # m and m - 7 (or m + 7) in one class
+    for modes in (oracle_modes, oracle_modes[5:6]):
+        rule = quadrature_rule(unit_geom, nr=20, nphi=nphi or default_nphi(modes), nz=14)
+        m = np.array([md.index.m for md in modes])
+        got = list(verify._blocks(modes, rule, _U, _CURL))
+        want = [np.flatnonzero(m % rule.nphi == q) for q in range(rule.nphi) if np.any(m % rule.nphi == q)]
+        assert [idx.tolist() for idx, _ in got] == [idx.tolist() for idx in want]
+        assert all(len(blocks) == 2 and {b.shape for b in blocks} == {(len(idx),) * 2} for idx, blocks in got)
+        assert any(len(set(m[idx].tolist())) > 1 for idx, _ in got) == (bool(nphi) and len(modes) > 1)
+    assert list(verify._blocks((), rule, _U)) == []
+
+
 def test_run_suites_hold_no_n_by_n_array(unit_geom):
-    # at 878 modes the peak stays below one complex 878 x 878 matrix; the
-    # dense reports took 5 of them
-    _run_suites(unit_geom, 20.0, ("gram", "curl"), DEFAULT_NR, 0, DEFAULT_NZ, _TOLERANCES)     # tables kept
-    tracemalloc.start()
-    try:
-        got = _run_suites(unit_geom, 20.0, ("gram", "curl"), DEFAULT_NR, 0, DEFAULT_NZ, _TOLERANCES)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert got["mode_count"] == 878 and got["passed"]
-    assert peak < 16 * 878**2
+    # at 878 modes the peak stays below one complex 878 x 878 matrix, where
+    # the dense reports took 5 of them; at 2999 modes the 49 class blocks of
+    # u and of curl u take 9.5 MB together, where summing the pairs of all
+    # classes in one expression peaked at 53 MB
+    for omega_max, count, bound in ((20.0, 878, 16 * 878**2), (30.0, 2999, 32e6)):
+        _run_suites(unit_geom, omega_max, ("gram", "curl"), DEFAULT_NR, 0, DEFAULT_NZ, _TOLERANCES)     # tables kept
+        tracemalloc.start()
+        try:
+            got = _run_suites(unit_geom, omega_max, ("gram", "curl"), DEFAULT_NR, 0, DEFAULT_NZ, _TOLERANCES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got["mode_count"] == count and got["passed"]
+        assert peak < bound, omega_max
+
+
+def test_boundary_suite_shows_a_nan_ratio_of_any_mode(unit_geom, monkeypatch):
+    original = verify._walls
+
+    def poisoned(modes, samples=None):
+        reps = original(modes, samples)
+        reps[5] = dataclasses.replace(reps[5], max_tangential_u=math.nan)
+        return reps
+
+    monkeypatch.setattr(verify, "_walls", poisoned)
+    got = _run_suites(unit_geom, 6.5, ("boundary",), DEFAULT_NR, 0, DEFAULT_NZ, _TOLERANCES)
+    rep = got["suites"]["boundary"]
+    assert got["mode_count"] == 30 and got["passed"] is False and rep["passed"] is False
+    assert math.isnan(rep["max_tangential_ratio"])
+    assert type(rep["max_tangential_ratio"]) is float and type(rep["max_normal_curl_ratio"]) is float
+    assert rep["max_normal_curl_ratio"] < 1e-10
+
+
+@pytest.mark.parametrize("bad", [-1e-12, math.nan, math.inf])
+def test_tolerances_must_be_finite_and_not_negative(unit_geom, oracle_modes, bad):
+    rule = default_rule(unit_geom, oracle_modes)
+    for name in ("rel_tol", "abs_tol"):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number >= 0, got {bad!r}$"):
+            check_curl_identity(oracle_modes, rule, **{name: bad})
+    for name in _TOLERANCES:
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number >= 0, got {bad!r}$"):
+            _run_suites(unit_geom, 6.5, _SUITES, DEFAULT_NR, 0, DEFAULT_NZ, {**_TOLERANCES, name: bad})
 
 
 # ----------------------------------------------------------- bessel suite
