@@ -76,7 +76,7 @@ def _gather_plan(want: np.ndarray, out: np.ndarray) -> tuple:
     plan maps each order of want to (where, at), and the values of that
     order at the points `at` go to target[where].
 
-    Per-point orders take one stable argsort of the flat orders: each order
+    Per-point orders take the runs of the flat orders (_runs): each order
     is a run of flat indices into out (target is out.ravel()) with the
     points they fall on.  On a stencil-shaped call (3 x 3360 orders of two
     |m| groups; one Xeon core, min of 51) this plan takes 0.15 ms against
@@ -94,11 +94,9 @@ def _gather_plan(want: np.ndarray, out: np.ndarray) -> tuple:
         return out, {order: ((slots[0] if len(slots) == 1 else slots, slice(None)), slice(None))
                      for order, slots in rows.items()}
     flat = want.ravel()
-    perm = np.argsort(flat, kind="stable")
-    ends = [*(np.flatnonzero(np.diff(flat[perm])) + 1).tolist(), len(perm)]
+    perm, runs = _runs(flat)
     points = perm % want.shape[1]
-    return out.reshape(-1), {int(flat[perm[lo]]): (perm[lo:hi], points[lo:hi])
-                             for lo, hi in zip([0, *ends], ends)}
+    return out.reshape(-1), {int(flat[perm[lo]]): (perm[lo:hi], points[lo:hi]) for lo, hi in runs}
 
 
 def _leading(hi: np.ndarray, want: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -416,6 +414,14 @@ def _newton_passes(m: int, kind: str, count: int) -> tuple:
     """The Newton pass on which each of the first `count` zeros converged."""
     _zero_tables({(m, kind): count})
     return tuple(_ROOTS[_canonical(m, kind)].passes[:count])
+
+
+def _runs(keys) -> tuple:
+    """(order, runs) of a 1-D key array: order a stable argsort, runs per
+    distinct key, ascending, the (lo, hi) slice of order holding it; no keys, no run."""
+    order = np.argsort(keys, kind="stable")
+    ends = (np.flatnonzero(np.diff(keys[order])) + 1).tolist()
+    return order, (list(zip([0, *ends], [*ends, len(order)])) if len(order) else [])
 
 
 def _as_int(name: str, v, low=None) -> int:

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import _as_complex, _as_real, _j_points
+from .bessel import _as_complex, _as_real, _j_points, _runs
 from .spectrum import TE, TM, ModeData
 
 _AXIS_FRACTION = 1e-8       # r/a below which the on-axis limits are used
@@ -192,18 +192,16 @@ def _tables(modes, r, z):
 
 def _walk(modes, r, z, rows):
     """Per chunk of whole |m| groups (_groups), one _tables call: yields (idx,
-    m, s, R, Z, runs), idx the chunk's positions in modes in stable m order,
-    m their m and runs each m's (lo, hi) slice; row c of mode idx[j] is
-    s[c, j] R[c, ..., j] Z[c, ..., j] e^{i m phi} for each c of rows, s
-    complex, R (rows, *r.shape, k) and Z (rows, *z.shape, k) real."""
+    m, s, R, Z, runs), idx the chunk's positions in modes in stable m order
+    and runs each m's (lo, hi) slice, both from _runs, and m their m; row c
+    of mode idx[j] is s[c, j] R[c, ..., j] Z[c, ..., j] e^{i m phi} for each
+    c of rows, s complex, R (rows, *r.shape, k) and Z (rows, *z.shape, k) real."""
     for chunk in _groups([abs(md.index.m) for md in modes], np.size(r)):
         s, c, radial, r_at, axial, z_at = _tables(tuple(modes[i] for i in chunk), r, z)
         m = np.array([modes[i].index.m for i in chunk])
-        order = np.argsort(m, kind="stable")    # only the gather index is permuted
-        m, ms = m[order], m[order].tolist()
-        starts = [j for j in range(len(ms)) if j == 0 or ms[j] != ms[j - 1]]
-        yield (np.asarray(chunk)[order], m, s[rows][:, order], _gather(radial, r_at[rows][:, order], np.shape(r)),
-               c[order] * _gather(axial, z_at[rows][:, order], np.shape(z)), list(zip(starts, starts[1:] + [len(ms)])))
+        order, runs = _runs(m)      # only the gather index is permuted
+        yield (np.asarray(chunk)[order], m[order], s[rows][:, order], _gather(radial, r_at[rows][:, order], np.shape(r)),
+               c[order] * _gather(axial, z_at[rows][:, order], np.shape(z)), runs)
 
 
 def _gather(table, index, shape):

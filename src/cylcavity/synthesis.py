@@ -27,17 +27,17 @@ field energy
 
 is time independent.  total_energy takes the rule's quadrature of the
 left side without synthesizing E or B: it is the same discrete sum over
-every node, formed from the factor tables (modefield._tables).  Every
-QuadratureRule has the uniform phi rule, which sums e^{i q phi} exactly to
-sum w_phi when q = 0 mod nphi and to 0 otherwise (trapezoid rule), so only
-modes whose m agree mod nphi, or cancel mod nphi, meet in the sum; the
-(r, z) sums of each such pair of classes {q, -q}, still numeric, are small
-Grams of the radial and axial table rows the pair uses (sum
-factorization).  An aliasing nphi or a coarse r or z rule errs exactly as
-the full 3-D sum does.  The zero-point contribution
-sum_s hbar omega_s / 2 of a truncated mode set is reported separately by
-zero_point_energy and is never folded into the classical total (it
-diverges with the cutoff).
+every node, formed from the factor tables (modefield._tables).  A real
+field row is half the same sum over the doubled mode set, the modes and
+their conjugates (conj a_s, -m_s).  The uniform phi rule of every
+QuadratureRule sums e^{i q phi} exactly to sum w_phi when q = 0 mod nphi
+and to 0 otherwise (trapezoid rule), so only members whose m agree mod
+nphi meet; the (r, z) sums of each such class, still numeric, are small
+Grams of the radial and axial table rows it uses (sum factorization).  An
+aliasing nphi or a coarse r or z rule errs exactly as the full 3-D sum
+does.  The zero-point contribution sum_s hbar omega_s / 2 of a truncated
+mode set is reported separately by zero_point_energy and is never folded
+into the classical total (it diverges with the cutoff).
 
 Amplitudes can be recovered from sampled fields: with the inner product
 <f, g> = int f* . g dV,
@@ -66,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import _as_complex, _as_real
+from .bessel import _as_complex, _as_real, _runs
 from .modefield import _CURL, _U, CylPoint, _phase, _tables, _walk
 from .spectrum import CavityGeometry, ModeData
 from .verify import QuadratureRule, _same_geometry
@@ -259,17 +259,18 @@ def total_energy(state: FieldState, rule: QuadratureRule) -> float:
 
     The same discrete sum as eps0/2 |E|^2 + |B|^2 / 2 mu0 over every node,
     without the 3-D fields.  Each row of E and B is Re X on the nodes, X =
-    sum_i beta_i R_i(r) Z_i(z) e^{i m_i phi}, so the weighted sum of (Re X)^2
-    is 1/2 sum w |X|^2 + 1/2 Re sum w X^2, and the phi sum keeps in |X|^2 the
-    mode pairs of one class m mod nphi and in X^2 those of the classes q
-    and -q, each times sum w_phi.  Per pair {q, -q}, the beta of each class
-    scatter into A[row, rho, zeta] over the radial table rows rho and axial
-    table rows zeta the pair uses, and the (r, z) sums are
-    sum conj(A) G_R A G_Z and sum A_q G_R A_-q G_Z, with the 1-D Grams
-    G_R = T_R diag(w_r) T_R^T of those radial rows alone and G_Z of the
-    axial table.  Every QuadratureRule has the uniform phi rule this needs,
-    so the phi sum is exact by construction and the r and z sums stay
-    numeric; an aliasing nphi shows as in the full 3-D sum."""
+    sum_i beta_i R_i(r) Z_i(z) e^{i m_i phi}, and the real Y = 2 Re X = X +
+    conj(X) is the same sum over the doubled mode set: the modes, then their
+    conjugates (conj beta_i, -m_i) on the same table rows.  The weighted sum
+    of (Re X)^2 is 1/4 sum w |Y|^2, where the phi sum keeps the pairs of one
+    class q of m mod nphi, times sum w_phi.  Class -q holds the conjugates
+    of class q, so the walk (_runs) takes q <= -q mod nphi, twice if q != -q.
+    Per class, the beta scatter into A[row, rho, zeta] over the radial and
+    axial table rows it uses, and the (r, z) sum is sum conj(A) G_R A G_Z,
+    with the 1-D Grams G_R = T_R diag(w_r) T_R^T of those radial rows alone
+    and G_Z of the axial table.  The uniform phi rule of every QuadratureRule
+    makes the phi sum exact; the r and z sums stay numeric, so an aliasing
+    nphi or a coarse r or z rule shows as in the full 3-D sum."""
     geom, modes = state.geom, state.modes
     _same_geometry(modes, rule)
     if not modes:
@@ -283,30 +284,28 @@ def total_energy(state: FieldState, rule: QuadratureRule) -> float:
     p = np.repeat([1j * np.sqrt(geom.hbar * omega / (2.0 * geom.eps0)) * math.sqrt(0.5 * geom.eps0),
                    np.sqrt(geom.hbar / (2.0 * geom.eps0 * omega)) * math.sqrt(0.5 / geom.mu0)], 3, axis=0)
     beta = s[rows] * p * (2.0 * state.amplitudes * c)
-    r_at, z_at = r_at[rows], z_at[rows]
     g_z = (axial * rule.wz) @ axial.T
-    q = np.array([md.index.m for md in modes]) % rule.nphi
-    pair = np.minimum(q, -q % rule.nphi)
-    order = np.argsort(pair, kind="stable")
-    ends = (np.flatnonzero(np.diff(pair[order])) + 1).tolist() + [len(order)]
+    # the doubled set: the modes (beta, m), then their conjugates (conj beta, -m) on the same table rows
+    m = np.array([md.index.m for md in modes])
+    q, beta = np.concatenate([m, -m]) % rule.nphi, np.concatenate([beta, beta.conj()], axis=1)
+    r_at, z_at = np.tile(r_at[rows], 2), np.tile(z_at[rows], 2)
+    order, runs = _runs(q)
     total = 0.0
-    for lo, hi in zip([0, *ends], ends):
+    for lo, hi in runs:
         j = order[lo:hi]
-        slots = 1 + (pair[j[0]] != -pair[j[0]] % rule.nphi)     # slot 0 holds class q, slot 1 class -q
-        rho, at_rho = np.unique(r_at[:, j], return_inverse=True)
-        zeta, at_zeta = np.unique(z_at[:, j], return_inverse=True)
-        shape = (slots, len(beta), len(rho), len(zeta))
-        at = np.ravel_multi_index((q[j] != pair[j], np.arange(len(beta))[:, None],
-                                   at_rho.reshape(-1, len(j)), at_zeta.reshape(-1, len(j))), shape).ravel()
+        if (cls := q[j[0]]) > -cls % rule.nphi:
+            continue        # the conjugates of class -cls, walked already
+        (rho, at_rho), (zeta, at_zeta) = (np.unique(v[:, j], return_inverse=True) for v in (r_at, z_at))
+        shape = (len(beta), len(rho), len(zeta))
+        at = np.ravel_multi_index((np.arange(len(beta))[:, None], at_rho.reshape(-1, len(j)),
+                                   at_zeta.reshape(-1, len(j))), shape).ravel()
         b = beta[:, j].ravel()
-        # A[Re/Im, slot, row, rho, zeta], and the same parts of G_R A G_Z
-        A = np.stack([np.bincount(at, part, math.prod(shape)) for part in (b.real, b.imag)]).reshape(2, *shape)
+        # A[Re/Im, row, rho, zeta], and the same parts of G_R A G_Z
+        A = np.stack([np.bincount(at, part, math.prod(shape)) for part in (b.real, b.imag)])
         t = radial[rho]
-        GA = ((t * rule.wr) @ t.T) @ (A.reshape(-1, len(zeta)) @ g_z[np.ix_(zeta, zeta)]).reshape(-1, *shape[2:])
-        GA = GA.reshape(A.shape)
-        # Re sum conj(A) G A over the slots, and Re sum X_q X_-q over both orders
-        total += np.vdot(A, GA) + slots * (np.vdot(A[0, 0], GA[0, -1]) - np.vdot(A[1, 0], GA[1, -1]))
-    return float(0.5 * rule.wphi.sum() * total)
+        GA = ((t * rule.wr) @ t.T) @ (A.reshape(-1, len(zeta)) @ g_z[np.ix_(zeta, zeta)]).reshape(-1, *shape[1:])
+        total += (1 + (cls != -cls % rule.nphi)) * np.vdot(A, GA)
+    return float(0.25 * rule.wphi.sum() * total)
 
 
 def mode_sum_energy(state: FieldState) -> float:

@@ -67,7 +67,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bessel import (_KIND_J, _KIND_JPRIME, _ZERO_RESIDUAL_MAX, _as_int, _as_tolerance, _newton_passes, _root_funcs,
-                     _zero_tables)
+                     _runs, _zero_tables)
 from .modefield import _CURL, _PSI, _U, _groups, _tables
 from .spectrum import _GEOMETRY_KEYS, CavityGeometry, ModeData, enumerate_modes
 
@@ -173,10 +173,10 @@ def _same_geometry(modes, rule: QuadratureRule) -> None:
 
 
 def _blocks(modes, rule: QuadratureRule, *row_sets):
-    """Per class of the modes whose m agree mod nphi, in ascending m mod nphi:
-    the class's positions in modes, in stable order, and for each slice of
-    factor rows in row_sets the class's square block of the sums of w
-    conj(row_i) row_j over the nodes and the rows.  The exact phi sum
+    """Per class of the modes whose m agree mod nphi, in ascending m mod nphi
+    (_runs): the class's positions in modes, in stable order, and for each
+    slice of factor rows in row_sets the class's square block of the sums of
+    w conj(row_i) row_j over the nodes and the rows.  The exact phi sum
     Phi(m_j - m_i) is sum w_phi in a class and 0 between classes: per row k
     of _tables, conj(s_ki c_i) s_kj c_j G_R[rho_ki, rho_kj] G_Z[zeta_ki,
     zeta_kj] with the table Grams G = t t^T, t a table times sqrt(w) (exactly
@@ -184,18 +184,15 @@ def _blocks(modes, rule: QuadratureRule, *row_sets):
     _same_geometry(modes, rule)
     s, c, radial, r_at, axial, z_at = _tables(modes, rule.r, rule.z)
     g_r, g_z = (t @ t.T for t in (radial * np.sqrt(rule.wr), axial * np.sqrt(rule.wz)))
-    m = np.array([md.index.m for md in modes], dtype=int) % rule.nphi
-    order, sizes, w = np.argsort(m, kind="stable"), np.bincount(m), rule.wphi.sum()
-    # the factors of the rows from the first to the last requested, in class
-    # order, so that each class is a run of columns
+    (order, runs), w = _runs(np.array([md.index.m for md in modes], dtype=int) % rule.nphi), rule.wphi.sum()
+    # the factors of the first to the last requested row in class order: each class a run of columns
     lo, hi = min(rows.start for rows in row_sets), max(rows.stop for rows in row_sets)
     a, r, z = (s * c)[lo:hi, order], r_at[lo:hi, order], z_at[lo:hi, order]
-    for stop, size in zip(np.cumsum(sizes).tolist(), sizes.tolist()):
-        if size:
-            at = slice(stop - size, stop)
-            terms = (np.conj(a[:, at, None]) * a[:, None, at] * g_r[r[:, at, None], r[:, None, at]]
-                     * g_z[z[:, at, None], z[:, None, at]])
-            yield order[at], [sum(terms[rows.start - lo:rows.stop - lo]) * w for rows in row_sets]
+    for start, stop in runs:
+        at = slice(start, stop)
+        terms = (np.conj(a[:, at, None]) * a[:, None, at] * g_r[r[:, at, None], r[:, None, at]]
+                 * g_z[z[:, at, None], z[:, None, at]])
+        yield order[at], [sum(terms[rows.start - lo:rows.stop - lo]) * w for rows in row_sets]
 
 
 def _gram(modes, rule: QuadratureRule, *row_sets) -> list:

@@ -21,6 +21,7 @@ from cylcavity.bessel import (
     _j_orders,
     _j_points,
     _newton_passes,
+    _runs,
     _zero_tables,
     bessel_j,
     bessel_j_prime,
@@ -442,3 +443,19 @@ def test_order_accepts_numpy_integers_of_any_sign():
     for m in (-3, 0, 4):
         assert bessel_j(np.int64(m), 2.0) == bessel_j(m, 2.0)
         assert bessel_j_prime(np.int32(m), 2.0) == bessel_j_prime(m, 2.0)
+
+
+def test_runs_group_keys_in_ascending_order_and_stable_order():
+    order, runs = _runs(np.array([], dtype=int))
+    assert order.size == 0 and runs == []      # no keys give no run, not one run (0, 0)
+    keys = np.array([2, -1, 2, 0, -1, 2])
+    order, runs = _runs(keys)
+    assert order.tolist() == [1, 4, 3, 0, 2, 5] and runs == [(0, 2), (2, 3), (3, 6)]
+    assert all(type(v) is int for run in runs for v in run)
+    # many repeats of a few keys: an unstable sort mixes the order within a run
+    keys = np.random.default_rng(1).integers(-3, 4, size=500)
+    order, runs = _runs(keys)
+    assert [int(keys[order[lo]]) for lo, _ in runs] == sorted(set(keys.tolist()))
+    assert [hi - lo for lo, hi in runs] == np.bincount(keys + 3).tolist()
+    for lo, hi in runs:
+        assert order[lo:hi].tolist() == np.flatnonzero(keys == keys[order[lo]]).tolist()
