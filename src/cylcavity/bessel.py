@@ -15,13 +15,12 @@ Tiny x, where (x/2)**2/(m+1) < 2**-56 and the recurrence's growth 2k/x
 would overflow, takes the series' leading term (x/2)**m / m!: x = 0 gives
 exactly 1 for m = 0 and 0 otherwise.  _j_points is the one kernel: every
 point carries its own orders (J_{m-1}, J_m, J_{m+1} for the zero finder
-and for modefield's chunks of several |m|, J_|m|, J_|m|+1 for the
-spectrum), its lowest order picks the leading term, its highest order
-and its x set its Miller start, and each order its own Hankel threshold
-and length.  None of these depends on anything else in the array, so
-J_m(x) has the same bits alone as inside any batch, and one
-backward sweep serves every point and order; _j_orders is the case of the
-same orders at every point.
+and for modefield's chunks, J_|m|, J_|m|+1 for the spectrum), its lowest
+order picks the leading term, its highest order and its x set its Miller
+start, and each order its own Hankel threshold and length.  None of these
+depends on anything else in the array, so J_m(x) has the same bits alone
+as inside any batch, and one backward sweep serves every point and
+order; _j_orders is the case of the same orders at every point.
 
 Zeros are bracketed on the grid lo0 + i, i = 0, 1, ..., whose unit step
 is safely below the minimal spacing of consecutive zeros (> 3.11 for any
@@ -76,23 +75,11 @@ def _gather_plan(want: np.ndarray, out: np.ndarray) -> tuple:
     plan maps each order of want to (where, at), and the values of that
     order at the points `at` go to target[where].
 
-    Per-point orders take the runs of the flat orders (_runs): each order
-    is a run of flat indices into out (target is out.ravel()) with the
-    points they fall on.  On a stencil-shaped call (3 x 3360 orders of two
-    |m| groups; one Xeon core, min of 51) this plan takes 0.15 ms against
-    0.44 ms for a 2-D nonzero per order.  The (slots, 1) form, the same orders at every point, writes
-    whole rows of out (target is out) and spares a fancy-index write per
-    order and per step of the sweep: the 20 one-mode wall checks of a
-    certify op (33 radii each, 7 sweeps) take a median of 4.3 to 5.3 ms
-    with it against 4.7 to 5.6 ms with the orders broadcast to every point
-    (four alternations, one Xeon core), so modefield keeps it for a chunk
-    of one |m|."""
-    if want.shape[1] == 1:
-        rows = {}
-        for slot, order in enumerate(want[:, 0].tolist()):
-            rows.setdefault(order, []).append(slot)
-        return out, {order: ((slots[0] if len(slots) == 1 else slots, slice(None)), slice(None))
-                     for order, slots in rows.items()}
+    Each order is a run of the flat orders (_runs): a run of flat indices
+    into out (target is out.ravel()) with the points they fall on.  On a
+    stencil-shaped call (3 x 3360 orders of two |m| groups; one Xeon core,
+    min of 51) this plan takes 0.15 ms against 0.44 ms for a 2-D nonzero
+    per order."""
     flat = want.ravel()
     perm, runs = _runs(flat)
     points = perm % want.shape[1]
@@ -148,8 +135,7 @@ def _asymptotic(m: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _miller(hi: np.ndarray, want: np.ndarray, x: np.ndarray) -> np.ndarray:
     """J_{want[s, p]}(x[p]) for every slot s and point p from one backward
-    recurrence sweep, normalized by the Neumann sum; want is (slots, points)
-    or (slots, 1), the same orders at every point.
+    recurrence sweep, normalized by the Neumann sum; want is (slots, points).
 
     Each point starts at its own index above its turning point max(hi, x),
     with hi its highest order; until then it carries f_k = f_{k+1} = 0,
@@ -191,8 +177,7 @@ def _miller(hi: np.ndarray, want: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _j_points(orders, x) -> np.ndarray:
     """J_{orders[s, p]}(x[p]) for each slot s and point p of a 1-D x, with
-    integer orders of any sign shaped (slots, points), or (slots, 1) for
-    the same orders at every point.
+    integer orders of any sign shaped (slots, points).
 
     The package's one Bessel kernel; the module docstring says how each
     point picks its regime.  J_{-m} = (-1)^m J_m, and values below the
@@ -205,10 +190,8 @@ def _j_points(orders, x) -> np.ndarray:
     if not (x_min >= 0.0 and x_max < math.inf):
         raise ValueError("bessel_j requires finite x" if not np.all(np.isfinite(x))
                          else "bessel_j requires x >= 0")
-    orders = np.asarray(orders)
     absm = np.abs(orders)
-    lo, hi = absm.min(axis=0), absm.max(axis=0)     # per point, or (1,) for one set of orders
-    pick = lambda v, where: v if v.shape[-1] == 1 else v[..., where]    # (slots, 1) orders fit any subset
+    lo, hi = absm.min(axis=0), absm.max(axis=0)     # per point
     with np.errstate(under="ignore"):
         leading, xm = None, x
         if 0.25 * x_min * x_min <= _LEADING_MAX * (lo.max() + 1.0):
@@ -220,9 +203,9 @@ def _j_points(orders, x) -> np.ndarray:
             out = np.empty((len(absm), len(x)))
             miller = xm < _asym_min(hi)
             if miller.any():
-                out[:, miller] = _miller(pick(hi, miller), pick(absm, miller), xm[miller])
+                out[:, miller] = _miller(hi[miller], absm[:, miller], xm[miller])
         if leading is not None and leading.any():
-            out[:, leading] = _leading(pick(hi, leading), pick(absm, leading), x[leading])
+            out[:, leading] = _leading(hi[leading], absm[:, leading], x[leading])
     if x_max >= _ASYM_X_MIN:
         xs, ms = np.broadcast_arrays(x, absm)
         asym = xs >= _asym_min(ms)
@@ -237,7 +220,7 @@ def _j_orders(orders: tuple, x) -> list:
     """J_m(x) for each integer order in `orders` (any sign), shaped like x:
     _j_points with the same orders at every point."""
     xa = np.asarray(x, dtype=float)
-    got = _j_points(np.array(orders, dtype=int)[:, None], xa.reshape(-1))
+    got = _j_points(np.repeat(np.array(orders, dtype=int)[:, None], xa.size, axis=1), xa.reshape(-1))
     return [v.reshape(xa.shape) for v in got]
 
 

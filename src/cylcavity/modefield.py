@@ -36,9 +36,9 @@ the one-mode *_grid functions read their mode's rows from them.  _walk
 gives synthesis and projection the (s, R, Z) triple of one chunk of whole
 |m| groups at a time in m order, R and Z each one gather from the tables;
 _phase alone forms e^{i m phi}.  The radial tables are kept per set of
-radii (_kept), the least recently used set evicted whole, so a later call
-on the same radii sweeps only the functions not kept there yet
-(check_boundary of TE(-1,1,1) after TE(1,1,1) makes no sweep).  The only
+radii (_kept), the least recently used set evicted whole; a sweep takes
+only functions not kept on its radii yet, plus, in its chunks, those of
+the same a kept on other radii (a Gram's, for the walls).  The only
 removable singularity is (m/r) J_m(g r) on the axis, which tends to g/2
 for |m| = 1 (both signs, since J_{-1} = -J_1) and to 0 otherwise; radii
 below 1e-8 a are evaluated with that limit.
@@ -53,7 +53,9 @@ domain 0 <= r <= a, 0 <= z <= L, and phi must be finite.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +66,6 @@ from .spectrum import TE, TM, ModeData
 _AXIS_FRACTION = 1e-8       # r/a below which the on-axis limits are used
 _DOMAIN_SLACK = 1e-12       # relative tolerance for boundary membership
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_NEIGHBOURS = np.arange(-1, 2)  # the orders |m| - 1, |m|, |m| + 1 of a radial function's sweep
 
 
 @dataclass(frozen=True)
@@ -215,6 +216,11 @@ def _gather(table, index, shape):
 # op's display grid, rule and two Maxwell stencils (a certify op uses the
 # rule and the walls)
 _KEPT_SETS = 4
+_LIVE = weakref.WeakValueDictionary()     # radii bytes -> the set _kept holds on them, gone with it
+
+
+class _Kept(dict):
+    __slots__ = ("__weakref__",)    # a dict that _LIVE can hold weakly
 
 
 @functools.lru_cache(maxsize=_KEPT_SETS)
@@ -223,7 +229,8 @@ def _kept(radii: bytes) -> dict:
     of the flattened radii: radial function (|m|, g, a) -> its read-only
     (4, radii) table.  The least recently used set is evicted whole.  No
     lock: two threads may sweep one function twice and keep equal bytes."""
-    return {}
+    _LIVE[radii] = kept = _Kept()
+    return kept
 
 
 def _radial(funcs, ra):
@@ -234,18 +241,26 @@ def _radial(funcs, ra):
     these radii (_kept) take one kernel call per chunk (_groups) and are
     kept read-only; a set of more than _CHUNK_POINTS radii keeps nothing,
     so the tables kept take at most _KEPT_SETS x _CHUNK_POINTS x 32 bytes
-    per radial function."""
+    per radial function.  Each chunk is filled up to _CHUNK_POINTS points
+    with the functions of the same a kept on other radii (_LIVE), in
+    ascending (|m|, g): a point has the same bits in any batch, and a later
+    call here finds them (a certify op's 20 wall checks make one sweep)."""
     rs = ra.reshape(-1)
     kept = _kept(rs.tobytes()) if rs.size <= _CHUNK_POINTS else {}
     missing = [f for f in funcs if f not in kept]
+    chunks = _groups([f[0] for f in missing], rs.size)
+    if missing and rs.size:
+        cavity, live = {f[2] for f in missing}, set().union(*[ref() or () for ref in _LIVE.valuerefs()])
+        pool = iter(sorted(f for f in live.difference(kept, missing) if f[2] in cavity))
+        for idx in chunks:
+            extra = list(itertools.islice(pool, max(0, _CHUNK_POINTS // rs.size - len(idx))))
+            idx += range(len(missing), len(missing) + len(extra))
+            missing += extra
     absm = np.array([f[0] for f in missing], dtype=int)
     g, a = np.array([f[1:] for f in missing], dtype=float).reshape(-1, 2).T
-    for idx in _groups(absm.tolist(), rs.size):
+    for idx in chunks:
         ms, gs, near = absm[idx, None], g[idx, None], rs < _AXIS_FRACTION * a[idx, None]
-        if ms[0] == ms[-1]:     # one |m|: the same orders at every point
-            orders = ms[0] + _NEIGHBOURS[:, None]
-        else:
-            orders = np.repeat(ms[:, 0], rs.size) + _NEIGHBOURS[:, None]
+        orders = np.repeat(ms[:, 0], rs.size) + np.arange(-1, 2)[:, None]     # J_{|m|-1}, J_|m|, J_{|m|+1}
         lower, jm, upper = _j_points(orders, (gs * rs).reshape(-1)).reshape(3, len(idx), rs.size)
         m_over_r = np.where(near | (ms == 0), np.where(ms == 1, 0.5 * gs, 0.0), ms * jm / np.where(near, 1.0, rs))
         tables = np.stack([jm, gs * (0.5 * (lower - upper)), m_over_r, gs * gs * jm], axis=1)

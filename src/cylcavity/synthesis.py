@@ -301,10 +301,10 @@ def total_energy(state: FieldState, rule: QuadratureRule) -> float:
                                    at_zeta.reshape(-1, len(j))), shape).ravel()
         b = beta[:, j].ravel()
         # A[Re/Im, row, rho, zeta], and the same parts of G_R A G_Z
-        A = np.stack([np.bincount(at, part, math.prod(shape)) for part in (b.real, b.imag)])
+        A = np.array([np.bincount(at, part, math.prod(shape)) for part in (b.real, b.imag)])
         t = radial[rho]
-        GA = ((t * rule.wr) @ t.T) @ (A.reshape(-1, len(zeta)) @ g_z[np.ix_(zeta, zeta)]).reshape(-1, *shape[1:])
-        total += (1 + (cls != -cls % rule.nphi)) * np.vdot(A, GA)
+        GA = ((t * rule.wr) @ t.T) @ (A.reshape(-1, len(zeta)) @ g_z[zeta[:, None], zeta]).reshape(-1, *shape[1:])
+        total += (1 + (cls != -cls % rule.nphi)) * (A.ravel() * GA.ravel()).sum()     # numpy's sum: no BLAS threads
     return float(0.25 * rule.wphi.sum() * total)
 
 

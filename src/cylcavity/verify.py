@@ -60,6 +60,7 @@ order, so identical inputs give identical bytes.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -67,13 +68,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bessel import (_KIND_J, _KIND_JPRIME, _ZERO_RESIDUAL_MAX, _as_int, _as_tolerance, _newton_passes, _root_funcs,
-                     _runs, _zero_tables)
+                     _zero_tables)
 from .modefield import _CURL, _PSI, _U, _groups, _tables
 from .spectrum import _GEOMETRY_KEYS, CavityGeometry, ModeData, enumerate_modes
 
 DEFAULT_NR = 64
 DEFAULT_NZ = 64
 _INTERIOR = 24      # interior radii and heights of a wall check's reference maxima
+_STACK_PAIRS = 4096     # pairs of the equal-size classes whose terms _blocks forms in one expression
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,26 +175,40 @@ def _same_geometry(modes, rule: QuadratureRule) -> None:
 
 
 def _blocks(modes, rule: QuadratureRule, *row_sets):
-    """Per class of the modes whose m agree mod nphi, in ascending m mod nphi
-    (_runs): the class's positions in modes, in stable order, and for each
+    """Per class of the modes whose m agree mod nphi, in ascending m mod nphi:
+    the class's positions in modes, in stable order, and for each
     slice of factor rows in row_sets the class's square block of the sums of
     w conj(row_i) row_j over the nodes and the rows.  The exact phi sum
     Phi(m_j - m_i) is sum w_phi in a class and 0 between classes: per row k
     of _tables, conj(s_ki c_i) s_kj c_j G_R[rho_ki, rho_kj] G_Z[zeta_ki,
     zeta_kj] with the table Grams G = t t^T, t a table times sqrt(w) (exactly
-    symmetric, so each block is exactly Hermitian), times sum w_phi."""
+    symmetric, so each block is exactly Hermitian), times sum w_phi.  Classes
+    of one size (+-m make most sizes come in twos) are formed together, up to
+    _STACK_PAIRS pairs, each entry with its bits alone, held until their turn."""
     _same_geometry(modes, rule)
     s, c, radial, r_at, axial, z_at = _tables(modes, rule.r, rule.z)
     g_r, g_z = (t @ t.T for t in (radial * np.sqrt(rule.wr), axial * np.sqrt(rule.wz)))
-    (order, runs), w = _runs(np.array([md.index.m for md in modes], dtype=int) % rule.nphi), rule.wphi.sum()
-    # the factors of the first to the last requested row in class order: each class a run of columns
+    q, w = np.array([md.index.m for md in modes], dtype=int) % rule.nphi, rule.wphi.sum()
+    size = np.bincount(q)[q]
+    order = np.lexsort((q, size))       # by class size, then class, then position
+    # the factors of the first to the last requested row in that order: each stack a run of columns
     lo, hi = min(rows.start for rows in row_sets), max(rows.stop for rows in row_sets)
     a, r, z = (s * c)[lo:hi, order], r_at[lo:hi, order], z_at[lo:hi, order]
-    for start, stop in runs:
-        at = slice(start, stop)
-        terms = (np.conj(a[:, at, None]) * a[:, None, at] * g_r[r[:, at, None], r[:, None, at]]
-                 * g_z[z[:, at, None], z[:, None, at]])
-        yield order[at], [sum(terms[rows.start - lo:rows.stop - lo]) * w for rows in row_sets]
+    classes, sizes, stacks, held, start = q[order].tolist(), size[order].tolist(), {}, {}, 0
+    while start < len(order):       # a stack: the next classes of one size, within _STACK_PAIRS pairs
+        k = sizes[start]
+        stop = min(start + k * max(1, _STACK_PAIRS // (k * k)), bisect.bisect(sizes, k))
+        stacks[classes[start]], start = (start, stop, k), stop
+    for cls in sorted(set(classes)):
+        if cls in stacks:
+            start, stop, k = stacks[cls]
+            ai, ri, zi = (v[:, start:stop].reshape(hi - lo, -1, k) for v in (a, r, z))
+            terms = (np.conj(ai[..., :, None]) * ai[..., None, :] * g_r[ri[..., :, None], ri[..., None, :]]
+                     * g_z[zi[..., :, None], zi[..., None, :]])
+            sums = [sum(terms[rows.start - lo:rows.stop - lo]) * w for rows in row_sets]
+            held.update((classes[at], (order[at:at + k], [v[j] for v in sums]))
+                        for j, at in enumerate(range(start, stop, k)))
+        yield held.pop(cls)
 
 
 def _gram(modes, rule: QuadratureRule, *row_sets) -> list:

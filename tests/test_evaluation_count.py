@@ -12,8 +12,11 @@ projection and stencil sweeps: one call per chunk, each (|m|, g) once per
 point set.  A repeat of the same modes on the same nodes reads the radial
 tables modefield keeps per set of radii and makes no sweep, and so does a
 radial function already swept on the same radii: the one-mode
-check_boundary sweeps once per (|m|, g), not once per mode.  So every test
-starts with no table kept.
+check_boundary sweeps once per (|m|, g), not once per mode.  A sweep also
+takes along, within its chunks, the functions of the same radius a kept on
+other radii, so after a Gram the first wall check sweeps every function of
+the Gram's modes and the other wall checks none.  So every test starts with
+no table kept.
 The spectrum builds every ModeData of one _modes call from one
 spectrum._j_points call (J_|m|, J_|m|+1 at every chi), and finds the zero
 tables it needs with one pooled scan and one pooled Newton pass.
@@ -29,6 +32,7 @@ import cylcavity.modefield as modefield
 import cylcavity.spectrum as spectrum
 from cylcavity import (
     TM,
+    CavityGeometry,
     FieldState,
     check_boundary,
     check_curl_identity,
@@ -48,6 +52,7 @@ from cylcavity import (
     total_energy,
 )
 from cylcavity.cli import main
+from cylcavity.modefield import _tables
 from cylcavity.verify import DEFAULT_NR, _default_walls, default_nphi
 
 
@@ -152,23 +157,33 @@ def test_checks_evaluate_each_mode_once(sweeps, state, rule):
     tm = [md for md in state.modes if md.index.sigma == TM]
     _once_then_memo(sweeps, tm, rule.nr, lambda: check_scalar_orthonormality(tm, rule))
     radii = _default_walls(state.geom)[0].size
+    assert len(_functions(state.modes)) == 10 and len(state.modes) == 30
+    # with nothing kept elsewhere, one sweep per radial function on the wall radii: 10, not 30
+    modefield._kept.cache_clear()
     for md in state.modes:
         check_boundary(md)
-    # one sweep per radial function on the wall radii: 10, not one per mode
     assert sweeps == [Counter({ma: radii}) for ma, _ in _functions(state.modes)]
-    assert len(sweeps) == 10 and len(state.modes) == 30
     sweeps.clear()
     for md in state.modes:
         check_boundary(md)
     assert not sweeps
+    # after a Gram, the first wall check sweeps its function and the 9 others
+    # the Gram kept on the rule, in one call: 1 sweep, not 10
+    modefield._kept.cache_clear()
+    check_vector_orthonormality(state.modes, rule)
+    sweeps.clear()
+    for md in state.modes:
+        check_boundary(md)
+    assert sweeps == [Counter(ma for ma, _ in _functions(state.modes) for _ in range(radii))]
 
 
 def test_certify_op_sweeps_each_radial_function_once(sweeps, unit_geom):
     # the benchmark's certify op: the 20 lowest modes of the README cavity,
     # their Gram and curl identity on the default rule, then check_boundary
     # of each; the Gram sweeps its 7 radial functions in one call, the curl
-    # identity reuses the Gram's factors, and the walls sweep each function
-    # once: 8 kernel calls, where one sweep per mode on the walls takes 21
+    # identity reuses the Gram's factors, and the first wall check sweeps all
+    # 7 on the wall radii in one call: 2 kernel calls, where one sweep per
+    # radial function on the walls takes 8 and one per mode 21
     geom = unit_geom
     modes = enumerate_modes(geom, 6.0)[:20]
     rule = default_rule(geom, modes)
@@ -180,7 +195,77 @@ def test_certify_op_sweeps_each_radial_function_once(sweeps, unit_geom):
     walls = [check_boundary(md) for md in modes]
     assert max(max(w.tangential_ratio, w.normal_curl_ratio) for w in walls) < 1e-10
     radii = _default_walls(geom)[0].size
-    assert sweeps == [Counter({ma: radii}) for ma, _ in _functions(modes)]
+    assert sweeps == [Counter(ma for ma, _ in _functions(modes) for _ in range(radii))]
+
+
+def test_first_wall_check_after_a_gram_at_omega_20_sweeps_every_function(sweeps, unit_geom):
+    # the Gram keeps the 86 radial functions of the 878 modes on the rule; the
+    # first wall check takes all of them into its one kernel call (86 x 33
+    # points, within _CHUNK_POINTS), and the walls of every mode then sweep none
+    modes = enumerate_modes(unit_geom, 20.0)
+    rule = default_rule(unit_geom, modes)
+    radii = _default_walls(unit_geom)[0].size
+    assert len(modes) == 878 and len(_functions(modes)) * radii <= modefield._CHUNK_POINTS
+    check_vector_orthonormality(modes, rule)
+    sweeps.clear()
+    check_boundary(modes[-1])
+    assert sweeps == [Counter(ma for ma, _ in _functions(modes) for _ in range(radii))]
+    sweeps.clear()
+    for md in modes:
+        check_boundary(md)
+    assert not sweeps
+
+
+def test_a_sweep_takes_kept_functions_up_to_the_chunk_budget(sweeps, unit_geom):
+    # 15 functions kept on one set; a call of one function on 1000 radii has
+    # room for 4 in its one chunk (4000 <= _CHUNK_POINTS points), so it takes
+    # the 3 lowest (|m|, g) of the others, and the next call of one of the
+    # rest makes the same one call
+    modes = enumerate_modes(unit_geom, 9.0)
+    funcs = _functions(modes)
+    assert len(funcs) >= 15 and modefield._CHUNK_POINTS // 1000 == 4
+    r = np.linspace(0.0, unit_geom.a, 1000)
+    _tables(modes, np.linspace(0.0, unit_geom.a, 16), 0.5)
+    sweeps.clear()
+    one = modes[-1]
+    _tables((one,), r, 0.5)
+    mine = (abs(one.index.m), one.g)
+    taken = [mine, *sorted(f for f in funcs if f != mine)[:3]]
+    assert sweeps == [Counter(ma for ma, _ in taken for _ in range(r.size))]
+    assert set(modefield._kept(r.tobytes())) == {(*f, unit_geom.a) for f in taken}
+    sweeps.clear()
+    rest = next(md for md in modes if (abs(md.index.m), md.g) not in taken)
+    _tables((rest,), r, 0.5)
+    assert len(sweeps) == 1 and sum(sweeps[0].values()) == 4 * r.size
+
+
+def test_a_sweep_takes_no_function_of_another_radius(sweeps, unit_geom):
+    # the Gram's functions belong to a = 0.9; a wall check of a cavity with
+    # a = 0.99 sweeps its own function alone, on radii inside both cavities too
+    modes = enumerate_modes(unit_geom, 6.0)[:20]
+    check_vector_orthonormality(modes, default_rule(unit_geom, modes))
+    other = CavityGeometry(a=1.1 * unit_geom.a, L=unit_geom.L, c=1.0, eps0=1.0, hbar=1.0)
+    md = mode_data(other, modes[5].index)
+    for call, radii in ((lambda: check_boundary(md), _default_walls(other)[0].size),
+                        (lambda: _tables((md,), np.linspace(0.0, unit_geom.a, 9), 0.5), 9)):
+        sweeps.clear()
+        call()
+        assert sweeps == [Counter({abs(md.index.m): radii})]
+
+
+def test_taken_tables_have_the_bytes_of_a_cold_sweep(unit_geom):
+    # every table a wall check takes from the Gram's set equals the table of
+    # its function swept alone, with nothing kept
+    modes = enumerate_modes(unit_geom, 6.0)[:20]
+    check_vector_orthonormality(modes, default_rule(unit_geom, modes))
+    check_boundary(modes[0])
+    r = _default_walls(unit_geom)[0]
+    taken = dict(modefield._kept(r.tobytes()))
+    assert len(taken) == len(_functions(modes))
+    for f, table in taken.items():
+        modefield._kept.cache_clear()
+        cold = modefield._radial([f], r)
+        assert cold.shape == table.shape and cold.tobytes() == table.tobytes(), f
 
 
 def test_gram_after_energy_on_one_rule_makes_no_sweep(sweeps, state, rule):

@@ -330,10 +330,11 @@ def test_empty_mode_set_has_empty_factors(unit_geom):
 
 @pytest.fixture
 def sweeps(monkeypatch):
-    """Bessel kernel calls made by modefield, starting with no table kept."""
+    """The orders' shape of each Bessel kernel call made by modefield,
+    starting with no table kept (a shape, so the list holds no array)."""
     calls = []
     original = modefield._j_points
-    monkeypatch.setattr(modefield, "_j_points", lambda orders, x: calls.append(orders) or original(orders, x))
+    monkeypatch.setattr(modefield, "_j_points", lambda orders, x: calls.append(np.shape(orders)) or original(orders, x))
     _kept.cache_clear()
     yield calls
     _kept.cache_clear()
@@ -432,7 +433,7 @@ def test_one_call_shares_each_function_without_the_memo(unit_geom, sweeps, monke
     r, z = np.linspace(0.0, unit_geom.a, 13), np.linspace(0.0, unit_geom.L, 5)
     for _ in range(2):
         got = _walked(modes, r, z)
-        assert [orders.shape for orders in sweeps] == [(3, 2 * r.size)]
+        assert sweeps == [(3, 2 * r.size)]
         del sweeps[:]
     assert _kept.cache_info().currsize == 0
     for j, md in enumerate(modes):      # each mode as it is alone
@@ -455,7 +456,7 @@ def test_factor_memo_keeps_within_budget(unit_geom, sweeps):
         _walked((one,), r, 0.7)
     assert not sweeps
     _walked((one, two), sets[0], 0.5)       # both functions again, in one sweep
-    assert [orders.shape for orders in sweeps] == [(3, 2 * sets[0].size)]
+    assert sweeps == [(3, 2 * sets[0].size)]
     edge, wide = (np.linspace(0.0, unit_geom.a, n) for n in (_CHUNK_POINTS, _CHUNK_POINTS + 1))
     calls, info = [], _kept.cache_info()
     for r in (wide, wide, edge, edge):
@@ -518,6 +519,46 @@ def test_factor_memo_accounting_survives_threads(unit_geom, sweeps):
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads) and not errors
     assert _kept.cache_info().currsize == _KEPT_SETS
+
+
+def test_taking_kept_functions_survives_threads(unit_geom, sweeps):
+    # more threads than cores, each sweeping one of three functions on sets
+    # that the others fill and evict, so each sweep takes along the others'
+    # functions from sets that come and go: every call returns the bytes of
+    # a cold call, and no more sets are kept than allowed
+    modes = [mode_data(unit_geom, ModeIndex(m=m, mu=1, n=1, sigma=TE)) for m in (0, 2, 5)]
+    radii = [np.linspace(0.0, unit_geom.a, 512) * (1.0 - k * 1e-3) for k in range(_KEPT_SETS + 2)]
+    want = {}
+    for i, md in enumerate(modes):
+        for j, r in enumerate(radii):
+            _kept.cache_clear()
+            want[i, j] = _walked((md,), r, 0.3)[1].tobytes()
+    _kept.cache_clear()
+    del sweeps[:]
+    errors = []
+
+    def work(k):
+        try:
+            for step in range(40):
+                i, j = (k + step) % len(modes), (k + 2 * step) % len(radii)
+                assert _walked((modes[i],), radii[j], 0.3)[1].tobytes() == want[i, j]
+        except Exception as exc:    # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads) and not errors
+    assert _kept.cache_info().currsize == _KEPT_SETS
+    # some sweeps took other functions along, none beyond one chunk
+    assert max(points for _, points in sweeps) in (2 * 512, 3 * 512)
 
 
 def test_memo_keeps_radial_tables_only_after_certify_and_fields_ops(unit_geom, rng, sweeps):

@@ -3,8 +3,12 @@
 import cmath
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +40,7 @@ from cylcavity import (
     u_grid,
     zero_point_energy,
 )
+import cylcavity
 import cylcavity.modefield as modefield
 from cylcavity.modefield import _CHUNK_POINTS, _groups, _walk
 from cylcavity.synthesis import _contract, _fd_stencil, _synthesize
@@ -186,6 +191,29 @@ def test_energy_holds_no_field_on_the_rule_grid(unit_geom, rng):
     finally:
         tracemalloc.stop()
     assert peak < 3 * rule.nr * rule.nphi * rule.nz * 8
+
+
+_ENERGY_AT_40 = """
+import numpy as np
+from cylcavity import CavityGeometry, FieldState, default_rule, enumerate_modes, total_energy
+geom = CavityGeometry(a=0.9, L=1.3, c=1.0, eps0=1.0, hbar=1.0)
+modes = enumerate_modes(geom, 40.0)
+rng = np.random.default_rng(7)
+amps = rng.normal(size=len(modes)) + 1j * rng.normal(size=len(modes))
+print(len(modes), repr(total_energy(FieldState(geom=geom, entries=tuple(zip(modes, amps))), default_rule(geom, modes))))
+"""
+
+
+def test_energy_bits_do_not_depend_on_the_blas_thread_count():
+    # each class's sum is numpy's own reduction: a BLAS dot sums a long
+    # vector in per-thread parts, so its last bits follow the thread count
+    # (here 425390.6549218467 on two threads against 425390.65492184664 on one)
+    package = str(Path(cylcavity.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package, os.environ.get("PYTHONPATH")]))}
+    runs = [subprocess.run([sys.executable, "-c", _ENERGY_AT_40], env={**env, "OPENBLAS_NUM_THREADS": threads},
+                           capture_output=True, text=True, timeout=300, check=True).stdout
+            for threads in ("1", "2")]
+    assert runs[0] == runs[1] and runs[0].startswith("7128 "), runs
 
 
 def test_quadrature_rule_cannot_take_phi_nodes_or_weights(unit_geom, rng):
