@@ -155,6 +155,7 @@ def enumerate_modes(geom: CavityGeometry, omega_max: float) -> list[ModeData]:
     Both signs of m are listed.  The output for a smaller omega_max is a
     prefix of the output for a larger one.
     """
+    omega_max = _as_real("omega_max", omega_max)
     if not (math.isfinite(omega_max) and omega_max >= 0.0):
         raise ValueError(f"omega_max must be finite and >= 0, got {omega_max!r}")
     chi_max = omega_max * geom.a / geom.c

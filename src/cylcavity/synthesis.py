@@ -429,6 +429,7 @@ def maxwell_residual(state: FieldState, points, step: float) -> MaxwellResidualR
     """
     geom = state.geom
     r, phi, z = (np.asarray(v, dtype=float) for v in points)
+    step = _as_real("step", step)
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"step must be positive and finite, got {step!r}")
     if np.any(r - step <= 0.0) or np.any(r + step >= geom.a):

@@ -22,10 +22,11 @@ runs each:
   sweep; CurlIdentityReport gives max_relative_mismatch,
   max_absolute_mismatch, max_scaled_mismatch and passed.  Each report
   computes all its figures together from its matrices, on the first access
-  to any of them, and keeps no other n x n array.  One function per report
-  kind (_gram_figures, _curl_figures) takes the figures from a list of
-  diagonal blocks: a report passes its own matrices as the one block, and
-  a verify run the blocks of the m classes, so it forms no n x n array,
+  to any of them, and keeps no other n x n array.  Per report kind, one
+  row function (_gram_row, _curl_row) takes a diagonal block's worst
+  entries and one np.max merge (_gram_figures, _curl_figures) the figures
+  from the rows: a report passes its own matrices as the one block, and a
+  verify run each m class as _blocks yields it, so it forms no n x n array,
 * boundary: conductor boundary conditions on the walls (vanishing
   tangential u, vanishing normal component of curl u), from the moduli
   |s| |R| |Z|, since |e^{i m phi}| = 1: samples that differ only in phi
@@ -45,8 +46,9 @@ R_j] [sum_z w_z Z_i Z_j], times Phi(m_j - m_i), Phi(q) = sum_phi w_phi
 e^{i q phi}.  On the uniform phi rule Phi(q) is exactly sum w_phi when
 q = 0 mod nphi and 0 otherwise (discrete orthogonality of the trapezoid
 rule), so _blocks sums only the pairs of one m class (m mod nphi) and
-yields each class's positions and square block; _gram scatters them into
-a zero matrix for the reports, a verify run takes its figures from them:
+yields each class's positions and square block as it forms them, by class
+size, then m mod nphi; _gram scatters them into a zero matrix for the
+reports, and a verify run reads each once, holding one class at a time:
 entries between different classes are exactly 0.0, and an aliasing nphi
 puts its aliased pairs in one class, so they keep their entries.
 The r and z factors are summed numerically over the rule's own nodes, so
@@ -175,8 +177,8 @@ def _same_geometry(modes, rule: QuadratureRule) -> None:
 
 
 def _blocks(modes, rule: QuadratureRule, *row_sets):
-    """Per class of the modes whose m agree mod nphi, in ascending m mod nphi:
-    the class's positions in modes, in stable order, and for each
+    """Per class of the modes whose m agree mod nphi, by class size, then m
+    mod nphi: the class's positions in modes, in stable order, and for each
     slice of factor rows in row_sets the class's square block of the sums of
     w conj(row_i) row_j over the nodes and the rows.  The exact phi sum
     Phi(m_j - m_i) is sum w_phi in a class and 0 between classes: per row k
@@ -184,7 +186,7 @@ def _blocks(modes, rule: QuadratureRule, *row_sets):
     zeta_kj] with the table Grams G = t t^T, t a table times sqrt(w) (exactly
     symmetric, so each block is exactly Hermitian), times sum w_phi.  Classes
     of one size (+-m make most sizes come in twos) are formed together, up to
-    _STACK_PAIRS pairs, each entry with its bits alone, held until their turn."""
+    _STACK_PAIRS pairs, each entry with its bits alone, and yielded as formed."""
     _same_geometry(modes, rule)
     s, c, radial, r_at, axial, z_at = _tables(modes, rule.r, rule.z)
     g_r, g_z = (t @ t.T for t in (radial * np.sqrt(rule.wr), axial * np.sqrt(rule.wz)))
@@ -194,21 +196,18 @@ def _blocks(modes, rule: QuadratureRule, *row_sets):
     # the factors of the first to the last requested row in that order: each stack a run of columns
     lo, hi = min(rows.start for rows in row_sets), max(rows.stop for rows in row_sets)
     a, r, z = (s * c)[lo:hi, order], r_at[lo:hi, order], z_at[lo:hi, order]
-    classes, sizes, stacks, held, start = q[order].tolist(), size[order].tolist(), {}, {}, 0
+    sizes, start = size[order].tolist(), 0
     while start < len(order):       # a stack: the next classes of one size, within _STACK_PAIRS pairs
         k = sizes[start]
         stop = min(start + k * max(1, _STACK_PAIRS // (k * k)), bisect.bisect(sizes, k))
-        stacks[classes[start]], start = (start, stop, k), stop
-    for cls in sorted(set(classes)):
-        if cls in stacks:
-            start, stop, k = stacks[cls]
-            ai, ri, zi = (v[:, start:stop].reshape(hi - lo, -1, k) for v in (a, r, z))
-            terms = (np.conj(ai[..., :, None]) * ai[..., None, :] * g_r[ri[..., :, None], ri[..., None, :]]
-                     * g_z[zi[..., :, None], zi[..., None, :]])
-            sums = [sum(terms[rows.start - lo:rows.stop - lo]) * w for rows in row_sets]
-            held.update((classes[at], (order[at:at + k], [v[j] for v in sums]))
-                        for j, at in enumerate(range(start, stop, k)))
-        yield held.pop(cls)
+        ai, ri, zi = (v[:, start:stop].reshape(hi - lo, -1, k) for v in (a, r, z))
+        terms = (np.conj(ai[..., :, None]) * ai[..., None, :] * g_r[ri[..., :, None], ri[..., None, :]]
+                 * g_z[zi[..., :, None], zi[..., None, :]])
+        sums = [sum(terms[rows.start - lo:rows.stop - lo]) * w for rows in row_sets]
+        del terms       # while the stack's classes are read, only its sums are held
+        for j, at in enumerate(range(start, stop, k)):
+            yield order[at:at + k], [v[j] for v in sums]
+        start = stop
 
 
 def _gram(modes, rule: QuadratureRule, *row_sets) -> list:
@@ -226,14 +225,17 @@ def _figure(name: str, doc: str | None = None) -> property:
     return property(lambda rep: rep._figures[name], doc=doc)
 
 
-def _gram_figures(blocks) -> dict:
+def _gram_row(g: np.ndarray) -> list:
+    """One square diagonal block's max|off-diagonal|, max|diagonal - 1| and max|g - g^H|."""
+    return [np.max(np.abs(g[~np.eye(len(g), dtype=bool)]), initial=0.0),
+            np.max(np.abs(np.diag(g) - 1.0), initial=0.0), np.max(np.abs(g - g.conj().T), initial=0.0)]
+
+
+def _gram_figures(rows) -> dict:
     """GramReport's figures of a matrix that is 0 outside its square diagonal
-    blocks, from the blocks; as in np.max, a NaN anywhere shows."""
-    worst = [[np.max(np.abs(g - np.diag(np.diag(g))), initial=0.0), np.max(np.abs(np.diag(g) - 1.0), initial=0.0),
-              np.max(np.abs(g - g.conj().T), initial=0.0)] for g in blocks]
-    off, diag, hermiticity = np.max(np.reshape(worst, (-1, 3)), axis=0, initial=0.0).tolist()
-    off = off if sum(len(g) for g in blocks) >= 2 else 0.0
-    return {"max_offdiag": off, "max_diag_deviation": diag, "max_deviation": max(off, diag),
+    blocks, from each block's _gram_row; as in np.max, a NaN anywhere shows."""
+    off, diag, hermiticity = np.max(np.reshape(rows, (-1, 3)), axis=0, initial=0.0).tolist()
+    return {"max_offdiag": off, "max_diag_deviation": diag, "max_deviation": float(np.max((off, diag))),
             "hermiticity_error": hermiticity}
 
 
@@ -257,7 +259,7 @@ class GramReport:
 
     @functools.cached_property
     def _figures(self) -> dict:
-        return _gram_figures([self.matrix])
+        return _gram_figures([_gram_row(self.matrix)])
 
 
 def check_scalar_orthonormality(modes, rule: QuadratureRule) -> GramReport:
@@ -304,29 +306,32 @@ class CurlIdentityReport:
 
     @functools.cached_property
     def _figures(self) -> dict:
-        return _curl_figures([(self.lhs, self.rhs)], self.rel_tol, self.abs_tol)
+        return _curl_figures([_curl_row(self.lhs, self.rhs, self.rel_tol, self.abs_tol)])
 
 
-def _curl_figures(blocks, rel_tol: float, abs_tol: float) -> dict:
+def _curl_row(lhs: np.ndarray, rhs: np.ndarray, rel_tol: float, abs_tol: float) -> list:
+    """One square diagonal block pair's relative, absolute and scaled
+    mismatch, and 1.0 if an entry of it fails, else 0.0."""
+    mismatch = np.abs(lhs - rhs)
+    scale = np.maximum(np.abs(lhs), np.abs(rhs))
+    norms = np.abs(np.diag(lhs))
+    bound = np.sqrt(np.outer(norms, norms))
+    sig = scale > abs_tol * bound
+    row = [np.max(mismatch[sig] / scale[sig], initial=0.0), np.max(mismatch[~sig], initial=0.0),
+           np.max(mismatch / bound, initial=0.0)]
+    # in place, scale becomes each entry's floor max(rel_tol scale, abs_tol bound)
+    np.maximum(np.multiply(scale, rel_tol, out=scale), np.multiply(bound, abs_tol, out=bound), out=scale)
+    return [*row, float(not np.all(mismatch <= scale))]
+
+
+def _curl_figures(rows) -> dict:
     """CurlIdentityReport's figures of an lhs and rhs that are 0 outside their
-    square diagonal blocks, from the (lhs, rhs) block pairs; as in np.max, a
+    square diagonal blocks, from each block pair's _curl_row; as in np.max, a
     NaN anywhere shows.  An entry outside the blocks passes and adds 0 to
     every figure while each |lhs_ii| is positive and finite and abs_tol >= 0."""
-    worst, passed = [], True
-    for lhs, rhs in blocks:
-        mismatch = np.abs(lhs - rhs)
-        scale = np.maximum(np.abs(lhs), np.abs(rhs))
-        norms = np.abs(np.diag(lhs))
-        bound = np.sqrt(np.outer(norms, norms))
-        sig = scale > abs_tol * bound
-        worst.append([np.max(mismatch[sig] / scale[sig], initial=0.0), np.max(mismatch[~sig], initial=0.0),
-                      np.max(mismatch / bound, initial=0.0)])
-        # in place, scale becomes each entry's floor max(rel_tol scale, abs_tol bound)
-        np.maximum(np.multiply(scale, rel_tol, out=scale), np.multiply(bound, abs_tol, out=bound), out=scale)
-        passed = passed and bool(np.all(mismatch <= scale))
-    relative, absolute, scaled = np.max(np.reshape(worst, (-1, 3)), axis=0, initial=0.0).tolist()
+    relative, absolute, scaled, failed = np.max(np.reshape(rows, (-1, 4)), axis=0, initial=0.0).tolist()
     return {"max_relative_mismatch": relative, "max_absolute_mismatch": absolute, "max_scaled_mismatch": scaled,
-            "passed": passed}
+            "passed": not failed}
 
 
 def check_curl_identity(
@@ -497,33 +502,26 @@ def _run_suites(geom: CavityGeometry, omega_max: float, suites, nr: int, nphi: i
         out["bessel"] = _bessel_suite(tolerances["bessel_tol"])
     if "gram" in suites or "curl" in suites:
         rule = quadrature_rule(geom, nr=nr, nphi=nphi or default_nphi(modes), nz=nz)
-        classes = list(_blocks(modes, rule, _U, _CURL) if "curl" in suites else _blocks(modes, rule, _U))
+        ksq, gram_rows, curl_rows = np.array([md.k**2 for md in modes]), [], []
+        # both suites' rows from each class as it is formed, so one class is held at a time
+        for idx, (u, *curl) in _blocks(modes, rule, *((_U, _CURL) if "curl" in suites else (_U,))):
+            if "gram" in suites:
+                gram_rows.append(_gram_row(u))
+            if curl:
+                curl_rows.append(_curl_row(*curl, u * ksq[idx], tolerances["curl_rel_tol"], tolerances["curl_abs_tol"]))
     if "gram" in suites:
-        figures = _gram_figures([u for _, (u, *_) in classes])
+        figures = _gram_figures(gram_rows)
         passed = bool(figures.pop("max_deviation") <= tolerances["gram_tol"])
         out["gram"] = {**figures, "mode_count": len(modes), "passed": passed, "tolerance": tolerances["gram_tol"]}
     if "curl" in suites:
-        ksq = np.array([md.k**2 for md in modes])
-        figures = _curl_figures(((curl, u * ksq[idx]) for idx, (u, curl) in classes),
-                                tolerances["curl_rel_tol"], tolerances["curl_abs_tol"])
-        out["curl"] = {**figures, "abs_tolerance": tolerances["curl_abs_tol"], "mode_count": len(modes),
-                       "rel_tolerance": tolerances["curl_rel_tol"]}
+        out["curl"] = {**_curl_figures(curl_rows), "abs_tolerance": tolerances["curl_abs_tol"],
+                       "mode_count": len(modes), "rel_tolerance": tolerances["curl_rel_tol"]}
     if "boundary" in suites:
         reps = _walls(modes)
         ratios = np.reshape([(rep.tangential_ratio, rep.normal_curl_ratio) for rep in reps], (-1, 2))
         worst_t, worst_n = np.max(ratios, axis=0, initial=0.0).tolist()
         tol = tolerances["boundary_tol"]
-        out["boundary"] = {
-            "max_normal_curl_ratio": worst_n,
-            "max_tangential_ratio": worst_t,
-            "mode_count": len(modes),
-            "passed": bool(worst_t <= tol and worst_n <= tol),
-            "tolerance": tol,
-        }
-    return {
-        "geometry": {key: getattr(geom, name) for key, name in _GEOMETRY_KEYS},
-        "mode_count": len(modes),
-        "omega_max": omega_max,
-        "passed": all(s["passed"] for s in out.values()),
-        "suites": out,
-    }
+        out["boundary"] = {"max_normal_curl_ratio": worst_n, "max_tangential_ratio": worst_t, "mode_count": len(modes),
+                           "passed": bool(worst_t <= tol and worst_n <= tol), "tolerance": tol}
+    return {"geometry": {key: getattr(geom, name) for key, name in _GEOMETRY_KEYS}, "mode_count": len(modes),
+            "omega_max": omega_max, "passed": all(s["passed"] for s in out.values()), "suites": out}

@@ -1,7 +1,10 @@
 """Smoke tests: the scripts under scripts/ run against the current library."""
 
+import hashlib
 import importlib.util
 from pathlib import Path
+
+from cylcavity.cli import main as cli_main
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -28,3 +31,16 @@ def test_quadrature_convergence(capsys):
     # nr only and nz only: at order 48 both are the full 48 x 48 rule
     assert rows[-1][3] == rows[-1][4] == rows[-1][1]
     assert all(len(row) == 5 for row in rows)
+
+
+def test_verify_scale(capsys):
+    # one fresh `cylcavity verify` child per cutoff, flags passed through;
+    # its stdout is what the same command prints in this process
+    _main("verify_scale")(["5", "--suite", "gram"])
+    header, row = capsys.readouterr().out.splitlines()
+    assert header.split() == ["omega_max", "exit", "wall_s", "peak_mb", "stdout_sha256"]
+    omega_max, status, wall, peak, digest = row.split()
+    assert (omega_max, status) == ("5", "0") and float(wall) > 0.0 and float(peak) > 0.0
+    assert cli_main(["verify", "--radius", "0.9", "--height", "1.3", "--speed-of-light", "1",
+                     "--vacuum-permittivity", "1", "--hbar", "1", "--omega-max", "5", "--suite", "gram"]) == 0
+    assert digest == hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()

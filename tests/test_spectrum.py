@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -119,6 +120,13 @@ def test_geometry_stores_numpy_reals_as_floats_and_rejects_bools():
         for bad in (True, np.True_, "1.0", 1j):
             with pytest.raises(ValueError, match=f"CavityGeometry.{name} must be a real number"):
                 CavityGeometry(**{"a": 1.0, "L": 1.0, name: bad})
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, "6.5", None, 1j])
+def test_enumerate_modes_takes_a_real_cutoff(unit_geom, bad):
+    # a bool is not the cutoff 1.0, and a string is a ValueError, not a TypeError
+    with pytest.raises(ValueError, match=f"^omega_max must be a real number, got {re.escape(repr(bad))}$"):
+        enumerate_modes(unit_geom, bad)
 
 
 def test_enumeration_cutoff_and_order(unit_geom):

@@ -375,6 +375,15 @@ def test_maxwell_residual_rejects_wall_adjacent_points(unit_geom, rng):
                                  np.array([5e-4])), 1e-3)
 
 
+@pytest.mark.parametrize("bad", [True, np.True_, "1e-3", None, 1e-3j])
+def test_maxwell_residual_takes_a_real_step(unit_geom, rng, bad):
+    # a bool is not the step 1.0, and a string is a ValueError, not a TypeError
+    state = _random_state(unit_geom, rng, 3)
+    points = (np.array([0.5]), np.array([0.0]), np.array([0.6]))
+    with pytest.raises(ValueError, match=f"^step must be a real number, got {re.escape(repr(bad))}$"):
+        maxwell_residual(state, points, bad)
+
+
 def test_state_validation(unit_geom, rng):
     modes = enumerate_modes(unit_geom, 5.0)
     with pytest.raises(ValueError):

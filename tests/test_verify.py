@@ -1,10 +1,12 @@
 """Quadrature rule and the certification checks built on it."""
 
 import dataclasses
+import gc
 import json
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -600,50 +602,91 @@ def test_run_suites_gram_and_curl_equal_public_checks_bitwise(unit_geom):
 
 
 def test_run_suites_show_a_nan_in_any_one_block_as_the_dense_reports_do(unit_geom, oracle_modes, monkeypatch):
-    # np.max keeps a NaN wherever it is, where Python's max keeps it only first
-    rule = default_rule(unit_geom, oracle_modes)
+    # np.max keeps a NaN wherever it is, where Python's max keeps it only first;
+    # at omega <= 2.7 the one mode TM(0,1,0) is the one class, a 1 x 1 block
     original = verify._blocks
-    sizes = [len(idx) for idx, _ in original(oracle_modes, rule, _U)]
-    assert len(sizes) > 2 and max(sizes) > 1
-    for poisoned_class, size in enumerate(sizes):
-        for at, rows in ((0, _U), (0, _CURL), (size * size - 2, _U), (1, _CURL)):
-            if size == 1 and at != 0:
-                continue
+    one_mode = enumerate_modes(unit_geom, 2.7)
+    assert [md.index for md in one_mode] == [ModeIndex(m=0, mu=1, n=0, sigma=TM)]
+    for omega_max, modes in ((6.5, oracle_modes), (2.7, one_mode)):
+        rule = default_rule(unit_geom, modes)
+        sizes = [len(idx) for idx, _ in original(modes, rule, _U)]
+        assert (len(sizes) > 2 and max(sizes) > 1) or sizes == [1]
+        for poisoned_class, size in enumerate(sizes):
+            for at, rows in ((0, _U), (0, _CURL), (size * size - 2, _U), (1, _CURL)):
+                if size == 1 and at != 0:
+                    continue
 
-            def poisoned(modes, rule, *row_sets):
-                for k, (idx, blocks) in enumerate(original(modes, rule, *row_sets)):
-                    for sliced, block in zip(row_sets, blocks):
-                        if k == poisoned_class and sliced == rows:
-                            block.flat[at] = np.nan
-                    yield idx, blocks
+                def poisoned(modes, rule, *row_sets):
+                    for k, (idx, blocks) in enumerate(original(modes, rule, *row_sets)):
+                        for sliced, block in zip(row_sets, blocks):
+                            if k == poisoned_class and sliced == rows:
+                                block.flat[at] = np.nan
+                        yield idx, blocks
 
-            monkeypatch.setattr(verify, "_blocks", poisoned)
-            got = _run_suites(unit_geom, 6.5, ("gram", "curl"), DEFAULT_NR, 0, DEFAULT_NZ, _TOLERANCES)["suites"]
-            assert any(isinstance(v, float) and math.isnan(v) for suite in got.values() for v in suite.values())
-            _assert_suites_carry_the_report_bits(got, oracle_modes, rule)
+                monkeypatch.setattr(verify, "_blocks", poisoned)
+                got = _run_suites(unit_geom, omega_max, ("gram", "curl"), DEFAULT_NR, 0, DEFAULT_NZ, _TOLERANCES)
+                # a NaN in u fails both suites (the curl rhs is k^2 u), one in curl u the curl suite
+                assert got["passed"] is False and got["suites"]["curl"]["passed"] is False
+                assert got["suites"]["gram"]["passed"] is (rows == _CURL), (omega_max, poisoned_class, at)
+                got = got["suites"]
+                assert any(isinstance(v, float) and math.isnan(v) for suite in got.values() for v in suite.values())
+                _assert_suites_carry_the_report_bits(got, modes, rule)
+                monkeypatch.undo()
+
+
+def test_a_nan_in_a_one_mode_gram_shows_in_max_deviation():
+    # the off-diagonal maximum of a 1 x 1 matrix is over no entries
+    rep = GramReport(modes=(), matrix=np.array([[np.nan]]))
+    assert rep.max_offdiag == 0.0 and math.isnan(rep.max_diag_deviation) and math.isnan(rep.max_deviation)
+    assert math.isnan(rep.hermiticity_error)
+    finite = GramReport(modes=(), matrix=np.array([[1.0 + 2e-16j]]))
+    assert (finite.max_offdiag, finite.max_deviation, finite.hermiticity_error) == (0.0, 2e-16, 4e-16)
 
 
 @pytest.mark.parametrize("nphi", [0, 7])
-def test_blocks_yield_the_m_classes_in_ascending_order_with_stable_members(unit_geom, oracle_modes, nphi):
+def test_blocks_yield_the_m_classes_by_size_then_class_with_stable_members(unit_geom, oracle_modes, nphi):
     # the default nphi resolves every m difference of the set; nphi = 7 puts
     # m and m - 7 (or m + 7) in one class
     for modes in (oracle_modes, oracle_modes[5:6]):
         rule = quadrature_rule(unit_geom, nr=20, nphi=nphi or default_nphi(modes), nz=14)
         m = np.array([md.index.m for md in modes])
+        q = m % rule.nphi
         got = list(verify._blocks(modes, rule, _U, _CURL))
-        want = [np.flatnonzero(m % rule.nphi == q) for q in range(rule.nphi) if np.any(m % rule.nphi == q)]
-        assert [idx.tolist() for idx, _ in got] == [idx.tolist() for idx in want]
+        classes = sorted(set(q.tolist()), key=lambda c: (np.count_nonzero(q == c), c))
+        assert [idx.tolist() for idx, _ in got] == [np.flatnonzero(q == c).tolist() for c in classes]
+        # not the ascending class order: the sizes decide first
+        assert (classes != sorted(classes)) == (len(modes) > 1)
         assert all(len(blocks) == 2 and {b.shape for b in blocks} == {(len(idx),) * 2} for idx, blocks in got)
         assert any(len(set(m[idx].tolist())) > 1 for idx, _ in got) == (bool(nphi) and len(modes) > 1)
     assert list(verify._blocks((), rule, _U)) == []
 
 
+def test_run_suites_read_each_class_once_and_hold_no_earlier_one(unit_geom, monkeypatch):
+    # when class k is yielded, the blocks of classes 0 .. k - 2 are gone:
+    # neither _blocks nor _run_suites keeps a block it is done with (the
+    # loop of _run_suites still names class k - 1's blocks)
+    original, refs, alive = verify._blocks, [], []
+
+    def watched(modes, rule, *row_sets):
+        for idx, blocks in original(modes, rule, *row_sets):
+            gc.collect()
+            alive.extend((len(refs), j) for j, kept in enumerate(refs[:-1]) if any(ref() is not None for ref in kept))
+            refs.append([weakref.ref(block) for block in blocks])
+            yield idx, blocks
+
+    monkeypatch.setattr(verify, "_blocks", watched)
+    got = _run_suites(unit_geom, 10.0, ("gram", "curl"), DEFAULT_NR, 0, DEFAULT_NZ, _TOLERANCES)
+    assert got["passed"] and len(refs) > 10 and all(len(kept) == 2 for kept in refs)
+    assert alive == []
+
+
 def test_run_suites_hold_no_n_by_n_array(unit_geom):
     # at 878 modes the peak stays below one complex 878 x 878 matrix, where
-    # the dense reports took 5 of them; at 2999 modes the 49 class blocks of
-    # u and of curl u take 9.5 MB together, where summing the pairs of all
-    # classes in one expression peaked at 53 MB
-    for omega_max, count, bound in ((20.0, 878, 16 * 878**2), (30.0, 2999, 32e6)):
+    # the dense reports took 5 of them; at 2999 modes the peak stays below
+    # 18 MB, where holding every class block of u and of curl u (9.5 MB)
+    # until the curl suite read them peaked at 22 MB, and summing the pairs
+    # of all classes in one expression at 53 MB
+    for omega_max, count, bound in ((20.0, 878, 16 * 878**2), (30.0, 2999, 18e6)):
         _run_suites(unit_geom, omega_max, ("gram", "curl"), DEFAULT_NR, 0, DEFAULT_NZ, _TOLERANCES)     # tables kept
         tracemalloc.start()
         try:
