@@ -352,7 +352,7 @@ def _zero_tables(counts: dict, below: float = 0.0) -> dict:
     pass refines every new cell."""
     keys = {key: _canonical(*key) for key in counts}
     with _ROOTS_LOCK:
-        roots = {c: _ROOTS.setdefault(c, _Roots(*c)) for c in keys.values()}
+        roots = {c: _ROOTS.get(c) or _ROOTS.setdefault(c, _Roots(*c)) for c in keys.values()}  # built only when new
         need = {c: 0 for c in roots}
         for key, c in keys.items():
             need[c] = max(need[c], counts[key])

@@ -158,15 +158,16 @@ def enumerate_modes(geom: CavityGeometry, omega_max: float) -> list[ModeData]:
     omega_max = _as_real("omega_max", omega_max)
     if not (math.isfinite(omega_max) and omega_max >= 0.0):
         raise ValueError(f"omega_max must be finite and >= 0, got {omega_max!r}")
-    chi_max = omega_max * geom.a / geom.c
-    n_top = math.floor(omega_max * geom.L / (math.pi * geom.c)) + 1   # h <= omega/c
+    k_max, chi_max = omega_max / geom.c, omega_max * geom.a / geom.c
     # every zero of J_m or J_m' exceeds m, so the orders up to chi_max hold
     # every zero <= chi_max; x = 0 is not counted as a zero of J_0'
     orders = range(math.floor(chi_max) + 1)
     tables = _zero_tables({(m, kind): 0 for kind in _KIND_OF.values() for m in orders}, chi_max)
+    # per chi, n up to one past h = n pi/L <= sqrt(k_max^2 - g^2); the omega filter decides
     candidates = [ModeIndex(mm, mu, n, sigma)
                   for sigma in (TM, TE) for m in orders
                   for mu, chi in enumerate(tables[m, _KIND_OF[sigma]], start=1) if chi <= chi_max
+                  for n_top in [math.floor(geom.L / math.pi * math.sqrt(max(0.0, k_max**2 - (chi / geom.a)**2))) + 1]
                   for mm in ((m,) if m == 0 else (m, -m))
                   for n in range(0 if sigma == TM else 1, n_top + 1)]
     return sorted((md for md in _modes(geom, candidates) if md.omega <= omega_max), key=_sort_key)

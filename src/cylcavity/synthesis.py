@@ -34,10 +34,11 @@ QuadratureRule sums e^{i q phi} exactly to sum w_phi when q = 0 mod nphi
 and to 0 otherwise (trapezoid rule), so only members whose m agree mod
 nphi meet; the (r, z) sums of each such class, still numeric, are small
 Grams of the radial and axial table rows it uses (sum factorization).  An
-aliasing nphi or a coarse r or z rule errs exactly as the full 3-D sum
-does.  The zero-point contribution sum_s hbar omega_s / 2 of a truncated
-mode set is reported separately by zero_point_energy and is never folded
-into the classical total (it diverges with the cutoff).
+nphi that puts two members of different m in one class makes total_energy
+and project raise ValueError (_classes); a coarse r or z rule errs exactly
+as the full 3-D sum does.  The zero-point contribution sum_s hbar omega_s
+/ 2 of a truncated mode set is reported separately by zero_point_energy
+and is never folded into the classical total (it diverges with the cutoff).
 
 Amplitudes can be recovered from sampled fields: with the inner product
 <f, g> = int f* . g dV,
@@ -264,17 +265,18 @@ def total_energy(state: FieldState, rule: QuadratureRule) -> float:
     conjugates (conj beta_i, -m_i) on the same table rows.  The weighted sum
     of (Re X)^2 is 1/4 sum w |Y|^2, where the phi sum keeps the pairs of one
     class q of m mod nphi, times sum w_phi.  Class -q holds the conjugates
-    of class q, so the walk (_runs) takes q <= -q mod nphi, twice if q != -q.
+    of class q, so the walk (_classes) takes q <= -q mod nphi, twice if q != -q.
     Per class, the beta scatter into A[row, rho, zeta] over the radial and
     axial table rows it uses, and the (r, z) sum is sum conj(A) G_R A G_Z,
     with the 1-D Grams G_R = T_R diag(w_r) T_R^T of those radial rows alone
     and G_Z of the axial table.  The uniform phi rule of every QuadratureRule
-    makes the phi sum exact; the r and z sums stay numeric, so an aliasing
-    nphi or a coarse r or z rule shows as in the full 3-D sum."""
+    makes the phi sum exact or raises (_classes); the r and z sums stay
+    numeric, so a coarse r or z rule shows as in the full 3-D sum."""
     geom, modes = state.geom, state.modes
     _same_geometry(modes, rule)
     if not modes:
         return 0.0
+    q, order, runs = _classes(modes, rule.nphi)
     r, _, z = rule.grid()
     s, c, radial, r_at, axial, z_at = _tables(modes, r, z)
     rows = slice(_U.start, _CURL.stop)
@@ -286,10 +288,7 @@ def total_energy(state: FieldState, rule: QuadratureRule) -> float:
     beta = s[rows] * p * (2.0 * state.amplitudes * c)
     g_z = (axial * rule.wz) @ axial.T
     # the doubled set: the modes (beta, m), then their conjugates (conj beta, -m) on the same table rows
-    m = np.array([md.index.m for md in modes])
-    q, beta = np.concatenate([m, -m]) % rule.nphi, np.concatenate([beta, beta.conj()], axis=1)
-    r_at, z_at = np.tile(r_at[rows], 2), np.tile(z_at[rows], 2)
-    order, runs = _runs(q)
+    beta, r_at, z_at = np.concatenate([beta, beta.conj()], axis=1), np.tile(r_at[rows], 2), np.tile(z_at[rows], 2)
     total = 0.0
     for lo, hi in runs:
         j = order[lo:hi]
@@ -306,6 +305,22 @@ def total_energy(state: FieldState, rule: QuadratureRule) -> float:
         GA = ((t * rule.wr) @ t.T) @ (A.reshape(-1, len(zeta)) @ g_z[zeta[:, None], zeta]).reshape(-1, *shape[1:])
         total += (1 + (cls != -cls % rule.nphi)) * (A.ravel() * GA.ravel()).sum()     # numpy's sum: no BLAS threads
     return float(0.25 * rule.wphi.sum() * total)
+
+
+def _classes(modes, nphi: int) -> tuple:
+    """(q, order, runs) of the doubled mode set, which a real field holds: q the
+    class m mod nphi of each mode and then of each conjugate (-m), (order,
+    runs) the bessel._runs of q.  Raises ValueError naming the first two
+    neighbours in order of one class whose m differ: the phi rule aliases them."""
+    m = np.outer([1, -1], [md.index.m for md in modes]).ravel()     # the modes, then their conjugates
+    order, runs = _runs(q := m % nphi)
+    clash = np.flatnonzero((np.diff(q[order]) == 0) & (np.diff(m[order]) != 0))
+    if clash.size:
+        name = lambda i: f"{modes[i].index}" if i < len(modes) else f"the conjugate of {modes[i - len(modes)].index}"
+        i, j = order[clash[0]:clash[0] + 2].tolist()
+        raise ValueError(f"phi rule aliases {name(i)} (m={m[i]}) and {name(j)} (m={m[j]}): "
+                         f"m differs by a multiple of nphi={nphi}")
+    return q, order, runs
 
 
 def mode_sum_energy(state: FieldState) -> float:
@@ -325,16 +340,11 @@ def project(e_sampler, b_sampler, modes, rule: QuadratureRule) -> np.ndarray:
     Each sampler maps the rule's grid() to the real components (r, phi, z).
     Raises ValueError on another number of components, on a sample that is
     not finite or not real (complex with a nonzero imaginary part), and
-    when two modes' m differ by a nonzero multiple of nphi: the phi rule
-    cannot tell them apart."""
+    when nphi aliases two of the modes and their conjugates (-m), which a real
+    field holds: their m differ by a nonzero multiple of nphi (_classes)."""
     modes = tuple(modes)
     _same_geometry(modes, rule)
-    first = {}
-    for md in modes:
-        other = first.setdefault(md.index.m % rule.nphi, md).index
-        if other.m != md.index.m:
-            raise ValueError(f"phi rule aliases modes {other} (m={other.m}) and {md.index} "
-                             f"(m={md.index.m}): m differs by a multiple of nphi={rule.nphi}")
+    _classes(modes, rule.nphi)
     r, phi, z = rule.grid()
     shape = (rule.nr, rule.nphi, rule.nz)
     slot = {mv: j for j, mv in enumerate(sorted({md.index.m for md in modes}))}

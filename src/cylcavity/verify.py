@@ -428,19 +428,19 @@ def check_boundary(mode: ModeData, samples=None) -> BoundaryReport:
     """Tangential u and normal curl u on the walls, vs interior maxima.  Modes
     with the same radial function (|m|, g), such as the +-m partners, share
     its radial table, which modefield keeps on the wall radii."""
-    return _walls((mode,), samples)[0]
+    return BoundaryReport(mode, *_walls((mode,), samples)[:, 0].tolist())
 
 
-def _walls(modes, samples=None) -> list:
-    """check_boundary of each of modes (one geometry) on the same samples, the
-    default wall layout when samples is None: per chunk of whole |m| groups
-    (modefield._groups, which bounds the memory), one modefield._tables
-    call on the nodes of _wall_nodes."""
+def _walls(modes, samples=None) -> np.ndarray:
+    """The four maxima of BoundaryReport, a (4, n) array with one column per mode
+    of modes (one geometry), on the same samples, the default wall layout when
+    samples is None: per chunk of whole |m| groups (modefield._groups, which
+    bounds the memory), one modefield._tables call on the nodes of _wall_nodes."""
+    maxima = np.empty((4, len(modes)))
     if not modes:
-        return []
+        return maxima
     geom = modes[0].geom
     r, z, r_at, z_at, on_side = _default_walls(geom) if samples is None else _wall_nodes(geom, samples)
-    reports = [None] * len(modes)
     for chunk in _groups([abs(md.index.m) for md in modes], r.size):
         s, c, radial, rho, axial, zeta = _tables(tuple(modes[i] for i in chunk), r, z)
         # the moduli are |s| |R| |Z| since |e^{i m phi}| = 1, so the interior
@@ -450,10 +450,8 @@ def _walls(modes, samples=None) -> list:
         inner = s[..., 0] * R[..., -_INTERIOR:].max(axis=-1) * Z[..., -_INTERIOR:].max(axis=-1)
         tangential = np.where(on_side, np.hypot(wall[2], wall[3]), np.hypot(wall[1], wall[2]))
         normal_curl = np.where(on_side, wall[4], wall[6])
-        maxima = (tangential.max(axis=1), normal_curl.max(axis=1), inner[_U].max(axis=0), inner[_CURL].max(axis=0))
-        for i, *values in zip(chunk, *(v.tolist() for v in maxima)):
-            reports[i] = BoundaryReport(modes[i], *values)
-    return reports
+        maxima[:, chunk] = tangential.max(1), normal_curl.max(1), inner[_U].max(0), inner[_CURL].max(0)
+    return maxima
 
 
 # --------------------------------------------------------------- suites
@@ -495,6 +493,7 @@ def _run_suites(geom: CavityGeometry, omega_max: float, suites, nr: int, nphi: i
     """The `cylcavity verify` report: each requested suite of _SUITES on the modes
     with omega <= omega_max.  nphi = 0 takes default_nphi; tolerances holds
     gram_tol, curl_rel_tol, curl_abs_tol, boundary_tol and bessel_tol."""
+    nr, nphi, nz = (_as_int(name, v, low) for name, v, low in (("nr", nr, 1), ("nphi", nphi, 0), ("nz", nz, 1)))
     tolerances = {key: _as_tolerance(key, v) for key, v in tolerances.items()}
     modes = tuple(enumerate_modes(geom, omega_max))
     out = {}
@@ -517,10 +516,8 @@ def _run_suites(geom: CavityGeometry, omega_max: float, suites, nr: int, nphi: i
         out["curl"] = {**_curl_figures(curl_rows), "abs_tolerance": tolerances["curl_abs_tol"],
                        "mode_count": len(modes), "rel_tolerance": tolerances["curl_rel_tol"]}
     if "boundary" in suites:
-        reps = _walls(modes)
-        ratios = np.reshape([(rep.tangential_ratio, rep.normal_curl_ratio) for rep in reps], (-1, 2))
-        worst_t, worst_n = np.max(ratios, axis=0, initial=0.0).tolist()
-        tol = tolerances["boundary_tol"]
+        walls, tol = _walls(modes), tolerances["boundary_tol"]
+        worst_t, worst_n = np.max(walls[:2] / walls[2:], axis=1, initial=0.0).tolist()    # over the interior maxima
         out["boundary"] = {"max_normal_curl_ratio": worst_n, "max_tangential_ratio": worst_t, "mode_count": len(modes),
                            "passed": bool(worst_t <= tol and worst_n <= tol), "tolerance": tol}
     return {"geometry": {key: getattr(geom, name) for key, name in _GEOMETRY_KEYS}, "mode_count": len(modes),

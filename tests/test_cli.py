@@ -187,6 +187,16 @@ def test_verify_rejects_a_negative_or_non_finite_tolerance(capsys, recwarn, bad)
     assert not recwarn.list
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--suite", "boundary", "--nr", "0"], "nr must be a positive integer, got 0"),
+    (["--suite", "bessel", "--nphi", "-1"], "nphi must be a non-negative integer, got -1"),
+], ids=["nr", "nphi"])
+def test_verify_checks_its_rule_sizes_before_any_suite(capsys, argv, message):
+    # neither suite builds a quadrature rule, so the sizes are checked up front
+    code, out, err = run_cli(["verify", *GEOM_ARGS, "--omega-max", "5", *argv], capsys)
+    assert code == 1 and not out and err == f"error: {message}\n"
+
+
 def test_verify_suite_selection(capsys):
     code, out, _ = run_cli(["verify", *GEOM_ARGS, "--omega-max", "4",
                             "--suite", "bessel"], capsys)

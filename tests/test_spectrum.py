@@ -3,6 +3,7 @@
 import functools
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from cylcavity import (
     quadrature_rule,
     zero_table,
 )
+import cylcavity.bessel as bessel
+import cylcavity.spectrum as spectrum
 
 
 def test_mode_data_tm(unit_geom):
@@ -285,3 +288,29 @@ def test_mode_data_is_hashable(unit_geom):
     md = mode_data(unit_geom, ModeIndex(m=0, mu=1, n=0, sigma=TM))
     assert md == mode_data(unit_geom, ModeIndex(m=0, mu=1, n=0, sigma=TM))
     assert len({md, md}) == 1
+
+
+@pytest.mark.parametrize("omega_max", [6.0, 20.0])
+def test_enumerate_modes_builds_at_most_one_candidate_above_the_cutoff(unit_geom, monkeypatch, omega_max):
+    # n is bounded per radial quantum chi by h = n pi / L <= sqrt((omega/c)^2 - (chi/a)^2)
+    built = []
+    original = spectrum._modes
+    monkeypatch.setattr(spectrum, "_modes", lambda geom, indices: built.extend(original(geom, indices)) or built)
+    got = enumerate_modes(unit_geom, omega_max)
+    above = Counter((md.index.sigma, md.index.m, md.index.mu) for md in built if md.omega > omega_max)
+    assert got and max(above.values(), default=0) <= 1
+    assert got == sorted((md for md in built if md.omega <= omega_max), key=spectrum._sort_key)
+
+
+def test_a_warm_enumerate_modes_constructs_no_zero_cache_entry(unit_geom, monkeypatch):
+    enumerate_modes(unit_geom, 6.0)
+    made = []
+
+    class Counted(bessel._Roots):
+        def __init__(self, *key):
+            made.append(key)
+            super().__init__(*key)
+
+    monkeypatch.setattr(bessel, "_Roots", Counted)
+    assert len(enumerate_modes(unit_geom, 6.0)) == 20
+    assert made == []

@@ -154,16 +154,31 @@ def _energy_rule(state, kind):
 
 
 _ENERGY_RULES = ["default", "nphi3", "nphi4", "nphi5", "nphi7", "nphi8", "nrz6", "nrz10"]
+# the (state, rule) cases whose doubled set, the modes and their conjugates
+# (-m), holds two members of different m in one class m mod nphi
+_ALIASING = {("pm_pairs", "nphi3"), ("pm_pairs", "nphi4"), ("pm_pairs", "nphi5"), ("pm_pairs", "nphi7"),
+             ("pm_pairs", "nphi8"), ("tm_n0", "nphi3"), ("tm_n0", "nphi4"), ("single", "nphi4")}
+
+
+def _doubled_set_aliases(modes, nphi):
+    m = {sign * md.index.m for md in modes for sign in (1, -1)}
+    return len({v % nphi for v in m}) < len(m)
 
 
 @pytest.mark.parametrize("rule_kind", _ENERGY_RULES)
 @pytest.mark.parametrize("state_kind", ["pm_pairs", "tm_n0", "m0", "single"])
 def test_energy_matches_dense_quadrature(unit_geom, rng, state_kind, rule_kind):
-    # the same discrete sum as the 3-D quadrature of the dense fields, so an
-    # aliasing phi rule or a coarse r, z rule errs exactly as that sum does
+    # the same discrete sum as the 3-D quadrature of the dense fields, so a
+    # coarse r, z rule errs exactly as that sum does; an aliasing phi rule,
+    # on which that sum errs too, raises instead
     state = _energy_state(unit_geom, rng, state_kind)
     assert state_kind != "tm_n0" or {md.index.m for md in state.modes} >= {-1, 0, 1}
     rule = _energy_rule(state, rule_kind)
+    assert _doubled_set_aliases(state.modes, rule.nphi) == ((state_kind, rule_kind) in _ALIASING)
+    if (state_kind, rule_kind) in _ALIASING:
+        with pytest.raises(ValueError, match=f"phi rule aliases .*: m differs by a multiple of nphi={rule.nphi}$"):
+            total_energy(state, rule)
+        return
     want = dense_energy(state, rule)
     assert abs(total_energy(state, rule) - want) <= 1e-14 * want
 
@@ -172,8 +187,68 @@ def test_energy_shows_the_error_of_an_under_resolved_rule(unit_geom, rng):
     state = _energy_state(unit_geom, rng, "pm_pairs")
     closed = mode_sum_energy(state)
     for kind in _ENERGY_RULES:
-        err = abs(total_energy(state, _energy_rule(state, kind)) - closed) / closed
+        rule = _energy_rule(state, kind)
+        if ("pm_pairs", kind) in _ALIASING:
+            with pytest.raises(ValueError, match=f"nphi={rule.nphi}$"):
+                total_energy(state, rule)
+            continue
+        err = abs(total_energy(state, rule) - closed) / closed
         assert (err < 1e-14) if kind == "default" else (err > 1e-12), (kind, err)
+    assert {kind for kind in _ENERGY_RULES if ("pm_pairs", kind) not in _ALIASING} == {"default", "nrz6", "nrz10"}
+
+
+def _readme_state_at_12(geom):
+    modes = enumerate_modes(geom, 12.0)     # 183 modes, |m| <= 8
+    rng = np.random.default_rng(12)
+    amps = rng.normal(size=len(modes)) + 1j * rng.normal(size=len(modes))
+    return FieldState(geom=geom, entries=tuple(zip(modes, amps)))
+
+
+_MEMBER = r"(the conjugate of )?ModeIndex\(m=(-?\d+),[^)]*\) \(m=(-?\d+)\)"
+_CLASH = re.compile(rf"phi rule aliases {_MEMBER} and {_MEMBER}: m differs by a multiple of nphi=(\d+)")
+
+
+def _clash(message, nphi):
+    """Which of the two members named are conjugates; each shows its own m, and
+    the two m differ by a nonzero multiple of nphi."""
+    found = _CLASH.fullmatch(message)
+    assert found, message
+    first, index_m, m1, second, partner_m, m2, named = found.groups()
+    assert int(m1) == (-1 if first else 1) * int(index_m) and int(m2) == (-1 if second else 1) * int(partner_m)
+    assert int(named) == nphi and m1 != m2 and (int(m1) - int(m2)) % nphi == 0
+    return bool(first), bool(second)
+
+
+@pytest.mark.parametrize("nphi, lowest_m, count", [(9, 1, 81), (16, 0, 102)])
+def test_projection_rejects_a_rule_that_aliases_a_mode_with_a_conjugate(unit_geom, nphi, lowest_m, count):
+    # no two of these modes agree mod nphi, but a real field holds every
+    # mode's conjugate at -m too, and m = 1 meets -8 mod 9, m = 8 meets -8 mod 16
+    state = _readme_state_at_12(unit_geom)
+    picked = [k for k, md in enumerate(state.modes) if md.index.m >= lowest_m]
+    targets = [state.modes[k] for k in picked]
+    assert len(state.modes) == 183 and len(targets) == count
+    assert len({md.index.m % nphi for md in targets}) == len({md.index.m for md in targets})
+    samplers = field_samplers(state)
+    with pytest.raises(ValueError) as err:
+        project(*samplers, targets, quadrature_rule(unit_geom, nphi=nphi))
+    assert _clash(str(err.value), nphi) == (False, True)     # a mode, then the conjugate of another
+    got = project(*samplers, targets, quadrature_rule(unit_geom, nphi=17))
+    assert np.max(np.abs(got - state.amplitudes[picked])) < 1e-10
+
+
+@pytest.mark.parametrize("nphi", [16, 15])
+def test_energy_rejects_a_rule_that_aliases_a_mode_with_a_conjugate(unit_geom, nphi):
+    # both reductions state the rule once: the same modes and nphi, the same message
+    state = _readme_state_at_12(unit_geom)
+    rule = quadrature_rule(unit_geom, nphi=nphi)
+    with pytest.raises(ValueError) as err:
+        total_energy(state, rule)
+    _clash(str(err.value), nphi)
+    with pytest.raises(ValueError) as same:
+        project(*field_samplers(state), state.modes, rule)
+    assert str(same.value) == str(err.value)
+    closed = mode_sum_energy(state)
+    assert abs(total_energy(state, quadrature_rule(unit_geom, nphi=17)) - closed) <= 1e-12 * closed
 
 
 def test_energy_holds_no_field_on_the_rule_grid(unit_geom, rng):

@@ -1,6 +1,5 @@
 """Quadrature rule and the certification checks built on it."""
 
-import dataclasses
 import gc
 import json
 import math
@@ -564,8 +563,12 @@ def test_tm_modes_with_n_24_pass_the_wall_check(unit_geom, m, mu):
 def test_walls_equal_one_mode_checks_bitwise(unit_geom, oracle_modes):
     # one evaluation per chunk of |m| groups gives each mode the bits it gets alone
     samples = wall_samples(unit_geom)
-    assert _walls(tuple(oracle_modes), samples) == [check_boundary(md, samples) for md in oracle_modes]
-    assert _walls((), samples) == []
+    maxima = _walls(tuple(oracle_modes), samples)
+    assert maxima.shape == (4, len(oracle_modes))
+    for column, md in zip(maxima.T.tolist(), oracle_modes):
+        rep = check_boundary(md, samples)
+        assert column == [rep.max_tangential_u, rep.max_normal_curl, rep.interior_max_u, rep.interior_max_curl]
+    assert _walls((), samples).shape == (4, 0)
 
 
 _TOLERANCES = {"gram_tol": 1e-8, "curl_rel_tol": 1e-8, "curl_abs_tol": 1e-12,
@@ -702,9 +705,9 @@ def test_boundary_suite_shows_a_nan_ratio_of_any_mode(unit_geom, monkeypatch):
     original = verify._walls
 
     def poisoned(modes, samples=None):
-        reps = original(modes, samples)
-        reps[5] = dataclasses.replace(reps[5], max_tangential_u=math.nan)
-        return reps
+        maxima = original(modes, samples)
+        maxima[0, 5] = math.nan     # mode 5's max tangential u
+        return maxima
 
     monkeypatch.setattr(verify, "_walls", poisoned)
     got = _run_suites(unit_geom, 6.5, ("boundary",), DEFAULT_NR, 0, DEFAULT_NZ, _TOLERANCES)
