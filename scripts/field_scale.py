@@ -1,4 +1,4 @@
-"""Warm time and accuracy of `total_energy` and `project` at each cutoff given.
+"""Warm time and accuracy of `total_energy`, synthesis and `project` at each cutoff given.
 
 Usage: python scripts/field_scale.py OMEGA_MAX... [--nr N] [--nz N] [--nphi N]
 e.g.   python scripts/field_scale.py 40 80 --nr 96 --nz 96
@@ -8,11 +8,12 @@ L = 1.3 cavity of the README (c = eps0 = hbar = 1), with amplitudes from
 a generator of fixed seed, on the rule nr x nphi x nz (nphi 0, the
 default, takes default_nphi of the modes).  One row per cutoff: the
 cutoff, the mode count, the median seconds of three calls of
-`total_energy` and of `project` after one untimed call of each (a
-`project` call includes its samplers' syntheses on the rule grid), the
-energy's relative error against `mode_sum_energy` and the largest
-amplitude error of `project`.  When nphi aliases two of the modes and
-their conjugates, both functions raise and their columns read `raises`.
+`total_energy`, of E and B from `field_samplers` on the rule grid and of
+`project` after one untimed call of each (a `project` call includes its
+samplers' syntheses on the rule grid), the energy's relative error
+against `mode_sum_energy` and the largest amplitude error of `project`.
+When nphi aliases two of the modes and their conjugates, `total_energy`
+and `project` raise and their columns read `raises`.
 """
 
 import argparse
@@ -52,11 +53,12 @@ def row(omega_max: float, nr: int, nphi: int, nz: int) -> str:
     state = FieldState(geom=GEOM, entries=tuple(zip(modes, amps)))
     rule = quadrature_rule(GEOM, nr=nr, nphi=nphi or default_nphi(modes), nz=nz)
     energy_s, energy = warm(lambda: total_energy(state, rule))
+    synth_s, _ = warm(lambda: [sampler(*rule.grid()) for sampler in field_samplers(state)])
     project_s, got = warm(lambda: project(*field_samplers(state), modes, rule))
     closed = mode_sum_energy(state)
     energy_err = "raises" if energy is None else f"{abs(energy - closed) / closed:.1e}"
     amp_err = "raises" if got is None else f"{float(np.max(np.abs(got - amps), initial=0.0)):.1e}"
-    return f"{omega_max:>9g} {len(modes):>7} {energy_s:>8} {project_s:>9} {energy_err:>10} {amp_err:>9}"
+    return f"{omega_max:>9g} {len(modes):>7} {energy_s:>8} {synth_s:>8} {project_s:>9} {energy_err:>10} {amp_err:>9}"
 
 
 def main(argv):
@@ -66,7 +68,8 @@ def main(argv):
     parser.add_argument("--nz", type=int, default=DEFAULT_NZ)
     parser.add_argument("--nphi", type=int, default=0, help="0 takes default_nphi of the modes")
     args = parser.parse_args(argv)
-    print(f"{'omega_max':>9} {'modes':>7} {'energy_s':>8} {'project_s':>9} {'energy_err':>10} {'amp_err':>9}")
+    print(f"{'omega_max':>9} {'modes':>7} {'energy_s':>8} {'synth_s':>8} {'project_s':>9} {'energy_err':>10} "
+          f"{'amp_err':>9}")
     for omega_max in args.omega_max:
         print(row(omega_max, args.nr, args.nphi, args.nz), flush=True)
 

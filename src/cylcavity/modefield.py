@@ -34,11 +34,12 @@ table holds sin, h cos, cos and -h sin of each distinct h.  The wall
 check (verify._walls) indexes the tables of its distinct wall nodes, and
 the one-mode *_grid functions read their mode's rows from them.  _walk
 gives synthesis and projection the (s, R, Z) triple of one chunk of whole
-|m| groups at a time in m order, R and Z each one gather from the tables;
-_phase alone forms e^{i m phi}.  The radial tables are kept per set of
-radii (_kept), the least recently used set evicted whole; a sweep takes
-only functions not kept on its radii yet, plus, in its chunks, those of
-the same a kept on other radii (a Gram's, for the walls).  The only
+|m| groups at a time, one run per |m| that holds the +-m partners, R and
+Z each one gather from the tables; _phase alone forms e^{i m phi}.  The
+radial tables are kept per set of radii (_kept), the least recently used
+set evicted whole; a sweep takes only functions not kept on its radii
+yet, plus, in its chunks, those of the same a kept on other radii (a
+Gram's, for the walls), and each distinct radius once.  The only
 removable singularity is (m/r) J_m(g r) on the axis, which tends to g/2
 for |m| = 1 (both signs, since J_{-1} = -J_1) and to 0 otherwise; radii
 below 1e-8 a are evaluated with that limit.
@@ -193,14 +194,15 @@ def _tables(modes, r, z):
 
 def _walk(modes, r, z, rows):
     """Per chunk of whole |m| groups (_groups), one _tables call: yields (idx,
-    m, s, R, Z, runs), idx the chunk's positions in modes in stable m order
-    and runs each m's (lo, hi) slice, both from _runs, and m their m; row c
-    of mode idx[j] is s[c, j] R[c, ..., j] Z[c, ..., j] e^{i m phi} for each
-    c of rows, s complex, R (rows, *r.shape, k) and Z (rows, *z.shape, k) real."""
+    m, s, R, Z, runs), idx the chunk's positions in modes in stable |m|
+    order, runs each |m|'s (lo, hi) slice, the +-m partners together, both
+    from _runs, and m their m; row c of mode idx[j] is s[c, j] R[c, ..., j]
+    Z[c, ..., j] e^{i m phi} for each c of rows, s complex, R (rows,
+    *r.shape, k) and Z (rows, *z.shape, k) real."""
     for chunk in _groups([abs(md.index.m) for md in modes], np.size(r)):
         s, c, radial, r_at, axial, z_at = _tables(tuple(modes[i] for i in chunk), r, z)
         m = np.array([modes[i].index.m for i in chunk])
-        order, runs = _runs(m)      # only the gather index is permuted
+        order, runs = _runs(np.abs(m))      # only the gather index is permuted
         yield (np.asarray(chunk)[order], m[order], s[rows][:, order], _gather(radial, r_at[rows][:, order], np.shape(r)),
                c[order] * _gather(axial, z_at[rows][:, order], np.shape(z)), runs)
 
@@ -235,35 +237,37 @@ def _kept(radii: bytes) -> dict:
 
 def _radial(funcs, ra):
     """Radial tables of each radial function (|m|, g, a) of funcs on the radii
-    ra, rows J, g J', (|m|/r) J and g^2 J of J_|m|(g r), shaped
-    (4 len(funcs), ra.size); (|m|/r) J takes its limit, g/2 for |m| = 1 and
-    0 otherwise, below _AXIS_FRACTION a.  The functions not yet kept on
-    these radii (_kept) take one kernel call per chunk (_groups) and are
-    kept read-only; a set of more than _CHUNK_POINTS radii keeps nothing,
-    so the tables kept take at most _KEPT_SETS x _CHUNK_POINTS x 32 bytes
-    per radial function.  Each chunk is filled up to _CHUNK_POINTS points
-    with the functions of the same a kept on other radii (_LIVE), in
-    ascending (|m|, g): a point has the same bits in any batch, and a later
-    call here finds them (a certify op's 20 wall checks make one sweep)."""
+    ra, rows J, g J', (|m|/r) J and g^2 J of J_|m|(g r), shaped (4 len(funcs),
+    ra.size); (|m|/r) J takes its limit, g/2 for |m| = 1 and 0 otherwise,
+    below _AXIS_FRACTION a.  The functions not yet kept on these radii (_kept)
+    take one kernel call per chunk (_groups) at each distinct radius and are
+    kept read-only; a set of more than _CHUNK_POINTS radii keeps nothing, so
+    the tables kept take at most _KEPT_SETS x _CHUNK_POINTS x 32 bytes per
+    radial function.  Each chunk is filled up to _CHUNK_POINTS points with the
+    functions of the same a kept on other radii (_LIVE), in ascending
+    (|m|, g): a point has the same bits in any batch, and a later call here
+    finds them (a certify op's 20 wall checks make one sweep)."""
     rs = ra.reshape(-1)
     kept = _kept(rs.tobytes()) if rs.size <= _CHUNK_POINTS else {}
     missing = [f for f in funcs if f not in kept]
-    chunks = _groups([f[0] for f in missing], rs.size)
-    if missing and rs.size:
+    distinct = not missing or len(set(rs.tolist())) == rs.size     # a stencil's 7 n radii hold 3 n
+    ru, back = (rs, slice(None)) if distinct else np.unique(rs, return_inverse=True)
+    chunks = _groups([f[0] for f in missing], ru.size)
+    if missing and ru.size:
         cavity, live = {f[2] for f in missing}, set().union(*[ref() or () for ref in _LIVE.valuerefs()])
         pool = iter(sorted(f for f in live.difference(kept, missing) if f[2] in cavity))
         for idx in chunks:
-            extra = list(itertools.islice(pool, max(0, _CHUNK_POINTS // rs.size - len(idx))))
+            extra = list(itertools.islice(pool, max(0, _CHUNK_POINTS // ru.size - len(idx))))
             idx += range(len(missing), len(missing) + len(extra))
             missing += extra
     absm = np.array([f[0] for f in missing], dtype=int)
     g, a = np.array([f[1:] for f in missing], dtype=float).reshape(-1, 2).T
     for idx in chunks:
-        ms, gs, near = absm[idx, None], g[idx, None], rs < _AXIS_FRACTION * a[idx, None]
-        orders = np.repeat(ms[:, 0], rs.size) + np.arange(-1, 2)[:, None]     # J_{|m|-1}, J_|m|, J_{|m|+1}
-        lower, jm, upper = _j_points(orders, (gs * rs).reshape(-1)).reshape(3, len(idx), rs.size)
-        m_over_r = np.where(near | (ms == 0), np.where(ms == 1, 0.5 * gs, 0.0), ms * jm / np.where(near, 1.0, rs))
-        tables = np.stack([jm, gs * (0.5 * (lower - upper)), m_over_r, gs * gs * jm], axis=1)
+        ms, gs, near = absm[idx, None], g[idx, None], ru < _AXIS_FRACTION * a[idx, None]
+        orders = np.repeat(ms[:, 0], ru.size) + np.arange(-1, 2)[:, None]     # J_{|m|-1}, J_|m|, J_{|m|+1}
+        lower, jm, upper = _j_points(orders, (gs * ru).reshape(-1)).reshape(3, len(idx), ru.size)
+        m_over_r = np.where(near | (ms == 0), np.where(ms == 1, 0.5 * gs, 0.0), ms * jm / np.where(near, 1.0, ru))
+        tables = np.stack([jm, gs * (0.5 * (lower - upper)), m_over_r, gs * gs * jm], axis=1)[..., back]
         tables.flags.writeable = False
         kept.update(zip([missing[i] for i in idx], tables))
     return np.array([kept[f] for f in funcs], dtype=float).reshape(4 * len(funcs), rs.size)

@@ -10,15 +10,17 @@ which are exactly real by construction: E = i (c - c*) = 2 Re (i c) and
 B = c + c* = 2 Re c of one complex sum c each.  Every component of u_s and
 curl u_s is s R_s(r) Z_s(z) e^{i m_s phi}, taken from modefield._walk one
 chunk of |m_s| groups at a time, to bound the memory of the factors, with
-each chunk's modes in m order.  Synthesis is two real contractions: per m
-and component the (r, z) planes of Re c_m and Im c_m are R diag(2 p a s)
-Z^T, and one contraction of every m's planes with [cos m phi, -sin m phi]
-is the real inverse DFT over m.  The planes are laid out slot-major, (m,
-Re/Im, component, r, z), so the modes of one m are a slice of a chunk's
+each chunk's modes in |m| order.  As Re(b e^{-i|m| phi}) = Re(conj(b)
+e^{i|m| phi}), a mode with m < 0 enters the slot of |m| with b conjugated.
+Synthesis is two real contractions: per |m| and component the (r, z)
+planes of Re c_|m| and Im c_|m| are R diag(2 p a s) Z^T, and one
+contraction of every |m|'s planes with [cos |m| phi, -sin |m| phi] is the
+real inverse DFT over |m|.  The planes are laid out slot-major, (|m|,
+Re/Im, component, r, z), so the modes of one |m| are a slice of a chunk's
 factors and its planes one contiguous block; the inverse DFT reads the
-leading (m, Re/Im) axes in place as its contracted axis.  _contract runs
-both, a GEMM on a tensor grid and batched dots on scattered points; per
-chunk it lays out the factors once and runs one matmul per m block.
+leading axes in place as its contracted axis.  _contract runs both, a
+GEMM on a tensor grid and batched dots on scattered points; per chunk it
+lays out the factors once and runs one matmul per |m| block.
 Time evolution multiplies each amplitude by e^{-i omega_s dt}; with that
 rule (E, B) satisfies the free-space Maxwell equations, and the classical
 field energy
@@ -51,12 +53,13 @@ conjugate (-m) partner mode, so their mean is exact; the averaging is
 what makes the projection safe for states containing +-m pairs.
 project samples E and B once on the rule grid, rejects a sampler without
 three components and a sample that is not finite or not real, folds phi
-by one real GEMM per component into a real (component, Re/Im, m, r, z)
-array, and contracts each inner product, per m, as one real matmul,
+by one real GEMM per component into a real (component, Re/Im, |m|, r, z)
+array, and contracts each inner product, per |m|, as one real matmul,
 sum_c conj(s_c) R_c^T hat_{c, m} Z_c from modefield._walk on the rule's
-nodes.  After total_energy or the samplers on the same rule, every radial
-table is one modefield keeps on the rule's radii, and project makes no
-Bessel sweep.
+nodes; a real sample's fold at -m is the conjugate of that at |m|, so a
+mode with m < 0 takes the |m| fold with its imaginary part negated.  After
+total_energy or the samplers on the same rule, every radial table is one
+modefield keeps on the rule's radii, and project makes no Bessel sweep.
 """
 
 from __future__ import annotations
@@ -175,13 +178,12 @@ def _synthesize(state: FieldState, r, phi, z, fields, rate_at=None):
     with p = sqrt(hbar / 2 eps0 omega).  E rows take i p, since -2 Im c =
     2 Re (i c), so every row is 2 Re c = 2 (Re c cos m phi - Im c sin m phi).
     Per chunk of |m| groups, the factors from modefield._walk, whose modes
-    are in m order: the modes of each m are one slice of R, of Z diag(Re,
-    Im of 2 p a s), formed once per chunk, and of the coefficients.  One
-    _contract per chunk and output writes, per m, the (Re/Im, component,
-    r, z) planes of c_m from those slices into the contiguous block
-    planes[slot of m].  Then one _contract of the planes with [cos m phi,
-    -sin m phi] is the real inverse DFT over m; it contracts the leading
-    (slot, Re/Im) axes of the planes, a view of them.
+    are in |m| order: the modes of each |m| are one slice of R, of Z
+    diag(Re, Im of 2 p a s, conjugated for m < 0) and of the coefficients.
+    One _contract per chunk and output writes, per |m|, the (Re/Im,
+    component, r, z) planes of c_|m| into the block planes[slot of |m|].
+    Then one _contract of the planes with [cos |m| phi, -sin |m| phi], the
+    real inverse DFT over |m|, reads their leading (slot, Re/Im) axes in place.
 
     With rate_at, indices into the point axes of r, phi and z (each padded
     to the points' dimensions), returns (fields, rates): rates are the time
@@ -193,7 +195,7 @@ def _synthesize(state: FieldState, r, phi, z, fields, rate_at=None):
     r, phi, z = (np.reshape(v, (1,) * (len(shape) - np.ndim(v)) + np.shape(v))
                  for v in (r, phi, z))
     rows = {"E": _U, "B": _CURL, "EB": slice(_U.start, _CURL.stop)}[fields]   # u for E, curl u for B
-    slot = {mv: j for j, mv in enumerate(dict.fromkeys(md.index.m for md in modes))}
+    slot = {mv: j for j, mv in enumerate(dict.fromkeys(abs(md.index.m) for md in modes))}
     omega = np.array([md.omega for md in modes])
     p = np.array([1j * np.sqrt(geom.hbar * omega / (2.0 * geom.eps0)),
                   np.sqrt(geom.hbar / (2.0 * geom.eps0 * omega))])
@@ -207,10 +209,11 @@ def _synthesize(state: FieldState, r, phi, z, fields, rate_at=None):
     for idx, m, s, R, Z, runs in _walk(modes, r, z, rows):
         for (pre, (at_r, _, at_z)), out in zip(outputs, planes):
             coef = s * pre[:, idx]
+            np.conjugate(coef, out=coef, where=m < 0)   # Re(b e^{-i|m| phi}) = Re(conj(b) e^{i|m| phi})
             Ra = R[(None, slice(None), *at_r)]      # (1, row, *r, mode)
             Za = Z[(slice(None), *at_z)]
             Zw = Za * np.stack([coef.real, coef.imag]).reshape(2, len(scale), *(1,) * (Za.ndim - 2), -1)
-            _contract(Ra, Zw, out=out, runs=[(lo, hi, slot[m[lo]]) for lo, hi in runs])   # per m, its block
+            _contract(Ra, Zw, out=out, runs=[(lo, hi, slot[abs(m[lo])]) for lo, hi in runs])   # per |m|, its block
         del s, R, Z, Ra, Za, Zw     # one chunk's factors live at a time
     phase = _phase(np.array(list(slot), dtype=int), phi)
     dft = np.moveaxis(np.stack([phase.real, -phase.imag], axis=-1), 0, -2)   # Re c cos - Im c sin
@@ -341,13 +344,15 @@ def project(e_sampler, b_sampler, modes, rule: QuadratureRule) -> np.ndarray:
     Raises ValueError on another number of components, on a sample that is
     not finite or not real (complex with a nonzero imaginary part), and
     when nphi aliases two of the modes and their conjugates (-m), which a real
-    field holds: their m differ by a nonzero multiple of nphi (_classes)."""
+    field holds: their m differ by a nonzero multiple of nphi (_classes).
+    nphi must also exceed max|m| of modes + max|m| of the field, unchecked
+    (default_rule(geom, modes) cannot see the field); the |m| fold needs real samples."""
     modes = tuple(modes)
     _same_geometry(modes, rule)
     _classes(modes, rule.nphi)
     r, phi, z = rule.grid()
     shape = (rule.nr, rule.nphi, rule.nz)
-    slot = {mv: j for j, mv in enumerate(sorted({md.index.m for md in modes}))}
+    slot = {mv: j for j, mv in enumerate(sorted({abs(md.index.m) for md in modes}))}
     dft = rule.wphi * np.conj(_phase(np.array(list(slot), dtype=int), rule.phi))
     table = np.concatenate([dft.real, dft.imag])    # (Re/Im slot, phi)
 
@@ -373,9 +378,10 @@ def project(e_sampler, b_sampler, modes, rule: QuadratureRule) -> np.ndarray:
     inner = np.empty((2, len(modes)), dtype=complex)
     for idx, m, s, R, Z, runs in _walk(modes, rule.r, rule.z, slice(_U.start, _CURL.stop)):
         for lo, hi in runs:
+            i = np.where(m[lo:hi] < 0, -1j, 1j)     # a real sample's fold at -|m| is the conjugate of that at |m|
             for half, (hat, rows) in enumerate(halves):
-                rz = np.sum(R[rows, None, :, lo:hi] * (hat[:, :, slot[m[lo]]] @ Z[rows, None, :, lo:hi]), axis=2)
-                inner[half, idx[lo:hi]] = np.sum(np.conj(s[rows, lo:hi]) * (rz[:, 0] + 1j * rz[:, 1]), axis=0)
+                rz = np.sum(R[rows, None, :, lo:hi] * (hat[:, :, slot[abs(m[lo])]] @ Z[rows, None, :, lo:hi]), axis=2)
+                inner[half, idx[lo:hi]] = np.sum(np.conj(s[rows, lo:hi]) * (rz[:, 0] + i * rz[:, 1]), axis=0)
     geom, omega, k = rule.geom, np.array([md.omega for md in modes]), np.array([md.k for md in modes])
     return 0.5 * (-1j * np.sqrt(2.0 * geom.eps0 / (geom.hbar * omega)) * inner[0]
                   + np.sqrt(2.0 * geom.eps0 * omega / geom.hbar) / k**2 * inner[1])

@@ -129,21 +129,22 @@ def _functions(modes):
     return list(dict.fromkeys((abs(md.index.m), md.g) for md in modes))
 
 
-def _per_chunk(sweeps, modes, *radii):
+def _per_chunk(sweeps, modes, *radii, distinct=None):
     """The sweeps were one kernel call per chunk of modes on each point set,
     given by its number of radii, each serving its chunk's distinct radial
-    functions at every radius: so each (|m|, g) once per point set."""
-    want = [Counter(ma for ma, _ in _functions([modes[i] for i in idx]) for _ in range(n))
+    functions at every distinct radius (`distinct` of them when the radii
+    repeat): so each (|m|, g) once per point set."""
+    want = [Counter(ma for ma, _ in _functions([modes[i] for i in idx]) for _ in range(distinct or n))
             for n in radii for idx in _walk_chunks(modes, n)]
     assert sweeps == want
     sweeps.clear()
 
 
-def _once_then_memo(sweeps, modes, radii, call):
+def _once_then_memo(sweeps, modes, radii, call, distinct=None):
     """call() sweeps once per chunk of modes with no table kept; a repeat, none."""
     modefield._kept.cache_clear()
     call()
-    _per_chunk(sweeps, modes, radii)
+    _per_chunk(sweeps, modes, radii, distinct=distinct)
     call()
     assert not sweeps
 
@@ -239,6 +240,21 @@ def test_a_sweep_takes_kept_functions_up_to_the_chunk_budget(sweeps, unit_geom):
     assert len(sweeps) == 1 and sum(sweeps[0].values()) == 4 * r.size
 
 
+def test_the_chunk_budget_counts_distinct_radii(sweeps, unit_geom):
+    # the 1000 radii each given twice: one sweep at 1000 points per function,
+    # with room for the same 4 functions as on the 1000 radii once
+    modes = enumerate_modes(unit_geom, 9.0)
+    r = np.repeat(np.linspace(0.0, unit_geom.a, 1000), 2)
+    _tables(modes, np.linspace(0.0, unit_geom.a, 16), 0.5)
+    sweeps.clear()
+    one = modes[-1]
+    _tables((one,), r, 0.5)
+    mine = (abs(one.index.m), one.g)
+    taken = [mine, *sorted(f for f in _functions(modes) if f != mine)[:3]]
+    assert sweeps == [Counter(ma for ma, _ in taken for _ in range(1000))]
+    assert set(modefield._kept(r.tobytes())) == {(*f, unit_geom.a) for f in taken}
+
+
 def test_a_sweep_takes_no_function_of_another_radius(sweeps, unit_geom):
     # the Gram's functions belong to a = 0.9; a wall check of a cavity with
     # a = 0.99 sweeps its own function alone, on radii inside both cavities too
@@ -266,6 +282,20 @@ def test_taken_tables_have_the_bytes_of_a_cold_sweep(unit_geom):
         modefield._kept.cache_clear()
         cold = modefield._radial([f], r)
         assert cold.shape == table.shape and cold.tobytes() == table.tobytes(), f
+
+
+def test_repeated_radii_take_the_bits_of_each_radius_swept_alone(unit_geom, rng):
+    # a miss sweeps the distinct radii once and expands them: every column,
+    # repeats and the axis included, has the bytes of its radius swept alone
+    funcs = [(*f, unit_geom.a) for f in _functions(enumerate_modes(unit_geom, 6.5))]
+    r = rng.uniform(0.0, unit_geom.a, 6)
+    r = np.concatenate([r, r[::-1], r + 1e-3, [0.0, 0.0]]).reshape(4, 5)
+    table = modefield._radial(funcs, r)
+    assert table.shape == (4 * len(funcs), r.size)
+    for j, radius in enumerate(r.ravel()):
+        modefield._kept.cache_clear()
+        alone = modefield._radial(funcs, np.array([radius]))
+        assert alone.tobytes() == table[:, j].tobytes(), radius
 
 
 def test_gram_after_energy_on_one_rule_makes_no_sweep(sweeps, state, rule):
@@ -318,9 +348,10 @@ def test_projection_samplers_reuse_the_energy_factors(sweeps, state, rule):
 
 
 def test_maxwell_residual_evaluates_each_mode_once(sweeps, state, rng):
-    # the time derivative is taken on the stencil's own nodes: 7 rows of 8 points
+    # the time derivative is taken on the stencil's own nodes: 7 rows of 8
+    # points, on 3 x 8 distinct radii (r, r + h, r - h)
     points = (rng.uniform(0.1, 0.8, 8), rng.uniform(0.0, 6.0, 8), rng.uniform(0.1, 1.2, 8))
-    _once_then_memo(sweeps, state.modes, 7 * 8, lambda: maxwell_residual(state, points, 1e-3))
+    _once_then_memo(sweeps, state.modes, 7 * 8, lambda: maxwell_residual(state, points, 1e-3), distinct=3 * 8)
 
 
 def test_maxwell_residual_sweeps_once_without_the_memo(sweeps, state, rng, monkeypatch):
@@ -331,8 +362,17 @@ def test_maxwell_residual_sweeps_once_without_the_memo(sweeps, state, rng, monke
     points = (rng.uniform(0.1, 0.8, 8), rng.uniform(0.0, 6.0, 8), rng.uniform(0.1, 1.2, 8))
     for _ in range(2):
         maxwell_residual(state, points, 1e-3)
-        _per_chunk(sweeps, state.modes, 7 * 8)
+        _per_chunk(sweeps, state.modes, 7 * 8, distinct=3 * 8)
     assert kept.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("n", [1, 16])
+def test_cold_maxwell_residual_sweeps_each_distinct_radius_once(sweeps, state, rng, n):
+    # the stencil hands 7 n radii to the sweep, of which r, r + h and r - h
+    # are distinct: each radial function is swept at 3 n points, not 7 n
+    points = (rng.uniform(0.1, 0.8, n), rng.uniform(0.0, 6.0, n), rng.uniform(0.1, 1.2, n))
+    maxwell_residual(state, points, 1e-3)
+    assert sum(sum(c.values()) for c in sweeps) == 3 * n * len(_functions(state.modes))
 
 
 def test_projection_after_energy_at_omega_40_makes_no_sweep(sweeps, unit_geom, rng):

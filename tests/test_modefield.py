@@ -294,10 +294,11 @@ def test_chunks_take_whole_abs_m_groups_within_budget(unit_geom, omega_max, radi
 
 
 @pytest.mark.parametrize("rows", [_PSI, _U, _CURL, slice(_U.start, _CURL.stop), slice(None)])
-def test_walk_yields_each_mode_once_in_stable_m_order(unit_geom, rng, rows):
+def test_walk_yields_each_mode_once_in_stable_abs_m_order(unit_geom, rng, rows):
     # the 183 modes up to omega = 12 shuffled, on 60 radii: several chunks,
-    # each with only the asked rows of its modes in stable m order, and
-    # those equal one full gather from _tables of every mode, bit for bit
+    # each with only the asked rows of its modes in stable |m| order, the
+    # +-m partners in one run, and those equal one full gather from _tables
+    # of every mode, bit for bit
     modes = list(enumerate_modes(unit_geom, 12.0))
     modes = [modes[i] for i in rng.permutation(len(modes))]
     r, z = np.linspace(0.0, unit_geom.a, 60)[:, None], np.linspace(0.0, unit_geom.L, 6)[None, :]
@@ -305,18 +306,19 @@ def test_walk_yields_each_mode_once_in_stable_m_order(unit_geom, rng, rows):
     full = (s_all[rows], _gather(radial, r_at, r.shape)[rows], (c * _gather(axial, z_at, z.shape))[rows])
     chunks = list(_walk(modes, r, z, rows))
     assert len(chunks) > 2
-    seen = []
+    seen, paired = [], 0
     for idx, m, s, R, Z, runs in chunks:
         assert m.tolist() == [modes[i].index.m for i in idx]
+        paired += sum(m[lo:hi].min() < 0 < m[lo:hi].max() for lo, hi in runs)
         assert [lo for lo, _ in runs] == [0, *(hi for _, hi in runs[:-1])] and runs[-1][1] == len(idx)
-        assert np.all(np.diff([m[lo] for lo, _ in runs]) > 0)      # one run per m, ascending
-        for lo, hi in runs:     # one m, in the order modes gives
-            assert np.all(m[lo:hi] == m[lo]) and np.all(np.diff(idx[lo:hi]) > 0)
+        assert np.all(np.diff([abs(m[lo]) for lo, _ in runs]) > 0)      # one run per |m|, ascending
+        for lo, hi in runs:     # one |m|, in the order modes gives
+            assert np.all(np.abs(m[lo:hi]) == abs(m[lo])) and np.all(np.diff(idx[lo:hi]) > 0)
         for got, want in zip((s, R, Z), full):
             want = want[..., idx]
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
         seen.extend(idx.tolist())
-    assert sorted(seen) == list(range(len(modes)))
+    assert sorted(seen) == list(range(len(modes))) and paired > 2
 
 
 def test_empty_mode_set_has_empty_factors(unit_geom):

@@ -48,15 +48,17 @@ def test_verify_scale(capsys):
 
 def test_field_scale(capsys):
     # one row per cutoff; an nphi that aliases a mode with a conjugate makes
-    # both reductions raise, and their columns say so
-    header = ["omega_max", "modes", "energy_s", "project_s", "energy_err", "amp_err"]
+    # both reductions raise, and their columns say so, while synthesis runs
+    header = ["omega_max", "modes", "energy_s", "synth_s", "project_s", "energy_err", "amp_err"]
     _main("field_scale")(["5", "--nr", "24", "--nz", "24"])
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split() == header and len(lines) == 2
     omega_max, count, *figures = lines[1].split()
     assert (omega_max, count) == ("5", "11")
-    energy_s, project_s, energy_err, amp_err = (float(v) for v in figures)
-    assert energy_s > 0.0 and project_s > 0.0 and energy_err < 1e-12 and amp_err < 1e-10
+    energy_s, synth_s, project_s, energy_err, amp_err = (float(v) for v in figures)
+    assert energy_s > 0.0 and synth_s > 0.0 and project_s > 0.0 and energy_err < 1e-12 and amp_err < 1e-10
     _main("field_scale")(["5", "--nphi", "2"])
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == header and lines[1].split() == ["5", "11", *["raises"] * 4]
+    omega_max, count, energy_s, synth_s, *rest = lines[1].split()
+    assert lines[0].split() == header and (omega_max, count, energy_s) == ("5", "11", "raises")
+    assert float(synth_s) > 0.0 and rest == ["raises"] * 3

@@ -370,7 +370,7 @@ def test_projection_rejects_a_sampler_without_three_components(unit_geom, rng, f
 
 
 def test_projection_memory_is_one_chunk_of_factors_and_the_planes(unit_geom, rng):
-    # 878 modes on 32 radii take 9 chunks; project holds the folded (r, m, z)
+    # 878 modes on 32 radii take 9 chunks; project holds the folded (r, |m|, z)
     # planes of E and B and the factors of u and curl u of one chunk at a
     # time, never those of every mode
     modes = enumerate_modes(unit_geom, 20.0)
@@ -381,7 +381,7 @@ def test_projection_memory_is_one_chunk_of_factors_and_the_planes(unit_geom, rng
     assert np.max(np.abs(project(*samplers, modes, rule) - state.amplitudes)) < 1e-12
     chunks = _groups([abs(md.index.m) for md in modes], rule.nr)
     assert len(chunks) > 2
-    planes = 2 * 3 * rule.nr * len({md.index.m for md in modes}) * rule.nz * 16
+    planes = 2 * 3 * rule.nr * len({abs(md.index.m) for md in modes}) * rule.nz * 16
     chunk = 6 * (rule.nr + rule.nz) * max(map(len, chunks)) * 8
     every = 6 * (rule.nr + rule.nz) * len(modes) * 8
     assert every > 0.5 * planes + 2 * chunk
@@ -533,6 +533,52 @@ def test_fields_match_dense_oracle(unit_geom, rng):
             assert float(np.max(np.abs(np.array(got) - ref))) <= 1e-13 * scale
 
 
+def _conjugate_rule_state(geom, rng):
+    """Every case of the |m| slots, where an m < 0 mode takes the conjugate of
+    its coefficient: +-m pairs with independent amplitudes, a lone m < 0 mode,
+    modes of one |m| that differ in sigma and n (of one sign and of both),
+    and m = 0 modes."""
+    labels = [(0, 1, 0, TM), (0, 2, 1, TE),                                 # m = 0
+              (1, 1, 1, TM), (-1, 1, 1, TM), (2, 2, 1, TE), (-2, 2, 1, TE),   # +-m pairs
+              (2, 1, 0, TM),                                                # |m| = 2, other sigma and n
+              (-3, 1, 2, TE),                                               # lone m < 0
+              (4, 1, 0, TM), (-4, 1, 2, TE)]                                # |m| = 4, other sign, sigma, n
+    modes = [mode_data(geom, ModeIndex(*label)) for label in labels]
+    amps = rng.normal(size=len(modes)) + 1j * rng.normal(size=len(modes))
+    return FieldState(geom=geom, entries=tuple(zip(modes, amps)), t=0.25)
+
+
+@pytest.mark.parametrize("where", ["tensor", "scattered"])
+def test_conjugate_rule_fields_and_rates_match_dense_oracle(unit_geom, rng, where):
+    # E, B and the stencil's time derivatives from the |m| slots against a
+    # per-mode sum of the full u and curl u with their own e^{i m phi}
+    state = _conjugate_rule_state(unit_geom, rng)
+    points = {"tensor": (np.linspace(0.1, 0.8, 5)[:, None, None],
+                         np.linspace(0.0, 2.0 * math.pi, 7, endpoint=False)[None, :, None] + 0.3,
+                         np.linspace(0.1, 1.2, 4)[None, None, :]),
+              "scattered": (rng.uniform(0.1, 0.8, 40), rng.uniform(0.0, 2.0 * math.pi, 40),
+                            rng.uniform(0.1, 1.2, 40))}[where]
+    h = 1e-3
+    stencil = _fd_stencil(state, *points, h, h / unit_geom.a)
+    pairs = [*zip(_synthesize(state, *points, "EB"), dense_fields(state, *points)),
+             *zip((np.array(f[3]) for f in stencil), dense_fields(_derivative_state(state), *points))]
+    for got, ref in pairs:
+        scale = float(np.max(np.abs(ref)))
+        assert scale > 0.0 and got.shape == ref.shape
+        assert float(np.max(np.abs(got - ref))) <= 1e-13 * scale
+
+
+def test_conjugate_rule_projection_matches_dense_oracle_and_the_amplitudes(unit_geom, rng):
+    # an m < 0 mode reads the |m| fold with its imaginary part negated
+    state = _conjugate_rule_state(unit_geom, rng)
+    rule = default_rule(unit_geom, state.modes)
+    samplers = field_samplers(state)
+    got = project(*samplers, state.modes, rule)
+    scale = float(np.max(np.abs(state.amplitudes)))
+    assert float(np.max(np.abs(got - dense_project(*samplers, state.modes, rule)))) <= 1e-13 * scale
+    assert float(np.max(np.abs(got - state.amplitudes))) <= 1e-13 * scale
+
+
 def test_empty_point_set(unit_geom, rng):
     state = _random_state(unit_geom, rng, 6)
     empty = np.zeros(0)
@@ -677,8 +723,8 @@ def test_fold_matches_dense_projection_on_every_sample_layout(unit_geom, rng, la
 
 @pytest.mark.parametrize("layout", ["phi_z_r_grid", "r_phi_shared", "size_one_axis", "scattered"])
 def test_contract_by_runs_equals_one_contraction_per_run(unit_geom, rng, layout):
-    # synthesis lays out a chunk's factors once and runs one matmul per m into
-    # that m's block; each must equal the contraction of that m's slices alone
+    # synthesis lays out a chunk's factors once and runs one matmul per |m| into
+    # that |m|'s block; each must equal the contraction of that |m|'s slices alone
     # bit for bit: GEMMs written in place, GEMMs copied out, batched dots
     modes = enumerate_modes(unit_geom, 6.5)
     if layout == "scattered":
@@ -747,14 +793,14 @@ def test_multi_chunk_stencil_time_derivative_matches_centre_synthesis(unit_geom,
 
 
 def test_rule_grid_synthesis_holds_no_second_copy_of_the_planes(unit_geom):
-    # the (m, Re/Im) planes and the output dominate the memory; the inverse
+    # the (|m|, Re/Im) planes and the output dominate the memory; the inverse
     # DFT reads the planes in place, so a copy of them would show here
     modes = enumerate_modes(unit_geom, 20.0)
     state = FieldState(geom=unit_geom, entries=tuple((md, 1.0) for md in modes))
     rule = default_rule(unit_geom, modes)
     grid = rule.grid()
     _synthesize(state, *grid, "EB")
-    planes = len({md.index.m for md in modes}) * 2 * 6 * rule.nr * rule.nz * 8
+    planes = len({abs(md.index.m) for md in modes}) * 2 * 6 * rule.nr * rule.nz * 8
     tracemalloc.start()
     try:
         out = _synthesize(state, *grid, "EB")
