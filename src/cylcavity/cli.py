@@ -10,13 +10,15 @@ Subcommands:
     project        recover amplitudes of target modes from a saved state, CSV
 
 Every option may also be supplied through a `key = value` config file
-passed with --config; explicit command line flags win, unknown config
-keys are rejected.  All numbers are printed with 17 significant digits
-so repeated runs are byte-identical.
+passed with --config; its values become the subcommand's defaults, so
+argparse converts them with the same converter as the flag, explicit
+command line flags win, and unknown config keys are rejected.  All numbers
+are printed with 17 significant digits so repeated runs are byte-identical.
 
 Exit status: 0 on success (for `verify`, all requested suites passed),
 1 when the library rejects a value or a check fails, 2 for malformed
-usage (unknown options, unparseable values, unknown config keys).
+usage (unknown options, unparseable values, unknown config keys), which
+argparse reports as `cylcavity SUB: error: ...`.
 """
 
 from __future__ import annotations
@@ -49,14 +51,17 @@ from .stateio import _fmt, _read_pairs, load_state
 _REQUIRED = object()
 
 
-class UsageError(Exception):
-    """Malformed invocation detected after option merging (exit status 2)."""
-
-
 def _parse_kind(raw: str) -> str:
     if raw not in ("j", "jprime"):
-        raise ValueError("expected 'j' or 'jprime'")
+        raise argparse.ArgumentTypeError(f"expected 'j' or 'jprime', got {raw!r}")
     return raw
+
+
+def _ints(fields, raw: str) -> tuple:
+    try:
+        return tuple(int(f) for f in fields)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected integers, got {raw!r}") from None
 
 
 _SIGMA_NAMES = {"1": 1, "2": 2, "tm": 1, "te": 2}
@@ -66,27 +71,27 @@ def _parse_mode_index(raw: str) -> tuple:
     # syntax only; ModeIndex itself validates ranges inside the handler
     fields = [f.strip() for f in raw.split(",")]
     if len(fields) != 4:
-        raise ValueError("expected 'm,mu,n,sigma'")
+        raise argparse.ArgumentTypeError(f"expected 'm,mu,n,sigma', got {raw!r}")
     sigma = _SIGMA_NAMES.get(fields[3].lower())
     if sigma is None:
-        raise ValueError(f"sigma must be 1, 2, tm or te, got {fields[3]!r}")
-    return int(fields[0]), int(fields[1]), int(fields[2]), sigma
+        raise argparse.ArgumentTypeError(f"sigma must be 1, 2, tm or te, got {fields[3]!r}")
+    return (*_ints(fields[:3], raw), sigma)
 
 
 def _parse_mode_list(raw: str) -> tuple:
     parts = [p for p in (s.strip() for s in raw.split(";")) if p]
     if not parts:
-        raise ValueError("expected 'm,mu,n,sigma[;m,mu,n,sigma...]'")
+        raise argparse.ArgumentTypeError(f"expected 'm,mu,n,sigma[;m,mu,n,sigma...]', got {raw!r}")
     return tuple(_parse_mode_index(p) for p in parts)
 
 
 def _parse_grid(raw: str) -> tuple:
     fields = raw.split(",")
     if len(fields) != 3:
-        raise ValueError("expected 'nr,nphi,nz'")
-    sizes = tuple(int(f) for f in fields)
+        raise argparse.ArgumentTypeError(f"expected 'nr,nphi,nz', got {raw!r}")
+    sizes = _ints(fields, raw)
     if any(s < 1 for s in sizes):
-        raise ValueError("grid sizes must be >= 1")
+        raise argparse.ArgumentTypeError(f"grid sizes must be >= 1, got {raw!r}")
     return sizes
 
 
@@ -96,7 +101,7 @@ def _parse_suites(raw: str) -> tuple:
     names = tuple(s.strip() for s in raw.split(","))
     for name in names:
         if name not in _SUITES:
-            raise ValueError(f"unknown suite {name!r}; choose from {', '.join(_SUITES)} or 'all'")
+            raise argparse.ArgumentTypeError(f"unknown suite {name!r}; choose from {', '.join(_SUITES)} or 'all'")
     return names
 
 
@@ -131,38 +136,7 @@ def _read_config(sub: argparse.ArgumentParser, path: str, known: set) -> dict:
         pairs = _read_pairs(text, known, canon=lambda key: key.replace("_", "-"))
     except ValueError as exc:
         sub.error(f"config file {path}: {exc}")
-    return {key: value for key, [(value, _)] in pairs.items()}
-
-
-def _resolve(sub: argparse.ArgumentParser, args: argparse.Namespace, opts: tuple) -> dict:
-    cfg = {}
-    if args.config is not None:
-        cfg = _read_config(sub, args.config, {o.name for o in opts})
-    values = {}
-    for opt in opts:
-        dest = opt.name.replace("-", "_")
-        raw = getattr(args, dest)
-        if raw is None:
-            raw = cfg.get(opt.name)
-        if raw is None:
-            if opt.default is _REQUIRED:
-                sub.error(f"missing required option --{opt.name}")
-            values[dest] = opt.default
-            continue
-        try:
-            values[dest] = opt.convert(raw)
-        except ValueError as exc:
-            sub.error(f"invalid value for --{opt.name}: {raw!r} ({exc})")
-    return values
-
-
-def _add_subcommand(subparsers, name: str, doc: str, opts: tuple, handler):
-    sub = subparsers.add_parser(name, help=doc, description=doc)
-    for opt in opts:
-        sub.add_argument(f"--{opt.name}", default=None, metavar="V", help=opt.help_text)
-    sub.add_argument("--config", default=None, metavar="FILE",
-                     help="key = value file supplying any of the above options")
-    sub.set_defaults(handler=handler, opts=opts, sub=sub)
+    return {key.replace("-", "_"): value for key, [(value, _)] in pairs.items()}
 
 
 def _emit(lines) -> None:
@@ -194,21 +168,22 @@ def _cmd_spectrum(values: dict) -> int:
 
 def _display_grid(geom: CavityGeometry, sizes: tuple):
     nr, nphi, nz = sizes
-    r = np.linspace(0.0, geom.a, nr)
-    phi = np.linspace(0.0, 2.0 * math.pi, nphi, endpoint=False)
-    z = np.linspace(0.0, geom.L, nz)
-    return r, phi, z
+    return (np.linspace(0.0, geom.a, nr), np.linspace(0.0, 2.0 * math.pi, nphi, endpoint=False),
+            np.linspace(0.0, geom.L, nz))
 
 
 def _emit_grid(header: str, r, phi, z, columns) -> None:
-    """CSV rows r, phi, z, then each column's value, over the display grid;
-    each coordinate is formatted once on its axis."""
+    """CSV rows r, phi, z, then each column's value, over the display grid,
+    written one radius at a time, so only one (phi, z) slab of rows is held
+    as text; each coordinate is formatted once on its axis."""
     shape = (len(r), len(phi), len(z))
     rs, phis, zs = (["%.17g" % v for v in np.asarray(axis, dtype=float).tolist()] for axis in (r, phi, z))
-    nodes = [rp + zv for rp in [f"{rv},{pv}," for rv in rs for pv in phis] for zv in zs]
-    cols = [np.broadcast_to(c, shape).ravel().tolist() for c in columns]
-    row = ",%.17g" * len(cols)      # _fmt's text, one format per row
-    _emit([header] + [node + row % values for node, values in zip(nodes, zip(*cols))])
+    row = ",%.17g" * len(columns) + "\n"      # _fmt's text, one format per row
+    sys.stdout.write(header + "\n")
+    for i, rv in enumerate(rs):
+        slab = zip(*(np.broadcast_to(c, shape)[i].ravel().tolist() for c in columns))
+        nodes = [f"{rv},{pv},{zv}" for pv in phis for zv in zs]
+        sys.stdout.write("".join(node + row % values for node, values in zip(nodes, slab)))
 
 
 def _cmd_eval(values: dict) -> int:
@@ -234,7 +209,7 @@ def _cmd_synth(values: dict) -> int:
 def _cmd_project(values: dict) -> int:
     state = load_state(values["state"])
     if (values["modes"] is None) == (values["omega_max"] is None):
-        raise UsageError("give exactly one of --modes and --omega-max")
+        values["sub"].error("give exactly one of --modes and --omega-max")
     if values["modes"] is not None:
         targets = _modes(state.geom, [ModeIndex(*t) for t in values["modes"]])
     else:
@@ -339,19 +314,26 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
     for name, doc, opts, handler in _COMMANDS:
-        _add_subcommand(subparsers, name, doc, opts, handler)
+        sub = subparsers.add_parser(name, help=doc, description=doc)
+        for opt in opts:
+            sub.add_argument(f"--{opt.name}", type=opt.convert, default=opt.default, metavar="V", help=opt.help_text)
+        sub.add_argument("--config", default=None, metavar="FILE",
+                         help="key = value file supplying any of the above options")
+        sub.set_defaults(handler=handler, opts=opts, sub=sub)
     return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    values = _resolve(args.sub, args, args.opts)
+    if args.config is not None:     # the file's values become defaults, converted like flags
+        args.sub.set_defaults(**_read_config(args.sub, args.config, {o.name for o in args.opts}))
+        args = parser.parse_args(argv)
+    for opt in args.opts:
+        if getattr(args, opt.name.replace("-", "_")) is _REQUIRED:
+            args.sub.error(f"missing required option --{opt.name}")
     try:
-        return args.handler(values)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+        return args.handler(vars(args))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

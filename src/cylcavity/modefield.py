@@ -36,13 +36,14 @@ the one-mode *_grid functions read their mode's rows from them.  _walk
 gives synthesis and projection the (s, R, Z) triple of one chunk of whole
 |m| groups at a time, one run per |m| that holds the +-m partners, R and
 Z each one gather from the tables; _phase alone forms e^{i m phi}.  The
-radial tables are kept per set of radii (_kept), the least recently used
-set evicted whole; a sweep takes only functions not kept on its radii
-yet, plus, in its chunks, those of the same a kept on other radii (a
-Gram's, for the walls), and each distinct radius once.  The only
-removable singularity is (m/r) J_m(g r) on the axis, which tends to g/2
-for |m| = 1 (both signs, since J_{-1} = -J_1) and to 0 otherwise; radii
-below 1e-8 a are evaluated with that limit.
+radial tables are kept per set of radii in one dict in order of use
+(_KEPT, _kept), the least recently used set evicted whole; a sweep takes
+only functions not kept on its radii yet, plus, in its chunks, those of
+the same a kept on other radii (a Gram's, for the walls), and each
+distinct radius once.  The only removable singularity is (m/r) J_m(g r)
+on the axis, which tends to g/2 for |m| = 1 (both signs, since J_{-1} =
+-J_1) and to 0 otherwise; radii below 1e-8 a are evaluated with that
+limit.
 
 Grid evaluation: the *_grid functions accept numpy arrays for r, phi, z
 and broadcast them, so a tensor grid can be passed as r[:,None,None],
@@ -53,10 +54,8 @@ domain 0 <= r <= a, 0 <= z <= L, and phi must be finite.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,17 +193,16 @@ def _tables(modes, r, z):
 
 def _walk(modes, r, z, rows):
     """Per chunk of whole |m| groups (_groups), one _tables call: yields (idx,
-    m, s, R, Z, runs), idx the chunk's positions in modes in stable |m|
-    order, runs each |m|'s (lo, hi) slice, the +-m partners together, both
-    from _runs, and m their m; row c of mode idx[j] is s[c, j] R[c, ..., j]
-    Z[c, ..., j] e^{i m phi} for each c of rows, s complex, R (rows,
-    *r.shape, k) and Z (rows, *z.shape, k) real."""
+    m, s, R, Z, runs), idx the chunk's positions in modes, which _groups
+    gives in stable |m| order, m their m, and runs each |m|'s (lo, hi)
+    slice (_runs), the +-m partners together; row c of mode idx[j] is
+    s[c, j] R[c, ..., j] Z[c, ..., j] e^{i m phi} for each c of rows, s
+    complex, R (rows, *r.shape, k) and Z (rows, *z.shape, k) real."""
     for chunk in _groups([abs(md.index.m) for md in modes], np.size(r)):
         s, c, radial, r_at, axial, z_at = _tables(tuple(modes[i] for i in chunk), r, z)
-        m = np.array([modes[i].index.m for i in chunk])
-        order, runs = _runs(np.abs(m))      # only the gather index is permuted
-        yield (np.asarray(chunk)[order], m[order], s[rows][:, order], _gather(radial, r_at[rows][:, order], np.shape(r)),
-               c[order] * _gather(axial, z_at[rows][:, order], np.shape(z)), runs)
+        m = np.array([modes[i].index.m for i in chunk])     # _groups' order: ascending |m|, stable
+        yield (np.asarray(chunk), m, s[rows], _gather(radial, r_at[rows], np.shape(r)),
+               c * _gather(axial, z_at[rows], np.shape(z)), _runs(np.abs(m))[1])
 
 
 def _gather(table, index, shape):
@@ -218,20 +216,19 @@ def _gather(table, index, shape):
 # op's display grid, rule and two Maxwell stencils (a certify op uses the
 # rule and the walls)
 _KEPT_SETS = 4
-_LIVE = weakref.WeakValueDictionary()     # radii bytes -> the set _kept holds on them, gone with it
+_KEPT: dict = {}        # radii bytes -> the tables kept on them, least recently used first
 
 
-class _Kept(dict):
-    __slots__ = ("__weakref__",)    # a dict that _LIVE can hold weakly
-
-
-@functools.lru_cache(maxsize=_KEPT_SETS)
 def _kept(radii: bytes) -> dict:
     """The radial tables kept on one set of radii, given by the float64 bytes
     of the flattened radii: radial function (|m|, g, a) -> its read-only
-    (4, radii) table.  The least recently used set is evicted whole.  No
-    lock: two threads may sweep one function twice and keep equal bytes."""
-    _LIVE[radii] = kept = _Kept()
+    (4, radii) table.  The set moves to the end of _KEPT, and the least
+    recently used sets beyond _KEPT_SETS are evicted whole.  No lock: two
+    threads may sweep one function twice and keep equal bytes, or keep a
+    set's tables in a dict that another thread has just replaced."""
+    _KEPT[radii] = kept = _KEPT.pop(radii, {})
+    for old in list(_KEPT)[:-_KEPT_SETS]:
+        _KEPT.pop(old, None)
     return kept
 
 
@@ -244,7 +241,7 @@ def _radial(funcs, ra):
     kept read-only; a set of more than _CHUNK_POINTS radii keeps nothing, so
     the tables kept take at most _KEPT_SETS x _CHUNK_POINTS x 32 bytes per
     radial function.  Each chunk is filled up to _CHUNK_POINTS points with the
-    functions of the same a kept on other radii (_LIVE), in ascending
+    functions of the same a kept on other radii (_KEPT), in ascending
     (|m|, g): a point has the same bits in any batch, and a later call here
     finds them (a certify op's 20 wall checks make one sweep)."""
     rs = ra.reshape(-1)
@@ -254,7 +251,7 @@ def _radial(funcs, ra):
     ru, back = (rs, slice(None)) if distinct else np.unique(rs, return_inverse=True)
     chunks = _groups([f[0] for f in missing], ru.size)
     if missing and ru.size:
-        cavity, live = {f[2] for f in missing}, set().union(*[ref() or () for ref in _LIVE.valuerefs()])
+        cavity, live = {f[2] for f in missing}, set().union(*_KEPT.values())
         pool = iter(sorted(f for f in live.difference(kept, missing) if f[2] in cavity))
         for idx in chunks:
             extra = list(itertools.islice(pool, max(0, _CHUNK_POINTS // ru.size - len(idx))))

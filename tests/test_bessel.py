@@ -433,6 +433,7 @@ def test_zero_table_rejects_wrong_zeros():
     lambda: bessel_j_prime(2.7, 1.0),
     lambda: bessel_j("3", 2.0),
     lambda: bessel_j(True, 2.0),
+    lambda: BesselZeroTable(m=0, kind="weird", zeros=()),
 ])
 def test_invalid_inputs_raise(call):
     with pytest.raises(ValueError):

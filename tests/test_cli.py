@@ -2,6 +2,8 @@
 
 import json
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,6 +130,28 @@ def test_grid_rows_match_per_value_formatting(capsys, rng):
     assert "-0," in want[1] and all(s in "".join(want) for s in ("inf", "-inf", "nan"))
 
 
+class _Discard:
+    def write(self, text):
+        return len(text)
+
+
+def test_grid_rows_are_written_one_radius_at_a_time(monkeypatch, rng):
+    # 40^3 rows of 6 columns are ~11 MB of text; written one (phi, z) slab
+    # of 1600 rows at a time the formatting peaks far below that (joining
+    # every row first peaked at ~57 MB)
+    n = 40
+    r, phi, z = np.linspace(0.0, 0.9, n), np.linspace(0.0, 6.0, n), np.linspace(0.0, 1.3, n)
+    columns = [rng.normal(size=(n, n, n)) for _ in range(6)]
+    monkeypatch.setattr(sys, "stdout", _Discard())
+    tracemalloc.start()
+    try:
+        cli._emit_grid("h", r, phi, z, columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
+
+
 def test_verify_report(capsys):
     code, out, _ = run_cli(["verify", *GEOM_ARGS, "--omega-max", "4",
                             "--nr", "32", "--nz", "32"], capsys)
@@ -202,6 +226,9 @@ def test_verify_suite_selection(capsys):
                             "--suite", "bessel"], capsys)
     assert code == 0
     assert set(json.loads(out)["suites"]) == {"bessel"}
+    code, out, _ = run_cli(["verify", *GEOM_ARGS, "--omega-max", "4", "--nr", "16", "--nz", "16",
+                            "--suite", "all"], capsys)
+    assert code == 0 and set(json.loads(out)["suites"]) == {"bessel", "gram", "curl", "boundary"}
 
 
 @pytest.fixture
@@ -316,10 +343,46 @@ def test_config_accepts_underscored_keys(capsys, tmp_path):
     ["eval", *GEOM_ARGS, "--mode", "1,1,1,tm", "--grid", "0,4,4"],
     ["verify", *GEOM_ARGS, "--omega-max", "4", "--suite", "nope"],
     ["no-such-command"],
+    ["eval", *GEOM_ARGS, "--mode", "1,1,1,xx"],          # bad sigma
+    ["eval", *GEOM_ARGS, "--mode", "a,1,1,tm"],          # non-integer index
+    ["eval", *GEOM_ARGS, "--mode", "1,1,1,tm", "--grid", "4,4"],     # wrong grid arity
+    ["eval", *GEOM_ARGS, "--mode", "1,1,1,tm", "--grid", "4,x,4"],
+    ["project", "--state", "unread.txt", "--modes", ";"],             # empty mode list
+    ["spectrum", *GEOM_ARGS, "--omega-max", "fast"],
+    ["bessel-zeros", "--m", "0", "--count", "1.5"],
 ])
-def test_malformed_usage_exits_2(capsys, argv):
-    code, _, _ = run_cli(argv, capsys)
-    assert code == 2
+def test_malformed_usage_exits_2(capsys, tmp_path, argv):
+    # a bad value is the same usage error, naming its option, whether it
+    # comes as a flag or from a config file
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and not out
+    if len(argv) > 1 and argv[-2].startswith("--"):
+        flag, value = argv[-2:]
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{flag[2:]} = {value}\n")
+        assert f"error: argument {flag}: " in err
+        code, out, err = run_cli([*argv[:-2], "--config", str(cfg)], capsys)
+        assert code == 2 and not out and f"error: argument {flag}: " in err
+
+
+def test_missing_option_is_named(capsys):
+    code, out, err = run_cli(["spectrum", "--radius", "1", "--omega-max", "3"], capsys)
+    assert code == 2 and not out
+    assert err.splitlines()[-1] == "cylcavity spectrum: error: missing required option --height"
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (["eval", *GEOM_ARGS, "--mode", "1,1,1,tm"], "grid", "5,6,7"),
+    (["eval", *GEOM_ARGS, "--grid", "2,3,2"], "mode", "-1,2,1,te"),
+    (["verify", *GEOM_ARGS, "--omega-max", "4"], "suite", "gram, curl"),
+    (["bessel-zeros", "--m", "2"], "kind", "jprime"),
+], ids=["grid", "mode", "suite", "kind"])
+def test_config_value_equals_the_flag(capsys, tmp_path, argv, key, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    code, by_flag, _ = run_cli([*argv, f"--{key}={value}"], capsys)
+    assert code == 0 and by_flag
+    assert run_cli([*argv, "--config", str(cfg)], capsys) == (0, by_flag, "")
 
 
 def test_unknown_config_key_exits_2(capsys, tmp_path):

@@ -58,9 +58,9 @@ from cylcavity.verify import DEFAULT_NR, _default_walls, default_nphi
 
 @pytest.fixture(autouse=True)
 def nothing_kept():
-    modefield._kept.cache_clear()
+    modefield._KEPT.clear()
     yield
-    modefield._kept.cache_clear()
+    modefield._KEPT.clear()
 
 
 @pytest.fixture
@@ -142,7 +142,7 @@ def _per_chunk(sweeps, modes, *radii, distinct=None):
 
 def _once_then_memo(sweeps, modes, radii, call, distinct=None):
     """call() sweeps once per chunk of modes with no table kept; a repeat, none."""
-    modefield._kept.cache_clear()
+    modefield._KEPT.clear()
     call()
     _per_chunk(sweeps, modes, radii, distinct=distinct)
     call()
@@ -160,7 +160,7 @@ def test_checks_evaluate_each_mode_once(sweeps, state, rule):
     radii = _default_walls(state.geom)[0].size
     assert len(_functions(state.modes)) == 10 and len(state.modes) == 30
     # with nothing kept elsewhere, one sweep per radial function on the wall radii: 10, not 30
-    modefield._kept.cache_clear()
+    modefield._KEPT.clear()
     for md in state.modes:
         check_boundary(md)
     assert sweeps == [Counter({ma: radii}) for ma, _ in _functions(state.modes)]
@@ -170,7 +170,7 @@ def test_checks_evaluate_each_mode_once(sweeps, state, rule):
     assert not sweeps
     # after a Gram, the first wall check sweeps its function and the 9 others
     # the Gram kept on the rule, in one call: 1 sweep, not 10
-    modefield._kept.cache_clear()
+    modefield._KEPT.clear()
     check_vector_orthonormality(state.modes, rule)
     sweeps.clear()
     for md in state.modes:
@@ -233,7 +233,7 @@ def test_a_sweep_takes_kept_functions_up_to_the_chunk_budget(sweeps, unit_geom):
     mine = (abs(one.index.m), one.g)
     taken = [mine, *sorted(f for f in funcs if f != mine)[:3]]
     assert sweeps == [Counter(ma for ma, _ in taken for _ in range(r.size))]
-    assert set(modefield._kept(r.tobytes())) == {(*f, unit_geom.a) for f in taken}
+    assert set(modefield._KEPT[r.tobytes()]) == {(*f, unit_geom.a) for f in taken}
     sweeps.clear()
     rest = next(md for md in modes if (abs(md.index.m), md.g) not in taken)
     _tables((rest,), r, 0.5)
@@ -252,7 +252,7 @@ def test_the_chunk_budget_counts_distinct_radii(sweeps, unit_geom):
     mine = (abs(one.index.m), one.g)
     taken = [mine, *sorted(f for f in _functions(modes) if f != mine)[:3]]
     assert sweeps == [Counter(ma for ma, _ in taken for _ in range(1000))]
-    assert set(modefield._kept(r.tobytes())) == {(*f, unit_geom.a) for f in taken}
+    assert set(modefield._KEPT[r.tobytes()]) == {(*f, unit_geom.a) for f in taken}
 
 
 def test_a_sweep_takes_no_function_of_another_radius(sweeps, unit_geom):
@@ -276,10 +276,10 @@ def test_taken_tables_have_the_bytes_of_a_cold_sweep(unit_geom):
     check_vector_orthonormality(modes, default_rule(unit_geom, modes))
     check_boundary(modes[0])
     r = _default_walls(unit_geom)[0]
-    taken = dict(modefield._kept(r.tobytes()))
+    taken = dict(modefield._KEPT[r.tobytes()])
     assert len(taken) == len(_functions(modes))
     for f, table in taken.items():
-        modefield._kept.cache_clear()
+        modefield._KEPT.clear()
         cold = modefield._radial([f], r)
         assert cold.shape == table.shape and cold.tobytes() == table.tobytes(), f
 
@@ -293,7 +293,7 @@ def test_repeated_radii_take_the_bits_of_each_radius_swept_alone(unit_geom, rng)
     table = modefield._radial(funcs, r)
     assert table.shape == (4 * len(funcs), r.size)
     for j, radius in enumerate(r.ravel()):
-        modefield._kept.cache_clear()
+        modefield._KEPT.clear()
         alone = modefield._radial(funcs, np.array([radius]))
         assert alone.tobytes() == table[:, j].tobytes(), radius
 
@@ -357,13 +357,12 @@ def test_maxwell_residual_evaluates_each_mode_once(sweeps, state, rng):
 def test_maxwell_residual_sweeps_once_without_the_memo(sweeps, state, rng, monkeypatch):
     # the stencil and the time derivative share one walk of the factors,
     # so keeping no table changes no count
-    kept = modefield._kept
     monkeypatch.setattr(modefield, "_kept", lambda radii: {})
     points = (rng.uniform(0.1, 0.8, 8), rng.uniform(0.0, 6.0, 8), rng.uniform(0.1, 1.2, 8))
     for _ in range(2):
         maxwell_residual(state, points, 1e-3)
         _per_chunk(sweeps, state.modes, 7 * 8, distinct=3 * 8)
-    assert kept.cache_info().currsize == 0
+    assert not modefield._KEPT
 
 
 @pytest.mark.parametrize("n", [1, 16])

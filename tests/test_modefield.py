@@ -22,6 +22,7 @@ from cylcavity import (
     check_boundary,
     check_curl_identity,
     check_vector_orthonormality,
+    curl_u,
     curl_u_grid,
     default_rule,
     electric_field_grid,
@@ -30,6 +31,7 @@ from cylcavity import (
     magnetic_field_grid,
     mode_data,
     project,
+    psi,
     psi_grid,
     to_cartesian,
     total_energy,
@@ -37,7 +39,7 @@ from cylcavity import (
     u_mode,
 )
 import cylcavity.modefield as modefield
-from cylcavity.modefield import (_CHUNK_POINTS, _CURL, _KEPT_SETS, _PSI, _U, _gather, _groups, _kept, _phase,
+from cylcavity.modefield import (_CHUNK_POINTS, _CURL, _KEPT, _KEPT_SETS, _PSI, _U, _gather, _groups, _phase,
                                  _tables, _walk)
 from cylcavity.verify import _default_walls
 from oracles import fd_curl_cyl, fd_div_cyl, fd_grad_cyl
@@ -287,6 +289,8 @@ def test_chunks_take_whole_abs_m_groups_within_budget(unit_geom, omega_max, radi
     assert flat == sorted(set(flat))     # ascending, and each |m| group in one chunk
     for c, ms, following in zip(chunks, abs_m, abs_m[1:] + [None]):
         assert len(c) * radii <= _CHUNK_POINTS or len(ms) == 1
+        # ascending |m|, each group's positions ascending: _walk yields the chunk as it is
+        assert c == sorted(c, key=lambda i: (abs(modes[i].index.m), i))
         if following:       # a chunk stops only where the next group would pass the budget
             nxt = sum(abs(md.index.m) == following[0] for md in modes)
             assert (len(c) + nxt) * radii > _CHUNK_POINTS
@@ -337,22 +341,22 @@ def sweeps(monkeypatch):
     calls = []
     original = modefield._j_points
     monkeypatch.setattr(modefield, "_j_points", lambda orders, x: calls.append(np.shape(orders)) or original(orders, x))
-    _kept.cache_clear()
+    _KEPT.clear()
     yield calls
-    _kept.cache_clear()
+    _KEPT.clear()
 
 
 def _kept_tables(r):
     """The tables kept on the radii r, which must be a kept set, each checked
     to be one radial function's read-only (4, radii) table (J, g J',
     (|m|/r) J, g^2 J) keyed on (|m|, g, a)."""
-    hits = _kept.cache_info().hits
-    kept = _kept(np.asarray(r, dtype=float).reshape(-1).tobytes())
-    assert _kept.cache_info().hits == hits + 1, "the radii set is not kept"
+    radii = np.asarray(r, dtype=float).reshape(-1).tobytes()
+    assert radii in _KEPT, "the radii set is not kept"
+    kept = _KEPT[radii]
     for (absm, g, a), table in kept.items():
         assert isinstance(absm, int) and absm >= 0 and g > 0.0 and a > 0.0
         assert table.shape == (4, np.size(r)) and not table.flags.writeable
-    assert _kept.cache_info().currsize <= _KEPT_SETS
+    assert len(_KEPT) <= _KEPT_SETS
     return kept
 
 
@@ -366,10 +370,10 @@ def test_factor_memo_serves_repeats_read_only(unit_geom, sweeps):
     count = len(sweeps)
     again = _walked(list(modes), r.copy(), z.tolist())
     flat = _walked(modes, r.ravel()[None, :], z)
-    assert len(sweeps) == count and _kept.cache_info().currsize == 1
+    assert len(sweeps) == count and len(_KEPT) == 1
     assert set(_kept_tables(r)) == {(abs(md.index.m), md.g, md.geom.a) for md in modes}
     assert len(_kept_tables(r)) == 10
-    _kept.cache_clear()
+    _KEPT.clear()
     fresh = _walked(modes, r, z)
     for a, b, c, d in zip(first, again, fresh, flat):
         assert a.tobytes() == b.tobytes() == c.tobytes() == d.tobytes() and a.shape == b.shape == c.shape
@@ -393,12 +397,12 @@ def test_factor_memo_misses_on_other_geometry_or_nodes(unit_geom, sweeps):
         before = len(sweeps)
         _walked((md,), rr, zz)
         calls.append(len(sweeps) - before)
-    assert calls == [1, 0, 1, 1, 0, 0] and _kept.cache_info().currsize == 2
+    assert calls == [1, 0, 1, 1, 0, 0] and len(_KEPT) == 2
     assert len(_kept_tables(r)) == 2 and len(_kept_tables(np.nextafter(r, 1.0))) == 1
-    _kept.cache_clear()
+    _KEPT.clear()
     for md, rr, zz in cases:     # each cold factor equals its kept one
         want = _walked((md,), rr, zz)
-        _kept.cache_clear()
+        _KEPT.clear()
         assert all(a.tobytes() == b.tobytes() for a, b in zip(want, _walked((md,), rr, zz)))
 
 
@@ -410,9 +414,9 @@ def test_partners_read_one_triple_bit_for_bit(unit_geom, sweeps):
     r, z = np.linspace(0.0, unit_geom.a, 11), np.linspace(0.0, unit_geom.L, 5)
     cold = []
     for md in modes:
-        _kept.cache_clear()
+        _KEPT.clear()
         cold.append(_walked((md,), r, z))
-    _kept.cache_clear()
+    _KEPT.clear()
     del sweeps[:]
     for md, want in zip(modes, cold):
         got = _walked((md,), r, z)
@@ -422,7 +426,7 @@ def test_partners_read_one_triple_bit_for_bit(unit_geom, sweeps):
     for md in modes:
         reports.append(check_boundary(md))
         assert len(sweeps) == 2, md.index      # the walls' radii: one more sweep
-    _kept.cache_clear()
+    _KEPT.clear()
     assert reports == [check_boundary(md) for md in modes]
 
 
@@ -437,7 +441,7 @@ def test_one_call_shares_each_function_without_the_memo(unit_geom, sweeps, monke
         got = _walked(modes, r, z)
         assert sweeps == [(3, 2 * r.size)]
         del sweeps[:]
-    assert _kept.cache_info().currsize == 0
+    assert len(_KEPT) == 0
     for j, md in enumerate(modes):      # each mode as it is alone
         assert all(a[..., j].tobytes() == b[..., 0].tobytes() for a, b in zip(got, _walked((md,), r, z)))
 
@@ -452,21 +456,25 @@ def test_factor_memo_keeps_within_budget(unit_geom, sweeps):
     _walked((two,), sets[0], 0.5)           # two functions on the oldest set, swept apart
     for r in sets[1:]:
         _walked((one,), r, 0.5)
-    assert _kept.cache_info().currsize == _KEPT_SETS
+    assert len(_KEPT) == _KEPT_SETS
     del sweeps[:]
     for r in sets[:0:-1]:
         _walked((one,), r, 0.7)
     assert not sweeps
     _walked((one, two), sets[0], 0.5)       # both functions again, in one sweep
     assert sweeps == [(3, 2 * sets[0].size)]
+    # a kept set read again is the most recently used: the reverse walk left
+    # sets[-1] least recently used, and sets[0] evicted it
+    assert list(_KEPT) == [r.tobytes() for r in (*sets[-2:0:-1], sets[0])]
     edge, wide = (np.linspace(0.0, unit_geom.a, n) for n in (_CHUNK_POINTS, _CHUNK_POINTS + 1))
-    calls, info = [], _kept.cache_info()
+    calls, kept = [], []
     for r in (wide, wide, edge, edge):
         before = len(sweeps)
+        kept.append(r.tobytes() in _KEPT)
         s, R, Z = _walked((one,), r, 0.5)
         calls.append(len(sweeps) - before)
         assert R.shape == (7, r.size, 1)
-    assert calls == [1, 1, 1, 0] and _kept.cache_info().misses == info.misses + 1
+    assert calls == [1, 1, 1, 0] and kept == [False, False, False, True]
 
 
 def test_factor_memo_budget_bounds_its_memory(unit_geom, sweeps):
@@ -476,7 +484,7 @@ def test_factor_memo_budget_bounds_its_memory(unit_geom, sweeps):
     modes = [mode_data(unit_geom, ModeIndex(m=m, mu=1, n=1, sigma=TE)) for m in (1, 3)]
     sets = [np.linspace(0.0, unit_geom.a, _CHUNK_POINTS) * (1.0 - k * 1e-3) for k in range(_KEPT_SETS + 2)]
     _walked(modes, sets[0], 0.5)
-    _kept.cache_clear()
+    _KEPT.clear()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -486,7 +494,7 @@ def test_factor_memo_budget_bounds_its_memory(unit_geom, sweeps):
     finally:
         tracemalloc.stop()
     tables = _KEPT_SETS * _CHUNK_POINTS * 32 * len(modes)
-    assert _kept.cache_info().currsize == _KEPT_SETS
+    assert len(_KEPT) == _KEPT_SETS
     assert tables <= held <= tables + _KEPT_SETS * _CHUNK_POINTS * 8 + (64 << 10), held
 
 
@@ -497,7 +505,7 @@ def test_factor_memo_accounting_survives_threads(unit_geom, sweeps):
     radii = [np.linspace(0.0, unit_geom.a, 512) * (1.0 - k * 1e-3) for k in range(_KEPT_SETS + 2)]
     want = []
     for r in radii:
-        _kept.cache_clear()
+        _KEPT.clear()
         want.append(_walked((md,), r, 0.3)[1].tobytes())
     errors = []
 
@@ -520,7 +528,7 @@ def test_factor_memo_accounting_survives_threads(unit_geom, sweeps):
     finally:
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads) and not errors
-    assert _kept.cache_info().currsize == _KEPT_SETS
+    assert len(_KEPT) == _KEPT_SETS
 
 
 def test_taking_kept_functions_survives_threads(unit_geom, sweeps):
@@ -533,9 +541,9 @@ def test_taking_kept_functions_survives_threads(unit_geom, sweeps):
     want = {}
     for i, md in enumerate(modes):
         for j, r in enumerate(radii):
-            _kept.cache_clear()
+            _KEPT.clear()
             want[i, j] = _walked((md,), r, 0.3)[1].tobytes()
-    _kept.cache_clear()
+    _KEPT.clear()
     del sweeps[:]
     errors = []
 
@@ -558,7 +566,7 @@ def test_taking_kept_functions_survives_threads(unit_geom, sweeps):
     finally:
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads) and not errors
-    assert _kept.cache_info().currsize == _KEPT_SETS
+    assert len(_KEPT) == _KEPT_SETS
     # some sweeps took other functions along, none beyond one chunk
     assert max(points for _, points in sweeps) in (2 * 512, 3 * 512)
 
@@ -601,6 +609,9 @@ def test_domain_rejection(unit_geom):
             u_grid(md, np.array([r]), np.array([0.0]), np.array([z]))
         with pytest.raises(ValueError):
             u_mode(md, CylPoint(r=r, phi=0.0, z=z))
+    for r, z in ((math.nan, 0.5), (0.5, math.inf), (-math.inf, 0.5)):
+        with pytest.raises(ValueError, match="^coordinates must be finite$"):
+            u_grid(md, np.array([r]), np.array([0.0]), np.array([z]))
 
 
 def test_cyl_point_validation():
@@ -613,6 +624,10 @@ def test_cyl_point_validation():
         p = CylPoint(r=0.1, phi=phi, z=0.2)
         assert p.phi == 0.0 and not math.copysign(1.0, p.phi) < 0.0, phi
     assert 0.0 < CylPoint(r=0.1, phi=-5e-16, z=0.2).phi < 2.0 * math.pi
+    for name in ("r", "phi", "z"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"^CylPoint.{name} must be finite, got {bad!r}$"):
+                CylPoint(**{"r": 0.5, "phi": 0.0, "z": 0.5, name: bad})
 
 
 def test_cyl_point_stores_numpy_reals_as_floats_and_rejects_bools():
@@ -643,6 +658,19 @@ def test_point_api_matches_grid(unit_geom):
     assert vec.v_r == complex(grid[0][0])
     assert vec.v_phi == complex(grid[1][0])
     assert vec.v_z == complex(grid[2][0])
+
+
+def test_point_functions_equal_the_grid_functions_bit_for_bit(unit_geom):
+    # psi, u_mode and curl_u at one point, and CylVector.as_array, hold the
+    # grid functions' values at that point unchanged
+    p = CylPoint(r=0.31, phi=1.2, z=0.9)
+    at = (np.array([p.r]), np.array([p.phi]), np.array([p.z]))
+    for index in (ModeIndex(m=2, mu=1, n=1, sigma=TE), ModeIndex(m=-1, mu=2, n=0, sigma=TM)):
+        md = mode_data(unit_geom, index)
+        assert np.array([psi(md, p)]).tobytes() == psi_grid(md, *at).tobytes()
+        for point, grid in ((u_mode, u_grid), (curl_u, curl_u_grid)):
+            got, want = point(md, p).as_array(), np.concatenate(grid(md, *at)).astype(complex)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), point.__name__
 
 
 @settings(max_examples=80, deadline=None)

@@ -2,11 +2,15 @@
 
 import hashlib
 import importlib.util
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 from cylcavity.cli import main as cli_main
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def _main(name):
@@ -62,3 +66,30 @@ def test_field_scale(capsys):
     omega_max, count, energy_s, synth_s, *rest = lines[1].split()
     assert lines[0].split() == header and (omega_max, count, energy_s) == ("5", "11", "raises")
     assert float(synth_s) > 0.0 and rest == ["raises"] * 3
+
+
+def test_unexecuted():
+    # pytest on one test file in a child: pytest's output, then `path:line:
+    # source` for each line of the package that never ran, then a count per
+    # file; the public-API test imports every module but evaluates nothing,
+    # so the Hankel expansion's body is listed and the package's __init__ is not
+    package = ROOT / "src" / "cylcavity"
+    done = subprocess.run([sys.executable, str(SCRIPTS / "unexecuted.py"), "-q", "-p", "no:cacheprovider",
+                           "tests/test_public_api.py"], cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    names = [f"src/cylcavity/{path.name}" for path in sorted(package.glob("*.py"))]
+    counts = [re.fullmatch(r"(\S+): (\d+) of (\d+) lines not run", line) for line in lines[-len(names):]]
+    assert [c[1] for c in counts] == names and all(int(c[2]) <= int(c[3]) for c in counts)
+    listed = {}
+    for line in lines[:-len(names)]:
+        hit = re.fullmatch(r"(src/cylcavity/\w+\.py):(\d+): (.*)", line)
+        if hit:
+            assert (ROOT / hit[1]).read_text().splitlines()[int(hit[2]) - 1].strip() == hit[3]
+            listed.setdefault(hit[1], []).append(int(hit[2]))
+    assert {c[1]: int(c[2]) for c in counts} == {name: len(listed.get(name, [])) for name in names}
+    assert "src/cylcavity/__init__.py" not in listed
+    source = (package / "bessel.py").read_text().splitlines()
+    start = source.index("def _asymptotic(m: np.ndarray, x: np.ndarray) -> np.ndarray:")
+    body = source.index("    mu4 = 4.0 * m * m", start) + 1      # its first statement, 1-based
+    assert body in listed["src/cylcavity/bessel.py"]

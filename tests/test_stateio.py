@@ -66,6 +66,8 @@ def test_si_geometry_round_trip(si_geom):
     (lambda t: t + "mode = 0 1 0 9 0.5 0.5\n", "sigma"),
     (lambda t: t.replace("time = 0.125", "time = soon"), "time"),
     (lambda t: t.replace("height = 1.3", "height -> 1.3"), "key = value"),
+    (lambda t: t + "mode = 0 1 0 1 0.5 half\n", "bad mode entry"),
+    (lambda t: t + "mode = 0 one 0 1 0.5 0.5\n", "bad mode entry"),
 ])
 def test_malformed_inputs_rejected(state, mutate, needle):
     with pytest.raises(ValueError, match=needle):

@@ -459,6 +459,14 @@ def test_maxwell_residual_takes_a_real_step(unit_geom, rng, bad):
         maxwell_residual(state, points, bad)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1e-3, math.nan, math.inf])
+def test_maxwell_residual_takes_a_positive_finite_step(unit_geom, rng, bad):
+    state = _random_state(unit_geom, rng, 3)
+    points = (np.array([0.5]), np.array([0.0]), np.array([0.6]))
+    with pytest.raises(ValueError, match=f"^step must be positive and finite, got {bad!r}$"):
+        maxwell_residual(state, points, bad)
+
+
 def test_state_validation(unit_geom, rng):
     modes = enumerate_modes(unit_geom, 5.0)
     with pytest.raises(ValueError):
@@ -486,6 +494,11 @@ def test_state_validation(unit_geom, rng):
     for bad in (True, "1"):
         with pytest.raises(ValueError, match="dt must be a real number"):
             evolve(state, bad)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^dt must be finite, got {bad!r}$"):
+            evolve(state, bad)
+    with pytest.raises(ValueError, match="^entries must pair ModeData with amplitudes, got ModeIndex"):
+        FieldState(geom=unit_geom, entries=((modes[0], 1.0), (modes[1].index, 2.0)))
 
 
 def test_empty_state(unit_geom):
