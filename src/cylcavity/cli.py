@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -46,9 +47,10 @@ from .spectrum import (
 from .modefield import u_grid
 from .synthesis import _synthesize, evolve, field_samplers, project
 from .verify import _SUITES, DEFAULT_NR, DEFAULT_NZ, _run_suites, default_nphi, quadrature_rule
-from .stateio import _fmt, _read_pairs, load_state
+from .stateio import _read_pairs, load_state
 
 _REQUIRED = object()
+_LABEL = operator.attrgetter("m", "mu", "n", "sigma")       # a ModeIndex's CSV fields
 
 
 def _parse_kind(raw: str) -> str:
@@ -139,30 +141,24 @@ def _read_config(sub: argparse.ArgumentParser, path: str, known: set) -> dict:
     return {key.replace("-", "_"): value for key, [(value, _)] in pairs.items()}
 
 
-def _emit(lines) -> None:
-    sys.stdout.write("\n".join(lines) + "\n")
+def _emit_rows(header: str, row: str, values) -> None:
+    """CSV: header, then row % v for each tuple v (%.17g is stateio._fmt's text)."""
+    sys.stdout.write("\n".join([header, *(row % v for v in values)]) + "\n")
 
 
 # ----------------------------------------------------------- subcommands
 
 def _cmd_bessel_zeros(values: dict) -> int:
     table = zero_table(values["m"], values["kind"], values["count"])
-    lines = ["m,mu,kind,zero"]
-    for mu, zero in enumerate(table.zeros, start=1):
-        lines.append(f"{table.m},{mu},{table.kind},{_fmt(zero)}")
-    _emit(lines)
+    _emit_rows("m,mu,kind,zero", f"{table.m},%d,{table.kind},%.17g", enumerate(table.zeros, start=1))
     return 0
 
 
 def _cmd_spectrum(values: dict) -> int:
     geom = _geometry(values)
     modes = enumerate_modes(geom, values["omega_max"])
-    lines = ["m,mu,n,sigma,chi,g,h,k,omega,alpha,c_norm"]
-    for md in modes:
-        idx = md.index
-        nums = ",".join(_fmt(v) for v in (md.chi, md.g, md.h, md.k, md.omega, md.alpha, md.c_norm))
-        lines.append(f"{idx.m},{idx.mu},{idx.n},{idx.sigma},{nums}")
-    _emit(lines)
+    _emit_rows("m,mu,n,sigma,chi,g,h,k,omega,alpha,c_norm", "%d,%d,%d,%d" + ",%.17g" * 7,
+               ((*_LABEL(md.index), md.chi, md.g, md.h, md.k, md.omega, md.alpha, md.c_norm) for md in modes))
     return 0
 
 
@@ -207,9 +203,9 @@ def _cmd_synth(values: dict) -> int:
 
 
 def _cmd_project(values: dict) -> int:
-    state = load_state(values["state"])
     if (values["modes"] is None) == (values["omega_max"] is None):
         values["sub"].error("give exactly one of --modes and --omega-max")
+    state = load_state(values["state"])
     if values["modes"] is not None:
         targets = _modes(state.geom, [ModeIndex(*t) for t in values["modes"]])
     else:
@@ -218,11 +214,8 @@ def _cmd_project(values: dict) -> int:
     rule = quadrature_rule(state.geom, nr=values["nr"], nphi=nphi, nz=values["nz"])
     e_sampler, b_sampler = field_samplers(state)
     amps = project(e_sampler, b_sampler, targets, rule)
-    lines = ["m,mu,n,sigma,re_a,im_a"]
-    for md, a in zip(targets, amps):
-        idx = md.index
-        lines.append(f"{idx.m},{idx.mu},{idx.n},{idx.sigma},{_fmt(a.real)},{_fmt(a.imag)}")
-    _emit(lines)
+    _emit_rows("m,mu,n,sigma,re_a,im_a", "%d,%d,%d,%d,%.17g,%.17g",
+               ((*_LABEL(md.index), a.real, a.imag) for md, a in zip(targets, amps.tolist())))
     return 0
 
 

@@ -2,9 +2,9 @@
 
 The cavity integral int_0^a r dr int_0^{2pi} dphi int_0^L dz is done with
 a tensor-product rule: Gauss-Legendre in r (the Jacobian r is folded into
-the radial weights) and in z, and the uniform rectangle rule in phi, which
-every QuadratureRule derives from nphi.  Weights are positive and sum to
-the cavity volume pi a^2 L.
+the radial weights) and in z, and the uniform rectangle rule in phi; every
+QuadratureRule derives all its nodes and weights from its sizes nr, nphi
+and nz.  Weights are positive and sum to the cavity volume pi a^2 L.
 
 Checks provided, with the suite of `cylcavity verify` (_run_suites) that
 runs each:
@@ -80,24 +80,35 @@ _INTERIOR = 24      # interior radii and heights of a wall check's reference max
 _STACK_PAIRS = 4096     # pairs of the equal-size classes whose terms _blocks forms in one expression
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class QuadratureRule:
     """Tensor-product cavity quadrature bound to one geometry.
 
-    r/z nodes and weights are Gauss-Legendre (radial weights include the
-    cylindrical Jacobian r).  phi and wphi are not arguments: they are the
-    uniform nodes 2 pi k / nphi and equal weights 2 pi / nphi, derived from
-    nphi, so every rule has the exact phi sums _gram and total_energy use.
+    geom and the sizes nr, nphi, nz (positive integers) are the whole rule:
+    rules with equal ones are equal and hash alike, and every node and weight
+    follows from them.  r/z are read-only Gauss-Legendre nodes and weights
+    (radial weights include the cylindrical Jacobian r); phi and wphi are the
+    uniform nodes 2 pi k / nphi and equal weights 2 pi / nphi, so every rule
+    has the exact phi sums _gram and total_energy use.
     """
 
     geom: CavityGeometry
     nr: int
     nphi: int
     nz: int
-    r: np.ndarray = field(repr=False)
-    wr: np.ndarray = field(repr=False)
-    z: np.ndarray = field(repr=False)
-    wz: np.ndarray = field(repr=False)
+    r: np.ndarray = field(init=False, repr=False, compare=False)
+    wr: np.ndarray = field(init=False, repr=False, compare=False)
+    z: np.ndarray = field(init=False, repr=False, compare=False)
+    wz: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        for name in ("nr", "nphi", "nz"):
+            object.__setattr__(self, name, _as_int(name, getattr(self, name), 1))
+        (tr, twr), (tz, twz), a, L = _gauss_legendre(self.nr), _gauss_legendre(self.nz), self.geom.a, self.geom.L
+        r = 0.5 * a * (tr + 1.0)
+        for name, v in zip(("r", "wr", "z", "wz"), (r, 0.5 * a * twr * r, 0.5 * L * (tz + 1.0), 0.5 * L * twz)):
+            v.flags.writeable = False
+            object.__setattr__(self, name, v)
 
     @property
     def phi(self) -> np.ndarray:
@@ -135,14 +146,7 @@ def quadrature_rule(
     nz: int = DEFAULT_NZ,
 ) -> QuadratureRule:
     """Build the tensor rule; nphi must exceed every azimuthal difference used."""
-    nr, nphi, nz = (_as_int(name, v, 1) for name, v in (("nr", nr), ("nphi", nphi), ("nz", nz)))
-    tr, twr = _gauss_legendre(nr)
-    r = 0.5 * geom.a * (tr + 1.0)
-    wr = 0.5 * geom.a * twr * r          # Jacobian folded in
-    tz, twz = _gauss_legendre(nz)
-    z = 0.5 * geom.L * (tz + 1.0)
-    wz = 0.5 * geom.L * twz
-    return QuadratureRule(geom=geom, nr=nr, nphi=nphi, nz=nz, r=r, wr=wr, z=z, wz=wz)
+    return QuadratureRule(geom, nr, nphi, nz)
 
 
 def default_nphi(modes) -> int:

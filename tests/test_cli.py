@@ -423,10 +423,11 @@ def test_domain_errors_exit_1(capsys, state_file):
         assert err.strip()
 
 
-def test_project_needs_exactly_one_target_spec(capsys, state_file):
-    path, _ = state_file
-    code, _, _ = run_cli(["project", "--state", path], capsys)
-    assert code == 2
-    code, _, _ = run_cli(["project", "--state", path, "--omega-max", "4",
-                          "--modes", "0,1,0,1"], capsys)
-    assert code == 2
+def test_project_needs_exactly_one_target_spec(capsys, state_file, tmp_path):
+    # the usage check comes before the state is read, so a missing file does not hide it
+    for path in (state_file[0], str(tmp_path / "missing.txt")):
+        code, _, err = run_cli(["project", "--state", path], capsys)
+        assert code == 2 and "give exactly one of --modes and --omega-max" in err
+        code, _, err = run_cli(["project", "--state", path, "--omega-max", "4",
+                                "--modes", "0,1,0,1"], capsys)
+        assert code == 2 and "give exactly one of --modes and --omega-max" in err

@@ -292,15 +292,16 @@ def test_energy_bits_do_not_depend_on_the_blas_thread_count():
 
 
 def test_quadrature_rule_cannot_take_phi_nodes_or_weights(unit_geom, rng):
-    # the uniform phi rule total_energy needs is part of the type: phi and
-    # wphi follow from nphi and are not arguments, so no rule has other nodes
+    # every node and weight is part of the type: r, wr, z and wz follow from
+    # nr and nz, and the uniform phi rule total_energy needs from nphi; none is
+    # an argument, so no rule has nodes other than its sizes give
     state = _random_state(unit_geom, rng, 4)
     rule = _rule_for(state)
-    nodes = {"r": rule.r, "wr": rule.wr, "z": rule.z, "wz": rule.wz}
-    for bad in ({"phi": rule.phi + 0.1}, {"wphi": np.full(rule.nphi, 1.0)}):
-        with pytest.raises(TypeError, match="phi"):
-            QuadratureRule(geom=unit_geom, nr=rule.nr, nphi=rule.nphi, nz=rule.nz, **nodes, **bad)
-        with pytest.raises(TypeError, match="phi"):
+    for name in ("r", "wr", "phi", "wphi", "z", "wz"):
+        bad = {name: getattr(rule, name) + 0.1}
+        with pytest.raises(TypeError, match=f"\\b{name}\\b"):
+            QuadratureRule(geom=unit_geom, nr=rule.nr, nphi=rule.nphi, nz=rule.nz, **bad)
+        with pytest.raises(TypeError if "phi" in name else ValueError, match=f"\\b{name}\\b"):
             dataclasses.replace(rule, **bad)
     rule.phi[0] += 0.1      # each access is a new array: the rule's nodes stay uniform
     rule.wphi[0] *= 1.5

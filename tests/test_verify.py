@@ -1,5 +1,6 @@
 """Quadrature rule and the certification checks built on it."""
 
+import dataclasses
 import gc
 import json
 import math
@@ -18,6 +19,7 @@ from cylcavity import (
     CavityGeometry,
     FieldState,
     ModeIndex,
+    QuadratureRule,
     check_boundary,
     check_curl_identity,
     check_scalar_orthonormality,
@@ -54,7 +56,7 @@ def test_weights_sum_to_volume(unit_geom):
 
 def test_rules_keep_their_own_nodes(unit_geom):
     # the [-1, 1] nodes are built once per count and shared read-only; each
-    # rule scales them into arrays of its own, bitwise as from leggauss
+    # rule scales them into read-only arrays of its own, bitwise as from leggauss
     t, w = np.polynomial.legendre.leggauss(12)
     for _ in range(2):
         rule = quadrature_rule(unit_geom, nr=12, nphi=3, nz=12)
@@ -63,7 +65,42 @@ def test_rules_keep_their_own_nodes(unit_geom):
         assert rule.wr.tobytes() == (0.5 * unit_geom.a * w * r).tobytes()
         assert rule.z.tobytes() == (0.5 * unit_geom.L * (t + 1.0)).tobytes()
         assert rule.wz.tobytes() == (0.5 * unit_geom.L * w).tobytes()
-        rule.r[:] = rule.wz[:] = 0.0        # a caller's writes stay in its rule
+        for nodes in (rule.r, rule.wz):
+            with pytest.raises(ValueError, match="read-only"):
+                nodes[:] = 0.0
+
+
+def test_replaced_sizes_give_their_own_nodes(unit_geom):
+    # the sizes are the whole rule: a rule replaced to other sizes has the
+    # nodes and weights of a rule built with them, bit for bit
+    rule = quadrature_rule(unit_geom, nphi=11)
+    finer = dataclasses.replace(rule, nr=96, nz=80)
+    built = quadrature_rule(unit_geom, 96, rule.nphi, 80)
+    assert (finer.nr, finer.nphi, finer.nz) == (96, rule.nphi, 80)
+    for name in ("r", "wr", "phi", "wphi", "z", "wz"):
+        assert getattr(finer, name).tobytes() == getattr(built, name).tobytes(), name
+    assert rule.r.shape == rule.wr.shape == (DEFAULT_NR,)
+
+
+def test_every_construction_path_checks_the_sizes(unit_geom):
+    rule = quadrature_rule(unit_geom)
+    for name in ("nr", "nphi", "nz"):
+        with pytest.raises(ValueError, match=f"{name} must be a positive integer, got 0"):
+            dataclasses.replace(rule, **{name: 0})
+    with pytest.raises(ValueError, match="nphi must be a positive integer, got 0"):
+        QuadratureRule(unit_geom, 64, 0, 64)
+    with pytest.raises(ValueError, match="nz must be a positive integer, got 2.0"):
+        QuadratureRule(unit_geom, 64, 8, 2.0)
+
+
+def test_rules_compare_by_geometry_and_sizes(unit_geom):
+    rule = quadrature_rule(unit_geom, nr=12, nphi=7, nz=9)
+    same = QuadratureRule(CavityGeometry(a=unit_geom.a, L=unit_geom.L, c=unit_geom.c, eps0=unit_geom.eps0,
+                                         hbar=unit_geom.hbar), np.int64(12), 7, 9)
+    assert same == rule and hash(same) == hash(rule) and same is not rule
+    assert len({rule, same}) == 1
+    assert rule != QuadratureRule(CavityGeometry(a=2 * unit_geom.a, L=unit_geom.L), 12, 7, 9)
+    assert rule != quadrature_rule(unit_geom, nr=12, nphi=7, nz=10)
 
 
 def test_polynomial_exactness(unit_geom):
