@@ -461,6 +461,7 @@ class BesselZeroTable:
     zeros: tuple
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "m", _as_int("order m", self.m, 0))
         if self.kind not in (_KIND_J, _KIND_JPRIME):
             raise ValueError(f"kind must be 'j' or 'jprime', got {self.kind!r}")
         z = np.asarray(self.zeros, dtype=float)

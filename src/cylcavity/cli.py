@@ -46,7 +46,7 @@ from .spectrum import (
 )
 from .modefield import u_grid
 from .synthesis import _synthesize, evolve, field_samplers, project
-from .verify import _SUITES, DEFAULT_NR, DEFAULT_NZ, _run_suites, default_nphi, quadrature_rule
+from .verify import _SUITES, DEFAULT_NR, DEFAULT_NZ, _run_suites, default_rule
 from .stateio import _read_pairs, load_state
 
 _REQUIRED = object()
@@ -210,8 +210,8 @@ def _cmd_project(values: dict) -> int:
         targets = _modes(state.geom, [ModeIndex(*t) for t in values["modes"]])
     else:
         targets = enumerate_modes(state.geom, values["omega_max"])
-    nphi = values["nphi"] or default_nphi(list(state.modes) + list(targets))
-    rule = quadrature_rule(state.geom, nr=values["nr"], nphi=nphi, nz=values["nz"])
+    # nphi from the field's modes and the targets together: it resolves both
+    rule = default_rule(state.geom, list(state.modes) + list(targets), nr=values["nr"], nz=values["nz"])
     e_sampler, b_sampler = field_samplers(state)
     amps = project(e_sampler, b_sampler, targets, rule)
     _emit_rows("m,mu,n,sigma,re_a,im_a", "%d,%d,%d,%d,%.17g,%.17g",
@@ -222,7 +222,7 @@ def _cmd_project(values: dict) -> int:
 def _cmd_verify(values: dict) -> int:
     tolerances = {key: v for key, v in values.items() if key.endswith("_tol")}
     report = _run_suites(_geometry(values), values["omega_max"], values["suite"],
-                         values["nr"], values["nphi"], values["nz"], tolerances)
+                         values["nr"], values["nz"], tolerances)
     sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
     return 0 if report["passed"] else 1
 
@@ -263,7 +263,6 @@ _COMMANDS = (
             _Opt("suite", _parse_suites, _SUITES,
                  "comma list from bessel,gram,curl,boundary (default all)"),
             _Opt("nr", int, DEFAULT_NR, "radial quadrature order"),
-            _Opt("nphi", int, 0, "azimuthal quadrature points (0 = auto)"),
             _Opt("nz", int, DEFAULT_NZ, "axial quadrature order"),
             _Opt("gram-tol", float, 1e-8, "orthonormality tolerance"),
             _Opt("curl-rel-tol", float, 1e-8, "curl identity relative tolerance"),
@@ -292,7 +291,6 @@ _COMMANDS = (
                  "target modes 'm,mu,n,sigma;...' (alternative to --omega-max)"),
             _Opt("omega-max", float, None, "project onto all modes below this cutoff"),
             _Opt("nr", int, DEFAULT_NR, "radial quadrature order"),
-            _Opt("nphi", int, 0, "azimuthal quadrature points (0 = auto)"),
             _Opt("nz", int, DEFAULT_NZ, "axial quadrature order"),
         ),
         _cmd_project,

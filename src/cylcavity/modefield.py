@@ -110,7 +110,7 @@ def _check_domain(geom, r, z) -> None:
     (r_lo, r_hi), (z_lo, z_hi) = ((v.min(), v.max()) if v.size else (0.0, 0.0) for v in (r, z))
     if not all(map(math.isfinite, (r_lo, r_hi, z_lo, z_hi))):
         raise ValueError("coordinates must be finite")
-    if r_lo < -_DOMAIN_SLACK * geom.a or r_hi > geom.a * (1.0 + _DOMAIN_SLACK):
+    if r_lo < 0.0 or r_hi > geom.a * (1.0 + _DOMAIN_SLACK):     # as CylPoint, no slack below the axis
         raise ValueError(f"radius outside closed cavity domain [0, {geom.a}]")
     if z_lo < -_DOMAIN_SLACK * geom.L or z_hi > geom.L * (1.0 + _DOMAIN_SLACK):
         raise ValueError(f"z outside closed cavity domain [0, {geom.L}]")

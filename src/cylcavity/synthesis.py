@@ -30,17 +30,18 @@ field energy
 is time independent.  total_energy takes the rule's quadrature of the
 left side without synthesizing E or B: it is the same discrete sum over
 every node, formed from the factor tables (modefield._tables).  A real
-field row is half the same sum over the doubled mode set, the modes and
-their conjugates (conj a_s, -m_s).  The uniform phi rule of every
-QuadratureRule sums e^{i q phi} exactly to sum w_phi when q = 0 mod nphi
-and to 0 otherwise (trapezoid rule), so only members whose m agree mod
-nphi meet; the (r, z) sums of each such class, still numeric, are small
-Grams of the radial and axial table rows it uses (sum factorization).  An
-nphi that puts two members of different m in one class makes total_energy
-and project raise ValueError (_classes); a coarse r or z rule errs exactly
-as the full 3-D sum does.  The zero-point contribution sum_s hbar omega_s
-/ 2 of a truncated mode set is reported separately by zero_point_energy
-and is never folded into the classical total (it diverges with the cutoff).
+field row holds each mode at m_s and its conjugate at -m_s, so, as in
+synthesis, the slot of |m| takes the modes of -|m| conjugated and stands
+for the conjugates at -|m| too.  The uniform phi rule of every
+QuadratureRule sums e^{i q phi} to sum w_phi when q = 0 mod nphi and to
+0 otherwise (trapezoid rule), so only members of one slot meet; the
+(r, z) sums of each, still numeric, are small Grams of the radial and
+axial table rows it uses (sum factorization).  An nphi that aliases two
+of the modes and their conjugates makes total_energy and project raise
+ValueError (_classes); a coarse r or z rule errs as the 3-D sum does.
+The zero-point contribution sum_s hbar omega_s / 2 of a truncated mode
+set is reported separately by zero_point_energy and is never folded into
+the classical total (it diverges with the cutoff).
 
 Amplitudes can be recovered from sampled fields: with the inner product
 <f, g> = int f* . g dV,
@@ -263,67 +264,63 @@ def total_energy(state: FieldState, rule: QuadratureRule) -> float:
 
     The same discrete sum as eps0/2 |E|^2 + |B|^2 / 2 mu0 over every node,
     without the 3-D fields.  Each row of E and B is Re X on the nodes, X =
-    sum_i beta_i R_i(r) Z_i(z) e^{i m_i phi}, and the real Y = 2 Re X = X +
-    conj(X) is the same sum over the doubled mode set: the modes, then their
-    conjugates (conj beta_i, -m_i) on the same table rows.  The weighted sum
-    of (Re X)^2 is 1/4 sum w |Y|^2, where the phi sum keeps the pairs of one
-    class q of m mod nphi, times sum w_phi.  Class -q holds the conjugates
-    of class q, so the walk (_classes) takes q <= -q mod nphi, twice if q != -q.
-    Per class, the beta scatter into A[row, rho, zeta] over the radial and
-    axial table rows it uses, and the (r, z) sum is sum conj(A) G_R A G_Z,
-    with the 1-D Grams G_R = T_R diag(w_r) T_R^T of those radial rows alone
-    and G_Z of the axial table.  The uniform phi rule of every QuadratureRule
-    makes the phi sum exact or raises (_classes); the r and z sums stay
-    numeric, so a coarse r or z rule shows as in the full 3-D sum."""
+    sum_i beta_i R_i(r) Z_i(z) e^{i m_i phi}, and Y = 2 Re X = X + conj(X)
+    is the sum of the slots Y_|m| e^{i |m| phi} and their conjugates: as in
+    _synthesize, slot |m| takes beta of m = |m| and conj beta of m = -|m|,
+    and slot 0 takes beta + conj beta.  With the phi rule exact (_classes
+    raises otherwise), the weighted sum of (Re X)^2 = Y^2 / 4 is sum w_phi / 4
+    times |Y_0|^2 + 2 sum |Y_|m||^2.  Per slot, the coefficients scatter into
+    A[row, rho, zeta] over the radial and axial table rows it uses, and the
+    (r, z) sum is sum conj(A) G_R A G_Z, with the 1-D Grams G_R = T_R
+    diag(w_r) T_R^T of those radial rows alone and G_Z of the axial table;
+    they stay numeric, so a coarse r or z rule shows as in the full 3-D sum."""
     geom, modes = state.geom, state.modes
     _same_geometry(modes, rule)
     if not modes:
         return 0.0
-    q, order, runs = _classes(modes, rule.nphi)
+    _classes(modes, rule.nphi)
     r, _, z = rule.grid()
     s, c, radial, r_at, axial, z_at = _tables(modes, r, z)
     rows = slice(_U.start, _CURL.stop)
-    omega = np.array([md.omega for md in modes])
+    m, omega = np.array([md.index.m for md in modes]), np.array([md.omega for md in modes])
     # beta of the E rows (i p) and of the B rows (p), 2 p a c s, each times the
     # square root of its energy density's factor, eps0 / 2 or 1 / (2 mu0)
     p = np.repeat([1j * np.sqrt(geom.hbar * omega / (2.0 * geom.eps0)) * math.sqrt(0.5 * geom.eps0),
                    np.sqrt(geom.hbar / (2.0 * geom.eps0 * omega)) * math.sqrt(0.5 / geom.mu0)], 3, axis=0)
     beta = s[rows] * p * (2.0 * state.amplitudes * c)
-    g_z = (axial * rule.wz) @ axial.T
-    # the doubled set: the modes (beta, m), then their conjugates (conj beta, -m) on the same table rows
-    beta, r_at, z_at = np.concatenate([beta, beta.conj()], axis=1), np.tile(r_at[rows], 2), np.tile(z_at[rows], 2)
+    np.conjugate(beta, out=beta, where=m < 0)   # -m enters the slot of |m| conjugated, as in _synthesize
+    r_at, z_at, g_z = r_at[rows], z_at[rows], (axial * rule.wz) @ axial.T
+    order, runs = _runs(np.abs(m))
     total = 0.0
     for lo, hi in runs:
         j = order[lo:hi]
-        if (cls := q[j[0]]) > -cls % rule.nphi:
-            continue        # the conjugates of class -cls, walked already
         (rho, at_rho), (zeta, at_zeta) = (np.unique(v[:, j], return_inverse=True) for v in (r_at, z_at))
         shape = (len(beta), len(rho), len(zeta))
         at = np.ravel_multi_index((np.arange(len(beta))[:, None], at_rho.reshape(-1, len(j)),
                                    at_zeta.reshape(-1, len(j))), shape).ravel()
-        b = beta[:, j].ravel()
+        b, weight = beta[:, j].ravel(), 2.0     # slot |m| > 0 stands for itself and its conjugate at -|m|
+        if m[j[0]] == 0:
+            b, weight = b + b.conj(), 1.0       # Y_0 holds each mode and its conjugate
         # A[Re/Im, row, rho, zeta], and the same parts of G_R A G_Z
         A = np.array([np.bincount(at, part, math.prod(shape)) for part in (b.real, b.imag)])
         t = radial[rho]
         GA = ((t * rule.wr) @ t.T) @ (A.reshape(-1, len(zeta)) @ g_z[zeta[:, None], zeta]).reshape(-1, *shape[1:])
-        total += (1 + (cls != -cls % rule.nphi)) * (A.ravel() * GA.ravel()).sum()     # numpy's sum: no BLAS threads
+        total += weight * (A.ravel() * GA.ravel()).sum()     # numpy's sum: no BLAS threads
     return float(0.25 * rule.wphi.sum() * total)
 
 
-def _classes(modes, nphi: int) -> tuple:
-    """(q, order, runs) of the doubled mode set, which a real field holds: q the
-    class m mod nphi of each mode and then of each conjugate (-m), (order,
-    runs) the bessel._runs of q.  Raises ValueError naming the first two
-    neighbours in order of one class whose m differ: the phi rule aliases them."""
+def _classes(modes, nphi: int) -> None:
+    """Raise ValueError when the phi rule aliases two members of the modes and
+    their conjugates (-m), which a real field holds: names the first two
+    neighbours, in stable order of m mod nphi, of one class whose m differ."""
     m = np.outer([1, -1], [md.index.m for md in modes]).ravel()     # the modes, then their conjugates
-    order, runs = _runs(q := m % nphi)
+    order = np.argsort(q := m % nphi, kind="stable")
     clash = np.flatnonzero((np.diff(q[order]) == 0) & (np.diff(m[order]) != 0))
     if clash.size:
         name = lambda i: f"{modes[i].index}" if i < len(modes) else f"the conjugate of {modes[i - len(modes)].index}"
         i, j = order[clash[0]:clash[0] + 2].tolist()
         raise ValueError(f"phi rule aliases {name(i)} (m={m[i]}) and {name(j)} (m={m[j]}): "
                          f"m differs by a multiple of nphi={nphi}")
-    return q, order, runs
 
 
 def mode_sum_energy(state: FieldState) -> float:

@@ -150,7 +150,9 @@ def quadrature_rule(
 
 
 def default_nphi(modes) -> int:
-    """4 max|m| + 8: resolves every Fourier difference in pair products."""
+    """4 max|m| + 8: resolves the m differences, at most 2 max|m| (2 max|m| + 1
+    would do), of pair products, of the modes and their conjugates at -m, and
+    of project's fold of a field with the same max|m|."""
     mmax = max((abs(md.index.m) for md in modes), default=0)
     return 4 * mmax + 8
 
@@ -492,19 +494,19 @@ def _bessel_suite(tol: float) -> dict:
             "zeros_per_order": count}
 
 
-def _run_suites(geom: CavityGeometry, omega_max: float, suites, nr: int, nphi: int, nz: int,
-                tolerances: dict) -> dict:
+def _run_suites(geom: CavityGeometry, omega_max: float, suites, nr: int, nz: int, tolerances: dict) -> dict:
     """The `cylcavity verify` report: each requested suite of _SUITES on the modes
-    with omega <= omega_max.  nphi = 0 takes default_nphi; tolerances holds
-    gram_tol, curl_rel_tol, curl_abs_tol, boundary_tol and bessel_tol."""
-    nr, nphi, nz = (_as_int(name, v, low) for name, v, low in (("nr", nr, 1), ("nphi", nphi, 0), ("nz", nz, 1)))
+    with omega <= omega_max, gram and curl on their default_rule with nr and nz,
+    checked first; tolerances holds gram_tol, curl_rel_tol, curl_abs_tol,
+    boundary_tol and bessel_tol."""
+    nr, nz = _as_int("nr", nr, 1), _as_int("nz", nz, 1)
     tolerances = {key: _as_tolerance(key, v) for key, v in tolerances.items()}
     modes = tuple(enumerate_modes(geom, omega_max))
     out = {}
     if "bessel" in suites:
         out["bessel"] = _bessel_suite(tolerances["bessel_tol"])
     if "gram" in suites or "curl" in suites:
-        rule = quadrature_rule(geom, nr=nr, nphi=nphi or default_nphi(modes), nz=nz)
+        rule = default_rule(geom, modes, nr=nr, nz=nz)
         ksq, gram_rows, curl_rows = np.array([md.k**2 for md in modes]), [], []
         # both suites' rows from each class as it is formed, so one class is held at a time
         for idx, (u, *curl) in _blocks(modes, rule, *((_U, _CURL) if "curl" in suites else (_U,))):

@@ -434,6 +434,8 @@ def test_zero_table_rejects_wrong_zeros():
     lambda: bessel_j("3", 2.0),
     lambda: bessel_j(True, 2.0),
     lambda: BesselZeroTable(m=0, kind="weird", zeros=()),
+    lambda: BesselZeroTable(m=2.5, kind="j", zeros=(bessel_zero(2, 1),)),   # not certified as J_2's
+    lambda: BesselZeroTable(m=-2, kind="j", zeros=(bessel_zero(2, 1),)),
 ])
 def test_invalid_inputs_raise(call):
     with pytest.raises(ValueError):

@@ -213,8 +213,7 @@ def test_verify_rejects_a_negative_or_non_finite_tolerance(capsys, recwarn, bad)
 
 @pytest.mark.parametrize("argv, message", [
     (["--suite", "boundary", "--nr", "0"], "nr must be a positive integer, got 0"),
-    (["--suite", "bessel", "--nphi", "-1"], "nphi must be a non-negative integer, got -1"),
-], ids=["nr", "nphi"])
+], ids=["nr"])
 def test_verify_checks_its_rule_sizes_before_any_suite(capsys, argv, message):
     # neither suite builds a quadrature rule, so the sizes are checked up front
     code, out, err = run_cli(["verify", *GEOM_ARGS, "--omega-max", "5", *argv], capsys)
@@ -421,6 +420,40 @@ def test_domain_errors_exit_1(capsys, state_file):
         code, _, err = run_cli(argv, capsys)
         assert code == 1, argv
         assert err.strip()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", *GEOM_ARGS, "--omega-max", "4", "--suite", "bessel"],
+    ["project", "--state", "unread.txt", "--omega-max", "4"],
+], ids=lambda argv: argv[0])
+def test_nphi_is_no_option(capsys, tmp_path, argv):
+    # the rule's nphi is always derived from the modes it must resolve
+    code, out, err = run_cli([*argv, "--nphi", "9"], capsys)
+    assert code == 2 and not out and "error: unrecognized arguments: --nphi 9" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("nphi = 9\n")
+    code, out, err = run_cli([*argv, "--config", str(cfg)], capsys)
+    assert code == 2 and not out and "line 1: unknown key 'nphi'" in err
+
+
+@pytest.mark.parametrize("max_m", [4, 0])
+def test_project_resolves_the_field_beyond_its_targets(capsys, tmp_path, unit_geom, rng, max_m):
+    # the 183 modes with omega <= 12 reach |m| = 8; a rule sized from the
+    # targets alone would alias the field's m = 8 onto m = 0 (nphi = 8), and
+    # nphi = 9 put its |m| <= 8 onto the targets' |m| <= 4 with no error
+    modes = enumerate_modes(unit_geom, 12.0)
+    amps = rng.normal(size=len(modes)) + 1j * rng.normal(size=len(modes))
+    state = FieldState(geom=unit_geom, entries=tuple(zip(modes, amps)))
+    save_state(state, path := tmp_path / "state.txt")
+    want = [(md.index, a) for md, a in state.entries if abs(md.index.m) <= max_m]
+    assert len(modes) == 183 and max(abs(md.index.m) for md in modes) == 8
+    targets = ";".join(f"{i.m},{i.mu},{i.n},{i.sigma}" for i, _ in want)
+    code, out, _ = run_cli(["project", "--state", str(path), "--modes", targets], capsys)
+    assert code == 0
+    _, data = rows(out)
+    assert [tuple(int(v) for v in row[:4]) for row in data] == [(i.m, i.mu, i.n, i.sigma) for i, _ in want]
+    got = np.array([complex(float(row[4]), float(row[5])) for row in data])
+    assert np.max(np.abs(got - [a for _, a in want])) <= 1e-12
 
 
 def test_project_needs_exactly_one_target_spec(capsys, state_file, tmp_path):

@@ -612,6 +612,9 @@ def test_domain_rejection(unit_geom):
     for r, z in ((math.nan, 0.5), (0.5, math.inf), (-math.inf, 0.5)):
         with pytest.raises(ValueError, match="^coordinates must be finite$"):
             u_grid(md, np.array([r]), np.array([0.0]), np.array([z]))
+    # no slack below the axis, where the Bessel kernel takes no radius
+    with pytest.raises(ValueError, match=rf"^radius outside closed cavity domain \[0, {unit_geom.a}\]$"):
+        u_grid(md, np.array([-1e-14]), 0.0, 0.5)
 
 
 def test_cyl_point_validation():

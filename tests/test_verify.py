@@ -628,16 +628,16 @@ def _assert_suites_carry_the_report_bits(got, modes, rule):
 
 
 def test_run_suites_gram_and_curl_equal_public_checks_bitwise(unit_geom):
-    # a resolving rule, an aliasing nphi = 7, an under-resolved nr = nz = 10
-    # (both fail), and no modes at all
-    for omega_max, nr, nphi, nz, passed in ((6.5, DEFAULT_NR, 0, DEFAULT_NZ, True), (10.0, 20, 7, 14, False),
-                                            (10.0, 10, 0, 10, False), (0.1, DEFAULT_NR, 0, DEFAULT_NZ, True)):
+    # a resolving rule, an under-resolved nr = nz = 10 (fails), and no modes
+    # at all; an aliasing nphi is covered by the dense sum and the masked sum
+    for omega_max, nr, nz, passed in ((6.5, DEFAULT_NR, DEFAULT_NZ, True), (10.0, 10, 10, False),
+                                      (0.1, DEFAULT_NR, DEFAULT_NZ, True)):
         modes = enumerate_modes(unit_geom, omega_max)
-        rule = quadrature_rule(unit_geom, nr=nr, nphi=nphi or default_nphi(modes), nz=nz)
+        rule = default_rule(unit_geom, modes, nr=nr, nz=nz)
         # gram alone reads a three-component Gram, with curl a six-component one
         for suites in (("gram",), ("curl",), ("gram", "curl")):
-            got = _run_suites(unit_geom, omega_max, suites, nr, nphi, nz, _TOLERANCES)
-            assert got["suites"].keys() == set(suites) and got["passed"] is passed, (omega_max, nphi, nr)
+            got = _run_suites(unit_geom, omega_max, suites, nr, nz, _TOLERANCES)
+            assert got["suites"].keys() == set(suites) and got["passed"] is passed, (omega_max, nr)
             _assert_suites_carry_the_report_bits(got["suites"], modes, rule)
 
 
@@ -664,7 +664,7 @@ def test_run_suites_show_a_nan_in_any_one_block_as_the_dense_reports_do(unit_geo
                         yield idx, blocks
 
                 monkeypatch.setattr(verify, "_blocks", poisoned)
-                got = _run_suites(unit_geom, omega_max, ("gram", "curl"), DEFAULT_NR, 0, DEFAULT_NZ, _TOLERANCES)
+                got = _run_suites(unit_geom, omega_max, ("gram", "curl"), DEFAULT_NR, DEFAULT_NZ, _TOLERANCES)
                 # a NaN in u fails both suites (the curl rhs is k^2 u), one in curl u the curl suite
                 assert got["passed"] is False and got["suites"]["curl"]["passed"] is False
                 assert got["suites"]["gram"]["passed"] is (rows == _CURL), (omega_max, poisoned_class, at)
@@ -715,7 +715,7 @@ def test_run_suites_read_each_class_once_and_hold_no_earlier_one(unit_geom, monk
             yield idx, blocks
 
     monkeypatch.setattr(verify, "_blocks", watched)
-    got = _run_suites(unit_geom, 10.0, ("gram", "curl"), DEFAULT_NR, 0, DEFAULT_NZ, _TOLERANCES)
+    got = _run_suites(unit_geom, 10.0, ("gram", "curl"), DEFAULT_NR, DEFAULT_NZ, _TOLERANCES)
     assert got["passed"] and len(refs) > 10 and all(len(kept) == 2 for kept in refs)
     assert alive == []
 
@@ -727,10 +727,10 @@ def test_run_suites_hold_no_n_by_n_array(unit_geom):
     # until the curl suite read them peaked at 22 MB, and summing the pairs
     # of all classes in one expression at 53 MB
     for omega_max, count, bound in ((20.0, 878, 16 * 878**2), (30.0, 2999, 18e6)):
-        _run_suites(unit_geom, omega_max, ("gram", "curl"), DEFAULT_NR, 0, DEFAULT_NZ, _TOLERANCES)     # tables kept
+        _run_suites(unit_geom, omega_max, ("gram", "curl"), DEFAULT_NR, DEFAULT_NZ, _TOLERANCES)     # tables kept
         tracemalloc.start()
         try:
-            got = _run_suites(unit_geom, omega_max, ("gram", "curl"), DEFAULT_NR, 0, DEFAULT_NZ, _TOLERANCES)
+            got = _run_suites(unit_geom, omega_max, ("gram", "curl"), DEFAULT_NR, DEFAULT_NZ, _TOLERANCES)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -747,7 +747,7 @@ def test_boundary_suite_shows_a_nan_ratio_of_any_mode(unit_geom, monkeypatch):
         return maxima
 
     monkeypatch.setattr(verify, "_walls", poisoned)
-    got = _run_suites(unit_geom, 6.5, ("boundary",), DEFAULT_NR, 0, DEFAULT_NZ, _TOLERANCES)
+    got = _run_suites(unit_geom, 6.5, ("boundary",), DEFAULT_NR, DEFAULT_NZ, _TOLERANCES)
     rep = got["suites"]["boundary"]
     assert got["mode_count"] == 30 and got["passed"] is False and rep["passed"] is False
     assert math.isnan(rep["max_tangential_ratio"])
@@ -763,7 +763,7 @@ def test_tolerances_must_be_finite_and_not_negative(unit_geom, oracle_modes, bad
             check_curl_identity(oracle_modes, rule, **{name: bad})
     for name in _TOLERANCES:
         with pytest.raises(ValueError, match=f"^{name} must be a finite number >= 0, got {bad!r}$"):
-            _run_suites(unit_geom, 6.5, _SUITES, DEFAULT_NR, 0, DEFAULT_NZ, {**_TOLERANCES, name: bad})
+            _run_suites(unit_geom, 6.5, _SUITES, DEFAULT_NR, DEFAULT_NZ, {**_TOLERANCES, name: bad})
 
 
 # ----------------------------------------------------------- bessel suite
