@@ -26,10 +26,14 @@ radial function J_|m|(g r), shared by the +-m partners and every n of one
 them.  _tables gives, for any set of modes, s, a radial table on the r
 nodes, an axial table on the z nodes and each mode's rows in them; the
 quadrature reductions (verify's Grams, synthesis.total_energy) take Grams
-of those tables.  The radial table holds J, g J', (|m|/r) J and g^2 J of
-each distinct radial function (|m|, g, a), from one Bessel sweep of
-J_{|m|-1}, J_|m|, J_{|m|+1} per chunk of functions (_groups: whole |m|
-groups in ascending |m|, within a budget of radii x functions); the axial
+of those tables.  The mirror rule m -> -m is said once: _flips gives the
+rows whose s changes sign, _tables applies it to the modes with m < 0,
+and _mirror pairs each mode of a set with its partner for verify's Grams,
+which sum one class of each mirror pair.  The radial table holds J,
+g J', (|m|/r) J and g^2 J of each distinct radial function (|m|, g, a),
+from one Bessel sweep of J_{|m|-1}, J_|m|, J_{|m|+1} per chunk of
+functions (_groups: whole |m| groups in ascending |m|, within a budget of
+radii x functions); the axial
 table holds sin, h cos, cos and -h sin of each distinct h.  The wall
 check (verify._walls) indexes the tables of its distinct wall nodes, and
 the one-mode *_grid functions read their mode's rows from them.  _walk
@@ -148,6 +152,7 @@ def _groups(abs_m, radii: int) -> list:
 
 # rows of a factor triple: psi, then the (r, phi, z) components of u and of curl u
 _PSI, _U, _CURL = slice(0, 1), slice(1, 4), slice(4, 7)
+_ROWS = ("psi", "u_r", "u_phi", "u_z", "curl_r", "curl_phi", "curl_z")
 # per row (columns TM, TE): the radial factor (J, g J', (|m|/r) J, g^2 J of
 # J_|m|) and the axial factor (c Z, c Z') it takes, a row with s = 0 taking
 # any; and s, a constant times k^2 (TM) or omega (TE) where marked, else times 1
@@ -179,7 +184,7 @@ def _tables(modes, r, z):
     k, omega, c = np.array([(md.k, md.omega, md.c_norm) for md in modes], dtype=float).reshape(-1, 3).T
     kind = _R_ROW[:, te]
     s = _S_CONST[:, te] * np.where(_S_MARKED[:, te], np.where(te, omega, k * k), 1.0)
-    s = np.where((m < 0) & ((np.abs(m) % 2 == 1) != (kind == 2)), -s, s)
+    s = np.where(_flips(m, kind) & (m < 0), -s, s)
     # per distinct h, the rows sin, h cos, cos and -h sin of h z, then 1/sqrt(2)
     # and 0: (Z, Z') is (sin, h cos) for TE, (cos, -h sin) for TM and
     # (1/sqrt(2), 0) for TM with n = 0
@@ -189,6 +194,66 @@ def _tables(modes, r, z):
     z_at = np.where(te, at_h, np.where(flat, 4 * nh, 2 * nh + at_h))      # the row of Z
     z_at = np.where(_Z_ROW[:, te], z_at + np.where(flat, 1, nh), z_at)   # or of Z'
     return s, c, _radial(list(funcs), ra), 4 * column + kind, axial, z_at
+
+
+def _reads(md: ModeData) -> tuple:
+    """Every value _tables reads from a mode but its geometry and the sign of
+    m: |m|, sigma, whether n = 0, g, h, k, omega and c_norm.  Modes of one
+    geometry with equal ones have the same rows but for the signs of _flips,
+    so the same moduli |s| |R| |Z|."""
+    idx = md.index
+    return abs(idx.m), idx.sigma, idx.n == 0, md.g, md.h, md.k, md.omega, md.c_norm
+
+
+def _flips(m, kind):
+    """The mirror rule: whether s of a row of radial kind `kind` (the rows of
+    _R_ROW) changes sign from m to -m, elementwise, for m != 0 (m = 0 is its
+    own mirror).  J_{-|m|} = (-1)^|m| J_|m| flips every row of odd |m|, and
+    (m/r) J_m takes the sign of m times that, so the (|m|/r) J rows (kind 2)
+    of even |m| flip and those of odd |m| do not."""
+    return (np.abs(m) % 2 == 1) != (kind == 2)
+
+
+_MIRRORED: tuple = ((), None)       # the modes of the last _mirror call, and its result
+
+
+def _mirror(modes):
+    """(partner, flip) of modes under m -> -m: partner[j] the position of mode
+    j's partner, the mode of the same _reads with m negated (a mode with m = 0
+    its own), and flip (7, n) bool, per row of _tables whether s changes sign
+    from mode j to its partner (_flips): row k of the partner of j is row k
+    of j with s negated where flip[k, j].  partner is None unless the modes
+    share one geometry object and every mode has exactly one partner (a
+    repeated mode has none).  Both read-only; a call with the same ModeData
+    objects as the last call (they are frozen) returns the last result."""
+    global _MIRRORED
+    last, result = _MIRRORED
+    if result is not None and len(last) == len(modes) and all(a is b for a, b in zip(last, modes)):
+        return result
+    m = np.array([md.index.m for md in modes], dtype=int)
+    flip = _flips(m, _R_ROW[:, np.array([md.index.sigma == TE for md in modes], dtype=int)]) & (m != 0)
+    flip.flags.writeable = False
+    partner, at = list(range(len(modes))), ({}, {})     # _reads -> position, of m >= 0 and of m < 0
+    for j, md in enumerate(modes):
+        side, key = at[md.index.m < 0], _reads(md)
+        if key in side or md.geom is not modes[0].geom:
+            partner = None
+            break
+        side[key] = j
+    if partner is not None and len(at[1]) == sum(key[0] > 0 for key in at[0]):
+        for key, j in at[1].items():
+            i = at[0].get(key)
+            if i is None:
+                partner = None
+                break
+            partner[i], partner[j] = j, i
+    else:
+        partner = None
+    if partner is not None:
+        partner = np.array(partner, dtype=int)
+        partner.flags.writeable = False
+    _MIRRORED = tuple(modes), (partner, flip)
+    return partner, flip
 
 
 def _walk(modes, r, z, rows):

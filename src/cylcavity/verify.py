@@ -26,7 +26,9 @@ runs each:
   row function (_gram_row, _curl_row) takes a diagonal block's worst
   entries and one np.max merge (_gram_figures, _curl_figures) the figures
   from the rows: a report passes its own matrices as the one block, and a
-  verify run each m class as _blocks yields it, so it forms no n x n array,
+  verify run each m class as _blocks yields it, so it forms no n x n array;
+  a mirror class's block (below) has its class's figures, so a verify run
+  reads each mirror pair once,
 * boundary: conductor boundary conditions on the walls (vanishing
   tangential u, vanishing normal component of curl u), from the moduli
   |s| |R| |Z|, since |e^{i m phi}| = 1: samples that differ only in phi
@@ -34,7 +36,10 @@ runs each:
   heights), and one modefield._tables call per chunk of modes on the
   distinct wall radii and heights and on 24 interior Gauss-Legendre radii
   and heights gives every node by indexing; the default wall layout is
-  built once per geometry,
+  built once per geometry.  Modes equal in all that _tables reads but the
+  sign of m (modefield._reads), such as the +-m partners, have equal
+  moduli: _walls evaluates each such class once, and check_boundary reuses
+  the figures of its last default-layout check of the same class,
 * bessel: residuals and interlacing of the zero tables of orders 0 to 8,
   every residual from one kernel call.
 
@@ -50,7 +55,17 @@ yields each class's positions and square block as it forms them, by class
 size, then m mod nphi; _gram scatters them into a zero matrix for the
 reports, and a verify run reads each once, holding one class at a time:
 entries between different classes are exactly 0.0, and an aliasing nphi
-puts its aliased pairs in one class, so they keep their entries.
+puts its aliased pairs in one class, so they keep their entries.  A mode
+and its -m partner share every table row, s up to the signs of
+modefield._flips, so in a set closed under m -> -m class -q mirrors class
+q: of the classes of more than _MIRROR_PAIRS pairs _blocks sums only those
+with q <= -q mod nphi, and _class_blocks gives each mirror its class's
+block with the per-entry sign flip, the bits of the direct sum.  Every row
+of s is purely real or purely imaginary, so the blocks are real and summed
+in real arithmetic, with the bits of the real parts of the complex sum
+(Hermitian symmetry of real data: Sorensen, Jones, Heideman & Burrus,
+IEEE Trans. ASSP 35, 849 (1987); discrete orthogonality of the trapezoid
+rule: Trefethen & Weideman, SIAM Rev. 56, 385 (2014)).
 The r and z factors are summed numerically over the rule's own nodes, so
 an under-resolved r or z rule shows as it would in the full 3-D sum.  The
 dense per-pair sum, an (r, z)-plane GEMM and the same table sum over every
@@ -71,13 +86,18 @@ import numpy as np
 
 from .bessel import (_KIND_J, _KIND_JPRIME, _ZERO_RESIDUAL_MAX, _as_int, _as_tolerance, _newton_passes, _root_funcs,
                      _zero_tables)
-from .modefield import _CURL, _PSI, _U, _groups, _tables
+from .modefield import _CURL, _PSI, _ROWS, _U, _groups, _mirror, _reads, _tables
 from .spectrum import _GEOMETRY_KEYS, CavityGeometry, ModeData, enumerate_modes
 
 DEFAULT_NR = 64
 DEFAULT_NZ = 64
 _INTERIOR = 24      # interior radii and heights of a wall check's reference maxima
-_STACK_PAIRS = 4096     # pairs of the equal-size classes whose terms _blocks forms in one expression
+_STACK_PAIRS = 4096     # pairs whose terms _blocks forms in one expression
+# pairs a class of a set closed under m -> -m must exceed to be mirrored rather
+# than summed (_class_blocks): a smaller one rides in a stacked sum for less than
+# its mirror's few scatter calls (mirroring every class of the 20-mode Gram and
+# curl checks cost them ~45 us, ~15 %, with no class summed fewer times)
+_MIRROR_PAIRS = 256
 
 
 @dataclass(frozen=True)
@@ -182,45 +202,101 @@ def _same_geometry(modes, rule: QuadratureRule) -> None:
             raise ValueError(f"mode {md.index} belongs to {md.geom}, the quadrature rule to {rule.geom}")
 
 
+def _real_rows(modes, s, lo: int) -> np.ndarray:
+    """Rows lo, lo + 1, ... of _tables' s as reals.  Each row must be purely
+    real or purely imaginary over all modes, so that every pair term
+    conj(s_i) s_j is real; an imaginary row is taken by its imaginary part,
+    as conj(i b_i) i b_j = b_i b_j.  Raises ValueError naming the row and the
+    first mode whose entry has a part of the other kind than the row's
+    first nonzero entry."""
+    imaginary = s.imag.any(axis=1, keepdims=True)
+    parts, rest = np.where(imaginary, s.imag, s.real), np.where(imaginary, s.real, s.imag)
+    if rest.any():
+        k = int(np.argmax(rest.any(axis=1)))
+        re, im = s[k].real != 0.0, s[k].imag != 0.0
+        j = int(np.argmax(im if re[np.argmax(re | im)] else re))
+        raise ValueError(f"row {_ROWS[lo + k]} of mode {modes[j].index} has s = {complex(s[k, j])!r}: "
+                         "a row of s must be purely real or purely imaginary over all modes")
+    return parts
+
+
 def _blocks(modes, rule: QuadratureRule, *row_sets):
     """Per class of the modes whose m agree mod nphi, by class size, then m
     mod nphi: the class's positions in modes, in stable order, and for each
-    slice of factor rows in row_sets the class's square block of the sums of
-    w conj(row_i) row_j over the nodes and the rows.  The exact phi sum
-    Phi(m_j - m_i) is sum w_phi in a class and 0 between classes: per row k
-    of _tables, conj(s_ki c_i) s_kj c_j G_R[rho_ki, rho_kj] G_Z[zeta_ki,
-    zeta_kj] with the table Grams G = t t^T, t a table times sqrt(w) (exactly
-    symmetric, so each block is exactly Hermitian), times sum w_phi.  Classes
-    of one size (+-m make most sizes come in twos) are formed together, up to
-    _STACK_PAIRS pairs, each entry with its bits alone, and yielded as formed."""
+    slice of factor rows in row_sets the class's real square block of the
+    sums of w conj(row_i) row_j over the nodes and the rows.  The exact phi
+    sum Phi(m_j - m_i) is sum w_phi in a class and 0 between classes: per
+    row k of _tables, conj(s_ki c_i) s_kj c_j G_R[rho_ki, rho_kj]
+    G_Z[zeta_ki, zeta_kj] with the table Grams G = t t^T, t a table times
+    sqrt(w) (exactly symmetric, so each block is exactly symmetric), times
+    sum w_phi.  Every row of s is real or imaginary (_real_rows), so the
+    terms are summed in real arithmetic; their real parts have the bits of
+    the complex sum, whose imaginary parts are exactly 0.  Of the classes of
+    more than _MIRROR_PAIRS pairs, a set closed under m -> -m
+    (modefield._mirror) yields only those with q <= -q mod nphi: class -q
+    holds the partners of class q, and its block is class q's with signs
+    (_class_blocks).  Classes of one size are formed together, up to
+    _STACK_PAIRS pairs, and a class of more pairs in runs of rows within that
+    bound, each entry with its bits alone; each class is yielded as formed."""
     _same_geometry(modes, rule)
     s, c, radial, r_at, axial, z_at = _tables(modes, rule.r, rule.z)
     g_r, g_z = (t @ t.T for t in (radial * np.sqrt(rule.wr), axial * np.sqrt(rule.wz)))
     q, w = np.array([md.index.m for md in modes], dtype=int) % rule.nphi, rule.wphi.sum()
     size = np.bincount(q)[q]
     order = np.lexsort((q, size))       # by class size, then class, then position
+    if len(modes) and size.max() ** 2 > _MIRROR_PAIRS and _mirror(modes)[0] is not None:
+        order = order[(size[order] ** 2 <= _MIRROR_PAIRS) | (q[order] <= -q[order] % rule.nphi)]
     # the factors of the first to the last requested row in that order: each stack a run of columns
     lo, hi = min(rows.start for rows in row_sets), max(rows.stop for rows in row_sets)
-    a, r, z = (s * c)[lo:hi, order], r_at[lo:hi, order], z_at[lo:hi, order]
+    a, r, z = (_real_rows(modes, s[lo:hi], lo) * c)[:, order], r_at[lo:hi, order], z_at[lo:hi, order]
     sizes, start = size[order].tolist(), 0
     while start < len(order):       # a stack: the next classes of one size, within _STACK_PAIRS pairs
         k = sizes[start]
         stop = min(start + k * max(1, _STACK_PAIRS // (k * k)), bisect.bisect(sizes, k))
         ai, ri, zi = (v[:, start:stop].reshape(hi - lo, -1, k) for v in (a, r, z))
-        terms = (np.conj(ai[..., :, None]) * ai[..., None, :] * g_r[ri[..., :, None], ri[..., None, :]]
-                 * g_z[zi[..., :, None], zi[..., None, :]])
-        sums = [sum(terms[rows.start - lo:rows.stop - lo]) * w for rows in row_sets]
+        sums = [np.empty(ai.shape[1:] + (k,)) for _ in row_sets]
+        step = max(1, _STACK_PAIRS // k)       # a larger class is formed step rows at a time
+        for i in range(0, k, step):
+            terms = ai[..., i:i + step, None] * ai[..., None, :]
+            terms *= g_r[ri[..., i:i + step, None], ri[..., None, :]]
+            terms *= g_z[zi[..., i:i + step, None], zi[..., None, :]]
+            for out, rows in zip(sums, row_sets):
+                np.multiply(sum(terms[rows.start - lo:rows.stop - lo]), w, out=out[:, i:i + step])
         del terms       # while the stack's classes are read, only its sums are held
         for j, at in enumerate(range(start, stop, k)):
             yield order[at:at + k], [v[j] for v in sums]
         start = stop
 
 
-def _gram(modes, rule: QuadratureRule, *row_sets) -> list:
-    """For each slice of factor rows in row_sets, the n x n matrix with the
-    class blocks of _blocks; every entry between classes is exactly 0.0."""
-    grams = [np.zeros((len(modes),) * 2, dtype=complex) for _ in row_sets]
+def _class_blocks(modes, rule: QuadratureRule, *row_sets):
+    """Every m class of the modes with its blocks: each class _blocks yields
+    and, for a set closed under m -> -m, after each class q != -q mod nphi
+    of more than _MIRROR_PAIRS pairs, its mirror -q at the partners'
+    positions (modefield._mirror).  Partner rows are the rows with s negated
+    where flip says, and a row set's rows flip together mode by mode, so
+    mirror entry (i', j') is entry (i, j) negated where the first rows of i
+    and j flip differently, with the bits of the direct sum (0.0 - x keeps
+    an exact 0 unsigned, as that sum leaves it)."""
+    mirror = None       # modefield._mirror, once a class may have a mirror
     for idx, blocks in _blocks(modes, rule, *row_sets):
+        yield idx, blocks
+        if len(idx) ** 2 <= _MIRROR_PAIRS:
+            continue
+        q = modes[idx[0]].index.m % rule.nphi
+        if q == -q % rule.nphi:
+            continue
+        partner, flip = mirror = mirror or _mirror(modes)
+        if partner is not None:
+            flips = (flip[rows.start, idx] for rows in row_sets)
+            yield partner[idx], [np.where(f[:, None] != f, 0.0 - block, block) for f, block in zip(flips, blocks)]
+
+
+def _gram(modes, rule: QuadratureRule, *row_sets) -> list:
+    """For each slice of factor rows in row_sets, the complex n x n matrix
+    with the class blocks of _class_blocks; every entry between classes is
+    exactly 0.0, and every imaginary part too."""
+    grams = [np.zeros((len(modes),) * 2, dtype=complex) for _ in row_sets]
+    for idx, blocks in _class_blocks(modes, rule, *row_sets):
         for gram, block in zip(grams, blocks):
             gram[idx[:, None], idx] = block
     return grams
@@ -430,25 +506,47 @@ def _default_walls(geom: CavityGeometry):
     return nodes
 
 
+_LAST_WALLS: dict = {}      # (geometry, *_reads) of the last default-layout check_boundary -> its figures
+
+
 def check_boundary(mode: ModeData, samples=None) -> BoundaryReport:
     """Tangential u and normal curl u on the walls, vs interior maxima.  Modes
     with the same radial function (|m|, g), such as the +-m partners, share
-    its radial table, which modefield keeps on the wall radii."""
-    return BoundaryReport(mode, *_walls((mode,), samples)[:, 0].tolist())
+    its radial table, which modefield keeps on the wall radii.  On the default
+    wall layout a mode of the same geometry and modefield._reads as the one
+    checked just before it, such as its -m partner (enumerate_modes lists the
+    partners together), takes that check's figures, which are its own bit for
+    bit (_walls); samples a caller passes are evaluated on every call."""
+    if samples is not None:
+        return BoundaryReport(mode, *_walls((mode,), samples)[:, 0].tolist())
+    key = (mode.geom, *_reads(mode))
+    figures = _LAST_WALLS.get(key)
+    if figures is None:
+        figures = _walls((mode,))[:, 0].tolist()
+        _LAST_WALLS.clear()
+        _LAST_WALLS[key] = figures
+    return BoundaryReport(mode, *figures)
 
 
 def _walls(modes, samples=None) -> np.ndarray:
     """The four maxima of BoundaryReport, a (4, n) array with one column per mode
     of modes (one geometry), on the same samples, the default wall layout when
-    samples is None: per chunk of whole |m| groups (modefield._groups, which
-    bounds the memory), one modefield._tables call on the nodes of _wall_nodes."""
+    samples is None.  The figures are moduli, so modes of equal modefield._reads,
+    such as the +-m partners, have the same bits: each such class is evaluated
+    once, for its first mode, and its column copied to the others.  Per chunk of
+    whole |m| groups of those (modefield._groups, which bounds the memory), one
+    modefield._tables call on the nodes of _wall_nodes."""
+    first = {}      # _reads -> the position of its first mode
+    of = [first.setdefault(_reads(md), j) for j, md in enumerate(modes)]
+    firsts = list(first.values())
     maxima = np.empty((4, len(modes)))
-    if not modes:
+    if not firsts:
         return maxima
     geom = modes[0].geom
     r, z, r_at, z_at, on_side = _default_walls(geom) if samples is None else _wall_nodes(geom, samples)
-    for chunk in _groups([abs(md.index.m) for md in modes], r.size):
-        s, c, radial, rho, axial, zeta = _tables(tuple(modes[i] for i in chunk), r, z)
+    for chunk in _groups([abs(modes[j].index.m) for j in firsts], r.size):
+        chunk = [firsts[i] for i in chunk]
+        s, c, radial, rho, axial, zeta = _tables(tuple(modes[j] for j in chunk), r, z)
         # the moduli are |s| |R| |Z| since |e^{i m phi}| = 1, so the interior
         # maxima over the grid of interior radii and heights are |s| max|R| max|Z|
         s, R, Z = np.abs(s)[..., None], np.abs(radial)[rho], np.abs(c[:, None] * axial[zeta])
@@ -457,7 +555,7 @@ def _walls(modes, samples=None) -> np.ndarray:
         tangential = np.where(on_side, np.hypot(wall[2], wall[3]), np.hypot(wall[1], wall[2]))
         normal_curl = np.where(on_side, wall[4], wall[6])
         maxima[:, chunk] = tangential.max(1), normal_curl.max(1), inner[_U].max(0), inner[_CURL].max(0)
-    return maxima
+    return maxima if len(firsts) == len(modes) else maxima[:, of]
 
 
 # --------------------------------------------------------------- suites
@@ -498,7 +596,10 @@ def _run_suites(geom: CavityGeometry, omega_max: float, suites, nr: int, nz: int
     """The `cylcavity verify` report: each requested suite of _SUITES on the modes
     with omega <= omega_max, gram and curl on their default_rule with nr and nz,
     checked first; tolerances holds gram_tol, curl_rel_tol, curl_abs_tol,
-    boundary_tol and bessel_tol."""
+    boundary_tol and bessel_tol.  gram and curl read the rows of each class
+    _blocks yields: for these modes, closed under m -> -m, one class of each
+    mirror pair of more than _MIRROR_PAIRS pairs, whose figures are its
+    mirror's too."""
     nr, nz = _as_int("nr", nr, 1), _as_int("nz", nz, 1)
     tolerances = {key: _as_tolerance(key, v) for key, v in tolerances.items()}
     modes = tuple(enumerate_modes(geom, omega_max))
@@ -508,7 +609,7 @@ def _run_suites(geom: CavityGeometry, omega_max: float, suites, nr: int, nz: int
     if "gram" in suites or "curl" in suites:
         rule = default_rule(geom, modes, nr=nr, nz=nz)
         ksq, gram_rows, curl_rows = np.array([md.k**2 for md in modes]), [], []
-        # both suites' rows from each class as it is formed, so one class is held at a time
+        # both suites' rows from each summed class as it is formed, so one class is held at a time
         for idx, (u, *curl) in _blocks(modes, rule, *((_U, _CURL) if "curl" in suites else (_U,))):
             if "gram" in suites:
                 gram_rows.append(_gram_row(u))

@@ -148,6 +148,23 @@ def masked_gram(modes, rule, *row_sets):
                 for k in range(7)[rows]) * phi_sum for rows in row_sets]
 
 
+def class_sum(modes, rule, *row_sets):
+    """A function of an array of positions in modes (one m class) giving
+    masked_gram's entries of that class, summed directly over its pairs in
+    complex arithmetic: for each slice of factor rows in row_sets, the square
+    block of sum_k conj(a_ki) a_kj G_R G_Z times sum w_phi.  The reference
+    for each class's block without an n x n array."""
+    s, c, radial, r_at, axial, z_at = _tables(modes, rule.r, rule.z)
+    a = s * c
+    g_r, g_z = (t @ t.T for t in (radial * np.sqrt(rule.wr), axial * np.sqrt(rule.wz)))
+    w = rule.wphi.sum()
+
+    def direct(idx):
+        return [sum(np.outer(np.conj(a[k, idx]), a[k, idx]) * g_r[np.ix_(r_at[k, idx], r_at[k, idx])]
+                    * g_z[np.ix_(z_at[k, idx], z_at[k, idx])] for k in range(7)[rows]) * w for rows in row_sets]
+    return direct
+
+
 def dense_project(e_sampler, b_sampler, modes, rule):
     """Mode amplitudes from sampled E and B, one dense 3-D sum per mode."""
     r, phi, z = rule.grid()

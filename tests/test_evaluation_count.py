@@ -30,6 +30,7 @@ import pytest
 import cylcavity.bessel as bessel
 import cylcavity.modefield as modefield
 import cylcavity.spectrum as spectrum
+import cylcavity.verify as verify
 from cylcavity import (
     TM,
     CavityGeometry,
@@ -58,9 +59,12 @@ from cylcavity.verify import DEFAULT_NR, _default_walls, default_nphi
 
 @pytest.fixture(autouse=True)
 def nothing_kept():
+    # no table kept, and no wall figures check_boundary keeps (a repeat of a check sweeps nothing)
     modefield._KEPT.clear()
+    verify._LAST_WALLS.clear()
     yield
     modefield._KEPT.clear()
+    verify._LAST_WALLS.clear()
 
 
 @pytest.fixture
