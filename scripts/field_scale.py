@@ -5,8 +5,9 @@ e.g.   python scripts/field_scale.py 40 80 --nr 96 --nz 96
 
 Each cutoff takes every mode with omega <= OMEGA_MAX in the a = 0.9,
 L = 1.3 cavity of the README (c = eps0 = hbar = 1), with amplitudes from
-a generator of fixed seed, on the rule nr x nphi x nz (nphi 0, the
-default, takes default_nphi of the modes).  One row per cutoff: the
+a generator of fixed seed, on default_rule of the modes, with the sizes
+given by --nr, --nz and --nphi in place of its own (nphi 0, the default,
+keeps default_nphi of the modes).  One row per cutoff: the
 cutoff, the mode count, the median seconds of three calls of
 `total_energy`, of E and B from `field_samplers` on the rule grid and of
 `project` after one untimed call of each (a `project` call includes its
@@ -17,15 +18,15 @@ and `project` raise and their columns read `raises`.
 """
 
 import argparse
+import dataclasses
 import statistics
 import sys
 import time
 
 import numpy as np
 
-from cylcavity import (CavityGeometry, FieldState, enumerate_modes, field_samplers, mode_sum_energy, project,
-                       quadrature_rule, total_energy)
-from cylcavity.verify import DEFAULT_NR, DEFAULT_NZ, default_nphi
+from cylcavity import (CavityGeometry, FieldState, default_rule, enumerate_modes, field_samplers, mode_sum_energy,
+                       project, total_energy)
 
 GEOM = CavityGeometry(a=0.9, L=1.3, c=1.0, eps0=1.0, hbar=1.0)
 SEED = 7
@@ -46,12 +47,13 @@ def warm(call) -> tuple:
     return f"{statistics.median(times):.3g}", result
 
 
-def row(omega_max: float, nr: int, nphi: int, nz: int) -> str:
+def row(omega_max: float, nr, nphi: int, nz) -> str:
     modes = enumerate_modes(GEOM, omega_max)
     rng = np.random.default_rng(SEED)
     amps = rng.normal(size=len(modes)) + 1j * rng.normal(size=len(modes))
     state = FieldState(geom=GEOM, entries=tuple(zip(modes, amps)))
-    rule = quadrature_rule(GEOM, nr=nr, nphi=nphi or default_nphi(modes), nz=nz)
+    rule = default_rule(GEOM, modes, nr=nr, nz=nz)
+    rule = dataclasses.replace(rule, nphi=nphi) if nphi else rule
     energy_s, energy = warm(lambda: total_energy(state, rule))
     synth_s, _ = warm(lambda: [sampler(*rule.grid()) for sampler in field_samplers(state)])
     project_s, got = warm(lambda: project(*field_samplers(state), modes, rule))
@@ -64,8 +66,8 @@ def row(omega_max: float, nr: int, nphi: int, nz: int) -> str:
 def main(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("omega_max", type=float, nargs="+")
-    parser.add_argument("--nr", type=int, default=DEFAULT_NR)
-    parser.add_argument("--nz", type=int, default=DEFAULT_NZ)
+    parser.add_argument("--nr", type=int, default=None, help="default: sized from the modes")
+    parser.add_argument("--nz", type=int, default=None, help="default: sized from the modes")
     parser.add_argument("--nphi", type=int, default=0, help="0 takes default_nphi of the modes")
     args = parser.parse_args(argv)
     print(f"{'omega_max':>9} {'modes':>7} {'energy_s':>8} {'synth_s':>8} {'project_s':>9} {'energy_err':>10} "

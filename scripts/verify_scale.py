@@ -6,7 +6,8 @@ e.g.   python scripts/verify_scale.py 60 80 --suite gram,curl --nr 96 --nz 96
 Each cutoff runs `python -m cylcavity verify` on the a = 0.9, L = 1.3
 cavity of the README (c = eps0 = hbar = 1) in a fresh child, with this
 checkout's src/ first on PYTHONPATH; flags after the cutoffs go to
-verify unchanged.  One row per cutoff: the cutoff, the exit status, the
+verify unchanged; without --nr and --nz verify sizes its rule from the
+modes.  One row per cutoff: the cutoff, the exit status, the
 wall seconds, the child's own peak RSS (ru_maxrss from wait4) in MB and
 the sha256 of its stdout.  This script imports no numpy: a child starts
 with its parent's high-water RSS mark, so a large parent would set the

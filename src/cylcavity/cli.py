@@ -46,7 +46,7 @@ from .spectrum import (
 )
 from .modefield import u_grid
 from .synthesis import _synthesize, evolve, field_samplers, project
-from .verify import _SUITES, DEFAULT_NR, DEFAULT_NZ, _run_suites, default_rule
+from .verify import _SUITES, _run_suites, default_rule
 from .stateio import _read_pairs, load_state
 
 _REQUIRED = object()
@@ -121,6 +121,13 @@ _GEOMETRY_OPTS = (
     _Opt("speed-of-light", float, SPEED_OF_LIGHT, "wave speed (default SI vacuum value)"),
     _Opt("vacuum-permittivity", float, VACUUM_PERMITTIVITY, "eps0 (default SI value)"),
     _Opt("hbar", float, HBAR, "reduced Planck constant (default SI value)"),
+)
+
+
+# the sizes of the quadrature rule of verify and project; None leaves default_rule to size them
+_RULE_OPTS = (
+    _Opt("nr", int, None, "radial quadrature order (default: sized from the modes)"),
+    _Opt("nz", int, None, "axial quadrature order (default: sized from the modes)"),
 )
 
 
@@ -210,7 +217,7 @@ def _cmd_project(values: dict) -> int:
         targets = _modes(state.geom, [ModeIndex(*t) for t in values["modes"]])
     else:
         targets = enumerate_modes(state.geom, values["omega_max"])
-    # nphi from the field's modes and the targets together: it resolves both
+    # the rule from the field's modes and the targets together: it resolves both
     rule = default_rule(state.geom, list(state.modes) + list(targets), nr=values["nr"], nz=values["nz"])
     e_sampler, b_sampler = field_samplers(state)
     amps = project(e_sampler, b_sampler, targets, rule)
@@ -262,8 +269,7 @@ _COMMANDS = (
             _Opt("omega-max", float, help_text="angular frequency cutoff for the mode set"),
             _Opt("suite", _parse_suites, _SUITES,
                  "comma list from bessel,gram,curl,boundary (default all)"),
-            _Opt("nr", int, DEFAULT_NR, "radial quadrature order"),
-            _Opt("nz", int, DEFAULT_NZ, "axial quadrature order"),
+            *_RULE_OPTS,
             _Opt("gram-tol", float, 1e-8, "orthonormality tolerance"),
             _Opt("curl-rel-tol", float, 1e-8, "curl identity relative tolerance"),
             _Opt("curl-abs-tol", float, 1e-12, "curl identity absolute tolerance"),
@@ -290,8 +296,7 @@ _COMMANDS = (
             _Opt("modes", _parse_mode_list, None,
                  "target modes 'm,mu,n,sigma;...' (alternative to --omega-max)"),
             _Opt("omega-max", float, None, "project onto all modes below this cutoff"),
-            _Opt("nr", int, DEFAULT_NR, "radial quadrature order"),
-            _Opt("nz", int, DEFAULT_NZ, "axial quadrature order"),
+            *_RULE_OPTS,
         ),
         _cmd_project,
     ),

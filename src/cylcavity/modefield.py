@@ -214,7 +214,8 @@ def _flips(m, kind):
     return (np.abs(m) % 2 == 1) != (kind == 2)
 
 
-_MIRRORED: tuple = ((), None)       # the modes of the last _mirror call, and its result
+# [(modes, result)] of the last _mirror call, until verify._blocks' walk that read it ends
+_MIRRORED: list = []
 
 
 def _mirror(modes):
@@ -225,11 +226,12 @@ def _mirror(modes):
     of j with s negated where flip[k, j].  partner is None unless the modes
     share one geometry object and every mode has exactly one partner (a
     repeated mode has none).  Both read-only; a call with the same ModeData
-    objects as the last call (they are frozen) returns the last result."""
-    global _MIRRORED
-    last, result = _MIRRORED
-    if result is not None and len(last) == len(modes) and all(a is b for a, b in zip(last, modes)):
-        return result
+    objects as the last call (they are frozen) returns the last result, kept in
+    _MIRRORED until the caller clears it."""
+    if _MIRRORED:
+        last, result = _MIRRORED[0]
+        if len(last) == len(modes) and all(a is b for a, b in zip(last, modes)):
+            return result
     m = np.array([md.index.m for md in modes], dtype=int)
     flip = _flips(m, _R_ROW[:, np.array([md.index.sigma == TE for md in modes], dtype=int)]) & (m != 0)
     flip.flags.writeable = False
@@ -252,7 +254,7 @@ def _mirror(modes):
     if partner is not None:
         partner = np.array(partner, dtype=int)
         partner.flags.writeable = False
-    _MIRRORED = tuple(modes), (partner, flip)
+    _MIRRORED[:] = [(tuple(modes), (partner, flip))]
     return partner, flip
 
 

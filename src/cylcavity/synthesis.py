@@ -342,8 +342,12 @@ def project(e_sampler, b_sampler, modes, rule: QuadratureRule) -> np.ndarray:
     not finite or not real (complex with a nonzero imaginary part), and
     when nphi aliases two of the modes and their conjugates (-m), which a real
     field holds: their m differ by a nonzero multiple of nphi (_classes).
-    nphi must also exceed max|m| of modes + max|m| of the field, unchecked
-    (default_rule(geom, modes) cannot see the field); the |m| fold needs real samples."""
+    The rule must resolve the field as well as the targets, unchecked: nphi
+    above max|m| of modes + max|m| of the field, and nr and nz the field's
+    largest chi and n too.  default_rule(geom, modes) cannot see the field, so
+    size it from the field's modes and the targets together, as CLI project
+    does: default_rule(geom, [*field_modes, *modes]).  The |m| fold needs
+    real samples."""
     modes = tuple(modes)
     _same_geometry(modes, rule)
     _classes(modes, rule.nphi)
@@ -360,7 +364,10 @@ def project(e_sampler, b_sampler, modes, rule: QuadratureRule) -> np.ndarray:
         hat = np.empty((3, len(table), rule.nr * rule.nz))
         for comp, c, out in zip(("r", "phi", "z"), comps, hat):
             c = np.broadcast_to(np.asarray(c), shape)
-            if not (ok := np.isfinite(c) & ((c.imag == 0) if np.iscomplexobj(c) else True)).all():
+            ok = np.isfinite(c)
+            if np.iscomplexobj(c):
+                ok &= c.imag == 0
+            if not ok.all():
                 i, j, k = np.argwhere(~ok)[0]
                 v = c[i, j, k].item()
                 raise ValueError(f"{name}_{comp} sample not {'real' if cmath.isfinite(v) else 'finite'} at node "

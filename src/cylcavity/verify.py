@@ -5,6 +5,8 @@ a tensor-product rule: Gauss-Legendre in r (the Jacobian r is folded into
 the radial weights) and in z, and the uniform rectangle rule in phi; every
 QuadratureRule derives all its nodes and weights from its sizes nr, nphi
 and nz.  Weights are positive and sum to the cavity volume pi a^2 L.
+default_rule sizes a rule for a set of modes: nphi from their largest |m|,
+nr and nz from their largest chi = g a and n = h L / pi.
 
 Checks provided, with the suite of `cylcavity verify` (_run_suites) that
 runs each:
@@ -86,7 +88,7 @@ import numpy as np
 
 from .bessel import (_KIND_J, _KIND_JPRIME, _ZERO_RESIDUAL_MAX, _as_int, _as_tolerance, _newton_passes, _root_funcs,
                      _zero_tables)
-from .modefield import _CURL, _PSI, _ROWS, _U, _groups, _mirror, _reads, _tables
+from .modefield import _CURL, _MIRRORED, _PSI, _ROWS, _U, _groups, _mirror, _reads, _tables
 from .spectrum import _GEOMETRY_KEYS, CavityGeometry, ModeData, enumerate_modes
 
 DEFAULT_NR = 64
@@ -98,6 +100,7 @@ _STACK_PAIRS = 4096     # pairs whose terms _blocks forms in one expression
 # its mirror's few scatter calls (mirroring every class of the 20-mode Gram and
 # curl checks cost them ~45 us, ~15 %, with no class summed fewer times)
 _MIRROR_PAIRS = 256
+_RULE_FLOOR = 16        # radial and axial nodes of default_rule beyond those its modes need
 
 
 @dataclass(frozen=True)
@@ -177,7 +180,25 @@ def default_nphi(modes) -> int:
     return 4 * mmax + 8
 
 
-def default_rule(geom: CavityGeometry, modes, nr: int = DEFAULT_NR, nz: int = DEFAULT_NZ) -> QuadratureRule:
+def default_rule(geom: CavityGeometry, modes, nr: int | None = None, nz: int | None = None) -> QuadratureRule:
+    """The rule for the pair sums of modes: nphi = default_nphi(modes), and nr
+    and nz, where not given, sized from the modes' largest radial argument
+    chi = g a and axial index n = h L / pi,
+
+        nr = 16 + ceil(2 chi / 3),    nz = 16 + 2 n,
+
+    16 x 8 x 16 for no modes.  Every row is a Bessel factor of J_m(chi r / a)
+    times sin or cos(n pi z / L), and Gauss-Legendre converges geometrically
+    once its nodes resolve the oscillation of a pair product (Trefethen, SIAM
+    Rev. 50, 67 (2008)).  On the README cavity at omega <= 6.5, 20, 40, 60 and
+    80 (20 x 20, 28 x 32, 40 x 48, 52 x 64 and 64 x 82) each 1-D table Gram
+    reaches rounding 4 or more nodes below these sizes;
+    scripts/quadrature_convergence.py prints that calibration."""
+    modes = tuple(modes)
+    if nr is None:
+        nr = _RULE_FLOOR + math.ceil(2.0 * max((md.chi for md in modes), default=0.0) / 3.0)
+    if nz is None:
+        nz = _RULE_FLOOR + 2 * max((md.index.n for md in modes), default=0)
     return quadrature_rule(geom, nr=nr, nphi=default_nphi(modes), nz=nz)
 
 
@@ -237,35 +258,40 @@ def _blocks(modes, rule: QuadratureRule, *row_sets):
     holds the partners of class q, and its block is class q's with signs
     (_class_blocks).  Classes of one size are formed together, up to
     _STACK_PAIRS pairs, and a class of more pairs in runs of rows within that
-    bound, each entry with its bits alone; each class is yielded as formed."""
+    bound, each entry with its bits alone; each class is yielded as formed.
+    The modes' _mirror, which _class_blocks reads again during the walk, is
+    released when the walk ends (modefield._MIRRORED)."""
     _same_geometry(modes, rule)
     s, c, radial, r_at, axial, z_at = _tables(modes, rule.r, rule.z)
     g_r, g_z = (t @ t.T for t in (radial * np.sqrt(rule.wr), axial * np.sqrt(rule.wz)))
     q, w = np.array([md.index.m for md in modes], dtype=int) % rule.nphi, rule.wphi.sum()
     size = np.bincount(q)[q]
     order = np.lexsort((q, size))       # by class size, then class, then position
-    if len(modes) and size.max() ** 2 > _MIRROR_PAIRS and _mirror(modes)[0] is not None:
-        order = order[(size[order] ** 2 <= _MIRROR_PAIRS) | (q[order] <= -q[order] % rule.nphi)]
-    # the factors of the first to the last requested row in that order: each stack a run of columns
-    lo, hi = min(rows.start for rows in row_sets), max(rows.stop for rows in row_sets)
-    a, r, z = (_real_rows(modes, s[lo:hi], lo) * c)[:, order], r_at[lo:hi, order], z_at[lo:hi, order]
-    sizes, start = size[order].tolist(), 0
-    while start < len(order):       # a stack: the next classes of one size, within _STACK_PAIRS pairs
-        k = sizes[start]
-        stop = min(start + k * max(1, _STACK_PAIRS // (k * k)), bisect.bisect(sizes, k))
-        ai, ri, zi = (v[:, start:stop].reshape(hi - lo, -1, k) for v in (a, r, z))
-        sums = [np.empty(ai.shape[1:] + (k,)) for _ in row_sets]
-        step = max(1, _STACK_PAIRS // k)       # a larger class is formed step rows at a time
-        for i in range(0, k, step):
-            terms = ai[..., i:i + step, None] * ai[..., None, :]
-            terms *= g_r[ri[..., i:i + step, None], ri[..., None, :]]
-            terms *= g_z[zi[..., i:i + step, None], zi[..., None, :]]
-            for out, rows in zip(sums, row_sets):
-                np.multiply(sum(terms[rows.start - lo:rows.stop - lo]), w, out=out[:, i:i + step])
-        del terms       # while the stack's classes are read, only its sums are held
-        for j, at in enumerate(range(start, stop, k)):
-            yield order[at:at + k], [v[j] for v in sums]
-        start = stop
+    try:
+        if len(modes) and size.max() ** 2 > _MIRROR_PAIRS and _mirror(modes)[0] is not None:
+            order = order[(size[order] ** 2 <= _MIRROR_PAIRS) | (q[order] <= -q[order] % rule.nphi)]
+        # the factors of the first to the last requested row in that order: each stack a run of columns
+        lo, hi = min(rows.start for rows in row_sets), max(rows.stop for rows in row_sets)
+        a, r, z = (_real_rows(modes, s[lo:hi], lo) * c)[:, order], r_at[lo:hi, order], z_at[lo:hi, order]
+        sizes, start = size[order].tolist(), 0
+        while start < len(order):       # a stack: the next classes of one size, within _STACK_PAIRS pairs
+            k = sizes[start]
+            stop = min(start + k * max(1, _STACK_PAIRS // (k * k)), bisect.bisect(sizes, k))
+            ai, ri, zi = (v[:, start:stop].reshape(hi - lo, -1, k) for v in (a, r, z))
+            sums = [np.empty(ai.shape[1:] + (k,)) for _ in row_sets]
+            step = max(1, _STACK_PAIRS // k)       # a larger class is formed step rows at a time
+            for i in range(0, k, step):
+                terms = ai[..., i:i + step, None] * ai[..., None, :]
+                terms *= g_r[ri[..., i:i + step, None], ri[..., None, :]]
+                terms *= g_z[zi[..., i:i + step, None], zi[..., None, :]]
+                for out, rows in zip(sums, row_sets):
+                    np.multiply(sum(terms[rows.start - lo:rows.stop - lo]), w, out=out[:, i:i + step])
+            del terms       # while the stack's classes are read, only its sums are held
+            for j, at in enumerate(range(start, stop, k)):
+                yield order[at:at + k], [v[j] for v in sums]
+            start = stop
+    finally:        # _class_blocks reads the modes' _mirror during the walk; it keeps them alive no longer
+        _MIRRORED.clear()
 
 
 def _class_blocks(modes, rule: QuadratureRule, *row_sets):
@@ -592,15 +618,16 @@ def _bessel_suite(tol: float) -> dict:
             "zeros_per_order": count}
 
 
-def _run_suites(geom: CavityGeometry, omega_max: float, suites, nr: int, nz: int, tolerances: dict) -> dict:
+def _run_suites(geom: CavityGeometry, omega_max: float, suites, nr: int | None, nz: int | None,
+                tolerances: dict) -> dict:
     """The `cylcavity verify` report: each requested suite of _SUITES on the modes
     with omega <= omega_max, gram and curl on their default_rule with nr and nz,
-    checked first; tolerances holds gram_tol, curl_rel_tol, curl_abs_tol,
-    boundary_tol and bessel_tol.  gram and curl read the rows of each class
-    _blocks yields: for these modes, closed under m -> -m, one class of each
-    mirror pair of more than _MIRROR_PAIRS pairs, whose figures are its
-    mirror's too."""
-    nr, nz = _as_int("nr", nr, 1), _as_int("nz", nz, 1)
+    each checked first where given, else sized from the modes; tolerances holds
+    gram_tol, curl_rel_tol, curl_abs_tol, boundary_tol and bessel_tol.  gram
+    and curl read the rows of each class _blocks yields: for these modes,
+    closed under m -> -m, one class of each mirror pair of more than
+    _MIRROR_PAIRS pairs, whose figures are its mirror's too."""
+    nr, nz = (None if v is None else _as_int(name, v, 1) for name, v in (("nr", nr), ("nz", nz)))
     tolerances = {key: _as_tolerance(key, v) for key, v in tolerances.items()}
     modes = tuple(enumerate_modes(geom, omega_max))
     out = {}

@@ -6,7 +6,9 @@ central differences, and cavity inner products from a dense sum over
 every node of the 3-D rule, pair by pair (or, for sizes the 3-D sum cannot
 reach, one GEMM over the (r, z) planes), fields from a per-mode sum over
 every point, the field energy from those fields on every node, and wall
-checks from the full phased mode functions.  Slow and simple on purpose.
+checks from the full phased mode functions.  The 1-D table Grams have
+closed forms: elementary integrals of sin and cos on the axis, Lommel's
+integrals of J_m through mpmath on the radius.  Slow and simple on purpose.
 One reference is not independent: masked_gram is the production Gram's
 formula summed over every pair and masked by the phi sum afterwards.
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 
 from cylcavity.bessel import bessel_j, bessel_j_prime
@@ -233,3 +236,34 @@ def dense_boundary(mode, samples):
         "interior_max_u": max(float(np.max(np.abs(c))) for c in u_grid(mode, *grid)),
         "interior_max_curl": max(float(np.max(np.abs(c))) for c in curl_u_grid(mode, *grid)),
     }
+
+
+def axial_closed_form(ns, L: float) -> np.ndarray:
+    """The exact Gram int_0^L f_i f_j dz of the rows sin(n pi z / L), n in ns,
+    then cos(n pi z / L), n in ns: elementary integrals."""
+    i, j = np.meshgrid(np.asarray(ns, dtype=float), np.asarray(ns, dtype=float), indexing="ij")
+    same = i == j
+    sin_sin = np.where(same & (i > 0), L / 2, 0.0)
+    cos_cos = np.where(same, np.where(i > 0, L / 2, L), 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # sin(a) cos(b) integrates to L (1 - (-1)^(i + j)) i / (pi (i^2 - j^2)), 0 for i = j
+        sin_cos = np.where(same, 0.0, L * (1.0 - (-1.0) ** (i + j)) * i / (math.pi * (i * i - j * j)))
+    return np.block([[sin_sin, sin_cos], [sin_cos.T, cos_cos]])
+
+
+def lommel_gram(m: int, chis, te, a: float) -> np.ndarray:
+    """The exact Gram int_0^a r J_m(chi_i r / a) J_m(chi_j r / a) dr of radial
+    functions of one order m, chi_i a zero of J_m' where te[i], else of J_m,
+    by Lommel's integrals (Watson, Treatise on the Theory of Bessel Functions,
+    5.11), the Bessel values at the wall through mpmath: with J_m = 0 at a zero
+    of J_m and J_m' = 0 at a zero of J_m',
+        i != j:  a^2 (chi_j J_i J'_j - chi_i J'_i J_j) / (chi_i^2 - chi_j^2),
+        i == j:  a^2 / 2 (J'_i^2 + (1 - m^2 / chi_i^2) J_i^2)."""
+    with mpmath.workdps(20):
+        j = np.array([float(mpmath.besselj(m, x)) if t else 0.0 for x, t in zip(chis, te)])
+        jp = np.array([0.0 if t else float(mpmath.besselj(m, x, derivative=1)) for x, t in zip(chis, te)])
+    x = np.asarray(chis, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gram = a * a * (x[None, :] * np.outer(j, jp) - x[:, None] * np.outer(jp, j)) / np.subtract.outer(x * x, x * x)
+    np.fill_diagonal(gram, 0.5 * a * a * (jp * jp + (1.0 - m * m / (x * x)) * j * j))
+    return gram

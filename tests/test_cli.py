@@ -14,6 +14,7 @@ from cylcavity import (
     CylPoint,
     FieldState,
     ModeIndex,
+    default_rule,
     electric_field,
     enumerate_modes,
     evolve,
@@ -304,6 +305,21 @@ def test_output_is_deterministic(capsys, state_file, argv):
     _, second, _ = run_cli(args, capsys)
     assert code == 0
     assert first == second
+
+
+def test_verify_and_project_size_their_rule_from_the_modes(capsys, state_file, unit_geom):
+    # with no --nr and --nz, the sizes default_rule derives from the modes
+    # (for project, the state's and the targets'), not 64 x 64: passing them
+    # explicitly prints the same bytes
+    path, state = state_file
+    targets = enumerate_modes(unit_geom, 6.5)
+    for argv, modes in ((["verify", *GEOM_ARGS, "--omega-max", "6.5", "--suite", "gram,curl"], targets),
+                        (["project", "--state", path, "--omega-max", "6.5"], [*state.modes, *targets])):
+        rule = default_rule(unit_geom, modes)
+        code, derived, _ = run_cli(argv, capsys)
+        assert code == 0 and (rule.nr, rule.nz) == (20, 20)
+        assert run_cli([*argv, "--nr", str(rule.nr), "--nz", str(rule.nz)], capsys) == (0, derived, "")
+        assert run_cli([*argv, "--nr", "64", "--nz", "64"], capsys)[1] != derived
 
 
 def test_config_supplies_options(capsys, tmp_path):

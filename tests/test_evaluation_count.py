@@ -54,7 +54,7 @@ from cylcavity import (
 )
 from cylcavity.cli import main
 from cylcavity.modefield import _tables
-from cylcavity.verify import DEFAULT_NR, _default_walls, default_nphi
+from cylcavity.verify import _default_walls, default_nphi
 
 
 @pytest.fixture(autouse=True)
@@ -402,7 +402,7 @@ def test_cli_verify_sweeps_once_per_abs_m_per_point_set(sweeps, state, capsys, s
             "--vacuum-permittivity", "1", "--hbar", "1", "--omega-max", "6.5", "--suite", suites]
     assert main(argv) == 0
     capsys.readouterr()
-    radii = (DEFAULT_NR, _default_walls(state.geom)[0].size)
+    radii = (default_rule(state.geom, state.modes).nr, _default_walls(state.geom)[0].size)     # the derived nr
     _per_chunk(sweeps, state.modes, *radii[-point_sets:])
 
 

@@ -10,11 +10,16 @@ one of those shortcuts with the direct computation, bit for bit.
 """
 
 import dataclasses
+import gc
+import inspect
 import re
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+import cylcavity.modefield as modefield
 import cylcavity.verify as verify
 from cylcavity import (
     TE,
@@ -157,6 +162,40 @@ def test_a_row_neither_real_nor_imaginary_is_named_with_its_mode(unit_geom, monk
     with pytest.raises(ValueError, match=rf"^row {name} of mode {re.escape(str(modes[7].index))} has s = "
                                          r".*: a row of s must be purely real or purely imaginary"):
         check_vector_orthonormality(modes, rule)
+
+
+def _mirror_bytes() -> int:
+    """Bytes traced now whose allocation ran a line of modefield._mirror."""
+    lines, first = inspect.getsourcelines(_mirror)
+    where = (modefield.__file__, range(first, first + len(lines)))
+    return sum(t.size for t in tracemalloc.take_snapshot().traces
+               if any((f.filename, f.lineno in where[1]) == (where[0], True) for f in t.traceback))
+
+
+@pytest.mark.parametrize("walk", ["gram", "suites"])
+def test_the_mirror_a_walk_reads_is_released_when_it_ends(unit_geom, walk):
+    # at omega <= 20 the largest class is above _MIRROR_PAIRS, so the walk
+    # pairs the modes, and _class_blocks reads that pairing again during it;
+    # once the walk ends it keeps neither the pairing nor the modes alive
+    tracemalloc.start(4)
+    try:
+        _mirror(enumerate_modes(unit_geom, 6.5))       # numpy's own caches, which stay, fill here
+        modefield._MIRRORED.clear()
+        before = _mirror_bytes()
+        modes = enumerate_modes(unit_geom, 20.0)
+        rule = default_rule(unit_geom, modes)
+        blocks = _class_blocks(modes, rule, _U) if walk == "gram" else verify._blocks(modes, rule, _U, _CURL)
+        idx, _ = next(blocks)
+        held = _mirror_bytes() - before
+        assert modefield._MIRRORED and held > 16 * len(modes)      # partner, flip and the modes' tuple
+        assert max(len(idx) for idx, _ in blocks) ** 2 > _MIRROR_PAIRS
+        assert not modefield._MIRRORED
+        alive = weakref.ref(modes[0])
+        del modes, blocks
+        gc.collect()
+        assert alive() is None and _mirror_bytes() - before < held / 10     # numpy's caches may grow a little
+    finally:
+        tracemalloc.stop()
 
 
 # ------------------------------------------------------------------- walls

@@ -28,13 +28,17 @@ def test_mode_table(capsys):
 
 
 def test_quadrature_convergence(capsys):
-    _main("quadrature_convergence")()
-    rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
-    assert [int(row[0]) for row in rows] == [4, 8, 12, 16, 24, 32, 48]
-    assert float(rows[-1][1]) < 1e-12
-    # nr only and nz only: at order 48 both are the full 48 x 48 rule
-    assert rows[-1][3] == rows[-1][4] == rows[-1][1]
-    assert all(len(row) == 5 for row in rows)
+    # per cutoff an r row and a z row: the modes' largest chi or n, the size
+    # default_rule derives from it, and the 1-D Gram errors on 8, 6, 4, 2 and 0
+    # nodes fewer, at rounding from 4 nodes fewer on
+    _main("quadrature_convergence")(["6.5", "20"])
+    header, *rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert header == ["omega_max", "modes", "axis", "extent", "size", "err-8", "err-6", "err-4", "err-2", "err"]
+    assert [row[:5] for row in rows] == [["6.5", "30", "r", "5.52", "20"], ["6.5", "30", "z", "2", "20"],
+                                         ["20", "878", "r", "17.96", "28"], ["20", "878", "z", "8", "32"]]
+    for row in rows:
+        errors = [float(v) for v in row[5:]]
+        assert max(errors[2:]) < 1e-13 and errors[0] > errors[-1], row
 
 
 def test_verify_scale(capsys):

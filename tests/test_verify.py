@@ -664,7 +664,7 @@ def test_run_suites_show_a_nan_in_any_one_block_as_the_dense_reports_do(unit_geo
                         yield idx, blocks
 
                 monkeypatch.setattr(verify, "_blocks", poisoned)
-                got = _run_suites(unit_geom, omega_max, ("gram", "curl"), DEFAULT_NR, DEFAULT_NZ, _TOLERANCES)
+                got = _run_suites(unit_geom, omega_max, ("gram", "curl"), None, None, _TOLERANCES)   # rule's sizes
                 # a NaN in u fails both suites (the curl rhs is k^2 u), one in curl u the curl suite
                 assert got["passed"] is False and got["suites"]["curl"]["passed"] is False
                 assert got["suites"]["gram"]["passed"] is (rows == _CURL), (omega_max, poisoned_class, at)
